@@ -84,8 +84,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     script = parse(Path(args.file).read_text())
     result = check_sat(script.manager, script.assertions,
                        seed=_resolve_seed(args),
-                       budget=args.budget,
-                       replay_reasons=args.replay_reasons == "on")
+                       budget=args.budget)
     print(result.verdict)
     if args.stats:
         print(result.stats, file=sys.stderr)
@@ -201,8 +200,6 @@ def _build_parser() -> _ArgumentParser:
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--budget", type=int, default=None,
                        help="ground-solver conflict budget per candidate")
-    solve.add_argument("--replay-reasons", choices=["on", "off"],
-                       default="on")
     solve.set_defaults(run=_cmd_solve)
 
     validate = sub.add_parser(
@@ -250,6 +247,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ParseError, OSError, CaextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input is nested too deeply to process",
+              file=sys.stderr)
         return 1
 
 

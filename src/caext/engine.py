@@ -26,7 +26,6 @@ result is a full model of the input.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -190,32 +189,31 @@ def exists_fresh_index(interp: Interpretation,
     return len(used) < domain_size(sort)
 
 
-def compute_updated_indices(cfg: Configuration, dest: Term,
-                            const: Term) -> tuple[Term, ...]:
-    """The index terms of all stores crossed while propagating the
-    constant array ``const`` to ``dest``, in first-seen term order.
-
-    A cell of ``dest`` is only known to hold the default of ``const``
-    if its index differs from every index returned here.
-    """
-    _require_step(cfg, dest, const)
-    out: list[Term] = []
+def _walk(cfg: Configuration, dest: Term,
+          t: Term) -> tuple[list[Term], list[Term]]:
+    """Follow the recorded source links of ``t`` from ``dest`` back to
+    its origin.  Returns the reason literals, ordered origin-first, and
+    the index terms of the stores crossed by unjustified hops, in walk
+    order (destination-first)."""
+    lits: list[Term] = []
+    indices: list[Term] = []
     cur = dest
     while True:
-        reason, src = cfg.steps[(cur, const)]
+        reason, src = cfg.step(cur, t)
         if src is cur:
             break
-        if reason is None:
-            # The hop crossed a store; pick up its updated index.
-            if src.kind is Kind.STORE and src.array is cur:
-                out.append(src.index)
-            elif cur.kind is Kind.STORE and cur.array is src:
-                out.append(cur.index)
-            else:
-                raise InternalError(
-                    f"unjustified hop {cur!r} <- {src!r} crosses no store")
+        if reason is not None:
+            lits.append(reason)
+        elif src.kind is Kind.STORE and src.array is cur:
+            indices.append(src.index)
+        elif cur.kind is Kind.STORE and cur.array is src:
+            indices.append(cur.index)
+        else:
+            raise InternalError(
+                f"unjustified hop {cur!r} <- {src!r} crosses no store")
         cur = src
-    return _canonical_indices(cfg, out)
+    lits.reverse()
+    return lits, indices
 
 
 def _canonical_indices(cfg: Configuration,
@@ -224,10 +222,15 @@ def _canonical_indices(cfg: Configuration,
     return tuple(sorted(unique, key=cfg.ordinal_key))
 
 
-def _require_step(cfg: Configuration, dest: Term, t: Term) -> None:
-    if (dest, t) not in cfg.steps:
-        raise UndefinedStep(
-            f"no propagation of {t!r} to {dest!r} recorded")
+def compute_updated_indices(cfg: Configuration, dest: Term,
+                            const: Term) -> tuple[Term, ...]:
+    """The index terms of all stores crossed while propagating the
+    constant array ``const`` to ``dest``, in first-seen term order.
+
+    A cell of ``dest`` is only known to hold the default of ``const``
+    if its index differs from every index returned here.
+    """
+    return _canonical_indices(cfg, _walk(cfg, dest, const)[1])
 
 
 @dataclass(frozen=True)
@@ -253,100 +256,11 @@ class ReasonTrace:
         return manager.mk_and(self.literals)
 
 
-def compute_reason(cfg: Configuration, dest: Term, t: Term, *,
-                   replay: bool = False) -> ReasonTrace:
-    """The justification for propagating ``t`` to ``dest``.
-
-    With ``replay`` the recorded path is ignored and a shortest
-    justification is re-derived from the current interpretation; both
-    variants are valid, but the replayed one can be shorter and can
-    cross a different set of store indices.
-    """
-    lits, idx = _conflict_path(cfg, dest, t, replay)
+def compute_reason(cfg: Configuration, dest: Term, t: Term) -> ReasonTrace:
+    """The justification for propagating ``t`` to ``dest``: the
+    recorded path's literals and crossed store indices."""
+    lits, idx = _walk(cfg, dest, t)
     return ReasonTrace(tuple(lits), _canonical_indices(cfg, idx))
-
-
-def _stored_path(cfg: Configuration, dest: Term,
-                 t: Term) -> tuple[list[Term], list[Term]]:
-    """Walk the recorded source links; returns (literals, store indices)
-    with literals ordered origin-first."""
-    _require_step(cfg, dest, t)
-    lits: list[Term] = []
-    indices: list[Term] = []
-    cur = dest
-    while True:
-        reason, src = cfg.steps[(cur, t)]
-        if reason is not None:
-            lits.append(reason)
-        elif src is not cur:
-            if src.kind is Kind.STORE and src.array is cur:
-                indices.append(src.index)
-            elif cur.kind is Kind.STORE and cur.array is src:
-                indices.append(cur.index)
-        if src is cur:
-            break
-        cur = src
-    lits.reverse()
-    return lits, indices
-
-
-def _replayed_path(cfg: Configuration, dest: Term,
-                   t: Term) -> Optional[tuple[list[Term], list[Term]]]:
-    """Re-derive a shortest justification for propagating ``t`` to
-    ``dest`` under the current interpretation, breadth-first from the
-    propagation origin.  Returns None if no path exists (which cannot
-    happen while the recorded path's premises still hold)."""
-    interp = cfg.interp
-    m = cfg.manager
-    origin = t.array if t.kind is Kind.SELECT else t
-    if dest is origin:
-        return [], []
-    start: tuple[list[Term], list[Term]] = ([], [])
-    queue: deque[tuple[Term, list[Term], list[Term]]] = deque()
-    queue.append((origin, *start))
-    seen = {origin}
-
-    def neighbours(node: Term, indices: list[Term]):
-        if t.kind is Kind.SELECT:
-            i = t.index
-            if node.kind is Kind.STORE and \
-                    interp.value(i) != interp.value(node.index):
-                yield (node.array,
-                       m.mk_not(m.mk_eq(i, node.index)), None)
-            for s in cfg.stores:
-                if s.array is node and \
-                        interp.value(i) != interp.value(s.index):
-                    yield s, m.mk_not(m.mk_eq(i, s.index)), None
-            for e in cfg.array_eq_atoms:
-                other = _eq_other_side(e, node)
-                if other is not None and interp.eval(e):
-                    yield other, e, None
-        else:
-            for e in cfg.array_eq_atoms:
-                other = _eq_other_side(e, node)
-                if other is not None and interp.eval(e):
-                    yield other, e, None
-            sort = t.sort.index
-            if node.kind is Kind.STORE and exists_fresh_index(
-                    interp, indices + [node.index], sort):
-                yield node.array, None, node.index
-            for s in cfg.stores:
-                if s.array is node and exists_fresh_index(
-                        interp, indices + [s.index], sort):
-                    yield s, None, s.index
-
-    while queue:
-        node, lits, indices = queue.popleft()
-        for nxt, lit, idx in neighbours(node, indices):
-            if nxt in seen:
-                continue
-            nlits = lits + [lit] if lit is not None else list(lits)
-            nidx = indices + [idx] if idx is not None else list(indices)
-            if nxt is dest:
-                return nlits, nidx
-            seen.add(nxt)
-            queue.append((nxt, nlits, nidx))
-    return None
 
 
 def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
@@ -356,21 +270,6 @@ def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
     if rhs is node and lhs is not node:
         return lhs
     return None
-
-
-def _conflict_path(cfg: Configuration, dest: Term, t: Term,
-                   replay: bool) -> tuple[list[Term], list[Term]]:
-    """The (literals, store indices) pair used to justify a lemma about
-    the propagation of ``t`` to ``dest``."""
-    _require_step(cfg, dest, t)
-    if replay:
-        replayed = _replayed_path(cfg, dest, t)
-        if replayed is not None:
-            return replayed
-        if cfg.debug:
-            raise InternalError(
-                f"replay found no justification for {t!r} at {dest!r}")
-    return _stored_path(cfg, dest, t)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +335,7 @@ def _apply_one(cfg: Configuration) -> bool:
         if t.kind is not Kind.CONST_ARRAY:
             continue
         sort = t.sort.index
-        crossed = list(compute_updated_indices(cfg, dest, t))
+        _, crossed = _walk(cfg, dest, t)
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
                 and exists_fresh_index(interp, crossed + [dest.index], sort):
             cfg.set_step(dest.array, t, None, dest, CONST_DOWN)
@@ -466,7 +365,6 @@ class ConflictInfo:
 
 def check_conflicts(cfg: Configuration, *,
                     witnessed: Optional[set[Term]] = None,
-                    replay: bool = True,
                     apply: bool = True) -> Optional[ConflictInfo]:
     """Scan for a contradiction under the current interpretation.
 
@@ -478,16 +376,15 @@ def check_conflicts(cfg: Configuration, *,
     ``witnessed`` carries the equality atoms that already received an
     extensionality witness and must outlive every reset.
     """
-    info = _find_conflict(cfg, set() if witnessed is None else witnessed,
-                          replay)
+    info = _find_conflict(cfg, set() if witnessed is None else witnessed)
     if info is not None and apply:
         cfg.add_formula(info.lemma)
         cfg.reset()
     return info
 
 
-def _find_conflict(cfg: Configuration, witnessed: set[Term],
-                   replay: bool) -> Optional[ConflictInfo]:
+def _find_conflict(cfg: Configuration,
+                   witnessed: set[Term]) -> Optional[ConflictInfo]:
     interp = cfg.interp
     m = cfg.manager
 
@@ -495,7 +392,7 @@ def _find_conflict(cfg: Configuration, witnessed: set[Term],
     for dest, t in cfg.steps:
         if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
                 and interp.value(t) != interp.value(dest.default):
-            lits, _ = _conflict_path(cfg, dest, t, replay)
+            lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
             return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
 
@@ -508,8 +405,8 @@ def _find_conflict(cfg: Configuration, witnessed: set[Term],
             continue
         if interp.value(t1) == interp.value(t2):
             continue
-        lits1, _ = _conflict_path(cfg, dest, t1, replay)
-        lits2, _ = _conflict_path(cfg, dest, t2, replay)
+        lits1, _ = _walk(cfg, dest, t1)
+        lits2, _ = _walk(cfg, dest, t2)
         ante = lits1 + lits2
         if t1.index is not t2.index:
             ante.append(m.mk_eq(t1.index, t2.index))
@@ -535,25 +432,13 @@ def _find_conflict(cfg: Configuration, witnessed: set[Term],
         if interp.value(c1.default) == interp.value(c2.default):
             continue
         sort = c1.sort.index
-        idx1 = list(compute_updated_indices(cfg, dest, c1))
-        idx2 = list(compute_updated_indices(cfg, dest, c2))
+        lits1, idx1 = _walk(cfg, dest, c1)
+        lits2, idx2 = _walk(cfg, dest, c2)
         if not exists_fresh_index(interp, idx1 + idx2, sort):
             continue
-        lits1, lits2 = None, None
-        if replay:
-            r1 = _replayed_path(cfg, dest, c1)
-            r2 = _replayed_path(cfg, dest, c2)
-            if r1 is not None and r2 is not None and exists_fresh_index(
-                    interp, r1[1] + r2[1], sort):
-                lits1, idx1 = r1[0], _canonical_indices(cfg, r1[1])
-                lits2, idx2 = r2[0], _canonical_indices(cfg, r2[1])
-        if lits1 is None or lits2 is None:
-            lits1, raw1 = _stored_path(cfg, dest, c1)
-            lits2, raw2 = _stored_path(cfg, dest, c2)
-            idx1 = _canonical_indices(cfg, raw1)
-            idx2 = _canonical_indices(cfg, raw2)
-        ante = list(lits1) + list(lits2)
-        multiset = list(idx1) + list(idx2)
+        ante = lits1 + lits2
+        multiset = (_canonical_indices(cfg, idx1)
+                    + _canonical_indices(cfg, idx2))
         if multiset:
             ante.append(m.mk_not(
                 m.mk_distinct_n(domain_size(sort), multiset)))
@@ -670,8 +555,7 @@ class _CellSolver:
             if t.kind is Kind.SELECT:
                 self._pin((dest, interp.value(t.index)), interp.value(t))
             elif t.kind is Kind.CONST_ARRAY:
-                blocked = {interp.value(k)
-                           for k in compute_updated_indices(cfg, dest, t)}
+                blocked = {interp.value(k) for k in _walk(cfg, dest, t)[1]}
                 val = interp.value(t.default)
                 for x in range(domain_size(t.sort.index)):
                     if x not in blocked:
@@ -729,7 +613,6 @@ class SolveStats:
     lemma_history: list[tuple[str, Term]] = field(default_factory=list)
     pi_size: int = 0
     ground_conflicts: int = 0
-    replay_reasons: bool = True
 
     def record(self, info: ConflictInfo) -> None:
         self.refinements += 1
@@ -742,9 +625,6 @@ class SolveStats:
         for rule in LEMMA_RULES:
             out.append(f"lemmas.{rule}: {self.lemma_counts.get(rule, 0)}")
         out.append(f"propagation-steps: {self.pi_size}")
-        out.append("replay-reasons: "
-                   + ("on" if self.replay_reasons else "off"))
-        out.append("distinct-encoding: eager")
         out.append(f"ground-conflicts: {self.ground_conflicts}")
         return out
 
@@ -765,7 +645,6 @@ class SolveResult:
 def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               seed: int = 0,
               budget: Optional[int] = None,
-              replay_reasons: bool = True,
               debug_checks: bool = True,
               max_refinements: Optional[int] = None,
               on_saturation: Optional[Callable[[Configuration], None]] = None,
@@ -781,7 +660,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     assertions = list(assertions)
     flat = flatten(manager, assertions)
     cfg = Configuration(manager, flat.all_formulas, debug=debug_checks)
-    stats = SolveStats(replay_reasons=replay_reasons)
+    stats = SolveStats()
     witnessed: set[Term] = set()
     while True:
         stats.iterations += 1
@@ -797,8 +676,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         stats.pi_size = len(cfg.steps)
         if on_saturation is not None:
             on_saturation(cfg)
-        info = check_conflicts(cfg, witnessed=witnessed,
-                               replay=replay_reasons)
+        info = check_conflicts(cfg, witnessed=witnessed)
         if info is None:
             model = complete_model(build_model(cfg), assertions)
             if debug_checks:

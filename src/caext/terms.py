@@ -132,17 +132,6 @@ class Term:
         """Default value of a CONST_ARRAY node."""
         return self.args[0]
 
-    @property
-    def is_atom(self) -> bool:
-        """True for terms that the ground solver treats as atoms."""
-        if self.kind in (Kind.EQ, Kind.DISTINCT_N):
-            return True
-        if self.kind is Kind.CONSTANT and self.sort.is_bool:
-            return True
-        if self.kind is Kind.SELECT and self.sort.is_bool:
-            return True
-        return False
-
     def __repr__(self) -> str:
         return _render(self)
 

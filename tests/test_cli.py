@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import caext
 from caext.cli import main
 from caext.errors import ResourceLimit
 
@@ -95,14 +98,6 @@ class TestSolve:
         assert out.out == "sat\n"
         assert "refinements:" in out.err
         assert "lemmas.const_congruence: 1" in out.err
-
-    def test_replay_flag_accepted(self, tmp_path, capsys):
-        path = chain_file(tmp_path)
-        assert main(["solve", str(path), "--replay-reasons", "off",
-                     "--stats"]) == 0
-        out = capsys.readouterr()
-        assert out.out == "sat\n"
-        assert "replay-reasons: off" in out.err
 
     def test_budget_zero_reports_unknown(self, tmp_path, capsys):
         path = tmp_path / "wide.smt2"
@@ -244,18 +239,40 @@ class TestSeedPlumbing:
         assert capsys.readouterr().out == "sat\n"
 
 
+def run_module(*args):
+    """Run ``python -m caext.cli`` in a child process that imports the
+    same caext package as this test session."""
+    env = dict(os.environ)
+    src = str(Path(caext.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "caext.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = const_eq_file(tmp_path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "caext.cli", "solve", str(path)],
-            capture_output=True, text=True)
+        proc = run_module("solve", str(path))
         assert proc.returncode == 0
         assert proc.stdout == "unsat\n"
 
+    def test_deep_nesting_is_a_diagnostic(self, tmp_path):
+        depth = 3000
+        path = tmp_path / "deep.smt2"
+        path.write_text("(declare-const p Bool)\n(assert "
+                        + "(not " * depth + "p" + ")" * depth
+                        + ")\n(check-sat)\n")
+        proc = run_module("solve", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "nested too deeply" in lines[0]
+
     def test_unknown_command(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "caext.cli", "frobnicate"],
-            capture_output=True, text=True)
+        proc = run_module("frobnicate")
         assert proc.returncode == 1
         assert proc.stdout == ""

@@ -75,8 +75,8 @@ class Chain:
                       ex.cv: ex.cv, ex.cw: ex.cw, ex.a: ex.a}
         return Interpretation(values, array_repr)
 
-    def configuration(self, interp) -> Configuration:
-        cfg = Configuration(self.m, self.assertions)
+    def configuration(self, interp, *, debug=True) -> Configuration:
+        cfg = Configuration(self.m, self.assertions, debug=debug)
         cfg.interp = interp
         init_steps(cfg)
         propagate_fixpoint(cfg)
@@ -182,12 +182,12 @@ class TestMergedIndexSaturation:
         with pytest.raises(UndefinedStep):
             compute_updated_indices(cfg, chain.s1, orphan)
 
-    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("debug", [False, True])
     def test_conflict_is_default_congruence_with_exact_lemma(
-            self, chain, replay):
+            self, chain, debug):
         ex, m = chain.ex, chain.m
-        cfg = chain.configuration(merged_interp(chain))
-        info = check_conflicts(cfg, replay=replay, apply=False)
+        cfg = chain.configuration(merged_interp(chain), debug=debug)
+        info = check_conflicts(cfg, apply=False)
         assert info is not None
         assert info.rule == "const_congruence"
         expected = m.mk_implies(
@@ -200,7 +200,7 @@ class TestMergedIndexSaturation:
     def test_apply_appends_lemma_and_resets(self, chain):
         cfg = chain.configuration(merged_interp(chain))
         before = len(cfg.formulas)
-        info = check_conflicts(cfg, replay=False)
+        info = check_conflicts(cfg)
         assert cfg.formulas[-1] is info.lemma
         assert len(cfg.formulas) == before + 1
         assert cfg.interp is None and not cfg.steps
@@ -229,12 +229,12 @@ class TestSpreadIndexSaturation:
         assert not exists_fresh_index(
             cfg.interp, (ex.i1, ex.j1, ex.i2, ex.j2), ex.i1.sort)
 
-    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("debug", [False, True])
     def test_conflict_is_read_over_default_with_exact_lemma(
-            self, chain, replay):
+            self, chain, debug):
         ex, m = chain.ex, chain.m
-        cfg = chain.configuration(spread_interp(chain))
-        info = check_conflicts(cfg, replay=replay, apply=False)
+        cfg = chain.configuration(spread_interp(chain), debug=debug)
+        info = check_conflicts(cfg, apply=False)
         assert info is not None
         assert info.rule == "read_over_const"
         expected = m.mk_implies(
@@ -242,11 +242,11 @@ class TestSpreadIndexSaturation:
             m.mk_eq(chain.r2, ex.v))
         assert info.lemma is expected
 
-    @pytest.mark.parametrize("replay", [False, True])
-    def test_reason_modes_agree_here(self, chain, replay):
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_reason_modes_agree_here(self, chain, debug):
         ex = chain.ex
-        cfg = chain.configuration(spread_interp(chain))
-        trace = compute_reason(cfg, ex.cv, chain.r2, replay=replay)
+        cfg = chain.configuration(spread_interp(chain), debug=debug)
+        trace = compute_reason(cfg, ex.cv, chain.r2)
         assert trace.literals == (
             chain.eq12, chain.m.mk_not(chain.m.mk_eq(ex.j1, ex.i1)))
 
@@ -298,6 +298,18 @@ class TestPropagationMap:
         fresh = m.mk_select(chain.s2, ex.i2)
         with pytest.raises(InternalError):
             cfg.set_step(ex.a, fresh, bad, chain.s2, "read_down")
+
+    def test_unjustified_hop_raises(self, chain):
+        cfg = chain.configuration(merged_interp(chain))
+        m, ex = chain.m, chain.ex
+        cz = m.mk_const_array(ex.a.sort, m.mk_const("z", m.bool_sort))
+        cfg.steps[(cz, cz)] = (None, cz)
+        # No reason, and no store links a to cz: the hop is unjustified.
+        cfg.steps[(ex.a, cz)] = (None, cz)
+        with pytest.raises(InternalError, match="crosses no store"):
+            compute_reason(cfg, ex.a, cz)
+        with pytest.raises(InternalError, match="crosses no store"):
+            compute_updated_indices(cfg, ex.a, cz)
 
     def test_no_arrays_means_no_steps(self):
         m = TermManager()
@@ -491,11 +503,11 @@ class TestModelsFromTheLoop:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("replay", [False, True])
-    def test_random_instances(self, replay):
+    @pytest.mark.parametrize("debug_checks", [False, True])
+    def test_random_instances(self, debug_checks):
         for seed in range(60):
             m, assertions = random_instance(seed)
-            res = check_sat(m, assertions, replay_reasons=replay)
+            res = check_sat(m, assertions, debug_checks=debug_checks)
             want = oracle_solve(assertions, LOOSE).verdict
             assert res.verdict == want, f"seed {seed}"
             if res.verdict == "sat":

@@ -11,6 +11,9 @@ oracle on every saturated configuration of a driven refinement loop:
 * the at-least-n-distinct atom obeys its counting laws at every
   evaluation layer;
 * refinement terminates within a small bound on tiny instances.
+
+The loop audits run with the engine's own debug checks on and off, so
+the soundness claims also cover the unchecked path library users run.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from caext import (
     check_conflicts,
     check_sat,
     compute_reason,
-    compute_updated_indices,
     domain_size,
     eval_term,
     flatten,
@@ -81,12 +83,12 @@ def implication(m, literals, consequent):
 class LoopAudit:
     """Drives the refinement loop by hand and checks every saturation."""
 
-    def __init__(self, manager, assertions, *, replay=True):
+    def __init__(self, manager, assertions, *, debug=True):
         self.m = manager
         self.assertions = assertions
-        self.replay = replay
         self.flat = flatten(manager, assertions)
-        self.cfg = Configuration(manager, self.flat.all_formulas)
+        self.cfg = Configuration(manager, self.flat.all_formulas,
+                                 debug=debug)
         self.lemmas = []
         self.candidates = 0
 
@@ -105,8 +107,7 @@ class LoopAudit:
             propagate_fixpoint(self.cfg)
             self.candidates += 1
             self.audit_saturation()
-            info = check_conflicts(self.cfg, witnessed=witnessed,
-                                   replay=self.replay)
+            info = check_conflicts(self.cfg, witnessed=witnessed)
             if info is None:
                 model = build_model(self.cfg)
                 assert validate_model(model, self.cfg.formulas)
@@ -117,15 +118,11 @@ class LoopAudit:
     def audit_saturation(self):
         cfg = self.cfg
         for (dest, t) in cfg.steps:
-            for mode in sorted({self.replay, False}):
-                trace = compute_reason(cfg, dest, t, replay=mode)
-                for lit in trace.literals:
-                    assert cfg.interp.eval(lit), (
-                        f"stale reason literal {lit!r} for ({dest!r}, {t!r})")
-                if not mode and t.kind is Kind.CONST_ARRAY:
-                    assert trace.updated_indices == \
-                        compute_updated_indices(cfg, dest, t)
-                self.audit_step(dest, t, trace)
+            trace = compute_reason(cfg, dest, t)
+            for lit in trace.literals:
+                assert cfg.interp.eval(lit), (
+                    f"stale reason literal {lit!r} for ({dest!r}, {t!r})")
+            self.audit_step(dest, t, trace)
 
     def audit_step(self, dest, t, trace):
         m = self.m
@@ -171,10 +168,10 @@ def lemma_audit_form(m, rule, lemma):
                         cases[0] if len(cases) == 1 else m.mk_or(cases))
 
 
-@pytest.mark.parametrize("replay", [True, False])
-def test_step_soundness_and_reason_currency(replay):
+@pytest.mark.parametrize("debug", [True, False])
+def test_step_soundness_and_reason_currency(debug):
     for m, assertions in audit_instances():
-        audit = LoopAudit(m, assertions, replay=replay)
+        audit = LoopAudit(m, assertions, debug=debug)
         verdict, _ = audit.run()
         if verdict == "sat":
             assert audit.candidates > 0
@@ -183,10 +180,10 @@ def test_step_soundness_and_reason_currency(replay):
                                      max_array_constants=6)).verdict
 
 
-@pytest.mark.parametrize("replay", [True, False])
-def test_every_lemma_in_the_stream_is_valid(replay):
+@pytest.mark.parametrize("debug", [True, False])
+def test_every_lemma_in_the_stream_is_valid(debug):
     for m, assertions in audit_instances():
-        audit = LoopAudit(m, assertions, replay=replay)
+        audit = LoopAudit(m, assertions, debug=debug)
         audit.run()
         for info in audit.lemmas:
             form = lemma_audit_form(
