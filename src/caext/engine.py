@@ -36,7 +36,7 @@ from .errors import (
     UndefinedStep,
 )
 from .flatten import flatten
-from .ground import Interpretation, solve_ground
+from .ground import GroundSession, Interpretation, solve_ground
 from .model import Model, complete_model, validate_model, zero_value
 from .terms import (Kind, Sort, Term, TermManager, domain_size,
                     iter_subterms, substitute)
@@ -104,24 +104,35 @@ class Configuration:
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
         self.step_rule: dict[tuple[Term, Term], str] = {}
         self.debug = debug
-        self._refresh()
+        self.ordinal: dict[Term, int] = {}
+        self.reads: list[Term] = []
+        self.stores: list[Term] = []
+        self.const_arrays: list[Term] = []
+        self.array_eq_atoms: list[Term] = []
+        self._index(self.formulas)
 
     # -- formula-set term index ------------------------------------------
 
-    def _refresh(self) -> None:
-        subterms = list(iter_subterms(self.formulas))
-        self.ordinal: dict[Term, int] = {t: k for k, t in enumerate(subterms)}
-        self.reads = [t for t in subterms if t.kind is Kind.SELECT]
-        self.stores = [t for t in subterms if t.kind is Kind.STORE]
-        self.const_arrays = [t for t in subterms
-                             if t.kind is Kind.CONST_ARRAY]
-        self.array_eq_atoms = [t for t in subterms
-                               if t.kind is Kind.EQ
-                               and t.args[0].sort.is_array]
+    def _index(self, formulas: Sequence[Term]) -> None:
+        """Index the subterms of ``formulas`` not indexed yet.  Since
+        `iter_subterms` is prefix-stable, the ordinals equal those of
+        one walk over the whole formula set."""
+        for t in iter_subterms(formulas):
+            if t in self.ordinal:
+                continue
+            self.ordinal[t] = len(self.ordinal)
+            if t.kind is Kind.SELECT:
+                self.reads.append(t)
+            elif t.kind is Kind.STORE:
+                self.stores.append(t)
+            elif t.kind is Kind.CONST_ARRAY:
+                self.const_arrays.append(t)
+            elif t.kind is Kind.EQ and t.args[0].sort.is_array:
+                self.array_eq_atoms.append(t)
 
     def add_formula(self, f: Term) -> None:
         self.formulas.append(f)
-        self._refresh()
+        self._index([f])
 
     def ordinal_key(self, t: Term) -> int:
         return self.ordinal.get(t, len(self.ordinal) + t.id)
@@ -651,8 +662,11 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               ) -> SolveResult:
     """Decide the assertions and, when satisfiable, build a model.
 
-    ``seed`` fixes the ground solver's choices, ``budget`` caps its
-    conflicts per candidate (exhaustion yields verdict ``unknown``),
+    One ground encoding serves the whole run: each lemma is added to it
+    as clauses, and the SAT core keeps what it learned.  ``seed`` fixes
+    the ground solver's choices, ``budget`` caps the SAT conflicts of
+    each candidate's search, counted afresh for every candidate
+    (exhaustion yields verdict ``unknown``),
     ``max_refinements`` caps lemma iterations (exceeding it raises
     :class:`ResourceLimit`), and ``on_saturation`` is called with the
     configuration after every saturation, before conflicts are checked.
@@ -662,9 +676,11 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     cfg = Configuration(manager, flat.all_formulas, debug=debug_checks)
     stats = SolveStats()
     witnessed: set[Term] = set()
+    session = GroundSession()
     while True:
         stats.iterations += 1
-        ground = solve_ground(manager, cfg.formulas, seed=seed, budget=budget)
+        ground = solve_ground(manager, cfg.formulas, seed=seed, budget=budget,
+                              session=session)
         stats.ground_conflicts += ground.conflicts
         if ground.verdict is None:
             return SolveResult("unknown", None, stats)

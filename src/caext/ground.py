@@ -5,11 +5,17 @@ with the CDCL core.  Reads (``select`` nodes) are free bit-vectors,
 constrained only by the virtual-read equality
 ``select(store(a,i,u), i) = u`` of each store term present — array
 axioms beyond that are deliberately *not* encoded; the array engine
-repairs violations with lemmas.  Array-sorted terms receive one
-equality variable per unordered same-sort pair plus transitivity
-constraints, never function values.  At-least-n-distinct atoms are
-encoded eagerly with first-occurrence flags feeding a sequential
-counter.
+repairs violations with lemmas.  Array-sorted terms carry only an
+equivalence partition: every pair related by an array-equality atom
+gets an equality variable, and transitivity is enforced over a chordal
+completion of that atom graph (Bryant & Velev, "Boolean satisfiability
+with transitivity constraints", ACM TOCL 2002), never over all pairs.
+At-least-n-distinct atoms are encoded eagerly with first-occurrence
+flags feeding a sequential counter.
+
+A :class:`GroundSession` keeps one encoding across the calls of a
+refinement run: each call encodes only the formulas appended since the
+previous one, and the SAT core keeps what it has learned.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ class GroundResult:
     conflicts: int = 0
 
 
+def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
+    return (s, t) if s.id < t.id else (t, s)
+
+
 class _Encoder:
     def __init__(self, manager: TermManager, seed: int,
                  budget: Optional[int]):
@@ -107,7 +117,6 @@ class _Encoder:
         self.cache: dict[Term, int] = {}
         self.eq_cache: dict[tuple[Term, Term], int] = {}
         self.arrays: list[Term] = []
-        self.reads: list[Term] = []
 
     # -- gates ----------------------------------------------------------
 
@@ -154,32 +163,46 @@ class _Encoder:
 
     # -- arrays ----------------------------------------------------------
 
-    def register_arrays(self, arrays: Sequence[Term]) -> None:
-        """Create pair variables and transitivity constraints for all
-        same-sort pairs, so any truth assignment extends to a partition."""
-        self.arrays = sorted(arrays, key=lambda t: t.id)
-        by_sort: dict[Sort, list[Term]] = {}
-        for a in self.arrays:
-            by_sort.setdefault(a.sort, []).append(a)
-        for group in by_sort.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    self.pair[(group[i], group[j])] = self.sat.new_var()
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    for k in range(j + 1, len(group)):
-                        ab = self.pair[(group[i], group[j])]
-                        bc = self.pair[(group[j], group[k])]
-                        ac = self.pair[(group[i], group[k])]
-                        self.sat.add_clause([-ab, -bc, ac])
-                        self.sat.add_clause([-ab, -ac, bc])
-                        self.sat.add_clause([-bc, -ac, ab])
+    def register_arrays(self, arrays: Sequence[Term],
+                        atoms: Sequence[Term]) -> None:
+        """Track ``arrays`` and give each pair related by an equality atom
+        of ``atoms`` a variable.  Transitivity is added over a chordal
+        completion of the atom graph: vertices are eliminated by least
+        degree (ties by term id), and each eliminated vertex gets a
+        triangle with every pair of its remaining neighbours, adding the
+        pair as a fill edge when it is new.  Transitivity on every
+        triangle of a chordal graph makes the true pairs a partition."""
+        self.arrays.extend(arrays)
+        adj: dict[Term, set[Term]] = {}
+        for lhs, rhs in (e.args for e in atoms):
+            if lhs is not rhs:
+                adj.setdefault(lhs, set()).add(rhs)
+                adj.setdefault(rhs, set()).add(lhs)
+        for key in sorted({_pair_key(s, t) for s in adj for t in adj[s]},
+                          key=lambda p: (p[0].id, p[1].id)):
+            self.pair[key] = self.sat.new_var()
+        add = self.sat.add_clause
+        while adj:
+            v = min(adj, key=lambda t: (len(adj[t]), t.id))
+            nbrs = sorted(adj.pop(v), key=lambda t: t.id)
+            for x in nbrs:
+                adj[x].discard(v)
+            for k, x in enumerate(nbrs):
+                for y in nbrs[k + 1:]:
+                    if (x, y) not in self.pair:
+                        self.pair[(x, y)] = self.sat.new_var()
+                        adj[x].add(y)
+                        adj[y].add(x)
+                    vx, vy = self.pair_lit(v, x), self.pair_lit(v, y)
+                    xy = self.pair[(x, y)]
+                    add([-vx, -vy, xy])
+                    add([-vx, -xy, vy])
+                    add([-vy, -xy, vx])
 
     def pair_lit(self, s: Term, t: Term) -> int:
         if s is t:
             return self.true_lit
-        key = (s, t) if s.id < t.id else (t, s)
-        lit = self.pair.get(key)
+        lit = self.pair.get(_pair_key(s, t))
         if lit is None:
             raise InternalError(f"unregistered array pair {s!r} / {t!r}")
         return lit
@@ -269,32 +292,73 @@ def virtual_read_equalities(manager: TermManager,
     return out
 
 
+class GroundSession:
+    """One encoding shared by the `solve_ground` calls of a refinement
+    run.  The formula list passed to each call must extend the previous
+    one; ``asserted`` counts the formulas already encoded.  The SAT
+    solver, with its seed and per-call conflict budget, is made by the
+    first call."""
+
+    def __init__(self) -> None:
+        self.enc: Optional[_Encoder] = None
+        self.asserted = 0
+        self._seen: set[Term] = set()
+
+    def assert_new(self, manager: TermManager, formulas: Sequence[Term],
+                   seed: int, budget: Optional[int]) -> _Encoder:
+        """Encode ``formulas[asserted:]``, with the virtual reads of the
+        stores not seen before; bits are made for new scalar leaves."""
+        first = self.enc is None
+        if first:
+            self.enc = _Encoder(manager, seed, budget)
+        enc = self.enc
+        new = formulas[self.asserted:]
+        self.asserted = len(formulas)
+        virtuals = [eq for eq in virtual_read_equalities(manager, new)
+                    if eq.args[0].array not in self._seen]
+        fresh = [t for t in iter_subterms(new) if t not in self._seen]
+        self._seen.update(fresh)
+        atoms = [t for t in fresh
+                 if t.kind is Kind.EQ and t.args[0].sort.is_array]
+        if atoms and not first:
+            raise InternalError(f"array equality {atoms[0]!r} appeared "
+                                "after the first encoding")
+        enc.register_arrays([t for t in fresh if t.sort.is_array], atoms)
+        for t in fresh:
+            if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
+                enc.node_bits(t)
+        for f in new:
+            enc.sat.add_clause([enc.formula_lit(f)])
+        for eq in virtuals:
+            enc.assert_bits_equal(eq.args[0], eq.args[1])
+        return enc
+
+
 def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
                  seed: int = 0,
-                 budget: Optional[int] = None) -> GroundResult:
+                 budget: Optional[int] = None,
+                 session: Optional[GroundSession] = None) -> GroundResult:
     """Find a total scalar interpretation satisfying ``formulas`` plus
     the virtual-read equalities, or report ground unsatisfiability.
 
+    Without ``session`` the call is one-shot.  With one, ``formulas``
+    must extend the list of the session's previous call, and only the
+    added formulas are encoded; ``budget`` caps this call's conflicts
+    and the result's ``conflicts`` counts only them.  Array-equality
+    atoms must all occur in the first call's formulas.
+
     Deterministic for fixed input and seed.
     """
-    enc = _Encoder(manager, seed, budget)
-    virtuals = virtual_read_equalities(manager, formulas)
-    everything = list(formulas) + virtuals
-    subterms = list(iter_subterms(everything))
-    enc.register_arrays([t for t in subterms if t.sort.is_array])
-    for t in subterms:
-        if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
-            enc.node_bits(t)
-    for f in formulas:
-        enc.sat.add_clause([enc.formula_lit(f)])
-    for eq in virtuals:
-        enc.assert_bits_equal(eq.args[0], eq.args[1])
-
+    if session is None:
+        session = GroundSession()
+    enc = session.assert_new(manager, formulas, seed, budget)
+    before = enc.sat.conflicts
     outcome = enc.sat.solve()
+    conflicts = enc.sat.conflicts - before
     if outcome is None:
-        return GroundResult(None, conflicts=enc.sat.conflicts)
+        return GroundResult(None, conflicts=conflicts)
     if not outcome:
-        return GroundResult("unsat", conflicts=enc.sat.conflicts)
+        return GroundResult("unsat", conflicts=conflicts)
 
     values: dict[Term, int] = {}
     for t, bits in enc.bits.items():
@@ -321,7 +385,7 @@ def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
                 parent[drop] = keep
     array_repr = {a: find(a) for a in enc.arrays}
     return GroundResult("sat", Interpretation(values, array_repr),
-                        enc.sat.conflicts)
+                        conflicts)
 
 
 def _lit_true(sat: SatSolver, lit: int) -> bool:

@@ -399,7 +399,11 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     commands: list[Command] = []
     seen_check = False
     for node in read_sexprs(text):
-        cmd = p.command(node)
+        try:
+            cmd = p.command(node)
+        except RecursionError:
+            raise ParseError("input is nested too deeply to process",
+                             node.line, node.col) from None
         if isinstance(cmd, CheckSat):
             if seen_check:
                 raise ParseError("only one check-sat is supported",

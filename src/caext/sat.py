@@ -1,4 +1,4 @@
-"""A small CDCL SAT solver.
+"""A small incremental CDCL SAT solver.
 
 Clauses are lists of non-zero integers in the DIMACS convention
 (``v`` / ``-v``).  The solver does watched-literal unit propagation,
@@ -7,8 +7,11 @@ and Luby-sequence restarts.  Runs are deterministic for a fixed seed;
 seed 0 (the default) starts every variable with a negative phase, any
 other seed randomizes the initial phases.
 
-`solve` returns True (satisfiable), False (unsatisfiable), or None if
-the conflict budget ran out first.
+Variables and clauses may be added between `solve` calls, in the style
+of Een & Sorensson, "An Extensible SAT-solver" (SAT 2003): learned
+clauses, activities and saved phases carry over from one call to the
+next.  `solve` returns True (satisfiable), False (unsatisfiable, for
+good), or None if that call's conflict budget ran out first.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ def _luby(i: int) -> int:
 
 
 class SatSolver:
-    """One-shot CDCL solver over integer literals."""
+    """Incremental CDCL solver over integer literals.
+
+    ``conflict_budget`` caps the conflicts of each `solve` call;
+    ``conflicts`` counts them over all calls.
+    """
 
     def __init__(self, seed: int = 0,
                  conflict_budget: Optional[int] = None):
@@ -80,30 +87,36 @@ class SatSolver:
         return v if lit > 0 else -v
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause; duplicate literals are merged and tautologies
-        dropped.  Only valid before `solve`."""
+        """Add a clause, also between `solve` calls.
+
+        The solver first returns to level 0.  Duplicate literals are
+        merged, literals false at level 0 dropped, and a tautology or a
+        clause already true at level 0 is skipped.  A unit is propagated
+        at once; an empty clause or a level-0 conflict makes the solver
+        unsatisfiable for good."""
+        if self._unsat:
+            return
+        if self._trail_lim:
+            self._backtrack(0)
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
             assert lit != 0 and abs(lit) <= self.num_vars, f"bad literal {lit}"
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
+            val = self._lit_value(lit)
+            if val > 0 or -lit in seen:
+                return  # satisfied at level 0, or a tautology
+            if val == 0 and lit not in seen:
                 seen.add(lit)
                 clause.append(lit)
         if not clause:
             self._unsat = True
-            return
-        if len(clause) == 1:
-            lit = clause[0]
-            val = self._lit_value(lit)
-            if val < 0:
+        elif len(clause) == 1:
+            self._enqueue(clause[0], None)
+            if self._propagate() is not None:
                 self._unsat = True
-            elif val == 0:
-                self._enqueue(lit, None)
-            return
-        self._clauses.append(clause)
-        self._watch(clause)
+        else:
+            self._clauses.append(clause)
+            self._watch(clause)
 
     def _watch(self, clause: list[int]) -> None:
         self._watches[self._code(-clause[0])].append(clause)
@@ -225,6 +238,8 @@ class SatSolver:
     def solve(self) -> Optional[bool]:
         if self._unsat:
             return False
+        self._backtrack(0)
+        start = self.conflicts
         restart_count = 0
         limit = _luby(1) * _RESTART_UNIT
         since_restart = 0
@@ -233,9 +248,11 @@ class SatSolver:
             if conflict is not None:
                 self.conflicts += 1
                 since_restart += 1
-                if self._budget is not None and self.conflicts > self._budget:
+                if self._budget is not None \
+                        and self.conflicts - start > self._budget:
                     return None
                 if not self._trail_lim:
+                    self._unsat = True
                     return False
                 learned, back = self._analyze(conflict)
                 self._backtrack(back)

@@ -561,3 +561,43 @@ class TestLoopControls:
         check_sat(chain.m, chain.assertions,
                   on_saturation=lambda cfg: sizes.append(len(cfg.steps)))
         assert sizes and all(n > 0 for n in sizes)
+
+    def test_solve_ground_looked_up_once_per_iteration(self, monkeypatch):
+        # check_sat must resolve solve_ground in caext.engine's globals and
+        # call it once per iteration, passing one session for the run.
+        import caext.engine as engine
+        sessions = []
+
+        def counting(*args, **kwargs):
+            sessions.append(kwargs["session"])
+            return solve_ground(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_ground", counting)
+        most = 0
+        for seed in range(20):
+            m, assertions = random_instance(seed)
+            sessions.clear()
+            res = check_sat(m, assertions)
+            assert len(sessions) == res.stats.iterations, seed
+            assert all(s is sessions[0] for s in sessions), seed
+            most = max(most, res.stats.iterations)
+        assert most > 2
+
+
+class TestFormulaIndex:
+    def test_lemma_index_matches_fresh_configuration(self, chain):
+        runs = [(chain.m, chain.assertions)]
+        runs += [random_instance(seed) for seed in range(30)]
+        most = 0
+        for m, assertions in runs:
+            seen = []
+            res = check_sat(m, assertions, on_saturation=seen.append)
+            if not seen:
+                continue
+            cfg = seen[-1]
+            fresh = Configuration(m, cfg.formulas)
+            assert list(cfg.ordinal.items()) == list(fresh.ordinal.items())
+            for name in ("reads", "stores", "const_arrays", "array_eq_atoms"):
+                assert getattr(cfg, name) == getattr(fresh, name), name
+            most = max(most, res.stats.refinements)
+        assert most >= 3

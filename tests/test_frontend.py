@@ -143,6 +143,15 @@ class TestParseErrors:
         with pytest.raises(SortError):
             parse("(declare-const y (_ BitVec 0))")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        import caext
+        depth = 3000
+        text = ("(declare-const p Bool)\n(assert "
+                + "(not " * depth + "p" + ")" * depth + ")\n(check-sat)\n")
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            caext.parse(text)
+        assert (info.value.line, info.value.column) == (2, 1)
+
 
 class TestDeclareAndDefineFun:
     def test_declare_fun_zero_arity(self):

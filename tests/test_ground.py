@@ -2,8 +2,10 @@
 
 import pytest
 
-from caext import OracleBounds, TermManager, oracle_solve
-from caext.ground import solve_ground, virtual_read_equalities
+from caext import InternalError, OracleBounds, TermManager, oracle_solve
+from caext.flatten import flatten
+from caext.ground import GroundSession, solve_ground, virtual_read_equalities
+from caext.terms import Kind, iter_subterms
 
 from helpers import random_instance
 
@@ -122,11 +124,79 @@ class TestArrayPartition:
         assert res.interpretation.arrays_equal(s, b)
 
 
+class TestSparseTransitivity:
+    def test_four_cycle_needs_a_fill_edge(self, m):
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        a, b, c, d = (m.mk_const(s, asort) for s in "abcd")
+        res = solve_ground(m, [m.mk_eq(a, b), m.mk_eq(b, c), m.mk_eq(c, d),
+                               m.mk_not(m.mk_eq(a, d))])
+        assert res.verdict == "unsat"
+
+    def test_unrelated_arrays_get_no_pair(self, m):
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        a, b, c, d = (m.mk_const(s, asort) for s in "abcd")
+        session = GroundSession()
+        res = solve_ground(m, [m.mk_eq(a, b), m.mk_not(m.mk_eq(c, d))],
+                           session=session)
+        assert res.verdict == "sat"
+        assert set(session.enc.pair) == {(a, b), (c, d)}
+        interp = res.interpretation
+        assert set(interp.array_repr) == {a, b, c, d}
+        assert interp.arrays_equal(a, b)
+        assert not interp.arrays_equal(a, c)
+        assert not interp.arrays_equal(c, d)
+
+
+def _has_array_eq(f):
+    return any(t.kind is Kind.EQ and t.args[0].sort.is_array
+               for t in iter_subterms([f]))
+
+
+class TestSession:
+    """A session encodes each formula once, across calls."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_two_batches_match_one_shot(self, seed):
+        m, assertions = random_instance(seed)
+        flat = flatten(m, assertions).all_formulas
+        # Array-equality atoms must all come with the first batch.
+        flat.sort(key=lambda f: not _has_array_eq(f))
+        cut = max(sum(map(_has_array_eq, flat)), len(flat) // 2)
+        session = GroundSession()
+        for batch in (flat[:cut], flat):
+            res = solve_ground(m, batch, session=session)
+            assert res.verdict == solve_ground(m, batch).verdict, seed
+            if res.verdict == "sat":
+                assert all(res.interpretation.eval(f) for f in batch), seed
+        assert session.asserted == len(flat)
+
+    def test_new_array_atom_after_first_encode_raises(self, m):
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        a, b, c = (m.mk_const(s, asort) for s in "abc")
+        fs = [m.mk_eq(a, b)]
+        session = GroundSession()
+        assert solve_ground(m, fs, session=session).verdict == "sat"
+        with pytest.raises(InternalError, match="after the first"):
+            solve_ground(m, fs + [m.mk_eq(b, c)], session=session)
+
+    def test_conflicts_and_budget_per_call(self, m):
+        # Eight distinct 3-bit values: sat, but not within one conflict.
+        xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
+        fs = [m.mk_distinct_n(8, xs)]
+        session = GroundSession()
+        calls = []
+        while not calls or calls[-1].verdict is None:
+            calls.append(solve_ground(m, fs, budget=1, session=session))
+            assert len(calls) < 500
+        assert len(calls) > 1 and calls[-1].verdict == "sat"
+        assert all(r.conflicts == 2 for r in calls[:-1])
+        assert sum(r.conflicts for r in calls) == session.enc.sat.conflicts
+
+
 class TestEvalAndInvariants:
     def test_model_satisfies_all_inputs(self):
         for seed in range(40):
             m, assertions = random_instance(seed)
-            from caext.flatten import flatten
             flat = flatten(m, assertions).all_formulas
             res = solve_ground(m, flat)
             if res.verdict == "sat":

@@ -33,6 +33,20 @@ def run(num_vars, clauses, seed=0, budget=None):
     return s
 
 
+def satisfies(s, clauses):
+    return all(any(s.value(abs(l)) == (l > 0) for l in c) for c in clauses)
+
+
+def pigeonhole(n, h):
+    var = lambda i, k: i * h + k + 1
+    clauses = [[var(i, k) for k in range(h)] for i in range(n)]
+    for k in range(h):
+        for i in range(n):
+            for j in range(i + 1, n):
+                clauses.append([-var(i, k), -var(j, k)])
+    return clauses
+
+
 class TestBasics:
     def test_empty_problem_is_sat(self):
         assert run(0, []).solve() is True
@@ -98,16 +112,71 @@ class TestDifferential:
 class TestBudget:
     def test_budget_returns_none(self):
         # A hard instance: pigeonhole 5 into 4.
-        n, h = 5, 4
-        var = lambda i, k: i * h + k + 1
-        clauses = [[var(i, k) for k in range(h)] for i in range(n)]
-        for k in range(h):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    clauses.append([-var(i, k), -var(j, k)])
-        s = run(n * h, clauses, budget=3)
+        clauses = pigeonhole(5, 4)
+        s = run(20, clauses, budget=3)
         assert s.solve() is None
-        assert run(n * h, clauses).solve() is False
+        assert run(20, clauses).solve() is False
+
+
+class TestIncremental:
+    """Clauses added between `solve` calls."""
+
+    def test_blocking_clause_gives_a_new_model(self):
+        clauses = [[1, 2], [-1, 3], [2, 3, 4]]
+        s = run(4, clauses)
+        assert s.solve() is True
+        first = [v if s.value(v) else -v for v in range(1, 5)]
+        s.add_clause([-lit for lit in first])
+        assert s.solve() is True
+        second = [v if s.value(v) else -v for v in range(1, 5)]
+        assert second != first
+        assert satisfies(s, clauses + [[-lit for lit in first]])
+
+    def test_contradicting_units_stay_unsat(self):
+        s = run(3, [[1, 2], [-2, 3]])
+        assert s.solve() is True
+        s.add_clause([2])
+        assert s.solve() is True and s.value(3)
+        s.add_clause([-3])
+        assert s.solve() is False
+        assert s.solve() is False
+        s.add_clause([1])
+        assert s.solve() is False
+
+    def test_new_variables_between_calls(self):
+        s = run(2, [[1, 2]])
+        assert s.solve() is True
+        x = s.new_var()
+        s.add_clause([-1, x])
+        s.add_clause([-2, x])
+        s.add_clause([-x, -1])
+        assert s.solve() is True
+        assert satisfies(s, [[1, 2], [-1, x], [-2, x], [-x, -1]])
+
+    def test_budget_counts_per_call(self):
+        clauses = pigeonhole(5, 4)
+        s = run(20, clauses, budget=3)
+        assert s.solve() is None
+        spent = s.conflicts
+        assert spent == 4
+        assert s.solve() is None
+        assert s.conflicts == 2 * spent
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_two_batches_match_brute_force(self, seed):
+        rng = random.Random(1000 + seed)
+        num_vars = rng.randint(2, 10)
+        clauses = random_cnf(rng, num_vars, rng.randint(2, 40))
+        cut = rng.randint(0, len(clauses))
+        for solver_seed in (0, 7):
+            s = run(num_vars, clauses[:cut], seed=solver_seed)
+            assert s.solve() is brute_force(num_vars, clauses[:cut])
+            for c in clauses[cut:]:
+                s.add_clause(c)
+            got = s.solve()
+            assert got is brute_force(num_vars, clauses)
+            if got:
+                assert satisfies(s, clauses)
 
 
 def test_luby_prefix():
