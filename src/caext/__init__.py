@@ -42,6 +42,7 @@ from .ground import GroundResult, Interpretation, solve_ground
 from .parser import Script, parse
 from .printer import print_model, print_script, print_term
 from .model import (
+    ArrayValue,
     Model,
     ValidationResult,
     complete_model,
@@ -85,7 +86,7 @@ __all__ = [
     "GroundResult", "Interpretation", "solve_ground",
     "Script", "parse",
     "print_model", "print_script", "print_term",
-    "Model", "ValidationResult", "complete_model", "eval_term",
+    "ArrayValue", "Model", "ValidationResult", "complete_model", "eval_term",
     "validate_model", "zero_value",
     "OracleBounds", "OracleResult", "ValidityResult", "eval_pointwise",
     "interpretation_count", "oracle_solve", "oracle_solve_pointwise",

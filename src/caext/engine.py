@@ -18,10 +18,12 @@ extensionality-witness kind is false under the interpretation that
 produced it, so that interpretation is never proposed again, and at
 most one witness lemma is ever produced per array equality atom.  When
 a candidate survives propagation without contradiction, the recorded
-steps determine a concrete table for every array constant — propagated
+steps determine a concrete value for every array constant — propagated
 reads pin single cells, propagated defaults fill the cells off their
 updated indices, untouched cells get the all-zero element — and the
-result is a full model of the input.
+result is a full model of the input.  Cells are kept per index value
+that some index term takes plus one class for all other values, so the
+model costs the same for any index width.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import (
 )
 from .flatten import flatten
 from .ground import GroundSession, Interpretation, solve_ground
-from .model import Model, complete_model, validate_model, zero_value
+from .model import (ArrayValue, Model, complete_model, validate_model,
+                    zero_value)
 from .terms import (Kind, Sort, Term, TermManager, domain_size,
                     iter_subterms, substitute)
 
@@ -507,18 +510,20 @@ def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
 def build_model(cfg: Configuration) -> Model:
     """Read a full model off a saturated, conflict-free configuration.
 
-    Scalar constants take their interpretation values.  Array tables
-    are built cell by cell: every read propagated to an array pins the
-    cell at its index value, and every constant array propagated to it
-    pins each cell whose index value differs from all crossed store
-    indices to the default.  Pins are then shared across the store
-    terms of the formula set — a store result and its base agree on
-    every cell except the stored one — and across the array equality
-    atoms the interpretation satisfies, because a cell left free in
-    one array may be forced through such a link by a pin on the other
-    side.  Any cell still free afterwards holds the all-zero element.
-    Disagreeing pins are impossible after saturation, so they raise
-    :class:`IllDefinedModel` to flag an engine bug.
+    Scalar constants take their interpretation values.  Array values
+    are built over index classes: the values the interpretation gives
+    to the index terms of the formula set, plus one class for all other
+    indices.  Every read propagated to an array pins its index class,
+    and every constant array propagated to it pins each class that
+    differs from all crossed store indices to the default.  Pins are
+    then shared across the store terms of the formula set — a store
+    result and its base agree on every class except the stored index —
+    and across the array equality atoms the interpretation satisfies,
+    because a class left free in one array may be forced through such a
+    link by a pin on the other side.  Any class still free afterwards
+    holds the all-zero element.  Disagreeing pins are impossible after
+    saturation, so they raise :class:`IllDefinedModel` to flag an
+    engine bug.
     """
     interp = cfg.interp
     if interp is None:
@@ -535,32 +540,46 @@ def build_model(cfg: Configuration) -> Model:
     return model
 
 
+# The index class of every index value no index term takes.
+_REST = -1
+
+
 class _CellSolver:
     """Joint value assignment for the cells of all array terms.
 
-    A cell is one index position of one array term.  Cells are united
-    across every store term (result and base share all positions but
-    the stored one) and across every array equality atom the
-    interpretation satisfies (both sides share all positions); reads
-    and constant-array defaults recorded in the propagation map pin
-    united groups to element values.
+    A cell is one index class of one array term.  The classes of an
+    index sort are the values the interpretation gives to the select
+    and store indices of that sort in the formula set, plus the rest
+    class `_REST` when those values leave part of the domain uncovered.
+    No store, read or crossed index can tell two uncovered values
+    apart, so one rest cell per array term stands for all of them.
+    Cells are united across every store term (result and base share
+    every class but the stored index) and across every array equality
+    atom the interpretation satisfies (both sides share all classes);
+    reads and constant-array defaults recorded in the propagation map
+    pin united groups to element values.
     """
 
     def __init__(self, cfg: Configuration):
         interp = cfg.interp
-        self.interp = interp
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
-        for t in iter_subterms(cfg.formulas):
-            if t.kind is Kind.STORE:
-                at = interp.value(t.index)
-                for x in range(domain_size(t.sort.index)):
-                    if x != at:
-                        self._union((t, x), (t.array, x))
-            elif (t.kind is Kind.EQ and t.args[0].sort.is_array
-                    and interp.eval(t)):
-                lhs, rhs = t.args
-                for x in range(domain_size(lhs.sort.index)):
+        covered: dict[Sort, set[int]] = {}
+        for t in cfg.reads + cfg.stores:
+            covered.setdefault(t.index.sort, set()).add(interp.value(t.index))
+        self._classes: dict[Sort, list[int]] = {
+            sort: sorted(vals) + ([] if len(vals) == domain_size(sort)
+                                  else [_REST])
+            for sort, vals in covered.items()}
+        for t in cfg.stores:
+            at = interp.value(t.index)
+            for x in self._classes_of(t.sort):
+                if x != at:
+                    self._union((t, x), (t.array, x))
+        for e in cfg.array_eq_atoms:
+            if interp.eval(e):
+                lhs, rhs = e.args
+                for x in self._classes_of(lhs.sort):
                     self._union((lhs, x), (rhs, x))
         for (dest, t) in cfg.steps:
             if t.kind is Kind.SELECT:
@@ -568,9 +587,12 @@ class _CellSolver:
             elif t.kind is Kind.CONST_ARRAY:
                 blocked = {interp.value(k) for k in _walk(cfg, dest, t)[1]}
                 val = interp.value(t.default)
-                for x in range(domain_size(t.sort.index)):
+                for x in self._classes_of(t.sort):
                     if x not in blocked:
                         self._pin((dest, x), val)
+
+    def _classes_of(self, array_sort: Sort) -> list[int]:
+        return self._classes.get(array_sort.index, [_REST])
 
     def _find(self, cell: tuple[Term, int]) -> tuple[Term, int]:
         parent = self._parent
@@ -588,8 +610,8 @@ class _CellSolver:
         v1, v2 = self._value.get(r1), self._value.get(r2)
         if v1 is not None and v2 is not None and v1 != v2:
             raise IllDefinedModel(
-                f"linked cells at index {c1[1]} of {c1[0]!r} and {c2[0]!r} "
-                f"carry the distinct values {v1} and {v2}")
+                f"linked cells at {_class_name(c1[1])} of {c1[0]!r} and "
+                f"{c2[0]!r} carry the distinct values {v1} and {v2}")
         self._parent[r1] = r2
         if v2 is None and v1 is not None:
             self._value[r2] = v1
@@ -600,13 +622,19 @@ class _CellSolver:
         old = self._value.setdefault(root, val)
         if old != val:
             raise IllDefinedModel(
-                f"cell at index {cell[1]} of {cell[0]!r} is pinned to "
-                f"both {old} and {val}")
+                f"cell at {_class_name(cell[1])} of {cell[0]!r} is pinned "
+                f"to both {old} and {val}")
 
-    def table(self, array: Term) -> tuple:
-        default = zero_value(array.sort.element)
-        return tuple(self._value.get(self._find((array, x)), default)
-                     for x in range(domain_size(array.sort.index)))
+    def table(self, array: Term) -> ArrayValue:
+        zero = zero_value(array.sort.element)
+        cells = {x: self._value.get(self._find((array, x)), zero)
+                 for x in self._classes_of(array.sort)}
+        default = cells.pop(_REST, zero)
+        return ArrayValue(default, cells, domain_size(array.sort.index))
+
+
+def _class_name(x: int) -> str:
+    return "every other index" if x == _REST else f"index {x}"
 
 
 # ---------------------------------------------------------------------------

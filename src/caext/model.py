@@ -4,37 +4,167 @@ A model assigns every uninterpreted constant a concrete value:
 
 * scalar constants map to an ``int`` (Bool uses 0/1, bit-vectors use
   their unsigned bit pattern);
-* array constants map to a ``tuple`` of element values of length
-  ``domain_size(index sort)``, indexed by the index value.
+* array constants map to an :class:`ArrayValue`: a default element,
+  the indices whose element differs from it, and the size of the index
+  domain.  Its cost follows the number of exceptions, not the domain
+  size, so a 32-bit index sort is no harder than a 2-bit one.  It
+  still reads like the dense table: ``v[i]``, ``len(v)``, iteration,
+  and ``==`` with a ``tuple`` of length ``len(v)`` all work, and a
+  model given tuples for array constants stores them as array values.
 
 :func:`eval_term` implements the standard semantics, including
 extensional array equality (two arrays are equal iff their tables
-agree on every index).
+agree on every index), which on array values is a comparison of
+canonical forms.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnassignedConstant
 from .terms import Kind, Sort, Term, domain_size, free_constants
 
-Value = Union[int, tuple]
+# Up to this many cells an array value hashes like its dense tuple.
+_DENSE_HASH_LIMIT = 1 << 16
+
+
+class ArrayValue:
+    """An array table as ``(default, exceptions, size)``.
+
+    ``exceptions`` maps each index whose element differs from
+    ``default`` to that element, in increasing index order; every other
+    index of ``range(size)`` holds ``default``.  The form is canonical:
+    ``default`` is the most frequent element, the smallest on ties, so
+    two values are equal iff their three fields are.  Treat the fields
+    as read-only; :meth:`store` returns a new value.
+
+    The hash equals that of the dense tuple for domains of up to 2**16
+    indices; above that the sparse form is hashed, so such values should
+    not share a set or dict with dense tuples.
+    """
+
+    __slots__ = ("default", "exceptions", "size")
+
+    def __init__(self, default: int, exceptions: Mapping[int, int],
+                 size: int):
+        exc = {i: v for i, v in sorted(exceptions.items()) if v != default}
+        if exc and not (0 <= next(iter(exc)) and next(reversed(exc)) < size):
+            raise IndexError(f"array index out of range 0..{size - 1}")
+        if 2 * len(exc) >= size:
+            # Only then can another element outnumber the default.
+            counts: dict[int, int] = {}
+            for v in exc.values():
+                counts[v] = counts.get(v, 0) + 1
+            best, most = default, size - len(exc)
+            for v, n in counts.items():
+                if n > most or (n == most and v < best):
+                    best, most = v, n
+            if best != default:
+                exc = {i: v for i in range(size)
+                       if (v := exc.get(i, default)) != best}
+                default = best
+        self.default = default
+        self.exceptions = exc
+        self.size = size
+
+    @classmethod
+    def from_table(cls, table: Sequence[int]) -> "ArrayValue":
+        """The array value of a dense table (index ``k`` holds
+        ``table[k]``)."""
+        return cls(0, dict(enumerate(table)), len(table))
+
+    @classmethod
+    def _canonical(cls, default: int, exceptions: dict[int, int],
+                   size: int) -> "ArrayValue":
+        """A value from fields already in canonical form."""
+        value = object.__new__(cls)
+        value.default, value.exceptions, value.size = \
+            default, exceptions, size
+        return value
+
+    def store(self, index: int, element: int) -> "ArrayValue":
+        """This table with ``index`` updated to ``element``."""
+        k = self._position(index)
+        if self.exceptions.get(k, self.default) == element:
+            return self
+        exc = dict(self.exceptions)
+        if element == self.default:
+            # One exception fewer keeps the default the most frequent.
+            del exc[k]
+            return ArrayValue._canonical(self.default, exc, self.size)
+        exc[k] = element
+        return ArrayValue(self.default, exc, self.size)
+
+    def _position(self, index: int) -> int:
+        k = operator.index(index)
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
+            raise IndexError(f"array index {index} out of range "
+                             f"0..{self.size - 1}")
+        return k
+
+    def __getitem__(self, index: int) -> int:
+        if not (type(index) is int and 0 <= index < self.size):
+            index = self._position(index)
+        return self.exceptions.get(index, self.default)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[int]:
+        exc, default = self.exceptions, self.default
+        return (exc.get(k, default) for k in range(self.size))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ArrayValue):
+            return (self.size == other.size
+                    and self.default == other.default
+                    and self.exceptions == other.exceptions)
+        if isinstance(other, tuple):
+            return len(other) == self.size and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.size <= _DENSE_HASH_LIMIT:
+            return hash(tuple(self))
+        return hash((self.default, tuple(self.exceptions.items()), self.size))
+
+    def __repr__(self) -> str:
+        return (f"ArrayValue(default={self.default}, "
+                f"exceptions={self.exceptions}, size={self.size})")
+
+
+Value = Union[int, ArrayValue]
 
 
 def zero_value(sort: Sort) -> Value:
     """The all-zero value of a sort: 0, or the constant-zero table."""
     if sort.is_array:
-        return (0,) * domain_size(sort.index)
+        return ArrayValue._canonical(0, {}, domain_size(sort.index))
     return 0
+
+
+def _as_value(const: Term, value) -> Value:
+    if const.sort.is_array and not isinstance(value, ArrayValue):
+        return ArrayValue.from_table(value)
+    return value
 
 
 @dataclass
 class Model:
-    """A finite assignment of constants to values."""
+    """A finite assignment of constants to values.  A dense table given
+    for an array constant is stored as its :class:`ArrayValue`."""
 
     values: dict[Term, Value] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for c, v in self.values.items():
+            self.values[c] = _as_value(c, v)
 
     def __getitem__(self, const: Term) -> Value:
         try:
@@ -46,61 +176,126 @@ class Model:
     def __contains__(self, const: Term) -> bool:
         return const in self.values
 
-    def set(self, const: Term, value: Value) -> None:
-        self.values[const] = value
+    def set(self, const: Term, value: Union[Value, Sequence[int]]) -> None:
+        self.values[const] = _as_value(const, value)
 
     def items(self):
         return self.values.items()
+
+
+_SHORT_CIRCUIT = (Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE)
+
+
+def _ready(a: Term, model: Model, cache: dict) -> bool:
+    """Whether the value of ``a`` is cached, after caching it if ``a``
+    is a constant or a literal."""
+    if a in cache:
+        return True
+    if a.args:
+        return False
+    cache[a] = model[a] if a.kind is Kind.CONSTANT else a.value
+    return True
+
+
+def _lazy_next(t: Term, model: Model, cache: dict,
+               resume: dict) -> Optional[Term]:
+    """The operand of an and, or, implies or ite node ``t`` to evaluate
+    next, or None once ``t`` can be computed.  Operands are read as the
+    short-circuit semantics reads them: and/or stop at the first
+    false/true operand (``resume`` keeps where each scan stopped),
+    implies reads its conclusion first, ite reads its condition and
+    then one branch."""
+    k = t.kind
+    args = t.args
+    if k is Kind.ITE:
+        if not _ready(args[0], model, cache):
+            return args[0]
+        branch = args[1] if cache[args[0]] else args[2]
+        return None if _ready(branch, model, cache) else branch
+    if k is Kind.IMPLIES:
+        if not _ready(args[1], model, cache):
+            return args[1]
+        if cache[args[1]] or _ready(args[0], model, cache):
+            return None
+        return args[0]
+    stop = k is Kind.OR
+    for pos in range(resume.get(t, 0), len(args)):
+        a = args[pos]
+        if not _ready(a, model, cache):
+            resume[t] = pos
+            return a
+        if bool(cache[a]) is stop:
+            break
+    return None
+
+
+def _combine(t: Term, cache: dict) -> Value:
+    """The value of an application ``t`` from the cached values of its
+    operands."""
+    k = t.kind
+    args = t.args
+    if k is Kind.SELECT:
+        return cache[args[0]][cache[args[1]]]
+    if k is Kind.STORE:
+        return cache[args[0]].store(cache[args[1]], cache[args[2]])
+    if k is Kind.CONST_ARRAY:
+        return ArrayValue._canonical(cache[args[0]], {},
+                                     domain_size(t.sort.index))
+    if k is Kind.EQ:
+        return int(cache[args[0]] == cache[args[1]])
+    if k is Kind.NOT:
+        return 1 - cache[args[0]]
+    if k is Kind.AND:
+        return int(all(cache[a] for a in args))
+    if k is Kind.OR:
+        return int(any(cache[a] for a in args))
+    if k is Kind.IMPLIES:
+        return int(bool(cache[args[1]]) or not cache[args[0]])
+    if k is Kind.ITE:
+        return cache[args[1]] if cache[args[0]] else cache[args[2]]
+    if k is Kind.DISTINCT_N:
+        return int(len({cache[a] for a in args}) >= (t.n or 1))
+    raise AssertionError(f"unhandled kind {k}")  # pragma: no cover
 
 
 def eval_term(model: Model, term: Term,
               _cache: Optional[dict] = None) -> Value:
     """Evaluate ``term`` under ``model``.
 
-    Returns an ``int`` for scalar-sorted terms and a table ``tuple`` for
-    array-sorted terms.  Raises :class:`UnassignedConstant` when the
-    model is silent about a constant that occurs in ``term``.
+    Returns an ``int`` for scalar-sorted terms and an
+    :class:`ArrayValue` for array-sorted terms.  Raises
+    :class:`UnassignedConstant` when the model is silent about a
+    constant that the evaluation reads.  The walk keeps an explicit
+    stack, so nesting depth is bounded by memory, not by Python's
+    recursion limit; ``_cache`` maps every term evaluated so far to its
+    value and may be shared between calls under one model.
     """
     cache: dict[Term, Value] = {} if _cache is None else _cache
-
-    def go(t: Term) -> Value:
-        hit = cache.get(t)
-        if hit is not None or t in cache:
-            return hit  # type: ignore[return-value]
-        k = t.kind
-        if k is Kind.CONSTANT:
-            v = model[t]
-        elif k is Kind.VALUE:
-            v = t.value  # type: ignore[assignment]
-        elif k is Kind.SELECT:
-            table = go(t.array)
-            v = table[go(t.index)]  # type: ignore[index]
-        elif k is Kind.STORE:
-            table = list(go(t.array))  # type: ignore[arg-type]
-            table[go(t.index)] = go(t.stored_value)  # type: ignore[index]
-            v = tuple(table)
-        elif k is Kind.CONST_ARRAY:
-            v = (go(t.default),) * domain_size(t.sort.index)
-        elif k is Kind.EQ:
-            v = int(go(t.args[0]) == go(t.args[1]))
-        elif k is Kind.NOT:
-            v = 1 - go(t.args[0])  # type: ignore[operator]
-        elif k is Kind.AND:
-            v = int(all(go(a) for a in t.args))
-        elif k is Kind.OR:
-            v = int(any(go(a) for a in t.args))
-        elif k is Kind.IMPLIES:
-            v = int(bool(go(t.args[1])) or not go(t.args[0]))
-        elif k is Kind.ITE:
-            v = go(t.args[1]) if go(t.args[0]) else go(t.args[2])
-        elif k is Kind.DISTINCT_N:
-            v = int(len({go(a) for a in t.args}) >= (t.n or 1))
-        else:  # pragma: no cover - all kinds handled above
-            raise AssertionError(f"unhandled kind {k}")
-        cache[t] = v
-        return v
-
-    return go(term)
+    if _ready(term, model, cache):
+        return cache[term]
+    resume: dict[Term, int] = {}
+    # Every term on the stack is an operand of the one below it, so no
+    # term is on it twice and none is cached while it waits.
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        nxt = None
+        if t.kind in _SHORT_CIRCUIT:
+            nxt = _lazy_next(t, model, cache, resume)
+        else:
+            for a in t.args:
+                if a in cache:
+                    continue
+                if a.args:
+                    nxt = a
+                    break
+                cache[a] = model[a] if a.kind is Kind.CONSTANT else a.value
+        if nxt is None:
+            cache[t] = _combine(t, cache)
+            stack.pop()
+        else:
+            stack.append(nxt)
+    return cache[term]
 
 
 @dataclass

@@ -16,6 +16,8 @@ Two engines compute the same verdict:
 Both report the *first* satisfying interpretation in the same
 enumeration order: constants sorted by name, later constants varying
 fastest, array cells enumerated from index 0 (most significant) up.
+The grid holds dense tables; a reported model converts them to
+:class:`caext.model.ArrayValue` as it is built.
 
 A third evaluator, :func:`oracle_solve_pointwise`, re-implements array
 equality by comparing the two sides index by index instead of comparing

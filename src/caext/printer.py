@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InternalError
-from .model import Model, Value
+from .model import ArrayValue, Model, Value
 from .terms import Kind, Sort, Term, TermManager, free_constants, iter_subterms
 
 
@@ -30,29 +29,29 @@ def print_term(term: Term) -> str:
 def format_value(manager: TermManager, sort: Sort, value: Value) -> str:
     """A scalar or array value as an SMT-LIB term."""
     if sort.is_array:
-        assert isinstance(value, tuple)
         return print_term(array_value_term(manager, sort, value))
     assert isinstance(value, int)
     return repr(manager.mk_value(sort, value))
 
 
 def array_value_term(manager: TermManager, sort: Sort,
-                     table: Sequence[int]) -> Term:
-    """Rebuild a table as stores over a constant-array base.
+                     value: Union[ArrayValue, Sequence[int]]) -> Term:
+    """Rebuild an array value (or a dense table) as stores over a
+    constant-array base.
 
-    The base default is the most frequent element value (smallest value
-    on ties), so the printed form is as short as possible and
+    The base default is the value's default, its most frequent element
+    (smallest value on ties), and one store per exception follows in
+    index order, so the printed form is as short as possible and
     deterministic.
     """
-    counts = Counter(table)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    if not isinstance(value, ArrayValue):
+        value = ArrayValue.from_table(value)
     out = manager.mk_const_array(
-        sort, manager.mk_value(sort.element, best))
-    for idx, val in enumerate(table):
-        if val != best:
-            out = manager.mk_store(out,
-                                   manager.mk_value(sort.index, idx),
-                                   manager.mk_value(sort.element, val))
+        sort, manager.mk_value(sort.element, value.default))
+    for idx, val in value.exceptions.items():
+        out = manager.mk_store(out,
+                               manager.mk_value(sort.index, idx),
+                               manager.mk_value(sort.element, val))
     return out
 
 

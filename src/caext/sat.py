@@ -56,6 +56,7 @@ class SatSolver:
         self._reason: list[Optional[list[int]]] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
+        self._seen: list[bool] = [False]   # conflict-analysis marks
         self._act_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -74,6 +75,7 @@ class SatSolver:
         phase = self._rng.random() < 0.5 if self._rng else False
         self._phase.append(phase)
         self._activity.append(0.0)
+        self._seen.append(False)
         self._watches.append([])
         self._watches.append([])
         return self.num_vars
@@ -174,9 +176,13 @@ class SatSolver:
             self._act_inc *= 1e-100
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP learning; returns (learned clause, backjump level)."""
+        """First-UIP learning; returns (learned clause, backjump level).
+
+        The marks in ``_seen`` are all clear between calls: the trail
+        walk clears those of the current level, and the learned
+        literals' marks are cleared before returning."""
         level = len(self._trail_lim)
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
         learned: list[int] = [0]  # slot 0 for the asserting literal
         counter = 0
         lit = None
@@ -206,6 +212,8 @@ class SatSolver:
                 learned[0] = -lit
                 break
             reason = self._reason[var]
+        for q in learned[1:]:
+            seen[abs(q)] = False
         if len(learned) == 1:
             return learned, 0
         back = max(self._level[abs(q)] for q in learned[1:])

@@ -2,10 +2,33 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
+import caext
 from caext import TermManager, Term
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child process that imports the same caext
+    package as this test session."""
+    env = dict(os.environ)
+    src = str(Path(caext.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python -m caext.cli`` in a child process that imports the
+    same caext package as this test session."""
+    return subprocess.run([sys.executable, "-m", "caext.cli", *args],
+                          capture_output=True, text=True, env=src_env(),
+                          cwd=cwd, timeout=300)
 
 
 @dataclass

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import caext
 from caext.cli import main
 from caext.errors import ResourceLimit
+
+from helpers import run_module
 
 CHAIN = """\
 (set-logic QF_ABV)
@@ -237,17 +233,6 @@ class TestSeedPlumbing:
         path = chain_file(tmp_path)
         assert main(["solve", str(path), "--seed", "4"]) == 0
         assert capsys.readouterr().out == "sat\n"
-
-
-def run_module(*args):
-    """Run ``python -m caext.cli`` in a child process that imports the
-    same caext package as this test session."""
-    env = dict(os.environ)
-    src = str(Path(caext.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "caext.cli", *args],
-                          capture_output=True, text=True, env=env)
 
 
 class TestEntryPoint:

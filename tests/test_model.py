@@ -142,3 +142,12 @@ class TestValidation:
         full = complete_model(Model({x: 1}), [m.mk_eq(a, a), x])
         assert full[x] == 1
         assert full[a] == (0, 0)
+
+
+def test_deep_negation_chain_evaluates(m):
+    p = m.mk_const("p", m.bool_sort)
+    t = p
+    for _ in range(100_000):
+        t = m.mk_not(t)
+    assert validate_model(Model({p: 1}), [t])
+    assert eval_term(Model({p: 0}), m.mk_not(t)) == 1
