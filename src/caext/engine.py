@@ -13,6 +13,14 @@ an array whose candidate values contradict it yields a lemma over the
 recorded justification literals; the lemma joins the formula set, the
 propagation state is discarded, and the loop repeats.
 
+Propagation scans the recorded facts in a fixed order and restarts
+after every new one, so the same candidate always yields the same
+facts in the same order.  A scan reaches the stores over an array and
+the equality atoms at it through adjacency maps kept with the formula
+index, and each default's crossed store indices are walked once per
+candidate (Christ & Hoenicke, "Weakly equivalent arrays", FroCoS 2015,
+propagate along such a store graph).
+
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
 produced it, so that interpretation is never proposed again, and at
@@ -32,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    CaextError,
     IllDefinedModel,
     InternalError,
     ResourceLimit,
@@ -112,6 +121,14 @@ class Configuration:
         self.stores: list[Term] = []
         self.const_arrays: list[Term] = []
         self.array_eq_atoms: list[Term] = []
+        # array -> the stores over it, in `stores` order
+        self.stores_over: dict[Term, list[Term]] = {}
+        # array -> (atom, other side, array is the lhs), in
+        # `array_eq_atoms` order; an atom `a = a` has no entry
+        self.eqs_at: dict[Term, list[tuple[Term, Term, bool]]] = {}
+        # (destination array, constant array) -> the crossed store
+        # indices of its recorded path; see `_crossed`
+        self.crossed: dict[tuple[Term, Term], list[Term]] = {}
         self._index(self.formulas)
 
     # -- formula-set term index ------------------------------------------
@@ -128,10 +145,15 @@ class Configuration:
                 self.reads.append(t)
             elif t.kind is Kind.STORE:
                 self.stores.append(t)
+                self.stores_over.setdefault(t.array, []).append(t)
             elif t.kind is Kind.CONST_ARRAY:
                 self.const_arrays.append(t)
             elif t.kind is Kind.EQ and t.args[0].sort.is_array:
                 self.array_eq_atoms.append(t)
+                lhs, rhs = t.args
+                if lhs is not rhs:
+                    self.eqs_at.setdefault(lhs, []).append((t, rhs, True))
+                    self.eqs_at.setdefault(rhs, []).append((t, lhs, False))
 
     def add_formula(self, f: Term) -> None:
         self.formulas.append(f)
@@ -172,6 +194,7 @@ class Configuration:
         self.interp = None
         self.steps.clear()
         self.step_rule.clear()
+        self.crossed.clear()
 
 
 def init_steps(cfg: Configuration) -> Configuration:
@@ -230,6 +253,18 @@ def _walk(cfg: Configuration, dest: Term,
     return lits, indices
 
 
+def _crossed(cfg: Configuration, dest: Term, t: Term) -> list[Term]:
+    """The crossed store indices of ``_walk(cfg, dest, t)``, walked once
+    per entry and saturation: entries are write-once until
+    :meth:`Configuration.reset`, which clears the memo.  Callers must
+    not mutate the returned list."""
+    key = (dest, t)
+    indices = cfg.crossed.get(key)
+    if indices is None:
+        indices = cfg.crossed[key] = _walk(cfg, dest, t)[1]
+    return indices
+
+
 def _canonical_indices(cfg: Configuration,
                        indices: Iterable[Term]) -> tuple[Term, ...]:
     unique = dict.fromkeys(indices)
@@ -277,15 +312,6 @@ def compute_reason(cfg: Configuration, dest: Term, t: Term) -> ReasonTrace:
     return ReasonTrace(tuple(lits), _canonical_indices(cfg, idx))
 
 
-def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
-    lhs, rhs = eq_atom.args
-    if lhs is node and rhs is not node:
-        return rhs
-    if rhs is node and lhs is not node:
-        return lhs
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Propagation to fixpoint
 # ---------------------------------------------------------------------------
@@ -297,45 +323,54 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     Rules are tried in a fixed priority: reads crossing stores first,
     then copies across equalities that hold under the interpretation,
     then defaults crossing stores; within one priority, entries are
-    visited in the order they were recorded.  After every new step the
-    scan restarts, which makes saturation deterministic.
+    visited in the order they were recorded, and each entry tries its
+    neighbours in formula order.  After every new step the scan
+    restarts, which makes saturation deterministic.
+
+    A scan reaches an entry's neighbours through the configuration's
+    adjacency maps (`stores_over`, `eqs_at`) instead of every store and
+    equality atom; each array equality atom is evaluated once per call,
+    and each default entry's crossed store indices are walked once
+    (`_crossed`).
     """
-    while _apply_one(cfg):
+    interp = cfg.interp
+    holds = {e for e in cfg.array_eq_atoms if interp.eval(e)}
+    while _apply_one(cfg, holds):
         pass
     return cfg
 
 
-def _apply_one(cfg: Configuration) -> bool:
+def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
+    """Record the first applicable step of the scan, if any.  The
+    loops stop at the step they record, so they may iterate over the
+    live map."""
     interp = cfg.interp
     m = cfg.manager
-    entries = list(cfg.steps)
+    steps = cfg.steps
+    stores_over = cfg.stores_over
 
     # Priority 1: reads cross stores whose updated index differs.
-    for dest, t in entries:
+    for dest, t in steps:
         if t.kind is not Kind.SELECT:
             continue
-        i = t.index
-        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
-                and interp.value(i) != interp.value(dest.index):
-            cfg.set_step(dest.array, t,
-                         m.mk_not(m.mk_eq(i, dest.index)), dest, READ_DOWN)
+        if dest.kind is Kind.STORE and (dest.array, t) not in steps \
+                and interp.value(t.index) != interp.value(dest.index):
+            cfg.set_step(dest.array, t, m.mk_not(m.mk_eq(t.index, dest.index)),
+                         dest, READ_DOWN)
             return True
-        for s in cfg.stores:
-            if s.array is dest and not cfg.has_step(s, t) \
-                    and interp.value(i) != interp.value(s.index):
-                cfg.set_step(s, t,
-                             m.mk_not(m.mk_eq(i, s.index)), dest, READ_UP)
+        for s in stores_over.get(dest, ()):
+            if (s, t) not in steps \
+                    and interp.value(t.index) != interp.value(s.index):
+                cfg.set_step(s, t, m.mk_not(m.mk_eq(t.index, s.index)),
+                             dest, READ_UP)
                 return True
 
     # Priority 2: anything propagated copies across a true equality.
-    for dest, t in entries:
-        for e in cfg.array_eq_atoms:
-            other = _eq_other_side(e, dest)
-            if other is None or cfg.has_step(other, t):
+    eqs_at = cfg.eqs_at
+    for dest, t in steps:
+        for e, other, to_right in eqs_at.get(dest, ()):
+            if e not in holds or (other, t) in steps:
                 continue
-            if not interp.eval(e):
-                continue
-            to_right = e.args[0] is dest
             if t.kind is Kind.SELECT:
                 rule = READ_EQ_RIGHT if to_right else READ_EQ_LEFT
             else:
@@ -345,17 +380,17 @@ def _apply_one(cfg: Configuration) -> bool:
 
     # Priority 3: defaults cross stores while a cell off the updated
     # indices still exists.
-    for dest, t in entries:
+    for dest, t in steps:
         if t.kind is not Kind.CONST_ARRAY:
             continue
         sort = t.sort.index
-        _, crossed = _walk(cfg, dest, t)
-        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
+        crossed = _crossed(cfg, dest, t)
+        if dest.kind is Kind.STORE and (dest.array, t) not in steps \
                 and exists_fresh_index(interp, crossed + [dest.index], sort):
             cfg.set_step(dest.array, t, None, dest, CONST_DOWN)
             return True
-        for s in cfg.stores:
-            if s.array is dest and not cfg.has_step(s, t) \
+        for s in stores_over.get(dest, ()):
+            if (s, t) not in steps \
                     and exists_fresh_index(interp, crossed + [s.index], sort):
                 cfg.set_step(s, t, None, dest, CONST_UP)
                 return True
@@ -410,14 +445,17 @@ def _find_conflict(cfg: Configuration,
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
             return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
 
-    pos = {key: k for k, key in enumerate(cfg.steps)}
-
     # 2. Two reads reached one array, their indices agree, their values
-    #    do not.
-    for dest, t1, t2 in _entry_pairs(cfg, pos, Kind.SELECT):
-        if interp.value(t1.index) != interp.value(t2.index):
+    #    do not.  The hit is the first pair by when its later entry was
+    #    recorded, then its earlier one.  Until the hit, the reads of one
+    #    (array, index value) bucket all agree, so the bucket's first
+    #    read is the hit's earlier entry.
+    first: dict[tuple[Term, int], Term] = {}
+    for dest, t2 in cfg.steps:
+        if t2.kind is not Kind.SELECT:
             continue
-        if interp.value(t1) == interp.value(t2):
+        t1 = first.setdefault((dest, interp.value(t2.index)), t2)
+        if t1 is t2 or interp.value(t1) == interp.value(t2):
             continue
         lits1, _ = _walk(cfg, dest, t1)
         lits2, _ = _walk(cfg, dest, t2)
@@ -440,17 +478,16 @@ def _find_conflict(cfg: Configuration,
 
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
-    for dest, c1, c2 in _entry_pairs(cfg, pos, Kind.CONST_ARRAY):
+    for dest, c1, c2 in _const_pairs(cfg):
         if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
             c1, c2 = c2, c1
         if interp.value(c1.default) == interp.value(c2.default):
             continue
         sort = c1.sort.index
-        lits1, idx1 = _walk(cfg, dest, c1)
-        lits2, idx2 = _walk(cfg, dest, c2)
+        idx1, idx2 = _crossed(cfg, dest, c1), _crossed(cfg, dest, c2)
         if not exists_fresh_index(interp, idx1 + idx2, sort):
             continue
-        ante = lits1 + lits2
+        ante = _walk(cfg, dest, c1)[0] + _walk(cfg, dest, c2)[0]
         multiset = (_canonical_indices(cfg, idx1)
                     + _canonical_indices(cfg, idx2))
         if multiset:
@@ -462,24 +499,17 @@ def _find_conflict(cfg: Configuration,
     return None
 
 
-def _entry_pairs(cfg: Configuration, pos: dict[tuple[Term, Term], int],
-                 kind: Kind):
-    """Pairs of propagation entries of one kind sharing a destination,
-    ordered by when the later entry of the pair was recorded."""
-    by_dest: dict[Term, list[Term]] = {}
+def _const_pairs(cfg: Configuration):
+    """Pairs of constant arrays propagated to one destination, ordered
+    by when the later entry of the pair was recorded, then the earlier
+    one."""
+    earlier: dict[Term, list[Term]] = {}
     for dest, t in cfg.steps:
-        if t.kind is kind:
-            by_dest.setdefault(dest, []).append(t)
-    pairs = []
-    for dest, ts in by_dest.items():
-        for late in range(1, len(ts)):
-            for early in range(late):
-                pairs.append((pos[(dest, ts[late])],
-                              pos[(dest, ts[early])],
-                              dest, ts[early], ts[late]))
-    pairs.sort(key=lambda q: (q[0], q[1]))
-    for _, _, dest, t1, t2 in pairs:
-        yield dest, t1, t2
+        if t.kind is Kind.CONST_ARRAY:
+            seen = earlier.setdefault(dest, [])
+            for t1 in seen:
+                yield dest, t1, t
+            seen.append(t)
 
 
 def _implication(m: TermManager, antecedent: Sequence[Term],
@@ -585,7 +615,7 @@ class _CellSolver:
             if t.kind is Kind.SELECT:
                 self._pin((dest, interp.value(t.index)), interp.value(t))
             elif t.kind is Kind.CONST_ARRAY:
-                blocked = {interp.value(k) for k in _walk(cfg, dest, t)[1]}
+                blocked = {interp.value(k) for k in _crossed(cfg, dest, t)}
                 val = interp.value(t.default)
                 for x in self._classes_of(t.sort):
                     if x not in blocked:
@@ -698,41 +728,47 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     ``max_refinements`` caps lemma iterations (exceeding it raises
     :class:`ResourceLimit`), and ``on_saturation`` is called with the
     configuration after every saturation, before conflicts are checked.
+    Input nested too deeply for Python's recursion limit raises
+    :class:`CaextError`.
     """
-    assertions = list(assertions)
-    flat = flatten(manager, assertions)
-    cfg = Configuration(manager, flat.all_formulas, debug=debug_checks)
-    stats = SolveStats()
-    witnessed: set[Term] = set()
-    session = GroundSession()
-    while True:
-        stats.iterations += 1
-        ground = solve_ground(manager, cfg.formulas, seed=seed, budget=budget,
-                              session=session)
-        stats.ground_conflicts += ground.conflicts
-        if ground.verdict is None:
-            return SolveResult("unknown", None, stats)
-        if ground.verdict == "unsat":
-            return SolveResult("unsat", None, stats)
-        cfg.interp = ground.interpretation
-        init_steps(cfg)
-        propagate_fixpoint(cfg)
-        stats.pi_size = len(cfg.steps)
-        if on_saturation is not None:
-            on_saturation(cfg)
-        info = check_conflicts(cfg, witnessed=witnessed)
-        if info is None:
-            model = complete_model(build_model(cfg), assertions)
-            if debug_checks:
-                for scope in (assertions, cfg.formulas):
-                    outcome = validate_model(model, scope)
-                    if not outcome:
-                        raise InternalError(
-                            "constructed model fails "
-                            f"{outcome.failing_assertion!r}")
-            return SolveResult("sat", model, stats)
-        stats.record(ConflictInfo(
-            info.rule, substitute(manager, info.lemma, flat.definitions)))
-        if max_refinements is not None and stats.refinements > max_refinements:
-            raise ResourceLimit(
-                f"refinement limit of {max_refinements} exceeded")
+    try:
+        assertions = list(assertions)
+        flat = flatten(manager, assertions)
+        cfg = Configuration(manager, flat.all_formulas, debug=debug_checks)
+        stats = SolveStats()
+        witnessed: set[Term] = set()
+        session = GroundSession()
+        while True:
+            stats.iterations += 1
+            ground = solve_ground(manager, cfg.formulas, seed=seed,
+                                  budget=budget, session=session)
+            stats.ground_conflicts += ground.conflicts
+            if ground.verdict is None:
+                return SolveResult("unknown", None, stats)
+            if ground.verdict == "unsat":
+                return SolveResult("unsat", None, stats)
+            cfg.interp = ground.interpretation
+            init_steps(cfg)
+            propagate_fixpoint(cfg)
+            stats.pi_size = len(cfg.steps)
+            if on_saturation is not None:
+                on_saturation(cfg)
+            info = check_conflicts(cfg, witnessed=witnessed)
+            if info is None:
+                model = complete_model(build_model(cfg), assertions)
+                if debug_checks:
+                    for scope in (assertions, cfg.formulas):
+                        outcome = validate_model(model, scope)
+                        if not outcome:
+                            raise InternalError(
+                                "constructed model fails "
+                                f"{outcome.failing_assertion!r}")
+                return SolveResult("sat", model, stats)
+            stats.record(ConflictInfo(
+                info.rule, substitute(manager, info.lemma, flat.definitions)))
+            if max_refinements is not None \
+                    and stats.refinements > max_refinements:
+                raise ResourceLimit(
+                    f"refinement limit of {max_refinements} exceeded")
+    except RecursionError:
+        raise CaextError("input is nested too deeply to process") from None

@@ -140,3 +140,12 @@ def random_instance(seed: int, *, max_scalars: int = 4, max_arrays: int = 2,
 
     assertions = [bool_term(2) for _ in range(n_assertions)]
     return m, assertions
+
+
+def benchmark_crafted(seed: int):
+    """The benchmark's crafted ladder under ``seed`` (constants renamed,
+    assertions shuffled), parsed from the texts it solves: one script
+    per rung."""
+    from perfbench.workloads import setup
+    for op in setup("crafted", seed):
+        yield caext.parse(op.run.keywords["text"])

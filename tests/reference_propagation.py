@@ -1,0 +1,208 @@
+"""Reference propagator and conflict scan.
+
+This is the restart-scan propagation and the conflict scan that caext
+used before the engine reached neighbours through its adjacency maps,
+memoised crossed indices and bucketed the read-congruence scan: every
+scan walks every store and every array equality atom for every entry,
+every default entry's path is walked again on every scan, and two reads
+at one array are found by sorting every same-destination pair.  It is
+kept only so that tests can check that the engine records the same
+steps, in the same order, and finds the same conflicts.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from caext import Kind, Term, domain_size
+from caext.engine import (
+    CONST_DOWN,
+    CONST_EQ_LEFT,
+    CONST_EQ_RIGHT,
+    CONST_UP,
+    LEMMA_CONST_CONGRUENCE,
+    LEMMA_EXTENSIONALITY,
+    LEMMA_READ_CONGRUENCE,
+    LEMMA_READ_OVER_CONST,
+    READ_DOWN,
+    READ_EQ_LEFT,
+    READ_EQ_RIGHT,
+    READ_UP,
+    Configuration,
+    ConflictInfo,
+    _canonical_indices,
+    _checked,
+    _implication,
+    _walk,
+    exists_fresh_index,
+    init_steps,
+)
+
+
+def reference_saturation(cfg: Configuration) -> Configuration:
+    """A fresh configuration over ``cfg``'s formulas and interpretation,
+    saturated by the reference propagator."""
+    fresh = Configuration(cfg.manager, cfg.formulas, debug=cfg.debug)
+    fresh.interp = cfg.interp
+    init_steps(fresh)
+    while _apply_one(fresh):
+        pass
+    return fresh
+
+
+def reference_conflict(cfg: Configuration,
+                       witnessed: set[Term]) -> Optional[ConflictInfo]:
+    """The reference conflict scan on a copy of ``witnessed``."""
+    return _find_conflict(cfg, set(witnessed))
+
+
+def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
+    lhs, rhs = eq_atom.args
+    if lhs is node and rhs is not node:
+        return rhs
+    if rhs is node and lhs is not node:
+        return lhs
+    return None
+
+
+def _apply_one(cfg: Configuration) -> bool:
+    interp = cfg.interp
+    m = cfg.manager
+    entries = list(cfg.steps)
+
+    # Priority 1: reads cross stores whose updated index differs.
+    for dest, t in entries:
+        if t.kind is not Kind.SELECT:
+            continue
+        i = t.index
+        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
+                and interp.value(i) != interp.value(dest.index):
+            cfg.set_step(dest.array, t,
+                         m.mk_not(m.mk_eq(i, dest.index)), dest, READ_DOWN)
+            return True
+        for s in cfg.stores:
+            if s.array is dest and not cfg.has_step(s, t) \
+                    and interp.value(i) != interp.value(s.index):
+                cfg.set_step(s, t,
+                             m.mk_not(m.mk_eq(i, s.index)), dest, READ_UP)
+                return True
+
+    # Priority 2: anything propagated copies across a true equality.
+    for dest, t in entries:
+        for e in cfg.array_eq_atoms:
+            other = _eq_other_side(e, dest)
+            if other is None or cfg.has_step(other, t):
+                continue
+            if not interp.eval(e):
+                continue
+            to_right = e.args[0] is dest
+            if t.kind is Kind.SELECT:
+                rule = READ_EQ_RIGHT if to_right else READ_EQ_LEFT
+            else:
+                rule = CONST_EQ_RIGHT if to_right else CONST_EQ_LEFT
+            cfg.set_step(other, t, e, dest, rule)
+            return True
+
+    # Priority 3: defaults cross stores while a cell off the updated
+    # indices still exists.
+    for dest, t in entries:
+        if t.kind is not Kind.CONST_ARRAY:
+            continue
+        sort = t.sort.index
+        _, crossed = _walk(cfg, dest, t)
+        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
+                and exists_fresh_index(interp, crossed + [dest.index], sort):
+            cfg.set_step(dest.array, t, None, dest, CONST_DOWN)
+            return True
+        for s in cfg.stores:
+            if s.array is dest and not cfg.has_step(s, t) \
+                    and exists_fresh_index(interp, crossed + [s.index], sort):
+                cfg.set_step(s, t, None, dest, CONST_UP)
+                return True
+
+    return False
+
+
+def _find_conflict(cfg: Configuration,
+                   witnessed: set[Term]) -> Optional[ConflictInfo]:
+    interp = cfg.interp
+    m = cfg.manager
+
+    # 1. A read reached a constant array whose default disagrees.
+    for dest, t in cfg.steps:
+        if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
+                and interp.value(t) != interp.value(dest.default):
+            lits, _ = _walk(cfg, dest, t)
+            lemma = _implication(m, lits, m.mk_eq(t, dest.default))
+            return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
+
+    pos = {key: k for k, key in enumerate(cfg.steps)}
+
+    # 2. Two reads reached one array, their indices agree, their values
+    #    do not.
+    for dest, t1, t2 in _entry_pairs(cfg, pos, Kind.SELECT):
+        if interp.value(t1.index) != interp.value(t2.index):
+            continue
+        if interp.value(t1) == interp.value(t2):
+            continue
+        lits1, _ = _walk(cfg, dest, t1)
+        lits2, _ = _walk(cfg, dest, t2)
+        ante = lits1 + lits2
+        if t1.index is not t2.index:
+            ante.append(m.mk_eq(t1.index, t2.index))
+        lemma = _implication(m, ante, m.mk_eq(t1, t2))
+        return _checked(cfg, ConflictInfo(LEMMA_READ_CONGRUENCE, lemma))
+
+    # 3. A falsified array equality that has no witness read yet.
+    for e in cfg.array_eq_atoms:
+        if e in witnessed or interp.eval(e):
+            continue
+        witnessed.add(e)
+        lhs, rhs = e.args
+        k = m.mk_const(f"__ext_k_{e.id}", lhs.sort.index)
+        diff = m.mk_not(m.mk_eq(m.mk_select(lhs, k), m.mk_select(rhs, k)))
+        lemma = m.mk_implies(m.mk_not(e), diff)
+        return ConflictInfo(LEMMA_EXTENSIONALITY, lemma)
+
+    # 4. Two constant arrays with different defaults reached one array
+    #    and some cell escapes both updated-index sets.
+    for dest, c1, c2 in _entry_pairs(cfg, pos, Kind.CONST_ARRAY):
+        if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
+            c1, c2 = c2, c1
+        if interp.value(c1.default) == interp.value(c2.default):
+            continue
+        sort = c1.sort.index
+        lits1, idx1 = _walk(cfg, dest, c1)
+        lits2, idx2 = _walk(cfg, dest, c2)
+        if not exists_fresh_index(interp, idx1 + idx2, sort):
+            continue
+        ante = lits1 + lits2
+        multiset = (_canonical_indices(cfg, idx1)
+                    + _canonical_indices(cfg, idx2))
+        if multiset:
+            ante.append(m.mk_not(
+                m.mk_distinct_n(domain_size(sort), multiset)))
+        lemma = _implication(m, ante, m.mk_eq(c1.default, c2.default))
+        return _checked(cfg, ConflictInfo(LEMMA_CONST_CONGRUENCE, lemma))
+
+    return None
+
+
+def _entry_pairs(cfg: Configuration, pos: dict[tuple[Term, Term], int],
+                 kind: Kind):
+    """Pairs of propagation entries of one kind sharing a destination,
+    ordered by when the later entry of the pair was recorded."""
+    by_dest: dict[Term, list[Term]] = {}
+    for dest, t in cfg.steps:
+        if t.kind is kind:
+            by_dest.setdefault(dest, []).append(t)
+    pairs = []
+    for dest, ts in by_dest.items():
+        for late in range(1, len(ts)):
+            for early in range(late):
+                pairs.append((pos[(dest, ts[late])],
+                              pos[(dest, ts[early])],
+                              dest, ts[early], ts[late]))
+    pairs.sort(key=lambda q: (q[0], q[1]))
+    for _, _, dest, t1, t2 in pairs:
+        yield dest, t1, t2

@@ -25,7 +25,8 @@ from caext.engine import (
     init_steps,
     propagate_fixpoint,
 )
-from caext.errors import InternalError, ResourceLimit, UndefinedStep
+from caext.errors import (CaextError, InternalError, ResourceLimit,
+                          UndefinedStep)
 from caext.flatten import flatten
 from caext.ground import Interpretation, solve_ground
 
@@ -562,6 +563,14 @@ class TestLoopControls:
                   on_saturation=lambda cfg: sizes.append(len(cfg.steps)))
         assert sizes and all(n > 0 for n in sizes)
 
+    def test_deep_nesting_is_a_caext_error(self):
+        m = TermManager()
+        f = m.mk_const("p", m.bool_sort)
+        for _ in range(3000):
+            f = m.mk_not(f)
+        with pytest.raises(CaextError, match="nested too deeply"):
+            check_sat(m, [f])
+
     def test_solve_ground_looked_up_once_per_iteration(self, monkeypatch):
         # check_sat must resolve solve_ground in caext.engine's globals and
         # call it once per iteration, passing one session for the run.
@@ -588,16 +597,39 @@ class TestFormulaIndex:
     def test_lemma_index_matches_fresh_configuration(self, chain):
         runs = [(chain.m, chain.assertions)]
         runs += [random_instance(seed) for seed in range(30)]
+        names = ("reads", "stores", "const_arrays", "array_eq_atoms",
+                 "stores_over", "eqs_at")
+
+        def matches_fresh(cfg):
+            # Every saturation but the first follows a lemma.
+            fresh = Configuration(cfg.manager, cfg.formulas)
+            assert list(cfg.ordinal.items()) == list(fresh.ordinal.items())
+            for name in names:
+                assert getattr(cfg, name) == getattr(fresh, name), name
+
         most = 0
         for m, assertions in runs:
-            seen = []
-            res = check_sat(m, assertions, on_saturation=seen.append)
-            if not seen:
-                continue
-            cfg = seen[-1]
-            fresh = Configuration(m, cfg.formulas)
-            assert list(cfg.ordinal.items()) == list(fresh.ordinal.items())
-            for name in ("reads", "stores", "const_arrays", "array_eq_atoms"):
-                assert getattr(cfg, name) == getattr(fresh, name), name
+            res = check_sat(m, assertions, on_saturation=matches_fresh)
             most = max(most, res.stats.refinements)
         assert most >= 3
+
+    def test_adjacency(self):
+        m = TermManager()
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        i = m.mk_const("i", m.bool_sort)
+        s1, s2 = m.mk_store(a, i, i), m.mk_store(a, i, m.mk_not(i))
+        e_aa, e_ba, e_s = m.mk_eq(a, a), m.mk_eq(b, a), m.mk_eq(s1, s2)
+        cfg = Configuration(m, [e_aa, e_ba, e_s])
+        assert cfg.stores_over == {a: [s1, s2]}
+        assert cfg.eqs_at == {b: [(e_ba, a, True)], a: [(e_ba, b, False)],
+                              s1: [(e_s, s2, True)], s2: [(e_s, s1, False)]}
+        # Formulas added later extend the maps in place.
+        s3 = m.mk_store(s1, i, i)
+        e_new = m.mk_eq(a, s3)
+        cfg.add_formula(m.mk_or([e_new, e_ba]))
+        fresh = Configuration(m, cfg.formulas)
+        assert cfg.stores_over == fresh.stores_over == {a: [s1, s2],
+                                                        s1: [s3]}
+        assert cfg.eqs_at == fresh.eqs_at
+        assert cfg.eqs_at[a][-1] == (e_new, s3, True)
