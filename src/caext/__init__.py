@@ -12,14 +12,11 @@ lemmas until the formula is solved or refuted.
 from .engine import (
     Configuration,
     ConflictInfo,
-    ReasonTrace,
     SolveResult,
     SolveStats,
     build_model,
     check_conflicts,
     check_sat,
-    compute_reason,
-    compute_updated_indices,
     exists_fresh_index,
     init_steps,
     propagate_fixpoint,
@@ -54,10 +51,8 @@ from .oracle import (
     OracleBounds,
     OracleResult,
     ValidityResult,
-    eval_pointwise,
     interpretation_count,
     oracle_solve,
-    oracle_solve_pointwise,
     oracle_valid,
 )
 from .terms import (
@@ -75,9 +70,8 @@ from .terms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Configuration", "ConflictInfo", "ReasonTrace", "SolveResult",
-    "SolveStats", "build_model", "check_conflicts", "check_sat",
-    "compute_reason", "compute_updated_indices", "exists_fresh_index",
+    "Configuration", "ConflictInfo", "SolveResult", "SolveStats",
+    "build_model", "check_conflicts", "check_sat", "exists_fresh_index",
     "init_steps", "propagate_fixpoint",
     "BoundsExceeded", "CaextError", "IllDefinedModel", "InternalError",
     "ParseError", "ResourceLimit", "SortError", "SortMismatch",
@@ -88,9 +82,8 @@ __all__ = [
     "print_model", "print_script", "print_term",
     "ArrayValue", "Model", "ValidationResult", "complete_model", "eval_term",
     "validate_model", "zero_value",
-    "OracleBounds", "OracleResult", "ValidityResult", "eval_pointwise",
-    "interpretation_count", "oracle_solve", "oracle_solve_pointwise",
-    "oracle_valid",
+    "OracleBounds", "OracleResult", "ValidityResult",
+    "interpretation_count", "oracle_solve", "oracle_valid",
     "Kind", "Sort", "SortKind", "Term", "TermManager", "domain_size",
     "free_constants", "iter_subterms", "substitute",
     "__version__",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import CaextError, InternalError
+from .errors import BoundsExceeded, CaextError
 from .oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
 from .printer import print_script, print_sort, print_term
 from .terms import (Kind, Sort, SortKind, Term, TermManager, domain_size,
@@ -212,8 +212,15 @@ def gen_fuzz(seed: int, bounds: OracleBounds = DEFAULT_BOUNDS,
     Half of all instances are steered toward an equality touching at
     least one constant array, which random uniform choice would rarely
     produce.
+
+    Bounds that admit no instance (an index or element domain under two
+    values, no array constant, fewer than two scalar constants) raise
+    :class:`CaextError`; an instance that needs more interpretations
+    than ``bounds.max_interpretations`` raises :class:`BoundsExceeded`.
     """
-    if bounds.max_array_constants < 1 or bounds.max_free_constants < 2:
+    if min(bounds.max_index_domain, bounds.max_element_domain) < 2 \
+            or bounds.max_array_constants < 1 \
+            or bounds.max_free_constants < 2:
         raise CaextError("bounds leave no room for a usable instance")
     rng = random.Random(seed)
     m = TermManager()
@@ -285,6 +292,8 @@ def gen_fuzz(seed: int, bounds: OracleBounds = DEFAULT_BOUNDS,
             maybe_negate(atom(force_const=want_const_bias and k == 0)))
     try:
         check_bounds(assertions, bounds)
-    except CaextError as exc:  # pragma: no cover - constructive guarantee
-        raise InternalError(f"fuzz instance escaped its bounds: {exc}")
+    except BoundsExceeded as exc:
+        raise BoundsExceeded(
+            f"the fuzz instance of seed {seed} exceeds its bounds: {exc}"
+        ) from None
     return m, assertions

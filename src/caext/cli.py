@@ -52,10 +52,18 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise _UsageError(f"CAEXT_SEED must be an integer, got {env!r}")
 
 
+def _natural(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     if slug == "bool":
         return manager.bool_sort
-    if slug.startswith("bv") and slug[2:].isdigit() and int(slug[2:]) > 0:
+    if slug.startswith("bv") and slug[2:].isdecimal() and int(slug[2:]) > 0:
         return manager.bv_sort(int(slug[2:]))
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")
 
@@ -67,10 +75,10 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
     updates = {}
     for part in text.split(","):
         key, sep, val = part.partition("=")
-        if not sep or key not in fields or not val.lstrip("-").isdigit():
+        if not sep or key not in fields or not val.isdecimal():
             raise _UsageError(
-                f"bad bounds entry {part!r}; use field=integer with fields "
-                + ", ".join(sorted(fields)))
+                f"bad bounds entry {part!r}; use field=n with n >= 0 and "
+                "fields " + ", ".join(sorted(fields)))
         updates[key] = int(val)
     return dataclasses.replace(DEFAULT_BOUNDS, **updates)
 
@@ -165,7 +173,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     raw = args.crafted.split(",")
-    if not all(p.lstrip("-").isdigit() for p in raw) or len(raw) < 3:
+    if not all(p.lstrip("-").isdecimal() for p in raw) or len(raw) < 3:
         raise _UsageError(
             "--crafted wants z,count,...: z followed by z+2 chain lengths")
     z, counts = int(raw[0]), tuple(int(p) for p in raw[1:])
@@ -198,7 +206,7 @@ def _build_parser() -> _ArgumentParser:
     solve.add_argument("--stats", action="store_true",
                        help="print solver statistics to the error stream")
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--budget", type=int, default=None,
+    solve.add_argument("--budget", type=_natural, default=None,
                        help="ground-solver conflict budget per candidate")
     solve.set_defaults(run=_cmd_solve)
 
@@ -210,7 +218,7 @@ def _build_parser() -> _ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", help="differential suite against the brute-force checker")
-    fuzz.add_argument("--count", type=int, default=100)
+    fuzz.add_argument("--count", type=_natural, default=100)
     fuzz.add_argument("--seed", type=int, default=None)
     fuzz.add_argument("--bounds", default=None,
                       help="comma-separated field=value overrides")

@@ -56,14 +56,11 @@ from .terms import (Kind, Sort, Term, TermManager, domain_size,
 __all__ = [
     "Configuration",
     "ConflictInfo",
-    "ReasonTrace",
     "SolveResult",
     "SolveStats",
     "build_model",
     "check_conflicts",
     "check_sat",
-    "compute_reason",
-    "compute_updated_indices",
     "exists_fresh_index",
     "init_steps",
     "propagate_fixpoint",
@@ -271,47 +268,6 @@ def _canonical_indices(cfg: Configuration,
     return tuple(sorted(unique, key=cfg.ordinal_key))
 
 
-def compute_updated_indices(cfg: Configuration, dest: Term,
-                            const: Term) -> tuple[Term, ...]:
-    """The index terms of all stores crossed while propagating the
-    constant array ``const`` to ``dest``, in first-seen term order.
-
-    A cell of ``dest`` is only known to hold the default of ``const``
-    if its index differs from every index returned here.
-    """
-    return _canonical_indices(cfg, _walk(cfg, dest, const)[1])
-
-
-@dataclass(frozen=True)
-class ReasonTrace:
-    """The justification for one propagated fact: the conjunction of
-    the non-trivial literals along its propagation path, ordered from
-    the origin of the path toward its destination.
-
-    For a default-value fact the trace also carries the store indices
-    crossed along *that same path*; the soundness claim — destination
-    agrees with the default everywhere off the crossed indices — only
-    holds for the literals and indices of one path taken together.
-    """
-
-    literals: tuple[Term, ...]
-    updated_indices: tuple[Term, ...] = ()
-
-    def formula(self, manager: TermManager) -> Term:
-        if not self.literals:
-            return manager.mk_value(manager.bool_sort, 1)
-        if len(self.literals) == 1:
-            return self.literals[0]
-        return manager.mk_and(self.literals)
-
-
-def compute_reason(cfg: Configuration, dest: Term, t: Term) -> ReasonTrace:
-    """The justification for propagating ``t`` to ``dest``: the
-    recorded path's literals and crossed store indices."""
-    lits, idx = _walk(cfg, dest, t)
-    return ReasonTrace(tuple(lits), _canonical_indices(cfg, idx))
-
-
 # ---------------------------------------------------------------------------
 # Propagation to fixpoint
 # ---------------------------------------------------------------------------
@@ -413,20 +369,20 @@ class ConflictInfo:
 
 
 def check_conflicts(cfg: Configuration, *,
-                    witnessed: Optional[set[Term]] = None,
-                    apply: bool = True) -> Optional[ConflictInfo]:
+                    witnessed: Optional[set[Term]] = None
+                    ) -> Optional[ConflictInfo]:
     """Scan for a contradiction under the current interpretation.
 
     The four conflict kinds are scanned in a fixed order (read against
     a default, two reads at one array, a falsified array equality
     without a witness read, two defaults at one array) and the first
-    hit produces one lemma.  With ``apply`` (the default) the lemma is
-    appended to the formula set and the propagation state is reset;
-    ``witnessed`` carries the equality atoms that already received an
-    extensionality witness and must outlive every reset.
+    hit produces one lemma.  The lemma is appended to the formula set
+    and the propagation state is reset; ``witnessed`` carries the
+    equality atoms that already received an extensionality witness and
+    must outlive every reset.
     """
     info = _find_conflict(cfg, set() if witnessed is None else witnessed)
-    if info is not None and apply:
+    if info is not None:
         cfg.add_formula(info.lemma)
         cfg.reset()
     return info
@@ -674,19 +630,26 @@ def _class_name(x: int) -> str:
 
 @dataclass
 class SolveStats:
-    """Counters describing one :func:`check_sat` run."""
+    """Counters describing one :func:`check_sat` run.  Each lemma is
+    recorded once, in ``lemma_history`` as ``(rule, lemma)``; the
+    refinement count and the per-rule counts are read off it."""
 
-    refinements: int = 0
     iterations: int = 0
-    lemma_counts: dict[str, int] = field(default_factory=dict)
     lemma_history: list[tuple[str, Term]] = field(default_factory=list)
     pi_size: int = 0
     ground_conflicts: int = 0
 
-    def record(self, info: ConflictInfo) -> None:
-        self.refinements += 1
-        self.lemma_counts[info.rule] = self.lemma_counts.get(info.rule, 0) + 1
-        self.lemma_history.append((info.rule, info.lemma))
+    @property
+    def refinements(self) -> int:
+        return len(self.lemma_history)
+
+    @property
+    def lemma_counts(self) -> dict[str, int]:
+        """Lemmas per rule, in order of each rule's first lemma."""
+        counts: dict[str, int] = {}
+        for rule, _ in self.lemma_history:
+            counts[rule] = counts.get(rule, 0) + 1
+        return counts
 
     def lines(self) -> list[str]:
         out = [f"refinements: {self.refinements}",
@@ -764,8 +727,8 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
                                 "constructed model fails "
                                 f"{outcome.failing_assertion!r}")
                 return SolveResult("sat", model, stats)
-            stats.record(ConflictInfo(
-                info.rule, substitute(manager, info.lemma, flat.definitions)))
+            stats.lemma_history.append(
+                (info.rule, substitute(manager, info.lemma, flat.definitions)))
             if max_refinements is not None \
                     and stats.refinements > max_refinements:
                 raise ResourceLimit(

@@ -6,36 +6,26 @@ its finite domain and every array constant over all
 ``|element| ** |index|`` tables.  It exists to cross-check the lemma
 engine, so it shares no search code with it.
 
-Two engines compute the same verdict:
-
-* ``"vector"`` (default) evaluates all interpretations at once with
-  numpy broadcasting, one grid axis per scalar constant or array cell;
-* ``"scalar"`` walks interpretations one by one with
-  :func:`caext.model.eval_term`.
-
-Both report the *first* satisfying interpretation in the same
-enumeration order: constants sorted by name, later constants varying
-fastest, array cells enumerated from index 0 (most significant) up.
-The grid holds dense tables; a reported model converts them to
+All interpretations are evaluated at once with numpy broadcasting, one
+grid axis per scalar constant or array cell.  The reported model is
+the *first* satisfying interpretation in enumeration order: constants
+sorted by name, later constants varying fastest, array cells
+enumerated from index 0 (most significant) up.  The grid holds dense
+tables; a reported model converts them to
 :class:`caext.model.ArrayValue` as it is built.
-
-A third evaluator, :func:`oracle_solve_pointwise`, re-implements array
-equality by comparing the two sides index by index instead of comparing
-tables, giving an independent check of extensionality itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BoundsExceeded
-from .model import Model, Value, eval_term
-from .terms import Kind, Sort, Term, domain_size, free_constants, iter_subterms
+from .model import Model
+from .terms import Kind, Term, domain_size, free_constants, iter_subterms
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ def check_bounds(assertions: Sequence[Term],
 
 
 # ---------------------------------------------------------------------------
-# Grid layout shared by both engines
+# Grid layout
 
 
 class _Grid:
@@ -275,41 +265,14 @@ class _VectorEval:
 
 
 def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
+    """The conjunction of ``assertions`` at every grid position, flat in
+    C order."""
     ev = _VectorEval(grid)
     acc = np.int16(1)
     for a in assertions:
         acc = acc & ev.scalar(a)
     shape = tuple(grid.axes) if grid.axes else ()
-    return np.broadcast_to(acc, shape)
-
-
-# ---------------------------------------------------------------------------
-# Scalar engine
-
-
-def _scalar_iterables(grid: _Grid):
-    order = sorted(grid.scalars + grid.arrays, key=lambda c: c.name or "")
-    for c in order:
-        if c.sort.is_array:
-            yield c, itertools.product(range(domain_size(c.sort.element)),
-                                       repeat=domain_size(c.sort.index))
-        else:
-            yield c, range(domain_size(c.sort))
-
-
-def _scalar_enumerate(assertions: Sequence[Term], grid: _Grid):
-    """Yield (model, holds) for every interpretation, in grid order."""
-    consts, iterables = zip(*_scalar_iterables(grid)) if grid.axes else ((), ())
-    if not consts:
-        model = Model()
-        holds = all(eval_term(model, a, {}) for a in assertions)
-        yield model, holds
-        return
-    for combo in itertools.product(*iterables):
-        model = Model(dict(zip(consts, combo)))
-        cache: dict = {}
-        holds = all(eval_term(model, a, cache) for a in assertions)
-        yield model, holds
+    return np.broadcast_to(acc, shape).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +280,7 @@ def _scalar_enumerate(assertions: Sequence[Term], grid: _Grid):
 
 
 def oracle_solve(assertions: Sequence[Term],
-                 bounds: OracleBounds = DEFAULT_BOUNDS,
-                 engine: str = "vector") -> OracleResult:
+                 bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
     """Decide ``assertions`` by exhaustive enumeration.
 
     Returns the first satisfying interpretation in enumeration order,
@@ -326,123 +288,21 @@ def oracle_solve(assertions: Sequence[Term],
     """
     check_bounds(assertions, bounds)
     grid = _Grid(assertions)
-    if engine == "vector":
-        truth = _vector_truth(assertions, grid)
-        flat = truth.reshape(-1)
-        hits = np.flatnonzero(flat)
-        if hits.size == 0:
-            return OracleResult("unsat", interpretations=grid.total)
-        return OracleResult("sat", grid.model_at(int(hits[0])), grid.total)
-    if engine == "scalar":
-        for model, holds in _scalar_enumerate(assertions, grid):
-            if holds:
-                return OracleResult("sat", model, grid.total)
+    hits = np.flatnonzero(_vector_truth(assertions, grid))
+    if hits.size == 0:
         return OracleResult("unsat", interpretations=grid.total)
-    raise ValueError(f"unknown oracle engine {engine!r}")
+    return OracleResult("sat", grid.model_at(int(hits[0])), grid.total)
 
 
 def oracle_valid(formulas: Sequence[Term] | Term,
-                 bounds: OracleBounds = DEFAULT_BOUNDS,
-                 engine: str = "vector") -> ValidityResult:
+                 bounds: OracleBounds = DEFAULT_BOUNDS) -> ValidityResult:
     """Check that a formula (or conjunction) holds in *every*
     interpretation; otherwise return the first counterexample."""
     if isinstance(formulas, Term):
         formulas = [formulas]
     check_bounds(formulas, bounds)
     grid = _Grid(formulas)
-    if engine == "vector":
-        truth = _vector_truth(formulas, grid)
-        flat = truth.reshape(-1)
-        misses = np.flatnonzero(flat == 0)
-        if misses.size == 0:
-            return ValidityResult(True)
-        return ValidityResult(False, grid.model_at(int(misses[0])))
-    if engine == "scalar":
-        for model, holds in _scalar_enumerate(formulas, grid):
-            if not holds:
-                return ValidityResult(False, model)
+    misses = np.flatnonzero(_vector_truth(formulas, grid) == 0)
+    if misses.size == 0:
         return ValidityResult(True)
-    raise ValueError(f"unknown oracle engine {engine!r}")
-
-
-# ---------------------------------------------------------------------------
-# Independent pointwise evaluator (second implementation of
-# extensionality: array equality is expanded index by index, tables are
-# never compared wholesale)
-
-
-def _select_at(model: Model, array_term: Term, idx: int,
-               ev) -> int:
-    t = array_term
-    while True:
-        if t.kind is Kind.CONSTANT:
-            return model[t][idx]  # type: ignore[index]
-        if t.kind is Kind.STORE:
-            if ev(t.index) == idx:
-                return ev(t.stored_value)
-            t = t.array
-            continue
-        if t.kind is Kind.CONST_ARRAY:
-            return ev(t.default)
-        if t.kind is Kind.ITE:
-            t = t.args[1] if ev(t.args[0]) else t.args[2]
-            continue
-        raise AssertionError(f"unexpected array term {t!r}")
-
-
-def eval_pointwise(model: Model, term: Term) -> int:
-    """Evaluate a scalar-sorted term; array equalities are checked one
-    index at a time."""
-
-    def ev(t: Term) -> int:
-        k = t.kind
-        if k is Kind.CONSTANT:
-            v = model[t]
-            assert isinstance(v, int)
-            return v
-        if k is Kind.VALUE:
-            return t.value or 0
-        if k is Kind.SELECT:
-            return _select_at(model, t.array, ev(t.index), ev)
-        if k is Kind.EQ:
-            left, right = t.args
-            if left.sort.is_array:
-                dom = domain_size(left.sort.index)
-                return int(all(
-                    _select_at(model, left, i, ev) == _select_at(model, right, i, ev)
-                    for i in range(dom)))
-            return int(ev(left) == ev(right))
-        if k is Kind.NOT:
-            return 1 - ev(t.args[0])
-        if k is Kind.AND:
-            return int(all(ev(a) for a in t.args))
-        if k is Kind.OR:
-            return int(any(ev(a) for a in t.args))
-        if k is Kind.IMPLIES:
-            return int(bool(ev(t.args[1])) or not ev(t.args[0]))
-        if k is Kind.ITE:
-            return ev(t.args[1]) if ev(t.args[0]) else ev(t.args[2])
-        if k is Kind.DISTINCT_N:
-            return int(len({ev(a) for a in t.args}) >= (t.n or 1))
-        raise AssertionError(f"unexpected scalar term {t!r}")
-
-    return ev(term)
-
-
-def oracle_solve_pointwise(assertions: Sequence[Term],
-                           bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
-    """Like :func:`oracle_solve` but using the pointwise evaluator."""
-    check_bounds(assertions, bounds)
-    grid = _Grid(assertions)
-    consts_iters = list(_scalar_iterables(grid))
-    if not consts_iters:
-        model = Model()
-        ok = all(eval_pointwise(model, a) for a in assertions)
-        return OracleResult("sat" if ok else "unsat",
-                            model if ok else None, 1)
-    consts = [c for c, _ in consts_iters]
-    for combo in itertools.product(*(it for _, it in consts_iters)):
-        model = Model(dict(zip(consts, combo)))
-        if all(eval_pointwise(model, a) for a in assertions):
-            return OracleResult("sat", model, grid.total)
-    return OracleResult("unsat", interpretations=grid.total)
+    return ValidityResult(False, grid.model_at(int(misses[0])))

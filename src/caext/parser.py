@@ -398,6 +398,7 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     p = _Parser(m)
     commands: list[Command] = []
     seen_check = False
+    defined: set[Term] = set()
     for node in read_sexprs(text):
         try:
             cmd = p.command(node)
@@ -409,6 +410,11 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
                 raise ParseError("only one check-sat is supported",
                                  node.line, node.col)
             seen_check = True
+        if isinstance(cmd, DefineFun):
+            if cmd.constant in defined:
+                raise ParseError(f"{cmd.constant.name!r} is defined twice",
+                                 node.line, node.col)
+            defined.add(cmd.constant)
         if isinstance(cmd, GetModel) and not seen_check:
             raise ParseError("get-model before check-sat",
                              node.line, node.col)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalError
 from .model import ArrayValue, Model, Value
@@ -35,17 +35,14 @@ def format_value(manager: TermManager, sort: Sort, value: Value) -> str:
 
 
 def array_value_term(manager: TermManager, sort: Sort,
-                     value: Union[ArrayValue, Sequence[int]]) -> Term:
-    """Rebuild an array value (or a dense table) as stores over a
-    constant-array base.
+                     value: ArrayValue) -> Term:
+    """Rebuild an array value as stores over a constant-array base.
 
     The base default is the value's default, its most frequent element
     (smallest value on ties), and one store per exception follows in
     index order, so the printed form is as short as possible and
     deterministic.
     """
-    if not isinstance(value, ArrayValue):
-        value = ArrayValue.from_table(value)
     out = manager.mk_const_array(
         sort, manager.mk_value(sort.element, value.default))
     for idx, val in value.exceptions.items():

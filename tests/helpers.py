@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import caext
-from caext import TermManager, Term
+from caext import Configuration, TermManager, Term
+from caext.engine import _canonical_indices, _walk
 
 
 def src_env() -> dict[str, str]:
@@ -29,6 +30,48 @@ def run_module(*args, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "caext.cli", *args],
                           capture_output=True, text=True, env=src_env(),
                           cwd=cwd, timeout=300)
+
+
+@dataclass(frozen=True)
+class ReasonTrace:
+    """The justification for one propagated fact: the conjunction of
+    the non-trivial literals along its propagation path, ordered from
+    the origin of the path toward its destination.
+
+    For a default-value fact the trace also carries the store indices
+    crossed along *that same path*; the soundness claim — destination
+    agrees with the default everywhere off the crossed indices — only
+    holds for the literals and indices of one path taken together.
+    """
+
+    literals: tuple[Term, ...]
+    updated_indices: tuple[Term, ...] = ()
+
+    def formula(self, manager: TermManager) -> Term:
+        if not self.literals:
+            return manager.mk_value(manager.bool_sort, 1)
+        if len(self.literals) == 1:
+            return self.literals[0]
+        return manager.mk_and(self.literals)
+
+
+def compute_reason(cfg: Configuration, dest: Term, t: Term) -> ReasonTrace:
+    """The justification for propagating ``t`` to ``dest``: the
+    recorded path's literals and crossed store indices, a view over the
+    engine's path walker."""
+    lits, idx = _walk(cfg, dest, t)
+    return ReasonTrace(tuple(lits), _canonical_indices(cfg, idx))
+
+
+def compute_updated_indices(cfg: Configuration, dest: Term,
+                            const: Term) -> tuple[Term, ...]:
+    """The index terms of all stores crossed while propagating the
+    constant array ``const`` to ``dest``, in first-seen term order.
+
+    A cell of ``dest`` is only known to hold the default of ``const``
+    if its index differs from every index returned here.
+    """
+    return _canonical_indices(cfg, _walk(cfg, dest, const)[1])
 
 
 @dataclass

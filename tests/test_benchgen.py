@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from caext import (
+    BoundsExceeded,
     CaextError,
     Kind,
     TermManager,
@@ -248,3 +249,12 @@ class TestFuzz:
         from caext.oracle import OracleBounds
         with pytest.raises(CaextError):
             gen_fuzz(0, OracleBounds(max_array_constants=0))
+
+    @pytest.mark.parametrize("bounds, error", [
+        (OracleBounds(max_index_domain=1), CaextError),
+        (OracleBounds(max_element_domain=1), CaextError),
+        (OracleBounds(max_interpretations=5), BoundsExceeded),
+    ])
+    def test_bounds_no_instance_meets(self, bounds, error):
+        with pytest.raises(error):
+            gen_fuzz(0, bounds)

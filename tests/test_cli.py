@@ -182,6 +182,16 @@ class TestFuzz:
                      "--bounds", "max_free_constants=5"]) == 0
         assert "5 instances: 5 agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bounds", [
+        "max_index_domain=0", "max_element_domain=1",
+        "max_interpretations=5"])
+    def test_unmeetable_bounds_are_an_error(self, bounds, capsys):
+        assert main(["fuzz", "--count", "3", "--bounds", bounds]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert "Traceback" not in out.err
+
 
 class TestGen:
     def test_writes_parseable_native_file(self, tmp_path, capsys):
@@ -219,6 +229,21 @@ class TestGen:
         assert main(["gen", "--crafted", "0,0,0", "--index-sort", "int",
                      "--out", str(tmp_path)]) == 1
         assert "unknown sort" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "-5"],
+    ["solve", "unused.smt2", "--budget", "-1"],
+    ["fuzz", "--count", "1", "--bounds", "max_free_constants=-3"],
+    # a superscript two passes str.isdigit() but int() rejects it
+    ["gen", "--crafted", "0,0,\u00b2"],
+    ["gen", "--crafted", "0,0,0", "--index-sort", "bv\u00b2"],
+])
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ")
 
 
 class TestSeedPlumbing:

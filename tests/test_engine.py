@@ -16,11 +16,10 @@ from caext import (
 )
 from caext.engine import (
     Configuration,
+    _find_conflict,
     build_model,
     check_conflicts,
     check_sat,
-    compute_reason,
-    compute_updated_indices,
     exists_fresh_index,
     init_steps,
     propagate_fixpoint,
@@ -30,7 +29,8 @@ from caext.errors import (CaextError, InternalError, ResourceLimit,
 from caext.flatten import flatten
 from caext.ground import Interpretation, solve_ground
 
-from helpers import Example2, random_instance, store_chain
+from helpers import (Example2, compute_reason, compute_updated_indices,
+                     random_instance, store_chain)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -188,7 +188,7 @@ class TestMergedIndexSaturation:
             self, chain, debug):
         ex, m = chain.ex, chain.m
         cfg = chain.configuration(merged_interp(chain), debug=debug)
-        info = check_conflicts(cfg, apply=False)
+        info = _find_conflict(cfg, set())
         assert info is not None
         assert info.rule == "const_congruence"
         expected = m.mk_implies(
@@ -235,7 +235,7 @@ class TestSpreadIndexSaturation:
             self, chain, debug):
         ex, m = chain.ex, chain.m
         cfg = chain.configuration(spread_interp(chain), debug=debug)
-        info = check_conflicts(cfg, apply=False)
+        info = _find_conflict(cfg, set())
         assert info is not None
         assert info.rule == "read_over_const"
         expected = m.mk_implies(
@@ -260,7 +260,7 @@ class TestSpreadIndexSaturation:
 class TestSaturatedModel:
     def test_no_conflict(self, chain):
         cfg = chain.configuration(model_interp(chain))
-        assert check_conflicts(cfg, apply=False) is None
+        assert _find_conflict(cfg, set()) is None
 
     def test_middle_array_table(self, chain):
         ex = chain.ex

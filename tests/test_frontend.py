@@ -3,8 +3,8 @@
 import pytest
 
 from caext import (
-    Kind, Model, ParseError, SortError, TermManager, UnknownSymbolError,
-    eval_term,
+    ArrayValue, Kind, Model, ParseError, SortError, TermManager,
+    UnknownSymbolError, eval_term,
 )
 from caext.parser import (
     Assert, CheckSat, DeclareConst, DefineFun, GetModel, SetLogic, parse,
@@ -173,6 +173,13 @@ class TestDeclareAndDefineFun:
         with pytest.raises(SortError, match="does not match"):
             parse("(define-fun x () Bool #b1)")
 
+    def test_second_definition_of_a_constant_rejected(self):
+        with pytest.raises(ParseError, match="'x' is defined twice") as info:
+            parse("(define-fun x () Bool true)\n"
+                  "(define-fun y () Bool true)\n"
+                  "(define-fun x () Bool false)")
+        assert (info.value.line, info.value.column) == (3, 1)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(20))
@@ -199,14 +206,14 @@ class TestModelPrinting:
     def test_array_uses_majority_base(self):
         m = TermManager()
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
-        t = array_value_term(m, asort, (1, 0, 1, 1))
+        t = array_value_term(m, asort, ArrayValue.from_table((1, 0, 1, 1)))
         assert repr(t) == ("(store ((as const (Array (_ BitVec 2) Bool)) "
                            "true) #b01 false)")
 
     def test_tie_breaks_to_smaller_value(self):
         m = TermManager()
         asort = m.array_sort(m.bool_sort, m.bv_sort(2))
-        t = array_value_term(m, asort, (3, 1))
+        t = array_value_term(m, asort, ArrayValue.from_table((3, 1)))
         assert t.kind is Kind.STORE
         assert t.array.default.value == 1
         assert (t.index.value, t.stored_value.value) == (0, 3)

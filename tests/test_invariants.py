@@ -31,7 +31,6 @@ from caext import (
     build_model,
     check_conflicts,
     check_sat,
-    compute_reason,
     domain_size,
     eval_term,
     flatten,
@@ -45,7 +44,7 @@ from caext import (
     validate_model,
 )
 
-from helpers import Example2, random_instance
+from helpers import Example2, compute_reason, random_instance
 
 AUDIT_BOUNDS = OracleBounds(max_free_constants=20, max_array_constants=10,
                             max_interpretations=5_000_000)

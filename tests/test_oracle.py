@@ -4,10 +4,13 @@ import pytest
 
 from caext import (
     BoundsExceeded, Model, OracleBounds, TermManager, interpretation_count,
-    oracle_solve, oracle_solve_pointwise, oracle_valid,
+    oracle_solve, oracle_valid,
 )
 
 from helpers import Example2, random_instance, store_chain
+from oracle_reference import (
+    oracle_solve_pointwise, oracle_solve_scalar, oracle_valid_scalar,
+)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=4,
                      max_index_domain=8, max_element_domain=8)
@@ -108,8 +111,8 @@ class TestEngineAgreement:
         chain = store_chain(m, m.mk_const_array(asort, v), [(i, wp), (j, wp)])
         phi = [m.mk_eq(chain, m.mk_const_array(asort, w)),
                m.mk_not(m.mk_eq(v, w))]
-        rv = oracle_solve(phi, engine="vector")
-        rs = oracle_solve(phi, engine="scalar")
+        rv = oracle_solve(phi)
+        rs = oracle_solve_scalar(phi)
         rp = oracle_solve_pointwise(phi)
         assert rv.verdict == rs.verdict == rp.verdict == "sat"
         # Enumeration order is shared, so the first model is too.
@@ -118,8 +121,8 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("seed", range(30))
     def test_engines_agree_on_random_instances(self, seed):
         _, assertions = random_instance(seed)
-        rv = oracle_solve(assertions, LOOSE, engine="vector")
-        rs = oracle_solve(assertions, LOOSE, engine="scalar")
+        rv = oracle_solve(assertions, LOOSE)
+        rs = oracle_solve_scalar(assertions, LOOSE)
         rp = oracle_solve_pointwise(assertions, LOOSE)
         assert rv.verdict == rs.verdict == rp.verdict
         if rv.verdict == "sat":
@@ -147,8 +150,8 @@ class TestValidity:
         x = m.mk_const("x", m.bv_sort(2))
         taut = m.mk_or([m.mk_eq(x, m.mk_value(m.bv_sort(2), k))
                         for k in range(4)])
-        assert oracle_valid(taut, engine="scalar")
-        assert oracle_valid(taut, engine="vector")
+        assert oracle_valid_scalar(taut)
+        assert oracle_valid(taut)
 
 
 class TestBounds:

@@ -98,7 +98,7 @@ class TestArrayValue:
             assert hash(value) == hash(other)
         assert array_value_term(m, sort, value) is \
             dense_array_term(m, sort, dense)
-        assert array_value_term(m, sort, dense) is \
+        assert array_value_term(m, sort, ArrayValue.from_table(dense)) is \
             dense_array_term(m, sort, dense)
         built = ArrayValue(default, exceptions, len(dense))
         table = tuple(exceptions.get(i, default) for i in range(len(dense)))
