@@ -156,8 +156,8 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}{k}"
 
 
-def emit_quantified(manager: TermManager, assertions: Sequence[Term],
-                    *, logic: str = "ALL") -> str:
+def emit_quantified(manager: TermManager,
+                    assertions: Sequence[Term]) -> str:
     """SMT-LIB text with constant arrays axiomatized away.
 
     Every constant-array term becomes a fresh array constant plus one
@@ -174,7 +174,7 @@ def emit_quantified(manager: TermManager, assertions: Sequence[Term],
         mapping[ca] = manager.mk_const(_fresh_name(f"ca{k}", taken), ca.sort)
     rewritten = [substitute(manager, a, mapping) for a in assertions]
 
-    lines = [f"(set-logic {logic})"]
+    lines = ["(set-logic ALL)"]
     declared = free_constants(rewritten)
     axioms = []
     bound = _fresh_name("qi", taken)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,7 +23,7 @@ from .benchgen import CraftedParams, gen_fuzz, write_crafted
 from .engine import check_sat
 from .errors import (CaextError, IllDefinedModel, InternalError, ParseError,
                      ResourceLimit)
-from .model import Model, complete_model, eval_term, validate_model, zero_value
+from .model import Model, complete_model, eval_term, validate_model
 from .oracle import DEFAULT_BOUNDS, OracleBounds, oracle_solve
 from .parser import parse
 from .printer import print_model, print_script, print_term
@@ -38,18 +37,6 @@ class _UsageError(CaextError):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CAEXT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"CAEXT_SEED must be an integer, got {env!r}")
 
 
 def _natural(text: str) -> int:
@@ -91,24 +78,14 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
 def _cmd_solve(args: argparse.Namespace) -> int:
     script = parse(Path(args.file).read_text())
     result = check_sat(script.manager, script.assertions,
-                       seed=_resolve_seed(args),
-                       budget=args.budget)
+                       seed=args.seed, budget=args.budget)
     print(result.verdict)
     if args.stats:
         print(result.stats, file=sys.stderr)
-    if result.verdict == "sat":
-        model = result.model
-        if args.check_model:
-            outcome = validate_model(model, script.assertions)
-            if not outcome:
-                raise InternalError(
-                    "model fails asserted formula "
-                    f"{print_term(outcome.failing_assertion)}")
-        if script.wants_model:
-            for c in script.declared:
-                if c not in model:
-                    model.set(c, zero_value(c.sort))
-            print(print_model(script.manager, model, script.declared))
+    if result.verdict == "sat" and script.wants_model:
+        shown = script.declared + list(script.defined)
+        model = complete_model(result.model, shown)
+        print(print_model(script.manager, model, shown))
     return 0
 
 
@@ -140,11 +117,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     bounds = _parse_bounds(args.bounds)
-    base = _resolve_seed(args)
     verdicts = {"sat": 0, "unsat": 0, "unknown": 0}
     disagreements = 0
     for k in range(args.count):
-        seed = base + k
+        seed = args.seed + k
         manager, assertions = gen_fuzz(seed, bounds)
         result = check_sat(manager, assertions)
         expected = oracle_solve(assertions, bounds).verdict
@@ -181,7 +157,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params = CraftedParams(z, counts,
                            _parse_scalar_sort(manager, args.index_sort),
                            _parse_scalar_sort(manager, args.element_sort),
-                           seed=_resolve_seed(args))
+                           seed=args.seed)
     path = write_crafted(params, args.out, quantified=args.quantified)
     print(path)
     return 0
@@ -201,11 +177,9 @@ def _build_parser() -> _ArgumentParser:
 
     solve = sub.add_parser("solve", help="decide an SMT-LIB file")
     solve.add_argument("file")
-    solve.add_argument("--check-model", action="store_true",
-                       help="re-validate the model on every sat verdict")
     solve.add_argument("--stats", action="store_true",
                        help="print solver statistics to the error stream")
-    solve.add_argument("--seed", type=int, default=None)
+    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--budget", type=_natural, default=None,
                        help="ground-solver conflict budget per candidate")
     solve.set_defaults(run=_cmd_solve)
@@ -219,7 +193,7 @@ def _build_parser() -> _ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz", help="differential suite against the brute-force checker")
     fuzz.add_argument("--count", type=_natural, default=100)
-    fuzz.add_argument("--seed", type=int, default=None)
+    fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--bounds", default=None,
                       help="comma-separated field=value overrides")
     fuzz.set_defaults(run=_cmd_fuzz)
@@ -232,7 +206,7 @@ def _build_parser() -> _ArgumentParser:
                           "constant-array terms")
     gen.add_argument("--index-sort", default="bv2")
     gen.add_argument("--element-sort", default="bool")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
     gen.set_defaults(run=_cmd_gen)
 

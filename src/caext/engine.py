@@ -37,7 +37,7 @@ model costs the same for any index width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CaextError,
@@ -101,18 +101,18 @@ class Configuration:
     and a propagated term (a read or a constant array), the literal that
     justified the most recent hop and the array the term arrived from.
     Entries are write-once between resets; sources always point at an
-    entry recorded earlier, so justification chains are acyclic.
+    entry recorded earlier, so justification chains are acyclic, and
+    every reason literal holds under the interpretation.
+    :meth:`set_step` enforces all three.
     """
 
-    def __init__(self, manager: TermManager, formulas: Iterable[Term], *,
-                 debug: bool = True):
+    def __init__(self, manager: TermManager, formulas: Iterable[Term]):
         self.manager = manager
         self.formulas: list[Term] = list(formulas)
         self.interp: Optional[Interpretation] = None
         # (destination array, propagated term) -> (reason literal | None, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
         self.step_rule: dict[tuple[Term, Term], str] = {}
-        self.debug = debug
         self.ordinal: dict[Term, int] = {}
         self.reads: list[Term] = []
         self.stores: list[Term] = []
@@ -176,13 +176,12 @@ class Configuration:
         key = (dest, t)
         if key in self.steps:
             raise InternalError(f"propagation step {key} recorded twice")
-        if self.debug:
-            if source is not dest and (source, t) not in self.steps:
-                raise InternalError(
-                    "step source does not point at an earlier entry")
-            if reason is not None and not self.interp.eval(reason):
-                raise InternalError(
-                    "step reason is false under the current interpretation")
+        if source is not dest and (source, t) not in self.steps:
+            raise InternalError(
+                "step source does not point at an earlier entry")
+        if reason is not None and not self.interp.eval(reason):
+            raise InternalError(
+                "step reason is false under the current interpretation")
         self.steps[key] = (reason, source)
         self.step_rule[key] = rule
 
@@ -369,19 +368,22 @@ class ConflictInfo:
 
 
 def check_conflicts(cfg: Configuration, *,
-                    witnessed: Optional[set[Term]] = None
-                    ) -> Optional[ConflictInfo]:
+                    witnessed: set[Term]) -> Optional[ConflictInfo]:
     """Scan for a contradiction under the current interpretation.
 
     The four conflict kinds are scanned in a fixed order (read against
     a default, two reads at one array, a falsified array equality
     without a witness read, two defaults at one array) and the first
     hit produces one lemma.  The lemma is appended to the formula set
-    and the propagation state is reset; ``witnessed`` carries the
-    equality atoms that already received an extensionality witness and
-    must outlive every reset.
+    and the propagation state is reset.  ``witnessed`` holds the
+    equality atoms that already received an extensionality witness;
+    the scan adds to it, and a caller that loops must pass the same
+    set on every call, since a fresh one would let the same witness
+    lemma be emitted again and again.  Every lemma but a witness lemma
+    is checked to be false under the interpretation that produced it
+    (:class:`InternalError` otherwise).
     """
-    info = _find_conflict(cfg, set() if witnessed is None else witnessed)
+    info = _find_conflict(cfg, witnessed)
     if info is not None:
         cfg.add_formula(info.lemma)
         cfg.reset()
@@ -479,10 +481,10 @@ def _implication(m: TermManager, antecedent: Sequence[Term],
 
 
 def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
-    """In debug mode, insist that a lemma actually rules out the
-    interpretation that produced it (witness lemmas are exempt: their
-    fresh reads have no value yet)."""
-    if cfg.debug and cfg.interp.eval(info.lemma):
+    """Insist that a lemma actually rules out the interpretation that
+    produced it (witness lemmas are exempt: their fresh reads have no
+    value yet)."""
+    if cfg.interp.eval(info.lemma):
         raise InternalError(
             f"{info.rule} lemma does not exclude the interpretation")
     return info
@@ -677,27 +679,28 @@ class SolveResult:
 def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               seed: int = 0,
               budget: Optional[int] = None,
-              debug_checks: bool = True,
-              max_refinements: Optional[int] = None,
-              on_saturation: Optional[Callable[[Configuration], None]] = None,
-              ) -> SolveResult:
+              max_refinements: Optional[int] = None) -> SolveResult:
     """Decide the assertions and, when satisfiable, build a model.
 
     One ground encoding serves the whole run: each lemma is added to it
     as clauses, and the SAT core keeps what it learned.  ``seed`` fixes
     the ground solver's choices, ``budget`` caps the SAT conflicts of
     each candidate's search, counted afresh for every candidate
-    (exhaustion yields verdict ``unknown``),
-    ``max_refinements`` caps lemma iterations (exceeding it raises
-    :class:`ResourceLimit`), and ``on_saturation`` is called with the
-    configuration after every saturation, before conflicts are checked.
-    Input nested too deeply for Python's recursion limit raises
-    :class:`CaextError`.
+    (exhaustion yields verdict ``unknown``), and ``max_refinements``
+    caps lemma iterations (exceeding it raises :class:`ResourceLimit`).
+
+    The proof invariants are checked on every run: each propagation
+    step is recorded once, points at an earlier entry and has a true
+    reason; each lemma excludes the candidate that produced it; and a
+    model is returned only after it validates against both the
+    assertions and the flattened formula set with every lemma.  A
+    failed check raises :class:`InternalError`.  Input nested too
+    deeply for Python's recursion limit raises :class:`CaextError`.
     """
     try:
         assertions = list(assertions)
         flat = flatten(manager, assertions)
-        cfg = Configuration(manager, flat.all_formulas, debug=debug_checks)
+        cfg = Configuration(manager, flat.all_formulas)
         stats = SolveStats()
         witnessed: set[Term] = set()
         session = GroundSession()
@@ -714,18 +717,15 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
             init_steps(cfg)
             propagate_fixpoint(cfg)
             stats.pi_size = len(cfg.steps)
-            if on_saturation is not None:
-                on_saturation(cfg)
             info = check_conflicts(cfg, witnessed=witnessed)
             if info is None:
                 model = complete_model(build_model(cfg), assertions)
-                if debug_checks:
-                    for scope in (assertions, cfg.formulas):
-                        outcome = validate_model(model, scope)
-                        if not outcome:
-                            raise InternalError(
-                                "constructed model fails "
-                                f"{outcome.failing_assertion!r}")
+                for scope in (assertions, cfg.formulas):
+                    outcome = validate_model(model, scope)
+                    if not outcome:
+                        raise InternalError(
+                            "constructed model fails "
+                            f"{outcome.failing_assertion!r}")
                 return SolveResult("sat", model, stats)
             stats.lemma_history.append(
                 (info.rule, substitute(manager, info.lemma, flat.definitions)))

@@ -281,17 +281,6 @@ class _Encoder:
             self.sat.add_clause([x, -y])
 
 
-def virtual_read_equalities(manager: TermManager,
-                            formulas: Sequence[Term]) -> list[Term]:
-    """``select(store(a,i,u), i) = u`` for every store term present."""
-    out = []
-    for t in iter_subterms(formulas):
-        if t.kind is Kind.STORE:
-            read = manager.mk_select(t, t.index)
-            out.append(manager.mk_eq(read, t.stored_value))
-    return out
-
-
 class GroundSession:
     """One encoding shared by the `solve_ground` calls of a refinement
     run.  The formula list passed to each call must extend the previous
@@ -314,10 +303,11 @@ class GroundSession:
         enc = self.enc
         new = formulas[self.asserted:]
         self.asserted = len(formulas)
-        virtuals = [eq for eq in virtual_read_equalities(manager, new)
-                    if eq.args[0].array not in self._seen]
         fresh = [t for t in iter_subterms(new) if t not in self._seen]
         self._seen.update(fresh)
+        virtuals = [manager.mk_eq(manager.mk_select(t, t.index),
+                                  t.stored_value)
+                    for t in fresh if t.kind is Kind.STORE]
         atoms = [t for t in fresh
                  if t.kind is Kind.EQ and t.args[0].sort.is_array]
         if atoms and not first:

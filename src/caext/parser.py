@@ -2,8 +2,11 @@
 
 Supported commands: ``set-logic`` (content ignored), ``declare-const``
 (and the zero-arity ``declare-fun`` spelling), zero-arity
-``define-fun`` (used by model files), ``assert``, ``check-sat`` (at
-most one), ``get-model`` (only after ``check-sat``), ``exit``.
+``define-fun``, ``assert``, ``check-sat`` (at most one), ``get-model``
+(only after ``check-sat``), ``exit``.  One script names each constant
+once, by a declaration or a definition.  In a formula file a
+definition constrains its constant like an assertion; a model file
+consists of definitions.
 
 Terms: ``select``, ``store``, ``((as const (Array s t)) v)``,
 chainable ``=``, ``distinct`` (expanded to pairwise disequalities),
@@ -146,7 +149,15 @@ class Script:
 
     @property
     def assertions(self) -> list[Term]:
-        return [c.term for c in self.commands if isinstance(c, Assert)]
+        """The asserted terms in command order, each definition read as
+        the equality of its constant and its body."""
+        out = []
+        for c in self.commands:
+            if isinstance(c, Assert):
+                out.append(c.term)
+            elif isinstance(c, DefineFun):
+                out.append(self.manager.mk_eq(c.constant, c.body))
+        return out
 
     @property
     def declared(self) -> list[Term]:
@@ -398,7 +409,7 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     p = _Parser(m)
     commands: list[Command] = []
     seen_check = False
-    defined: set[Term] = set()
+    named: set[Term] = set()
     for node in read_sexprs(text):
         try:
             cmd = p.command(node)
@@ -410,11 +421,12 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
                 raise ParseError("only one check-sat is supported",
                                  node.line, node.col)
             seen_check = True
-        if isinstance(cmd, DefineFun):
-            if cmd.constant in defined:
-                raise ParseError(f"{cmd.constant.name!r} is defined twice",
+        if isinstance(cmd, (DeclareConst, DefineFun)):
+            if cmd.constant in named:
+                verb = "defined" if isinstance(cmd, DefineFun) else "declared"
+                raise ParseError(f"{cmd.constant.name!r} is {verb} twice",
                                  node.line, node.col)
-            defined.add(cmd.constant)
+            named.add(cmd.constant)
         if isinstance(cmd, GetModel) and not seen_check:
             raise ParseError("get-model before check-sat",
                              node.line, node.col)

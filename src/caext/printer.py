@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError
 from .model import ArrayValue, Model, Value
@@ -64,19 +64,14 @@ def print_model(manager: TermManager, model: Model,
 
 
 def print_script(assertions: Sequence[Term], *,
-                 logic: Optional[str] = "QF_ABV",
-                 check_sat: bool = True,
                  get_model: bool = False) -> str:
-    """A complete SMT-LIB script: declarations, assertions, check-sat."""
-    lines = []
-    if logic:
-        lines.append(f"(set-logic {logic})")
+    """A complete QF_ABV script: declarations, assertions, check-sat."""
+    lines = ["(set-logic QF_ABV)"]
     for c in free_constants(assertions):
         lines.append(f"(declare-const {c.name} {print_sort(c.sort)})")
     for a in assertions:
         lines.append(f"(assert {print_term(a)})")
-    if check_sat:
-        lines.append("(check-sat)")
+    lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")
     return "\n".join(lines) + "\n"

@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator
 
 import caext
+import caext.engine
 from caext import Configuration, TermManager, Term
 from caext.engine import _canonical_indices, _walk
 
@@ -30,6 +33,27 @@ def run_module(*args, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "caext.cli", *args],
                           capture_output=True, text=True, env=src_env(),
                           cwd=cwd, timeout=300)
+
+
+@contextmanager
+def watch_saturations(callback: Callable[[Configuration], None]
+                      ) -> Iterator[None]:
+    """Within the block, `check_sat` calls ``callback(cfg)`` after every
+    saturation, before its conflict scan.  It wraps the module global
+    ``caext.engine.propagate_fixpoint``, the name `check_sat` looks up
+    at call time."""
+    saturate = caext.engine.propagate_fixpoint
+
+    def watched(cfg: Configuration) -> Configuration:
+        saturate(cfg)
+        callback(cfg)
+        return cfg
+
+    caext.engine.propagate_fixpoint = watched
+    try:
+        yield
+    finally:
+        caext.engine.propagate_fixpoint = saturate
 
 
 @dataclass(frozen=True)

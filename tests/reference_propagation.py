@@ -42,7 +42,7 @@ from caext.engine import (
 def reference_saturation(cfg: Configuration) -> Configuration:
     """A fresh configuration over ``cfg``'s formulas and interpretation,
     saturated by the reference propagator."""
-    fresh = Configuration(cfg.manager, cfg.formulas, debug=cfg.debug)
+    fresh = Configuration(cfg.manager, cfg.formulas)
     fresh.interp = cfg.interp
     init_steps(fresh)
     while _apply_one(fresh):

@@ -89,11 +89,32 @@ class TestSolve:
 
     def test_stats_go_to_stderr(self, tmp_path, capsys):
         path = chain_file(tmp_path, extra="(assert (not (= v w)))\n")
-        assert main(["solve", str(path), "--stats", "--check-model"]) == 0
+        assert main(["solve", str(path), "--stats"]) == 0
         out = capsys.readouterr()
         assert out.out == "sat\n"
         assert "refinements:" in out.err
         assert "lemmas.const_congruence: 1" in out.err
+
+    def test_definition_constrains_its_constant(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(define-fun x () Bool true)\n(assert (not x))\n"
+                        "(check-sat)\n")
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == "unsat\n"
+
+    def test_model_of_definitions_roundtrips(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const y Bool)\n(define-fun x () Bool y)\n"
+                        "(assert x)\n(check-sat)\n(get-model)\n")
+        assert main(["solve", str(path)]) == 0
+        verdict, *lines = capsys.readouterr().out.splitlines()
+        assert verdict == "sat"
+        assert lines == ["(define-fun y () Bool true)",
+                         "(define-fun x () Bool true)"]
+        model_path = tmp_path / "model.smt2"
+        model_path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(path), str(model_path)]) == 0
+        assert capsys.readouterr().out == "valid\n"
 
     def test_budget_zero_reports_unknown(self, tmp_path, capsys):
         path = tmp_path / "wide.smt2"
@@ -151,6 +172,16 @@ class TestValidate:
         model_path.write_text("(define-fun x () Bool false)\n")
         assert main(["validate", str(path), str(model_path)]) == 0
         assert capsys.readouterr().out == "valid\n"
+
+    def test_model_breaking_a_definition_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const y Bool)\n(define-fun x () Bool y)\n"
+                        "(assert (not y))\n(check-sat)\n")
+        model_path = tmp_path / "m.smt2"
+        model_path.write_text("(define-fun y () Bool false)\n"
+                              "(define-fun x () Bool true)\n")
+        assert main(["validate", str(path), str(model_path)]) == 0
+        assert capsys.readouterr().out == "invalid (= x y)\n"
 
     def test_model_with_array_value(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"
@@ -211,11 +242,7 @@ class TestGen:
         assert "as const" not in text
         assert text.count("forall") == 2
 
-    def test_seed_lands_in_filename(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CAEXT_SEED", "5")
-        assert main(["gen", "--crafted", "0,0,0",
-                     "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.strip().endswith("_5.smt2")
+    def test_seed_lands_in_filename(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,0,0", "--seed", "7",
                      "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.strip().endswith("_7.smt2")
@@ -244,20 +271,6 @@ def test_bad_numbers_are_usage_errors(argv, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ")
-
-
-class TestSeedPlumbing:
-    def test_env_seed_must_be_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CAEXT_SEED", "eleven")
-        path = chain_file(tmp_path)
-        assert main(["solve", str(path)]) == 1
-        assert "CAEXT_SEED" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CAEXT_SEED", "eleven")
-        path = chain_file(tmp_path)
-        assert main(["solve", str(path), "--seed", "4"]) == 0
-        assert capsys.readouterr().out == "sat\n"
 
 
 class TestEntryPoint:

@@ -24,13 +24,15 @@ from caext.engine import (
     init_steps,
     propagate_fixpoint,
 )
+from caext.benchgen import gen_fuzz
 from caext.errors import (CaextError, InternalError, ResourceLimit,
                           UndefinedStep)
 from caext.flatten import flatten
 from caext.ground import Interpretation, solve_ground
+from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, compute_reason, compute_updated_indices,
-                     random_instance, store_chain)
+                     random_instance, store_chain, watch_saturations)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -76,8 +78,8 @@ class Chain:
                       ex.cv: ex.cv, ex.cw: ex.cw, ex.a: ex.a}
         return Interpretation(values, array_repr)
 
-    def configuration(self, interp, *, debug=True) -> Configuration:
-        cfg = Configuration(self.m, self.assertions, debug=debug)
+    def configuration(self, interp) -> Configuration:
+        cfg = Configuration(self.m, self.assertions)
         cfg.interp = interp
         init_steps(cfg)
         propagate_fixpoint(cfg)
@@ -183,11 +185,9 @@ class TestMergedIndexSaturation:
         with pytest.raises(UndefinedStep):
             compute_updated_indices(cfg, chain.s1, orphan)
 
-    @pytest.mark.parametrize("debug", [False, True])
-    def test_conflict_is_default_congruence_with_exact_lemma(
-            self, chain, debug):
+    def test_conflict_is_default_congruence_with_exact_lemma(self, chain):
         ex, m = chain.ex, chain.m
-        cfg = chain.configuration(merged_interp(chain), debug=debug)
+        cfg = chain.configuration(merged_interp(chain))
         info = _find_conflict(cfg, set())
         assert info is not None
         assert info.rule == "const_congruence"
@@ -201,7 +201,7 @@ class TestMergedIndexSaturation:
     def test_apply_appends_lemma_and_resets(self, chain):
         cfg = chain.configuration(merged_interp(chain))
         before = len(cfg.formulas)
-        info = check_conflicts(cfg)
+        info = check_conflicts(cfg, witnessed=set())
         assert cfg.formulas[-1] is info.lemma
         assert len(cfg.formulas) == before + 1
         assert cfg.interp is None and not cfg.steps
@@ -230,11 +230,9 @@ class TestSpreadIndexSaturation:
         assert not exists_fresh_index(
             cfg.interp, (ex.i1, ex.j1, ex.i2, ex.j2), ex.i1.sort)
 
-    @pytest.mark.parametrize("debug", [False, True])
-    def test_conflict_is_read_over_default_with_exact_lemma(
-            self, chain, debug):
+    def test_conflict_is_read_over_default_with_exact_lemma(self, chain):
         ex, m = chain.ex, chain.m
-        cfg = chain.configuration(spread_interp(chain), debug=debug)
+        cfg = chain.configuration(spread_interp(chain))
         info = _find_conflict(cfg, set())
         assert info is not None
         assert info.rule == "read_over_const"
@@ -243,10 +241,9 @@ class TestSpreadIndexSaturation:
             m.mk_eq(chain.r2, ex.v))
         assert info.lemma is expected
 
-    @pytest.mark.parametrize("debug", [False, True])
-    def test_reason_modes_agree_here(self, chain, debug):
+    def test_reason_modes_agree_here(self, chain):
         ex = chain.ex
-        cfg = chain.configuration(spread_interp(chain), debug=debug)
+        cfg = chain.configuration(spread_interp(chain))
         trace = compute_reason(cfg, ex.cv, chain.r2)
         assert trace.literals == (
             chain.eq12, chain.m.mk_not(chain.m.mk_eq(ex.j1, ex.i1)))
@@ -504,11 +501,11 @@ class TestModelsFromTheLoop:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("debug_checks", [False, True])
-    def test_random_instances(self, debug_checks):
-        for seed in range(60):
+    @pytest.mark.parametrize("first_seed", [0, 60])
+    def test_random_instances(self, first_seed):
+        for seed in range(first_seed, first_seed + 60):
             m, assertions = random_instance(seed)
-            res = check_sat(m, assertions, debug_checks=debug_checks)
+            res = check_sat(m, assertions)
             want = oracle_solve(assertions, LOOSE).verdict
             assert res.verdict == want, f"seed {seed}"
             if res.verdict == "sat":
@@ -559,9 +556,10 @@ class TestLoopControls:
 
     def test_saturation_hook_sees_every_candidate(self, chain):
         sizes = []
-        check_sat(chain.m, chain.assertions,
-                  on_saturation=lambda cfg: sizes.append(len(cfg.steps)))
-        assert sizes and all(n > 0 for n in sizes)
+        with watch_saturations(lambda cfg: sizes.append(len(cfg.steps))):
+            res = check_sat(chain.m, chain.assertions)
+        assert len(sizes) == res.stats.iterations
+        assert all(n > 0 for n in sizes)
 
     def test_deep_nesting_is_a_caext_error(self):
         m = TermManager()
@@ -592,6 +590,23 @@ class TestLoopControls:
             most = max(most, res.stats.iterations)
         assert most > 2
 
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_engine_names_looked_up_at_call_time(self, monkeypatch, name):
+        # The benchmark's tracer and `watch_saturations` replace these
+        # module globals of caext.engine; check_sat must call them.
+        import caext.engine as engine
+        calls = []
+        original = getattr(engine, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+        m, assertions = gen_fuzz(1)
+        assert check_sat(m, assertions).verdict == "sat"
+        assert calls
+
 
 class TestFormulaIndex:
     def test_lemma_index_matches_fresh_configuration(self, chain):
@@ -609,7 +624,8 @@ class TestFormulaIndex:
 
         most = 0
         for m, assertions in runs:
-            res = check_sat(m, assertions, on_saturation=matches_fresh)
+            with watch_saturations(matches_fresh):
+                res = check_sat(m, assertions)
             most = max(most, res.stats.refinements)
         assert most >= 3
 

@@ -127,9 +127,12 @@ class TestParseErrors:
         with pytest.raises(SortError, match="already declared"):
             parse("(declare-const x Bool)\n(declare-const x (_ BitVec 1))")
 
-    def test_redeclaration_same_sort_tolerated(self):
-        s = parse("(declare-const x Bool)\n(declare-const x Bool)")
-        assert len(s.declared) == 2
+    def test_redeclaration_same_sort_rejected(self):
+        with pytest.raises(ParseError, match="'x' is declared twice") as info:
+            parse("(declare-const x Bool)\n"
+                  "(declare-const y Bool)\n"
+                  "  (declare-fun x () Bool)")
+        assert (info.value.line, info.value.column) == (3, 3)
 
     def test_non_bool_assertion(self):
         with pytest.raises(SortError, match="Boolean"):

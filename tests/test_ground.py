@@ -4,7 +4,7 @@ import pytest
 
 from caext import InternalError, OracleBounds, TermManager, oracle_solve
 from caext.flatten import flatten
-from caext.ground import GroundSession, solve_ground, virtual_read_equalities
+from caext.ground import GroundSession, solve_ground
 from caext.terms import Kind, iter_subterms
 
 from helpers import random_instance
@@ -91,8 +91,10 @@ class TestReadsAreFree:
         i = m.mk_const("i", m.bool_sort)
         u = m.mk_const("u", m.bool_sort)
         s = m.mk_store(a, i, u)
-        eqs = virtual_read_equalities(m, [m.mk_eq(s, a)])
-        assert eqs == [m.mk_eq(m.mk_select(s, i), u)]
+        res = solve_ground(m, [
+            m.mk_eq(s, a),
+            m.mk_not(m.mk_eq(m.mk_select(s, i), u))])
+        assert res.verdict == "unsat"
 
 
 class TestArrayPartition:

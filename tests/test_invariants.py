@@ -11,16 +11,11 @@ oracle on every saturated configuration of a driven refinement loop:
 * the at-least-n-distinct atom obeys its counting laws at every
   evaluation layer;
 * refinement terminates within a small bound on tiny instances.
-
-The loop audits run with the engine's own debug checks on and off, so
-the soundness claims also cover the unchecked path library users run.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import pytest
 
 from caext import (
     Configuration,
@@ -82,12 +77,11 @@ def implication(m, literals, consequent):
 class LoopAudit:
     """Drives the refinement loop by hand and checks every saturation."""
 
-    def __init__(self, manager, assertions, *, debug=True):
+    def __init__(self, manager, assertions):
         self.m = manager
         self.assertions = assertions
         self.flat = flatten(manager, assertions)
-        self.cfg = Configuration(manager, self.flat.all_formulas,
-                                 debug=debug)
+        self.cfg = Configuration(manager, self.flat.all_formulas)
         self.lemmas = []
         self.candidates = 0
 
@@ -167,10 +161,9 @@ def lemma_audit_form(m, rule, lemma):
                         cases[0] if len(cases) == 1 else m.mk_or(cases))
 
 
-@pytest.mark.parametrize("debug", [True, False])
-def test_step_soundness_and_reason_currency(debug):
+def test_step_soundness_and_reason_currency():
     for m, assertions in audit_instances():
-        audit = LoopAudit(m, assertions, debug=debug)
+        audit = LoopAudit(m, assertions)
         verdict, _ = audit.run()
         if verdict == "sat":
             assert audit.candidates > 0
@@ -179,10 +172,9 @@ def test_step_soundness_and_reason_currency(debug):
                                      max_array_constants=6)).verdict
 
 
-@pytest.mark.parametrize("debug", [True, False])
-def test_every_lemma_in_the_stream_is_valid(debug):
+def test_every_lemma_in_the_stream_is_valid():
     for m, assertions in audit_instances():
-        audit = LoopAudit(m, assertions, debug=debug)
+        audit = LoopAudit(m, assertions)
         audit.run()
         for info in audit.lemmas:
             form = lemma_audit_form(

@@ -18,11 +18,11 @@ from caext import check_sat
 from caext.benchgen import gen_fuzz
 from caext.engine import _find_conflict, _walk
 
-from helpers import benchmark_crafted
+from helpers import benchmark_crafted, watch_saturations
 from reference_propagation import reference_conflict, reference_saturation
 
 
-def _gated_check_sat(m, assertions, rules: Counter, *, debug=True):
+def _gated_check_sat(m, assertions, rules: Counter):
     witnessed: set = set()
 
     def gate(cfg):
@@ -37,15 +37,16 @@ def _gated_check_sat(m, assertions, rules: Counter, *, debug=True):
             assert crossed == _walk(cfg, dest, t)[1]
         rules[info.rule if info else "none"] += 1
 
-    return check_sat(m, assertions, debug_checks=debug, on_saturation=gate)
+    with watch_saturations(gate):
+        return check_sat(m, assertions)
 
 
-@pytest.mark.parametrize("debug", [True, False])
-def test_fuzz_matches_reference(debug):
+@pytest.mark.parametrize("first_seed", [0, 500])
+def test_fuzz_matches_reference(first_seed):
     rules: Counter = Counter()
-    for seed in range(500):
+    for seed in range(first_seed, first_seed + 500):
         m, assertions = gen_fuzz(seed)
-        _gated_check_sat(m, assertions, rules, debug=debug)
+        _gated_check_sat(m, assertions, rules)
     # Every conflict kind and saturation without a conflict occurred.
     assert set(rules) == {"read_over_const", "read_congruence",
                           "extensionality", "const_congruence", "none"}

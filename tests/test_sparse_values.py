@@ -13,15 +13,15 @@ from caext.printer import array_value_term
 from perfbench.workloads import CRAFTED_LADDER
 
 from dense_reference import dense_array_term, dense_print_model, dense_tables
-from helpers import run_module
+from helpers import run_module, watch_saturations
 
 
-def _check_against_dense(m, assertions, *, debug=True) -> str:
+def _check_against_dense(m, assertions) -> str:
     """Solve; on sat, compare every array table and the printed model
     with the dense reference built from the last saturation."""
     last = []
-    result = check_sat(m, assertions, debug_checks=debug,
-                       on_saturation=last.append)
+    with watch_saturations(last.append):
+        result = check_sat(m, assertions)
     if result.verdict != "sat":
         return result.verdict
     tables = dense_tables(last[-1])
@@ -37,12 +37,12 @@ def _check_against_dense(m, assertions, *, debug=True) -> str:
 
 
 class TestModelGate:
-    @pytest.mark.parametrize("debug", [True, False])
-    def test_fuzz_models_match_dense_reference(self, debug):
+    @pytest.mark.parametrize("first_seed", [0, 500])
+    def test_fuzz_models_match_dense_reference(self, first_seed):
         verdicts = set()
-        for seed in range(500):
+        for seed in range(first_seed, first_seed + 500):
             m, assertions = gen_fuzz(seed)
-            verdicts.add(_check_against_dense(m, assertions, debug=debug))
+            verdicts.add(_check_against_dense(m, assertions))
         assert verdicts == {"sat", "unsat"}
 
     @pytest.mark.parametrize("rung", CRAFTED_LADDER,
@@ -149,8 +149,7 @@ class TestLargeIndex:
         m, assertions = _wide(32)
         problem = tmp_path / "wide.smt2"
         problem.write_text(print_script(assertions, get_model=True))
-        solved = run_module("solve", "--check-model", str(problem),
-                          cwd=tmp_path)
+        solved = run_module("solve", str(problem), cwd=tmp_path)
         assert solved.returncode == 0, solved.stderr
         verdict, *model_lines = solved.stdout.splitlines()
         assert verdict == "sat"
