@@ -55,6 +55,15 @@ def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")
 
 
+def _read(path: str) -> str:
+    """The text of ``path``, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaextError(f"{path}: not UTF-8 text (byte offset "
+                         f"{exc.start})") from None
+
+
 def _parse_bounds(text: Optional[str]) -> OracleBounds:
     if not text:
         return DEFAULT_BOUNDS
@@ -76,7 +85,7 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    script = parse(Path(args.file).read_text())
+    script = parse(_read(args.file))
     result = check_sat(script.manager, script.assertions,
                        seed=args.seed, budget=args.budget)
     print(result.verdict)
@@ -95,9 +104,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    script = parse(Path(args.file).read_text())
-    model_script = parse(Path(args.modelfile).read_text(),
-                         manager=script.manager)
+    script = parse(_read(args.file))
+    model_script = parse(_read(args.modelfile), manager=script.manager)
     model = Model()
     for constant, body in model_script.defined.items():
         model.set(constant, eval_term(model, body))

@@ -15,11 +15,12 @@ propagation state is discarded, and the loop repeats.
 
 Propagation scans the recorded facts in a fixed order and restarts
 after every new one, so the same candidate always yields the same
-facts in the same order.  A scan reaches the stores over an array and
-the equality atoms at it through adjacency maps kept with the formula
-index, and each default's crossed store indices are walked once per
-candidate (Christ & Hoenicke, "Weakly equivalent arrays", FroCoS 2015,
-propagate along such a store graph).
+facts in the same order.  A scan reaches the stores next to an array
+(one list of store hops, down to the base and up to each store over
+it) and the equality atoms at it through adjacency maps kept with the
+formula index, and each default's crossed store indices are walked
+once per candidate (Christ & Hoenicke, "Weakly equivalent arrays",
+FroCoS 2015, propagate along such a store graph).
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -66,19 +67,6 @@ __all__ = [
     "propagate_fixpoint",
 ]
 
-# Propagation-rule labels, as recorded per step for tracing.
-INIT_READ = "init_read"
-INIT_WRITE = "init_write"
-INIT_CONST = "init_const"
-READ_DOWN = "read_down"              # read crosses a store toward its base
-READ_UP = "read_up"                  # read crosses a store away from its base
-READ_EQ_RIGHT = "read_eq_right"      # read copied across an equality, lhs→rhs
-READ_EQ_LEFT = "read_eq_left"        # read copied across an equality, rhs→lhs
-CONST_DOWN = "const_down"            # default crosses a store toward its base
-CONST_UP = "const_up"                # default crosses a store away from its base
-CONST_EQ_RIGHT = "const_eq_right"    # default copied across an equality, lhs→rhs
-CONST_EQ_LEFT = "const_eq_left"      # default copied across an equality, rhs→lhs
-
 # Lemma-rule labels, as counted in solver statistics.
 LEMMA_READ_OVER_CONST = "read_over_const"
 LEMMA_READ_CONGRUENCE = "read_congruence"
@@ -95,15 +83,19 @@ LEMMA_RULES = (
 
 class Configuration:
     """Mutable solver state: the formula set, the current candidate
-    interpretation, and the propagation map.
+    interpretation, the propagation map, and the equality atoms that
+    already received an extensionality witness.
 
     The propagation map records, for every pair of a destination array
     and a propagated term (a read or a constant array), the literal that
     justified the most recent hop and the array the term arrived from.
-    Entries are write-once between resets; sources always point at an
-    entry recorded earlier, so justification chains are acyclic, and
-    every reason literal holds under the interpretation.
-    :meth:`set_step` enforces all three.
+    The step says which rule recorded it: a source equal to the
+    destination is a starting point, a reason that is an array equality
+    atom is a copy across that equality, and any other hop crosses the
+    store between source and destination.  Entries are write-once
+    between resets; sources always point at an entry recorded earlier,
+    so justification chains are acyclic, and every reason literal holds
+    under the interpretation.  :meth:`set_step` enforces all three.
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
@@ -112,17 +104,21 @@ class Configuration:
         self.interp: Optional[Interpretation] = None
         # (destination array, propagated term) -> (reason literal | None, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
-        self.step_rule: dict[tuple[Term, Term], str] = {}
+        # array equality atoms whose extensionality lemma was emitted;
+        # kept across resets, so each atom gets at most one
+        self.witnessed: set[Term] = set()
         self.ordinal: dict[Term, int] = {}
         self.reads: list[Term] = []
         self.stores: list[Term] = []
         self.const_arrays: list[Term] = []
         self.array_eq_atoms: list[Term] = []
-        # array -> the stores over it, in `stores` order
-        self.stores_over: dict[Term, list[Term]] = {}
-        # array -> (atom, other side, array is the lhs), in
-        # `array_eq_atoms` order; an atom `a = a` has no entry
-        self.eqs_at: dict[Term, list[tuple[Term, Term, bool]]] = {}
+        # array -> (neighbour, store crossed): first the hop down to the
+        # base when the array is a store, then the stores over it in
+        # `stores` order
+        self.hops: dict[Term, list[tuple[Term, Term]]] = {}
+        # array -> (atom, other side), in `array_eq_atoms` order; an
+        # atom `a = a` has no entry
+        self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
         # (destination array, constant array) -> the crossed store
         # indices of its recorded path; see `_crossed`
         self.crossed: dict[tuple[Term, Term], list[Term]] = {}
@@ -133,7 +129,9 @@ class Configuration:
     def _index(self, formulas: Sequence[Term]) -> None:
         """Index the subterms of ``formulas`` not indexed yet.  Since
         `iter_subterms` is prefix-stable, the ordinals equal those of
-        one walk over the whole formula set."""
+        one walk over the whole formula set.  Children come before their
+        parents, so a store's hop to its base precedes the stores over
+        it."""
         for t in iter_subterms(formulas):
             if t in self.ordinal:
                 continue
@@ -142,22 +140,23 @@ class Configuration:
                 self.reads.append(t)
             elif t.kind is Kind.STORE:
                 self.stores.append(t)
-                self.stores_over.setdefault(t.array, []).append(t)
+                self.hops[t] = [(t.array, t)]
+                self.hops.setdefault(t.array, []).append((t, t))
             elif t.kind is Kind.CONST_ARRAY:
                 self.const_arrays.append(t)
             elif t.kind is Kind.EQ and t.args[0].sort.is_array:
                 self.array_eq_atoms.append(t)
                 lhs, rhs = t.args
                 if lhs is not rhs:
-                    self.eqs_at.setdefault(lhs, []).append((t, rhs, True))
-                    self.eqs_at.setdefault(rhs, []).append((t, lhs, False))
+                    self.eqs_at.setdefault(lhs, []).append((t, rhs))
+                    self.eqs_at.setdefault(rhs, []).append((t, lhs))
 
     def add_formula(self, f: Term) -> None:
         self.formulas.append(f)
         self._index([f])
 
     def ordinal_key(self, t: Term) -> int:
-        return self.ordinal.get(t, len(self.ordinal) + t.id)
+        return self.ordinal[t]
 
     # -- propagation map ---------------------------------------------------
 
@@ -172,7 +171,7 @@ class Configuration:
                 f"no propagation of {t!r} to {dest!r} recorded") from None
 
     def set_step(self, dest: Term, t: Term, reason: Optional[Term],
-                 source: Term, rule: str) -> None:
+                 source: Term) -> None:
         key = (dest, t)
         if key in self.steps:
             raise InternalError(f"propagation step {key} recorded twice")
@@ -183,13 +182,12 @@ class Configuration:
             raise InternalError(
                 "step reason is false under the current interpretation")
         self.steps[key] = (reason, source)
-        self.step_rule[key] = rule
 
     def reset(self) -> None:
-        """Discard the candidate interpretation and all recorded steps."""
+        """Discard the candidate interpretation and all recorded steps;
+        the formula set and ``witnessed`` stay."""
         self.interp = None
         self.steps.clear()
-        self.step_rule.clear()
         self.crossed.clear()
 
 
@@ -202,14 +200,14 @@ def init_steps(cfg: Configuration) -> Configuration:
     m = cfg.manager
     for r in cfg.reads:
         if not cfg.has_step(r.array, r):
-            cfg.set_step(r.array, r, None, r.array, INIT_READ)
+            cfg.set_step(r.array, r, None, r.array)
     for s in cfg.stores:
         read = m.mk_select(s, s.index)
         if not cfg.has_step(s, read):
-            cfg.set_step(s, read, None, s, INIT_WRITE)
+            cfg.set_step(s, read, None, s)
     for c in cfg.const_arrays:
         if not cfg.has_step(c, c):
-            cfg.set_step(c, c, None, c, INIT_CONST)
+            cfg.set_step(c, c, None, c)
     return cfg
 
 
@@ -283,7 +281,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     restarts, which makes saturation deterministic.
 
     A scan reaches an entry's neighbours through the configuration's
-    adjacency maps (`stores_over`, `eqs_at`) instead of every store and
+    adjacency maps (`hops`, `eqs_at`) instead of every store and
     equality atom; each array equality atom is evaluated once per call,
     and each default entry's crossed store indices are walked once
     (`_crossed`).
@@ -302,36 +300,26 @@ def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
     interp = cfg.interp
     m = cfg.manager
     steps = cfg.steps
-    stores_over = cfg.stores_over
+    hops = cfg.hops
 
     # Priority 1: reads cross stores whose updated index differs.
     for dest, t in steps:
         if t.kind is not Kind.SELECT:
             continue
-        if dest.kind is Kind.STORE and (dest.array, t) not in steps \
-                and interp.value(t.index) != interp.value(dest.index):
-            cfg.set_step(dest.array, t, m.mk_not(m.mk_eq(t.index, dest.index)),
-                         dest, READ_DOWN)
-            return True
-        for s in stores_over.get(dest, ()):
-            if (s, t) not in steps \
+        for other, s in hops.get(dest, ()):
+            if (other, t) not in steps \
                     and interp.value(t.index) != interp.value(s.index):
-                cfg.set_step(s, t, m.mk_not(m.mk_eq(t.index, s.index)),
-                             dest, READ_UP)
+                cfg.set_step(other, t, m.mk_not(m.mk_eq(t.index, s.index)),
+                             dest)
                 return True
 
     # Priority 2: anything propagated copies across a true equality.
     eqs_at = cfg.eqs_at
     for dest, t in steps:
-        for e, other, to_right in eqs_at.get(dest, ()):
-            if e not in holds or (other, t) in steps:
-                continue
-            if t.kind is Kind.SELECT:
-                rule = READ_EQ_RIGHT if to_right else READ_EQ_LEFT
-            else:
-                rule = CONST_EQ_RIGHT if to_right else CONST_EQ_LEFT
-            cfg.set_step(other, t, e, dest, rule)
-            return True
+        for e, other in eqs_at.get(dest, ()):
+            if e in holds and (other, t) not in steps:
+                cfg.set_step(other, t, e, dest)
+                return True
 
     # Priority 3: defaults cross stores while a cell off the updated
     # indices still exists.
@@ -340,14 +328,10 @@ def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
             continue
         sort = t.sort.index
         crossed = _crossed(cfg, dest, t)
-        if dest.kind is Kind.STORE and (dest.array, t) not in steps \
-                and exists_fresh_index(interp, crossed + [dest.index], sort):
-            cfg.set_step(dest.array, t, None, dest, CONST_DOWN)
-            return True
-        for s in stores_over.get(dest, ()):
-            if (s, t) not in steps \
+        for other, s in hops.get(dest, ()):
+            if (other, t) not in steps \
                     and exists_fresh_index(interp, crossed + [s.index], sort):
-                cfg.set_step(s, t, None, dest, CONST_UP)
+                cfg.set_step(other, t, None, dest)
                 return True
 
     return False
@@ -367,23 +351,20 @@ class ConflictInfo:
     lemma: Term
 
 
-def check_conflicts(cfg: Configuration, *,
-                    witnessed: set[Term]) -> Optional[ConflictInfo]:
+def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
     """Scan for a contradiction under the current interpretation.
 
     The four conflict kinds are scanned in a fixed order (read against
     a default, two reads at one array, a falsified array equality
     without a witness read, two defaults at one array) and the first
     hit produces one lemma.  The lemma is appended to the formula set
-    and the propagation state is reset.  ``witnessed`` holds the
-    equality atoms that already received an extensionality witness;
-    the scan adds to it, and a caller that loops must pass the same
-    set on every call, since a fresh one would let the same witness
-    lemma be emitted again and again.  Every lemma but a witness lemma
-    is checked to be false under the interpretation that produced it
+    and the propagation state is reset.  A witness lemma marks its atom
+    in ``cfg.witnessed``, which the reset keeps, so each array equality
+    atom gets at most one.  Every lemma but a witness lemma is checked
+    to be false under the interpretation that produced it
     (:class:`InternalError` otherwise).
     """
-    info = _find_conflict(cfg, witnessed)
+    info = _find_conflict(cfg, cfg.witnessed)
     if info is not None:
         cfg.add_formula(info.lemma)
         cfg.reset()
@@ -392,6 +373,9 @@ def check_conflicts(cfg: Configuration, *,
 
 def _find_conflict(cfg: Configuration,
                    witnessed: set[Term]) -> Optional[ConflictInfo]:
+    """The scan of :func:`check_conflicts`.  A witness lemma's atom is
+    added to ``witnessed``; pass a copy of ``cfg.witnessed`` to scan
+    without marking it."""
     interp = cfg.interp
     m = cfg.manager
 
@@ -682,8 +666,9 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               max_refinements: Optional[int] = None) -> SolveResult:
     """Decide the assertions and, when satisfiable, build a model.
 
-    One ground encoding serves the whole run: each lemma is added to it
-    as clauses, and the SAT core keeps what it learned.  ``seed`` fixes
+    One ground encoding, a :class:`GroundSession` made with ``seed`` and
+    ``budget``, serves the whole run: each lemma is added to it as
+    clauses, and the SAT core keeps what it learned.  ``seed`` fixes
     the ground solver's choices, ``budget`` caps the SAT conflicts of
     each candidate's search, counted afresh for every candidate
     (exhaustion yields verdict ``unknown``), and ``max_refinements``
@@ -702,12 +687,10 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         flat = flatten(manager, assertions)
         cfg = Configuration(manager, flat.all_formulas)
         stats = SolveStats()
-        witnessed: set[Term] = set()
-        session = GroundSession()
+        session = GroundSession(seed=seed, budget=budget)
         while True:
             stats.iterations += 1
-            ground = solve_ground(manager, cfg.formulas, seed=seed,
-                                  budget=budget, session=session)
+            ground = solve_ground(manager, cfg.formulas, session=session)
             stats.ground_conflicts += ground.conflicts
             if ground.verdict is None:
                 return SolveResult("unknown", None, stats)
@@ -717,7 +700,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
             init_steps(cfg)
             propagate_fixpoint(cfg)
             stats.pi_size = len(cfg.steps)
-            info = check_conflicts(cfg, witnessed=witnessed)
+            info = check_conflicts(cfg)
             if info is None:
                 model = complete_model(build_model(cfg), assertions)
                 for scope in (assertions, cfg.formulas):

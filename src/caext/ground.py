@@ -38,10 +38,11 @@ def _width(sort: Sort) -> int:
 class Interpretation:
     """A total assignment for one candidate ground model.
 
-    ``values`` maps every scalar constant, literal, and read node of
-    the encoded formula set to a domain value.  Array terms carry only
-    equivalence-class information: ``array_repr`` maps each array term
-    to its class representative (the lowest-id member).
+    ``values`` maps every scalar constant and read node of the encoded
+    formula set to a domain value; :meth:`value` reads a literal off
+    the literal itself.  Array terms carry only equivalence-class
+    information: ``array_repr`` maps each array term to its class
+    representative (the lowest-id member).
     """
 
     __slots__ = ("values", "array_repr")
@@ -283,23 +284,26 @@ class _Encoder:
 
 class GroundSession:
     """One encoding shared by the `solve_ground` calls of a refinement
-    run.  The formula list passed to each call must extend the previous
-    one; ``asserted`` counts the formulas already encoded.  The SAT
-    solver, with its seed and per-call conflict budget, is made by the
-    first call."""
+    run, with the run's ground settings: ``seed`` fixes the SAT
+    solver's choices and ``budget`` caps the conflicts of each call
+    (``None``: no cap).  The formula list passed to each call must
+    extend the previous one; ``asserted`` counts the formulas already
+    encoded.  The first call makes the SAT solver."""
 
-    def __init__(self) -> None:
+    def __init__(self, seed: int = 0, budget: Optional[int] = None) -> None:
+        self.seed = seed
+        self.budget = budget
         self.enc: Optional[_Encoder] = None
         self.asserted = 0
         self._seen: set[Term] = set()
 
-    def assert_new(self, manager: TermManager, formulas: Sequence[Term],
-                   seed: int, budget: Optional[int]) -> _Encoder:
+    def assert_new(self, manager: TermManager,
+                   formulas: Sequence[Term]) -> _Encoder:
         """Encode ``formulas[asserted:]``, with the virtual reads of the
         stores not seen before; bits are made for new scalar leaves."""
         first = self.enc is None
         if first:
-            self.enc = _Encoder(manager, seed, budget)
+            self.enc = _Encoder(manager, self.seed, self.budget)
         enc = self.enc
         new = formulas[self.asserted:]
         self.asserted = len(formulas)
@@ -325,23 +329,23 @@ class GroundSession:
 
 
 def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
-                 seed: int = 0,
-                 budget: Optional[int] = None,
                  session: Optional[GroundSession] = None) -> GroundResult:
     """Find a total scalar interpretation satisfying ``formulas`` plus
-    the virtual-read equalities, or report ground unsatisfiability.
+    the virtual-read equalities, or report ground unsatisfiability
+    (verdict ``None`` when the session's conflict budget runs out).
 
-    Without ``session`` the call is one-shot.  With one, ``formulas``
-    must extend the list of the session's previous call, and only the
-    added formulas are encoded; ``budget`` caps this call's conflicts
-    and the result's ``conflicts`` counts only them.  Array-equality
-    atoms must all occur in the first call's formulas.
+    Without ``session`` the call is one-shot, with seed 0 and no
+    budget.  With one, ``formulas`` must extend the list of the
+    session's previous call, and only the added formulas are encoded;
+    the session's budget caps this call's conflicts and the result's
+    ``conflicts`` counts only them.  Array-equality atoms must all
+    occur in the first call's formulas.
 
     Deterministic for fixed input and seed.
     """
     if session is None:
         session = GroundSession()
-    enc = session.assert_new(manager, formulas, seed, budget)
+    enc = session.assert_new(manager, formulas)
     before = enc.sat.conflicts
     outcome = enc.sat.solve()
     conflicts = enc.sat.conflicts - before
@@ -350,14 +354,9 @@ def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
     if not outcome:
         return GroundResult("unsat", conflicts=conflicts)
 
-    values: dict[Term, int] = {}
-    for t, bits in enc.bits.items():
-        if t.kind is Kind.VALUE:
-            values[t] = t.value or 0
-        else:
-            values[t] = sum(
-                (1 << k) if _lit_true(enc.sat, lit) else 0
-                for k, lit in enumerate(bits))
+    values = {t: sum((1 << k) if _lit_true(enc.sat, lit) else 0
+                     for k, lit in enumerate(bits))
+              for t, bits in enc.bits.items() if t.kind is not Kind.VALUE}
 
     parent: dict[Term, Term] = {a: a for a in enc.arrays}
 

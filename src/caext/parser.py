@@ -4,7 +4,9 @@ Supported commands: ``set-logic`` (content ignored), ``declare-const``
 (and the zero-arity ``declare-fun`` spelling), zero-arity
 ``define-fun``, ``assert``, ``check-sat`` (at most one), ``get-model``
 (only after ``check-sat``), ``exit``.  One script names each constant
-once, by a declaration or a definition.  In a formula file a
+once, by a declaration or a definition, and a command sees only the
+constants that earlier commands of its script named: a definition's
+own name is not in scope in its body.  In a formula file a
 definition constrains its constant like an assertion; a model file
 consists of definitions.
 
@@ -181,6 +183,8 @@ class Script:
 class _Parser:
     def __init__(self, manager: TermManager):
         self.m = manager
+        # the constants earlier commands of this script named
+        self.scope: dict[str, Term] = {}
 
     # -- diagnostics ----------------------------------------------------
 
@@ -256,7 +260,7 @@ class _Parser:
             except ValueError:
                 self._err(node, f"bad hexadecimal literal {text!r}")
             return self.m.mk_value(self.m.bv_sort(4 * len(hexits)), value)
-        const = self.m.lookup_const(text)
+        const = self.scope.get(text)
         if const is None:
             self._err(node, f"unknown symbol {text!r}", UnknownSymbolError)
         return const
@@ -391,15 +395,19 @@ class _Parser:
         if existing is not None and existing.sort is not sort:
             self._err(args[0], f"{name!r} already declared with sort "
                                f"{existing.sort!r}", SortError)
-        const = self.m.mk_const(name, sort)
+        if name in self.scope:
+            verb = "defined" if head == "define-fun" else "declared"
+            self._err(node, f"{name!r} is {verb} twice")
+        body = None
         if head == "define-fun":
+            # The defined name is not in scope in its own body.
             body = self.term(args[pos + 1])
             if body.sort is not sort:
                 self._err(args[pos + 1],
                           f"body sort {body.sort!r} does not match "
                           f"declared {sort!r}", SortError)
-            return DefineFun(const, body)
-        return DeclareConst(const)
+        const = self.scope[name] = self.m.mk_const(name, sort)
+        return DeclareConst(const) if body is None else DefineFun(const, body)
 
 
 def parse(text: str, manager: Optional[TermManager] = None) -> Script:
@@ -409,7 +417,6 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     p = _Parser(m)
     commands: list[Command] = []
     seen_check = False
-    named: set[Term] = set()
     for node in read_sexprs(text):
         try:
             cmd = p.command(node)
@@ -421,12 +428,6 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
                 raise ParseError("only one check-sat is supported",
                                  node.line, node.col)
             seen_check = True
-        if isinstance(cmd, (DeclareConst, DefineFun)):
-            if cmd.constant in named:
-                verb = "defined" if isinstance(cmd, DefineFun) else "declared"
-                raise ParseError(f"{cmd.constant.name!r} is {verb} twice",
-                                 node.line, node.col)
-            named.add(cmd.constant)
         if isinstance(cmd, GetModel) and not seen_check:
             raise ParseError("get-model before check-sat",
                              node.line, node.col)

@@ -16,18 +16,10 @@ from typing import Optional
 
 from caext import Kind, Term, domain_size
 from caext.engine import (
-    CONST_DOWN,
-    CONST_EQ_LEFT,
-    CONST_EQ_RIGHT,
-    CONST_UP,
     LEMMA_CONST_CONGRUENCE,
     LEMMA_EXTENSIONALITY,
     LEMMA_READ_CONGRUENCE,
     LEMMA_READ_OVER_CONST,
-    READ_DOWN,
-    READ_EQ_LEFT,
-    READ_EQ_RIGHT,
-    READ_UP,
     Configuration,
     ConflictInfo,
     _canonical_indices,
@@ -78,13 +70,13 @@ def _apply_one(cfg: Configuration) -> bool:
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
                 and interp.value(i) != interp.value(dest.index):
             cfg.set_step(dest.array, t,
-                         m.mk_not(m.mk_eq(i, dest.index)), dest, READ_DOWN)
+                         m.mk_not(m.mk_eq(i, dest.index)), dest)
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
                     and interp.value(i) != interp.value(s.index):
                 cfg.set_step(s, t,
-                             m.mk_not(m.mk_eq(i, s.index)), dest, READ_UP)
+                             m.mk_not(m.mk_eq(i, s.index)), dest)
                 return True
 
     # Priority 2: anything propagated copies across a true equality.
@@ -95,12 +87,7 @@ def _apply_one(cfg: Configuration) -> bool:
                 continue
             if not interp.eval(e):
                 continue
-            to_right = e.args[0] is dest
-            if t.kind is Kind.SELECT:
-                rule = READ_EQ_RIGHT if to_right else READ_EQ_LEFT
-            else:
-                rule = CONST_EQ_RIGHT if to_right else CONST_EQ_LEFT
-            cfg.set_step(other, t, e, dest, rule)
+            cfg.set_step(other, t, e, dest)
             return True
 
     # Priority 3: defaults cross stores while a cell off the updated
@@ -112,12 +99,12 @@ def _apply_one(cfg: Configuration) -> bool:
         _, crossed = _walk(cfg, dest, t)
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
                 and exists_fresh_index(interp, crossed + [dest.index], sort):
-            cfg.set_step(dest.array, t, None, dest, CONST_DOWN)
+            cfg.set_step(dest.array, t, None, dest)
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
                     and exists_fresh_index(interp, crossed + [s.index], sort):
-                cfg.set_step(s, t, None, dest, CONST_UP)
+                cfg.set_step(s, t, None, dest)
                 return True
 
     return False

@@ -141,6 +141,23 @@ class TestSolve:
         assert out.out == ""
         assert "unclosed" in out.err
 
+    def test_definition_does_not_see_itself(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(define-fun x () Bool (not x))\n(check-sat)\n")
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: 1:28: unknown symbol 'x'\n"
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_bytes(b"\xff(check-sat)\n")
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "UTF-8" in out.err
+        assert "Traceback" not in out.err
+
     def test_resource_limit_maps_to_exit_3(self, tmp_path, capsys,
                                            monkeypatch):
         import caext.cli as cli_module
@@ -182,6 +199,29 @@ class TestValidate:
                               "(define-fun x () Bool true)\n")
         assert main(["validate", str(path), str(model_path)]) == 0
         assert capsys.readouterr().out == "invalid (= x y)\n"
+
+    def test_model_definition_does_not_see_itself(self, tmp_path, capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const y Bool)\n(assert y)\n(check-sat)\n")
+        model_path = tmp_path / "m.smt2"
+        model_path.write_text("(define-fun y () Bool (not y))\n")
+        assert main(["validate", str(path), str(model_path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: 1:28: unknown symbol 'y'\n"
+
+    @pytest.mark.parametrize("bad", ["file", "modelfile"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys, bad):
+        paths = {"file": tmp_path / "f.smt2", "modelfile": tmp_path / "m.smt2"}
+        paths["file"].write_text("(declare-const y Bool)\n(check-sat)\n")
+        paths["modelfile"].write_text("(define-fun y () Bool true)\n")
+        paths[bad].write_bytes(b"\xff")
+        assert main(["validate", str(paths["file"]),
+                     str(paths["modelfile"])]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "UTF-8" in out.err
+        assert "Traceback" not in out.err
 
     def test_model_with_array_value(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"

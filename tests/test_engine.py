@@ -4,6 +4,8 @@ oracle."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from caext import (
@@ -28,7 +30,7 @@ from caext.benchgen import gen_fuzz
 from caext.errors import (CaextError, InternalError, ResourceLimit,
                           UndefinedStep)
 from caext.flatten import flatten
-from caext.ground import Interpretation, solve_ground
+from caext.ground import GroundSession, Interpretation, solve_ground
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, compute_reason, compute_updated_indices,
@@ -201,7 +203,7 @@ class TestMergedIndexSaturation:
     def test_apply_appends_lemma_and_resets(self, chain):
         cfg = chain.configuration(merged_interp(chain))
         before = len(cfg.formulas)
-        info = check_conflicts(cfg, witnessed=set())
+        info = check_conflicts(cfg)
         assert cfg.formulas[-1] is info.lemma
         assert len(cfg.formulas) == before + 1
         assert cfg.interp is None and not cfg.steps
@@ -287,7 +289,7 @@ class TestPropagationMap:
         cfg = chain.configuration(merged_interp(chain))
         dest, t = next(iter(cfg.steps))
         with pytest.raises(InternalError):
-            cfg.set_step(dest, t, None, dest, "init_read")
+            cfg.set_step(dest, t, None, dest)
 
     def test_false_reason_rejected(self, chain):
         cfg = chain.configuration(merged_interp(chain))
@@ -295,7 +297,7 @@ class TestPropagationMap:
         bad = m.mk_not(m.mk_eq(ex.i1, ex.j1))  # i1 = j1 here
         fresh = m.mk_select(chain.s2, ex.i2)
         with pytest.raises(InternalError):
-            cfg.set_step(ex.a, fresh, bad, chain.s2, "read_down")
+            cfg.set_step(ex.a, fresh, bad, chain.s2)
 
     def test_unjustified_hop_raises(self, chain):
         cfg = chain.configuration(merged_interp(chain))
@@ -464,6 +466,49 @@ class TestExtensionalityWitness:
         assert res.verdict == "sat"
         assert res.stats.lemma_counts.get("extensionality", 0) == 1
 
+    def test_witnessed_survives_reset(self):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(1), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        e = m.mk_eq(a, b)
+        cfg = Configuration(m, [m.mk_not(e)])
+        cfg.interp = solve_ground(m, cfg.formulas).interpretation
+        init_steps(cfg)
+        propagate_fixpoint(cfg)
+        info = check_conflicts(cfg)
+        assert info.rule == "extensionality"
+        assert cfg.interp is None and not cfg.steps
+        assert cfg.witnessed == {e}
+        cfg.reset()
+        assert cfg.witnessed == {e}
+
+    def test_hand_loop_emits_one_witness_per_atom(self):
+        witnesses = 0
+        for seed in range(100):
+            m, assertions = gen_fuzz(seed)
+            cfg = Configuration(m, flatten(m, assertions).all_formulas)
+            session = GroundSession()
+            per_atom: Counter = Counter()
+            for _ in range(200):
+                ground = solve_ground(m, cfg.formulas, session=session)
+                if ground.verdict == "unsat":
+                    break
+                cfg.interp = ground.interpretation
+                init_steps(cfg)
+                propagate_fixpoint(cfg)
+                info = check_conflicts(cfg)
+                if info is None:
+                    break
+                if info.rule == "extensionality":
+                    # The lemma is `not e => (select(lhs, k) != ...)`.
+                    per_atom[info.lemma.args[0].args[0]] += 1
+            else:
+                raise AssertionError(f"seed {seed} did not terminate")
+            assert all(n == 1 for n in per_atom.values()), seed
+            assert set(per_atom) == cfg.witnessed, seed
+            witnesses += len(per_atom)
+        assert witnesses > 0
+
 
 # ---------------------------------------------------------------------------
 # Model construction via the full loop
@@ -613,7 +658,7 @@ class TestFormulaIndex:
         runs = [(chain.m, chain.assertions)]
         runs += [random_instance(seed) for seed in range(30)]
         names = ("reads", "stores", "const_arrays", "array_eq_atoms",
-                 "stores_over", "eqs_at")
+                 "hops", "eqs_at")
 
         def matches_fresh(cfg):
             # Every saturation but the first follows a lemma.
@@ -637,15 +682,18 @@ class TestFormulaIndex:
         s1, s2 = m.mk_store(a, i, i), m.mk_store(a, i, m.mk_not(i))
         e_aa, e_ba, e_s = m.mk_eq(a, a), m.mk_eq(b, a), m.mk_eq(s1, s2)
         cfg = Configuration(m, [e_aa, e_ba, e_s])
-        assert cfg.stores_over == {a: [s1, s2]}
-        assert cfg.eqs_at == {b: [(e_ba, a, True)], a: [(e_ba, b, False)],
-                              s1: [(e_s, s2, True)], s2: [(e_s, s1, False)]}
-        # Formulas added later extend the maps in place.
+        assert cfg.hops == {a: [(s1, s1), (s2, s2)],
+                            s1: [(a, s1)], s2: [(a, s2)]}
+        assert cfg.eqs_at == {b: [(e_ba, a)], a: [(e_ba, b)],
+                              s1: [(e_s, s2)], s2: [(e_s, s1)]}
+        # Formulas added later extend the maps in place; a store's hop
+        # down to its base stays first.
         s3 = m.mk_store(s1, i, i)
         e_new = m.mk_eq(a, s3)
         cfg.add_formula(m.mk_or([e_new, e_ba]))
         fresh = Configuration(m, cfg.formulas)
-        assert cfg.stores_over == fresh.stores_over == {a: [s1, s2],
-                                                        s1: [s3]}
+        assert cfg.hops == fresh.hops
+        assert cfg.hops[s1] == [(a, s1), (s3, s3)]
+        assert cfg.hops[s3] == [(s1, s3)]
         assert cfg.eqs_at == fresh.eqs_at
-        assert cfg.eqs_at[a][-1] == (e_new, s3, True)
+        assert cfg.eqs_at[a][-1] == (e_new, s3)

@@ -183,6 +183,19 @@ class TestDeclareAndDefineFun:
                   "(define-fun x () Bool false)")
         assert (info.value.line, info.value.column) == (3, 1)
 
+    def test_scope_is_the_script_not_the_manager(self):
+        formula = parse("(declare-const y Bool)\n(assert y)")
+        m = formula.manager
+        # A second script may define y; its bodies see only its names.
+        model = parse("(define-fun y () Bool true)\n"
+                      "(define-fun z () Bool (not y))", manager=m)
+        y = m.lookup_const("y")
+        assert list(model.defined) == [y, m.lookup_const("z")]
+        assert model.defined[m.lookup_const("z")] is m.mk_not(y)
+        with pytest.raises(UnknownSymbolError, match="'y'") as info:
+            parse("(define-fun z () Bool y)", manager=m)
+        assert (info.value.line, info.value.column) == (1, 23)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(20))

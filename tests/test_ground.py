@@ -185,10 +185,10 @@ class TestSession:
         # Eight distinct 3-bit values: sat, but not within one conflict.
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
         fs = [m.mk_distinct_n(8, xs)]
-        session = GroundSession()
+        session = GroundSession(budget=1)
         calls = []
         while not calls or calls[-1].verdict is None:
-            calls.append(solve_ground(m, fs, budget=1, session=session))
+            calls.append(solve_ground(m, fs, session=session))
             assert len(calls) < 500
         assert len(calls) > 1 and calls[-1].verdict == "sat"
         assert all(r.conflicts == 2 for r in calls[:-1])
@@ -238,5 +238,5 @@ class TestEvalAndInvariants:
     def test_budget_returns_none(self, m):
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
         fs = [m.mk_distinct_n(8, xs)]
-        res = solve_ground(m, fs, budget=0)
+        res = solve_ground(m, fs, session=GroundSession(budget=0))
         assert res.verdict is None

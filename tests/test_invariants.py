@@ -89,7 +89,6 @@ class LoopAudit:
         return substitute(self.m, term, self.flat.definitions)
 
     def run(self):
-        witnessed = set()
         for _ in range(100):
             ground = solve_ground(self.m, self.cfg.formulas)
             assert ground.verdict is not None
@@ -100,7 +99,7 @@ class LoopAudit:
             propagate_fixpoint(self.cfg)
             self.candidates += 1
             self.audit_saturation()
-            info = check_conflicts(self.cfg, witnessed=witnessed)
+            info = check_conflicts(self.cfg)
             if info is None:
                 model = build_model(self.cfg)
                 assert validate_model(model, self.cfg.formulas)

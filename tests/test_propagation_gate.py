@@ -23,15 +23,12 @@ from reference_propagation import reference_conflict, reference_saturation
 
 
 def _gated_check_sat(m, assertions, rules: Counter):
-    witnessed: set = set()
-
     def gate(cfg):
         fresh = reference_saturation(cfg)
         assert list(cfg.steps.items()) == list(fresh.steps.items())
-        assert list(cfg.step_rule.items()) == list(fresh.step_rule.items())
-        expected = reference_conflict(fresh, witnessed)
-        # Mirrors check_sat's own scan, so `witnessed` tracks its set.
-        info = _find_conflict(cfg, witnessed)
+        expected = reference_conflict(fresh, cfg.witnessed)
+        # check_sat's own scan follows and marks `cfg.witnessed`.
+        info = _find_conflict(cfg, set(cfg.witnessed))
         assert info == expected
         for (dest, t), crossed in cfg.crossed.items():
             assert crossed == _walk(cfg, dest, t)[1]
