@@ -25,7 +25,7 @@ from .errors import (CaextError, IllDefinedModel, InternalError, ParseError,
                      ResourceLimit)
 from .model import Model, complete_model, eval_term, validate_model
 from .oracle import DEFAULT_BOUNDS, OracleBounds, oracle_solve
-from .parser import parse
+from .parser import Script, parse
 from .printer import print_model, print_script, print_term
 from .terms import Sort, TermManager
 
@@ -55,13 +55,16 @@ def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")
 
 
-def _read(path: str) -> str:
-    """The text of ``path``, which must be UTF-8."""
+def _parse_file(path: str, manager: Optional[TermManager] = None) -> Script:
+    """The script in ``path``, which must be UTF-8.  A diagnostic names
+    the file: ``FILE: not UTF-8 text …`` or ``FILE:LINE:COL: …``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"), manager=manager)
     except UnicodeDecodeError as exc:
         raise CaextError(f"{path}: not UTF-8 text (byte offset "
                          f"{exc.start})") from None
+    except ParseError as exc:
+        raise CaextError(f"{path}:{exc}") from None
 
 
 def _parse_bounds(text: Optional[str]) -> OracleBounds:
@@ -85,7 +88,7 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    script = parse(_read(args.file))
+    script = _parse_file(args.file)
     result = check_sat(script.manager, script.assertions,
                        seed=args.seed, budget=args.budget)
     print(result.verdict)
@@ -104,8 +107,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    script = parse(_read(args.file))
-    model_script = parse(_read(args.modelfile), manager=script.manager)
+    script = _parse_file(args.file)
+    model_script = _parse_file(args.modelfile, manager=script.manager)
     model = Model()
     for constant, body in model_script.defined.items():
         model.set(constant, eval_term(model, body))

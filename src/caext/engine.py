@@ -18,9 +18,13 @@ after every new one, so the same candidate always yields the same
 facts in the same order.  A scan reaches the stores next to an array
 (one list of store hops, down to the base and up to each store over
 it) and the equality atoms at it through adjacency maps kept with the
-formula index, and each default's crossed store indices are walked
-once per candidate (Christ & Hoenicke, "Weakly equivalent arrays",
-FroCoS 2015, propagate along such a store graph).
+formula index (Christ & Hoenicke, "Weakly equivalent arrays", FroCoS
+2015, propagate along such a store graph).  One saturation keeps a
+table of the index value of every read and store, the recorded reads
+and the recorded defaults as two lists in recording order that grow
+with each new step, and for each default the set of index values its
+crossed stores block.  So a restart filters no entries, and testing a
+hop takes a few lookups.
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -282,59 +286,96 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
 
     A scan reaches an entry's neighbours through the configuration's
     adjacency maps (`hops`, `eqs_at`) instead of every store and
-    equality atom; each array equality atom is evaluated once per call,
-    and each default entry's crossed store indices are walked once
-    (`_crossed`).
+    equality atom.  The interpretation and the formula set are fixed
+    during the call and entries are write-once, so the call works out
+    once which array equality atoms hold, the index value of every read
+    and store (a table), and each default entry's blocked index values
+    (the values of its crossed store indices, `_crossed`).  Priorities 1
+    and 3 walk the read entries and the default entries as two lists in
+    recording order, appended to as steps are recorded, so no priority
+    filters the whole map.  All of it lives in a :class:`_Scan` that
+    the call drops.
     """
-    interp = cfg.interp
-    holds = {e for e in cfg.array_eq_atoms if interp.eval(e)}
-    while _apply_one(cfg, holds):
+    scan = _Scan(cfg)
+    while scan.apply_one():
         pass
     return cfg
 
 
-def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
-    """Record the first applicable step of the scan, if any.  The
-    loops stop at the step they record, so they may iterate over the
-    live map."""
-    interp = cfg.interp
-    m = cfg.manager
-    steps = cfg.steps
-    hops = cfg.hops
+class _Scan:
+    """What one :func:`propagate_fixpoint` call derives from ``cfg``;
+    nothing of it outlives the call."""
 
-    # Priority 1: reads cross stores whose updated index differs.
-    for dest, t in steps:
-        if t.kind is not Kind.SELECT:
-            continue
-        for other, s in hops.get(dest, ()):
-            if (other, t) not in steps \
-                    and interp.value(t.index) != interp.value(s.index):
-                cfg.set_step(other, t, m.mk_not(m.mk_eq(t.index, s.index)),
-                             dest)
-                return True
+    __slots__ = ("cfg", "holds", "value", "reads", "defaults")
 
-    # Priority 2: anything propagated copies across a true equality.
-    eqs_at = cfg.eqs_at
-    for dest, t in steps:
-        for e, other in eqs_at.get(dest, ()):
-            if e in holds and (other, t) not in steps:
-                cfg.set_step(other, t, e, dest)
-                return True
+    def __init__(self, cfg: Configuration):
+        interp = cfg.interp
+        self.cfg = cfg
+        self.holds = {e for e in cfg.array_eq_atoms if interp.eval(e)}
+        # index term of a read or store -> its value
+        self.value: dict[Term, int] = {}
+        for t in cfg.reads + cfg.stores:
+            if t.index not in self.value:
+                self.value[t.index] = interp.value(t.index)
+        # (destination, read, value of its index), in recording order
+        self.reads: list[tuple[Term, Term, int]] = []
+        # (destination, constant array, values of its crossed indices,
+        # index domain size), in recording order
+        self.defaults: list[tuple[Term, Term, set[int], int]] = []
+        for dest, t in cfg.steps:
+            self._add(dest, t)
 
-    # Priority 3: defaults cross stores while a cell off the updated
-    # indices still exists.
-    for dest, t in steps:
-        if t.kind is not Kind.CONST_ARRAY:
-            continue
-        sort = t.sort.index
-        crossed = _crossed(cfg, dest, t)
-        for other, s in hops.get(dest, ()):
-            if (other, t) not in steps \
-                    and exists_fresh_index(interp, crossed + [s.index], sort):
-                cfg.set_step(other, t, None, dest)
-                return True
+    def _add(self, dest: Term, t: Term) -> None:
+        if t.kind is Kind.SELECT:
+            self.reads.append((dest, t, self.value[t.index]))
+        elif t.kind is Kind.CONST_ARRAY:
+            blocked = {self.value[k] for k in _crossed(self.cfg, dest, t)}
+            self.defaults.append(
+                (dest, t, blocked, domain_size(t.sort.index)))
 
-    return False
+    def _record(self, dest: Term, t: Term, reason: Optional[Term],
+                source: Term) -> None:
+        self.cfg.set_step(dest, t, reason, source)
+        self._add(dest, t)
+
+    def apply_one(self) -> bool:
+        """Record the first applicable step of the scan, if any.  The
+        loops stop at the step they record, so they may iterate over the
+        live lists and map."""
+        cfg = self.cfg
+        m = cfg.manager
+        steps = cfg.steps
+        hops = cfg.hops
+        value = self.value
+
+        # Priority 1: reads cross stores whose updated index differs.
+        for dest, t, v in self.reads:
+            for other, s in hops.get(dest, ()):
+                if (other, t) not in steps and v != value[s.index]:
+                    self._record(other, t,
+                                 m.mk_not(m.mk_eq(t.index, s.index)), dest)
+                    return True
+
+        # Priority 2: anything propagated copies across a true equality.
+        holds = self.holds
+        eqs_at = cfg.eqs_at
+        for dest, t in steps:
+            for e, other in eqs_at.get(dest, ()):
+                if e in holds and (other, t) not in steps:
+                    self._record(other, t, e, dest)
+                    return True
+
+        # Priority 3: defaults cross stores while a cell off the updated
+        # indices still exists.
+        for dest, t, blocked, size in self.defaults:
+            for other, s in hops.get(dest, ()):
+                if (other, t) in steps:
+                    continue
+                if len(blocked) + (value[s.index] not in blocked) < size:
+                    self._record(other, t, None, dest)
+                    return True
+
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .sat import SatSolver
 from .terms import Kind, Sort, Term, TermManager, iter_subterms
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
-_CONNECTIVES = (Kind.NOT, Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE)
 
 
 def _width(sort: Sort) -> int:

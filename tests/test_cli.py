@@ -147,7 +147,7 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: 1:28: unknown symbol 'x'\n"
+        assert out.err == f"error: {path}:1:28: unknown symbol 'x'\n"
 
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"
@@ -208,7 +208,20 @@ class TestValidate:
         assert main(["validate", str(path), str(model_path)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: 1:28: unknown symbol 'y'\n"
+        assert out.err == f"error: {model_path}:1:28: unknown symbol 'y'\n"
+
+    @pytest.mark.parametrize("bad", ["file", "modelfile"])
+    def test_parse_error_names_the_file_at_fault(self, tmp_path, capsys,
+                                                 bad):
+        paths = {"file": tmp_path / "f.smt2", "modelfile": tmp_path / "m.smt2"}
+        paths["file"].write_text("(declare-const y Bool)\n(check-sat)\n")
+        paths["modelfile"].write_text("(define-fun y () Bool true)\n")
+        paths[bad].write_text("\n(define-fun y () Bool z)\n")
+        assert main(["validate", str(paths["file"]),
+                     str(paths["modelfile"])]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {paths[bad]}:2:23: unknown symbol 'z'\n"
 
     @pytest.mark.parametrize("bad", ["file", "modelfile"])
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys, bad):

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import caext.engine
 from caext import (
     OracleBounds,
     TermManager,
@@ -33,8 +34,9 @@ from caext.flatten import flatten
 from caext.ground import GroundSession, Interpretation, solve_ground
 from perfbench.tracing import ENGINE_NAMES
 
-from helpers import (Example2, compute_reason, compute_updated_indices,
-                     random_instance, store_chain, watch_saturations)
+from helpers import (Example2, benchmark_crafted, compute_reason,
+                     compute_updated_indices, random_instance, store_chain,
+                     watch_saturations)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -336,6 +338,46 @@ class TestPropagationMap:
         assert list(cfg.steps) == [(a, m.mk_select(a, i))]
         propagate_fixpoint(cfg)
         assert len(cfg.steps) == 1
+
+    def test_index_values_are_read_once(self, monkeypatch):
+        # Outside `set_step`'s check of each reason literal, a saturation
+        # reads the value of each read's and store's index term at most
+        # once (the value table), not once per hop tried.
+        script = next(benchmark_crafted(1001))
+        value, set_step = Interpretation.value, Configuration.set_step
+        calls: Counter = Counter()
+        checking = []
+
+        def counted_value(interp, t):
+            if not checking:
+                calls[t] += 1
+            return value(interp, t)
+
+        def uncounted_set_step(cfg, *args):
+            checking.append(True)
+            try:
+                set_step(cfg, *args)
+            finally:
+                checking.pop()
+
+        saturate = caext.engine.propagate_fixpoint
+        recorded = []
+
+        def counted(cfg):
+            before = len(cfg.steps)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Interpretation, "value", counted_value)
+                patch.setattr(Configuration, "set_step", uncounted_set_step)
+                saturate(cfg)
+            assert set(calls) <= {t.index for t in cfg.reads + cfg.stores}
+            assert max(calls.values()) == 1
+            recorded.append(len(cfg.steps) - before)
+            return cfg
+
+        monkeypatch.setattr(caext.engine, "propagate_fixpoint", counted)
+        check_sat(script.manager, script.assertions)
+        assert len(recorded) > 1 and min(recorded) > 0
 
 
 # ---------------------------------------------------------------------------

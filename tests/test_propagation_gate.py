@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from caext import check_sat
+from caext import TermManager, check_sat
 from caext.benchgen import gen_fuzz
 from caext.engine import _find_conflict, _walk
 
@@ -58,3 +58,44 @@ def test_crafted_ladder_matches_reference(seed):
         rungs += 1
     assert rungs == 15
     assert set(rules) == {"read_over_const", "const_congruence", "none"}
+
+
+@pytest.mark.parametrize("width", [12, 64])
+def test_wide_shape_matches_reference(width):
+    # a != b and store(a, i, false) = const(false) over width-bit indices
+    m = TermManager()
+    asort = m.array_sort(m.bv_sort(width), m.bool_sort)
+    a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+    i = m.mk_const("i", m.bv_sort(width))
+    false = m.mk_value(m.bool_sort, 0)
+    assertions = [m.mk_not(m.mk_eq(a, b)),
+                  m.mk_eq(m.mk_store(a, i, false),
+                          m.mk_const_array(asort, false))]
+    rules: Counter = Counter()
+    assert _gated_check_sat(m, assertions, rules).verdict == "sat"
+    assert rules["none"] == 1
+
+
+def test_default_stops_where_two_stores_cover_the_domain():
+    # Over 1-bit indices with i != j, the two stores update every cell:
+    # the default crosses the first store down from the top but not the
+    # second, so it never reaches `a`.
+    m = TermManager()
+    idx = m.bv_sort(1)
+    asort = m.array_sort(idx, m.bool_sort)
+    a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+    i, j = m.mk_const("i", idx), m.mk_const("j", idx)
+    false = m.mk_value(m.bool_sort, 0)
+    below = m.mk_store(a, i, false)
+    c = m.mk_const_array(asort, false)
+    assertions = [m.mk_not(m.mk_eq(a, b)), m.mk_not(m.mk_eq(i, j)),
+                  m.mk_eq(m.mk_store(below, j, false), c)]
+    reached = []
+
+    def note_reach(cfg):
+        reached.append((cfg.has_step(below, c), cfg.has_step(a, c)))
+
+    rules: Counter = Counter()
+    with watch_saturations(note_reach):
+        assert _gated_check_sat(m, assertions, rules).verdict == "sat"
+    assert reached and set(reached) == {(True, False)}
