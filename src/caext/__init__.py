@@ -17,7 +17,6 @@ from .engine import (
     build_model,
     check_conflicts,
     check_sat,
-    exists_fresh_index,
     init_steps,
     propagate_fixpoint,
 )
@@ -71,8 +70,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConflictInfo", "SolveResult", "SolveStats",
-    "build_model", "check_conflicts", "check_sat", "exists_fresh_index",
-    "init_steps", "propagate_fixpoint",
+    "build_model", "check_conflicts", "check_sat", "init_steps",
+    "propagate_fixpoint",
     "BoundsExceeded", "CaextError", "IllDefinedModel", "InternalError",
     "ParseError", "ResourceLimit", "SortError", "SortMismatch",
     "UnassignedConstant", "UndefinedStep", "UnknownSymbolError",

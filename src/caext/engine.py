@@ -18,13 +18,13 @@ after every new one, so the same candidate always yields the same
 facts in the same order.  A scan reaches the stores next to an array
 (one list of store hops, down to the base and up to each store over
 it) and the equality atoms at it through adjacency maps kept with the
-formula index (Christ & Hoenicke, "Weakly equivalent arrays", FroCoS
-2015, propagate along such a store graph).  One saturation keeps a
-table of the index value of every read and store, the recorded reads
-and the recorded defaults as two lists in recording order that grow
-with each new step, and for each default the set of index values its
-crossed stores block.  So a restart filters no entries, and testing a
-hop takes a few lookups.
+formula index.  Each step carries what later phases need from it, as
+Christ & Hoenicke ("Weakly equivalent arrays", FroCoS 2015) carry the
+crossed indices along each hop of such a store graph: a read step its
+index value, a default step the set of index values its crossed
+stores block, derived from the step's source when the step is
+recorded.  Propagation, the conflict scan and the model read these
+records, and a recorded path is walked back only to write a lemma.
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -66,7 +66,6 @@ __all__ = [
     "build_model",
     "check_conflicts",
     "check_sat",
-    "exists_fresh_index",
     "init_steps",
     "propagate_fixpoint",
 ]
@@ -98,8 +97,19 @@ class Configuration:
     atom is a copy across that equality, and any other hop crosses the
     store between source and destination.  Entries are write-once
     between resets; sources always point at an entry recorded earlier,
-    so justification chains are acyclic, and every reason literal holds
-    under the interpretation.  :meth:`set_step` enforces all three.
+    so justification chains are acyclic, every reason literal holds
+    under the interpretation, and a hop without a reason crosses a
+    store.  :meth:`set_step` enforces all four.
+
+    :meth:`set_step` also records what later phases read off a step, in
+    recording order: ``read_steps`` holds ``(destination, read, index
+    value)``, and ``default_steps`` maps ``(destination, constant
+    array)`` to ``(blocked index values, index domain size)``.  A
+    default's blocked set is empty at its starting point, the source's
+    set across an equality, and the source's set plus the crossed
+    store's index value across a store, so it equals the values of the
+    store indices on the recorded path.  Every value is read from the
+    interpretation once per candidate (:meth:`value`).
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
@@ -123,9 +133,11 @@ class Configuration:
         # array -> (atom, other side), in `array_eq_atoms` order; an
         # atom `a = a` has no entry
         self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
-        # (destination array, constant array) -> the crossed store
-        # indices of its recorded path; see `_crossed`
-        self.crossed: dict[tuple[Term, Term], list[Term]] = {}
+        # filled per candidate by `set_step` and `value`
+        self.read_steps: list[tuple[Term, Term, int]] = []
+        self.default_steps: dict[tuple[Term, Term],
+                                 tuple[frozenset[int], int]] = {}
+        self.values: dict[Term, int] = {}
         self._index(self.formulas)
 
     # -- formula-set term index ------------------------------------------
@@ -185,14 +197,37 @@ class Configuration:
         if reason is not None and not self.interp.eval(reason):
             raise InternalError(
                 "step reason is false under the current interpretation")
+        crossed = None if reason is not None or source is dest \
+            else _hop_index(dest, source)
+        if t.kind is Kind.SELECT:
+            self.read_steps.append((dest, t, self.value(t.index)))
+        elif t.kind is Kind.CONST_ARRAY:
+            if source is dest:
+                blocked, size = frozenset(), domain_size(t.sort.index)
+            else:
+                blocked, size = self.default_steps[(source, t)]
+                if crossed is not None:
+                    blocked = blocked | {self.value(crossed)}
+            self.default_steps[key] = (blocked, size)
         self.steps[key] = (reason, source)
 
+    def value(self, t: Term) -> int:
+        """The value of the scalar term ``t`` under the interpretation,
+        read from it once per candidate."""
+        v = self.values.get(t)
+        if v is None:
+            v = self.values[t] = self.interp.value(t)
+        return v
+
     def reset(self) -> None:
-        """Discard the candidate interpretation and all recorded steps;
-        the formula set and ``witnessed`` stay."""
+        """Discard the candidate interpretation, all recorded steps and
+        what was read off them; the formula set and ``witnessed``
+        stay."""
         self.interp = None
         self.steps.clear()
-        self.crossed.clear()
+        self.read_steps.clear()
+        self.default_steps.clear()
+        self.values.clear()
 
 
 def init_steps(cfg: Configuration) -> Configuration:
@@ -215,13 +250,16 @@ def init_steps(cfg: Configuration) -> Configuration:
     return cfg
 
 
-def exists_fresh_index(interp: Interpretation,
-                       index_terms: Iterable[Term],
-                       sort: Sort) -> bool:
-    """True iff some value of ``sort`` differs from the value of every
-    given index term under ``interp``."""
-    used = {interp.value(k) for k in index_terms}
-    return len(used) < domain_size(sort)
+def _hop_index(dest: Term, source: Term) -> Term:
+    """The index of the store that a hop without a reason crosses from
+    ``source`` to ``dest``: up from a store's base, or down from a
+    store to it."""
+    if source.kind is Kind.STORE and source.array is dest:
+        return source.index
+    if dest.kind is Kind.STORE and dest.array is source:
+        return dest.index
+    raise InternalError(
+        f"unjustified hop {dest!r} <- {source!r} crosses no store")
 
 
 def _walk(cfg: Configuration, dest: Term,
@@ -239,28 +277,11 @@ def _walk(cfg: Configuration, dest: Term,
             break
         if reason is not None:
             lits.append(reason)
-        elif src.kind is Kind.STORE and src.array is cur:
-            indices.append(src.index)
-        elif cur.kind is Kind.STORE and cur.array is src:
-            indices.append(cur.index)
         else:
-            raise InternalError(
-                f"unjustified hop {cur!r} <- {src!r} crosses no store")
+            indices.append(_hop_index(cur, src))
         cur = src
     lits.reverse()
     return lits, indices
-
-
-def _crossed(cfg: Configuration, dest: Term, t: Term) -> list[Term]:
-    """The crossed store indices of ``_walk(cfg, dest, t)``, walked once
-    per entry and saturation: entries are write-once until
-    :meth:`Configuration.reset`, which clears the memo.  Callers must
-    not mutate the returned list."""
-    key = (dest, t)
-    indices = cfg.crossed.get(key)
-    if indices is None:
-        indices = cfg.crossed[key] = _walk(cfg, dest, t)[1]
-    return indices
 
 
 def _canonical_indices(cfg: Configuration,
@@ -286,96 +307,57 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
 
     A scan reaches an entry's neighbours through the configuration's
     adjacency maps (`hops`, `eqs_at`) instead of every store and
-    equality atom.  The interpretation and the formula set are fixed
-    during the call and entries are write-once, so the call works out
-    once which array equality atoms hold, the index value of every read
-    and store (a table), and each default entry's blocked index values
-    (the values of its crossed store indices, `_crossed`).  Priorities 1
-    and 3 walk the read entries and the default entries as two lists in
-    recording order, appended to as steps are recorded, so no priority
-    filters the whole map.  All of it lives in a :class:`_Scan` that
-    the call drops.
+    equality atom.  Priorities 1 and 3 walk ``cfg.read_steps`` and
+    ``cfg.default_steps``, which `set_step` extends as steps are
+    recorded, so they test a hop with the index value and blocked set
+    its entry carries.  The one thing the call works out itself is
+    which array equality atoms hold: the interpretation and the formula
+    set are fixed during the call.
     """
-    scan = _Scan(cfg)
-    while scan.apply_one():
+    holds = {e for e in cfg.array_eq_atoms if cfg.interp.eval(e)}
+    while _apply_one(cfg, holds):
         pass
     return cfg
 
 
-class _Scan:
-    """What one :func:`propagate_fixpoint` call derives from ``cfg``;
-    nothing of it outlives the call."""
+def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
+    """Record the first applicable step of the scan, if any.  The loops
+    stop at the step they record, so they may iterate over the live
+    lists and maps."""
+    m = cfg.manager
+    steps = cfg.steps
+    hops = cfg.hops
+    # `init_steps` recorded each store's read of its own index, so the
+    # value of every store index is already in the memo.
+    values = cfg.values
 
-    __slots__ = ("cfg", "holds", "value", "reads", "defaults")
+    # Priority 1: reads cross stores whose updated index differs.
+    for dest, t, v in cfg.read_steps:
+        for other, s in hops.get(dest, ()):
+            if (other, t) not in steps and v != values[s.index]:
+                cfg.set_step(other, t, m.mk_not(m.mk_eq(t.index, s.index)),
+                             dest)
+                return True
 
-    def __init__(self, cfg: Configuration):
-        interp = cfg.interp
-        self.cfg = cfg
-        self.holds = {e for e in cfg.array_eq_atoms if interp.eval(e)}
-        # index term of a read or store -> its value
-        self.value: dict[Term, int] = {}
-        for t in cfg.reads + cfg.stores:
-            if t.index not in self.value:
-                self.value[t.index] = interp.value(t.index)
-        # (destination, read, value of its index), in recording order
-        self.reads: list[tuple[Term, Term, int]] = []
-        # (destination, constant array, values of its crossed indices,
-        # index domain size), in recording order
-        self.defaults: list[tuple[Term, Term, set[int], int]] = []
-        for dest, t in cfg.steps:
-            self._add(dest, t)
+    # Priority 2: anything propagated copies across a true equality.
+    eqs_at = cfg.eqs_at
+    for dest, t in steps:
+        for e, other in eqs_at.get(dest, ()):
+            if e in holds and (other, t) not in steps:
+                cfg.set_step(other, t, e, dest)
+                return True
 
-    def _add(self, dest: Term, t: Term) -> None:
-        if t.kind is Kind.SELECT:
-            self.reads.append((dest, t, self.value[t.index]))
-        elif t.kind is Kind.CONST_ARRAY:
-            blocked = {self.value[k] for k in _crossed(self.cfg, dest, t)}
-            self.defaults.append(
-                (dest, t, blocked, domain_size(t.sort.index)))
+    # Priority 3: defaults cross stores while a cell off the updated
+    # indices still exists.
+    for (dest, t), (blocked, size) in cfg.default_steps.items():
+        for other, s in hops.get(dest, ()):
+            if (other, t) in steps:
+                continue
+            if len(blocked) + (values[s.index] not in blocked) < size:
+                cfg.set_step(other, t, None, dest)
+                return True
 
-    def _record(self, dest: Term, t: Term, reason: Optional[Term],
-                source: Term) -> None:
-        self.cfg.set_step(dest, t, reason, source)
-        self._add(dest, t)
-
-    def apply_one(self) -> bool:
-        """Record the first applicable step of the scan, if any.  The
-        loops stop at the step they record, so they may iterate over the
-        live lists and map."""
-        cfg = self.cfg
-        m = cfg.manager
-        steps = cfg.steps
-        hops = cfg.hops
-        value = self.value
-
-        # Priority 1: reads cross stores whose updated index differs.
-        for dest, t, v in self.reads:
-            for other, s in hops.get(dest, ()):
-                if (other, t) not in steps and v != value[s.index]:
-                    self._record(other, t,
-                                 m.mk_not(m.mk_eq(t.index, s.index)), dest)
-                    return True
-
-        # Priority 2: anything propagated copies across a true equality.
-        holds = self.holds
-        eqs_at = cfg.eqs_at
-        for dest, t in steps:
-            for e, other in eqs_at.get(dest, ()):
-                if e in holds and (other, t) not in steps:
-                    self._record(other, t, e, dest)
-                    return True
-
-        # Priority 3: defaults cross stores while a cell off the updated
-        # indices still exists.
-        for dest, t, blocked, size in self.defaults:
-            for other, s in hops.get(dest, ()):
-                if (other, t) in steps:
-                    continue
-                if len(blocked) + (value[s.index] not in blocked) < size:
-                    self._record(other, t, None, dest)
-                    return True
-
-        return False
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +399,12 @@ def _find_conflict(cfg: Configuration,
     """The scan of :func:`check_conflicts`.  A witness lemma's atom is
     added to ``witnessed``; pass a copy of ``cfg.witnessed`` to scan
     without marking it."""
-    interp = cfg.interp
     m = cfg.manager
 
     # 1. A read reached a constant array whose default disagrees.
-    for dest, t in cfg.steps:
-        if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
-                and interp.value(t) != interp.value(dest.default):
+    for dest, t, _ in cfg.read_steps:
+        if dest.kind is Kind.CONST_ARRAY \
+                and cfg.value(t) != cfg.value(dest.default):
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
             return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
@@ -434,11 +415,9 @@ def _find_conflict(cfg: Configuration,
     #    (array, index value) bucket all agree, so the bucket's first
     #    read is the hit's earlier entry.
     first: dict[tuple[Term, int], Term] = {}
-    for dest, t2 in cfg.steps:
-        if t2.kind is not Kind.SELECT:
-            continue
-        t1 = first.setdefault((dest, interp.value(t2.index)), t2)
-        if t1 is t2 or interp.value(t1) == interp.value(t2):
+    for dest, t2, v in cfg.read_steps:
+        t1 = first.setdefault((dest, v), t2)
+        if t1 is t2 or cfg.value(t1) == cfg.value(t2):
             continue
         lits1, _ = _walk(cfg, dest, t1)
         lits2, _ = _walk(cfg, dest, t2)
@@ -450,7 +429,7 @@ def _find_conflict(cfg: Configuration,
 
     # 3. A falsified array equality that has no witness read yet.
     for e in cfg.array_eq_atoms:
-        if e in witnessed or interp.eval(e):
+        if e in witnessed or cfg.interp.eval(e):
             continue
         witnessed.add(e)
         lhs, rhs = e.args
@@ -464,18 +443,19 @@ def _find_conflict(cfg: Configuration,
     for dest, c1, c2 in _const_pairs(cfg):
         if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
             c1, c2 = c2, c1
-        if interp.value(c1.default) == interp.value(c2.default):
+        if cfg.value(c1.default) == cfg.value(c2.default):
             continue
-        sort = c1.sort.index
-        idx1, idx2 = _crossed(cfg, dest, c1), _crossed(cfg, dest, c2)
-        if not exists_fresh_index(interp, idx1 + idx2, sort):
+        b1, size = cfg.default_steps[(dest, c1)]
+        b2 = cfg.default_steps[(dest, c2)][0]
+        if len(b1 | b2) >= size:
             continue
-        ante = _walk(cfg, dest, c1)[0] + _walk(cfg, dest, c2)[0]
+        lits1, idx1 = _walk(cfg, dest, c1)
+        lits2, idx2 = _walk(cfg, dest, c2)
+        ante = lits1 + lits2
         multiset = (_canonical_indices(cfg, idx1)
                     + _canonical_indices(cfg, idx2))
         if multiset:
-            ante.append(m.mk_not(
-                m.mk_distinct_n(domain_size(sort), multiset)))
+            ante.append(m.mk_not(m.mk_distinct_n(size, multiset)))
         lemma = _implication(m, ante, m.mk_eq(c1.default, c2.default))
         return _checked(cfg, ConflictInfo(LEMMA_CONST_CONGRUENCE, lemma))
 
@@ -487,12 +467,11 @@ def _const_pairs(cfg: Configuration):
     by when the later entry of the pair was recorded, then the earlier
     one."""
     earlier: dict[Term, list[Term]] = {}
-    for dest, t in cfg.steps:
-        if t.kind is Kind.CONST_ARRAY:
-            seen = earlier.setdefault(dest, [])
-            for t1 in seen:
-                yield dest, t1, t
-            seen.append(t)
+    for dest, t in cfg.default_steps:
+        seen = earlier.setdefault(dest, [])
+        for t1 in seen:
+            yield dest, t1, t
+        seen.append(t)
 
 
 def _implication(m: TermManager, antecedent: Sequence[Term],
@@ -538,8 +517,7 @@ def build_model(cfg: Configuration) -> Model:
     saturation, so they raise :class:`IllDefinedModel` to flag an
     engine bug.
     """
-    interp = cfg.interp
-    if interp is None:
+    if cfg.interp is None:
         raise InternalError("build_model needs a candidate interpretation")
     cells = _CellSolver(cfg)
     model = Model()
@@ -549,7 +527,7 @@ def build_model(cfg: Configuration) -> Model:
         if t.sort.is_array:
             model.set(t, cells.table(t))
         else:
-            model.set(t, interp.value(t))
+            model.set(t, cfg.value(t))
     return model
 
 
@@ -574,35 +552,33 @@ class _CellSolver:
     """
 
     def __init__(self, cfg: Configuration):
-        interp = cfg.interp
+        value = cfg.value
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
         covered: dict[Sort, set[int]] = {}
         for t in cfg.reads + cfg.stores:
-            covered.setdefault(t.index.sort, set()).add(interp.value(t.index))
+            covered.setdefault(t.index.sort, set()).add(value(t.index))
         self._classes: dict[Sort, list[int]] = {
             sort: sorted(vals) + ([] if len(vals) == domain_size(sort)
                                   else [_REST])
             for sort, vals in covered.items()}
         for t in cfg.stores:
-            at = interp.value(t.index)
+            at = value(t.index)
             for x in self._classes_of(t.sort):
                 if x != at:
                     self._union((t, x), (t.array, x))
         for e in cfg.array_eq_atoms:
-            if interp.eval(e):
+            if cfg.interp.eval(e):
                 lhs, rhs = e.args
                 for x in self._classes_of(lhs.sort):
                     self._union((lhs, x), (rhs, x))
-        for (dest, t) in cfg.steps:
-            if t.kind is Kind.SELECT:
-                self._pin((dest, interp.value(t.index)), interp.value(t))
-            elif t.kind is Kind.CONST_ARRAY:
-                blocked = {interp.value(k) for k in _crossed(cfg, dest, t)}
-                val = interp.value(t.default)
-                for x in self._classes_of(t.sort):
-                    if x not in blocked:
-                        self._pin((dest, x), val)
+        for dest, t, v in cfg.read_steps:
+            self._pin((dest, v), value(t))
+        for (dest, t), (blocked, _) in cfg.default_steps.items():
+            val = value(t.default)
+            for x in self._classes_of(t.sort):
+                if x not in blocked:
+                    self._pin((dest, x), val)
 
     def _classes_of(self, array_sort: Sort) -> list[int]:
         return self._classes.get(array_sort.index, [_REST])

@@ -13,11 +13,13 @@ consists of definitions.
 Terms: ``select``, ``store``, ``((as const (Array s t)) v)``,
 chainable ``=``, ``distinct`` (expanded to pairwise disequalities),
 ``not``, ``and``, ``or``, ``=>``, ``ite``, ``true``/``false`` and
-``#b``/``#x`` literals.  All diagnostics carry a line:column location.
+``#b``/``#x`` literals; these names and every other ``#`` name cannot
+be declared.  All diagnostics carry a line:column location.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -207,7 +209,8 @@ class _Parser:
         items = node.items or []
         if len(items) == 3 and items[0].atom == "_" and items[1].atom == "BitVec":
             width_txt = self._expect_atom(items[2], "bit-vector width")
-            if not width_txt.isdigit() or int(width_txt) < 1:
+            if not (width_txt.isascii() and width_txt.isdigit()) \
+                    or int(width_txt) < 1:
                 self._err(items[2], f"bad bit-vector width {width_txt!r}",
                           SortError)
             return self.m.bv_sort(int(width_txt))
@@ -255,11 +258,10 @@ class _Parser:
             return self.m.mk_value(self.m.bv_sort(len(bits)), int(bits, 2))
         if text.startswith("#x"):
             hexits = text[2:]
-            try:
-                value = int(hexits, 16)
-            except ValueError:
+            if not hexits or set(hexits) - set(string.hexdigits):
                 self._err(node, f"bad hexadecimal literal {text!r}")
-            return self.m.mk_value(self.m.bv_sort(4 * len(hexits)), value)
+            return self.m.mk_value(self.m.bv_sort(4 * len(hexits)),
+                                   int(hexits, 16))
         const = self.scope.get(text)
         if const is None:
             self._err(node, f"unknown symbol {text!r}", UnknownSymbolError)
@@ -383,6 +385,8 @@ class _Parser:
         if len(args) != want:
             self._err(node, f"{head} takes {want} arguments")
         name = self._expect_atom(args[0], "a symbol")
+        if name in ("true", "false") or name.startswith("#"):
+            self._err(args[0], f"reserved name {name!r}")
         pos = 1
         if takes_params:
             params = args[1]

@@ -12,9 +12,9 @@ steps, in the same order, and finds the same conflicts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from caext import Kind, Term, domain_size
+from caext import Interpretation, Kind, Sort, Term, domain_size
 from caext.engine import (
     LEMMA_CONST_CONGRUENCE,
     LEMMA_EXTENSIONALITY,
@@ -26,7 +26,6 @@ from caext.engine import (
     _checked,
     _implication,
     _walk,
-    exists_fresh_index,
     init_steps,
 )
 
@@ -46,6 +45,15 @@ def reference_conflict(cfg: Configuration,
                        witnessed: set[Term]) -> Optional[ConflictInfo]:
     """The reference conflict scan on a copy of ``witnessed``."""
     return _find_conflict(cfg, set(witnessed))
+
+
+def exists_fresh_index(interp: Interpretation,
+                       index_terms: Iterable[Term],
+                       sort: Sort) -> bool:
+    """True iff some value of ``sort`` differs from the value of every
+    given index term under ``interp``."""
+    used = {interp.value(k) for k in index_terms}
+    return len(used) < domain_size(sort)
 
 
 def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:

@@ -149,6 +149,31 @@ class TestSolve:
         assert out.out == ""
         assert out.err == f"error: {path}:1:28: unknown symbol 'x'\n"
 
+    @pytest.mark.parametrize("text,diagnostic", [
+        ("(declare-const y (_ BitVec \u00b2))",
+         "1:28: bad bit-vector width '\u00b2'"),
+        ("(declare-const y (_ BitVec \u0663))",
+         "1:28: bad bit-vector width '\u0663'"),
+        ("(declare-const y (_ BitVec 4))(assert (= y #x+1))",
+         "1:44: bad hexadecimal literal '#x+1'"),
+        ("(declare-const y (_ BitVec 8))(assert (= y #x1_0))",
+         "1:44: bad hexadecimal literal '#x1_0'"),
+        ("(declare-const y (_ BitVec 4))(assert (= y #x-1))",
+         "1:44: bad hexadecimal literal '#x-1'"),
+        ("(declare-const true Bool)(declare-const false Bool)"
+         "(assert (= true false))", "1:16: reserved name 'true'"),
+        ("(declare-fun false () Bool)", "1:14: reserved name 'false'"),
+        ("(define-fun #b1 () Bool true)", "1:13: reserved name '#b1'"),
+    ])
+    def test_malformed_numeral_or_reserved_name_is_located(
+            self, tmp_path, capsys, text, diagnostic):
+        path = tmp_path / "f.smt2"
+        path.write_text(text + "\n(check-sat)\n", encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}:{diagnostic}\n"
+
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"
         path.write_bytes(b"\xff(check-sat)\n")

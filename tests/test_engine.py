@@ -23,7 +23,6 @@ from caext.engine import (
     build_model,
     check_conflicts,
     check_sat,
-    exists_fresh_index,
     init_steps,
     propagate_fixpoint,
 )
@@ -37,6 +36,7 @@ from perfbench.tracing import ENGINE_NAMES
 from helpers import (Example2, benchmark_crafted, compute_reason,
                      compute_updated_indices, random_instance, store_chain,
                      watch_saturations)
+from reference_propagation import exists_fresh_index
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -339,45 +339,96 @@ class TestPropagationMap:
         propagate_fixpoint(cfg)
         assert len(cfg.steps) == 1
 
-    def test_index_values_are_read_once(self, monkeypatch):
-        # Outside `set_step`'s check of each reason literal, a saturation
-        # reads the value of each read's and store's index term at most
-        # once (the value table), not once per hop tried.
+    def test_storeless_default_hop_rejected_at_once(self, chain):
+        cfg = chain.configuration(merged_interp(chain))
+        m, ex = chain.m, chain.ex
+        cz = m.mk_const_array(ex.a.sort, m.mk_const("z", m.bool_sort))
+        cfg.set_step(cz, cz, None, cz)
+        # No reason, and no store links a to cz: the hop is unjustified.
+        with pytest.raises(InternalError, match="crosses no store"):
+            cfg.set_step(ex.a, cz, None, cz)
+        assert not cfg.has_step(ex.a, cz)
+        assert (ex.a, cz) not in cfg.default_steps
+
+    def test_index_values_are_read_once_per_candidate(self, monkeypatch):
+        # Across one candidate (init_steps, propagation, conflict scan
+        # and build_model), and outside `Interpretation.eval`, the value
+        # of each read's and store's index term is read from the
+        # interpretation at most once.
         script = next(benchmark_crafted(1001))
-        value, set_step = Interpretation.value, Configuration.set_step
+        value, evaluate = Interpretation.value, Interpretation.eval
         calls: Counter = Counter()
-        checking = []
+        evaluating = []
 
         def counted_value(interp, t):
-            if not checking:
-                calls[t] += 1
+            if not evaluating:
+                calls[(interp, t)] += 1
             return value(interp, t)
 
-        def uncounted_set_step(cfg, *args):
-            checking.append(True)
+        def uncounted_eval(interp, f):
+            evaluating.append(True)
             try:
-                set_step(cfg, *args)
+                return evaluate(interp, f)
             finally:
-                checking.pop()
+                evaluating.pop()
 
-        saturate = caext.engine.propagate_fixpoint
-        recorded = []
+        monkeypatch.setattr(Interpretation, "value", counted_value)
+        monkeypatch.setattr(Interpretation, "eval", uncounted_eval)
+        seen = []
+        with watch_saturations(seen.append):
+            res = check_sat(script.manager, script.assertions)
+        assert res.verdict == "sat"
+        cfg = seen[-1]
+        index_terms = {t.index for t in cfg.reads + cfg.stores}
+        reads = Counter()
+        for (interp, t), n in calls.items():
+            if t in index_terms:
+                reads[interp] = max(reads[interp], n)
+        assert len(seen) > 1 and len(reads) == len(seen)
+        assert set(reads.values()) == {1}
 
-        def counted(cfg):
-            before = len(cfg.steps)
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(Interpretation, "value", counted_value)
-                patch.setattr(Configuration, "set_step", uncounted_set_step)
-                saturate(cfg)
-            assert set(calls) <= {t.index for t in cfg.reads + cfg.stores}
-            assert max(calls.values()) == 1
-            recorded.append(len(cfg.steps) - before)
-            return cfg
+    @pytest.mark.parametrize("family", ["fuzz", "crafted"])
+    def test_paths_are_walked_only_for_lemmas(self, monkeypatch, family):
+        # Within one check_sat, a candidate walks recorded paths back
+        # only to write the lemma it emits: at most two walks per lemma,
+        # none for a witness lemma and none on the accepted candidate.
+        walk = caext.engine._walk
+        initialise = caext.engine.init_steps
+        scan = caext.engine.check_conflicts
+        candidates = []
 
-        monkeypatch.setattr(caext.engine, "propagate_fixpoint", counted)
-        check_sat(script.manager, script.assertions)
-        assert len(recorded) > 1 and min(recorded) > 0
+        def counted_walk(cfg, dest, t):
+            candidates[-1][0] += 1
+            return walk(cfg, dest, t)
+
+        def noted_init_steps(cfg):
+            candidates.append([0, None])
+            return initialise(cfg)
+
+        def noted_check_conflicts(cfg):
+            info = scan(cfg)
+            candidates[-1][1] = info
+            return info
+
+        monkeypatch.setattr(caext.engine, "_walk", counted_walk)
+        monkeypatch.setattr(caext.engine, "init_steps", noted_init_steps)
+        monkeypatch.setattr(caext.engine, "check_conflicts",
+                            noted_check_conflicts)
+        if family == "fuzz":
+            instances = [gen_fuzz(seed) for seed in range(200)]
+        else:
+            script = next(benchmark_crafted(1001))
+            instances = [(script.manager, script.assertions)]
+        limits = {None: 0, "extensionality": 0}
+        rules = Counter()
+        for m, assertions in instances:
+            candidates.clear()
+            check_sat(m, assertions)
+            for walks, info in candidates:
+                rule = info.rule if info else None
+                assert walks <= limits.get(rule, 2), (rule, walks)
+                rules[rule] += 1
+        assert rules[None] > 0 and sum(rules.values()) > rules[None]
 
 
 # ---------------------------------------------------------------------------

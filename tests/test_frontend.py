@@ -146,6 +146,27 @@ class TestParseErrors:
         with pytest.raises(SortError):
             parse("(declare-const y (_ BitVec 0))")
 
+    @pytest.mark.parametrize("width", ["\u00b2", "\u0663", "+3", "3_0"])
+    def test_width_of_other_digits_is_a_located_error(self, width):
+        # str.isdigit accepts superscripts and other scripts' digits,
+        # int accepts signs and underscores; a width is [0-9]+.
+        with pytest.raises(SortError, match="bad bit-vector width") as info:
+            parse(f"(declare-const y (_ BitVec {width}))")
+        assert (info.value.line, info.value.column) == (1, 28)
+
+    @pytest.mark.parametrize("literal",
+                             ["#x", "#x+1", "#x-1", "#x1_0", "#x\u0661"])
+    def test_hex_literal_of_other_characters_is_a_located_error(
+            self, literal):
+        with pytest.raises(ParseError,
+                           match="bad hexadecimal literal") as info:
+            parse(f"(declare-const y (_ BitVec 8))\n(assert (= y {literal}))")
+        assert (info.value.line, info.value.column) == (2, 14)
+
+    def test_hex_digits_of_both_cases(self):
+        s = parse("(declare-const y (_ BitVec 8))\n(assert (= y #xaF))")
+        assert s.assertions[0].args[1].value == 0xAF
+
     def test_deep_nesting_is_a_parse_error(self):
         import caext
         depth = 3000
@@ -195,6 +216,27 @@ class TestDeclareAndDefineFun:
         with pytest.raises(UnknownSymbolError, match="'y'") as info:
             parse("(define-fun z () Bool y)", manager=m)
         assert (info.value.line, info.value.column) == (1, 23)
+
+
+class TestReservedNames:
+    @pytest.mark.parametrize("command", ["(declare-const {} Bool)",
+                                         "(declare-fun {} () Bool)",
+                                         "(define-fun {} () Bool true)"])
+    @pytest.mark.parametrize("name", ["true", "false", "#b1", "#x1", "#k"])
+    def test_literal_names_cannot_be_declared(self, command, name):
+        with pytest.raises(ParseError, match=f"reserved name '{name}'") \
+                as info:
+            parse(command.format(name))
+        assert (info.value.line, info.value.column) == \
+            (1, command.index("{}") + 1)
+
+    def test_true_and_false_stay_distinct(self):
+        # Declared, they would be shadowed by the literals at every use,
+        # and `(= true false)` would make the script unsat.
+        with pytest.raises(ParseError, match="reserved name 'true'") as info:
+            parse("(declare-const true Bool)(declare-const false Bool)"
+                  "(assert (= true false))")
+        assert (info.value.line, info.value.column) == (1, 16)
 
 
 class TestRoundTrip:

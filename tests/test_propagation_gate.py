@@ -3,9 +3,10 @@ propagator and conflict scan in `reference_propagation`.
 
 At every saturation of a run the engine's propagation map must equal
 the one the reference records from scratch for the same formulas and
-interpretation (same keys, reasons, sources and insertion order), every
-memoised crossed-index list must equal a fresh walk, and the conflict
-the engine finds must equal the reference's.
+interpretation (same keys, reasons, sources and insertion order), the
+blocked set every default step carries must equal the values of the
+store indices a fresh walk of its path crosses, and the conflict the
+engine finds must equal the reference's.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ def _gated_check_sat(m, assertions, rules: Counter):
         # check_sat's own scan follows and marks `cfg.witnessed`.
         info = _find_conflict(cfg, set(cfg.witnessed))
         assert info == expected
-        for (dest, t), crossed in cfg.crossed.items():
-            assert crossed == _walk(cfg, dest, t)[1]
+        for (dest, t), (blocked, _) in cfg.default_steps.items():
+            crossed = _walk(cfg, dest, t)[1]
+            assert blocked == {cfg.interp.value(k) for k in crossed}
         rules[info.rule if info else "none"] += 1
 
     with watch_saturations(gate):
