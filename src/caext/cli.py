@@ -27,7 +27,7 @@ from .model import Model, complete_model, eval_term, validate_model
 from .oracle import DEFAULT_BOUNDS, OracleBounds, oracle_solve
 from .parser import Script, parse
 from .printer import print_model, print_script, print_term
-from .terms import Sort, TermManager
+from .terms import Sort, TermManager, parse_width
 
 
 class _UsageError(CaextError):
@@ -50,8 +50,12 @@ def _natural(text: str) -> int:
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     if slug == "bool":
         return manager.bool_sort
-    if slug.startswith("bv") and slug[2:].isdecimal() and int(slug[2:]) > 0:
-        return manager.bv_sort(int(slug[2:]))
+    if slug.startswith("bv") and slug[2:].isdecimal() \
+            and parse_width(slug[2:]) > 0:
+        try:
+            return manager.bv_sort(parse_width(slug[2:]))
+        except CaextError as e:
+            raise _UsageError(f"sort {slug!r}: {e}") from None
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")
 
 

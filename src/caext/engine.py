@@ -13,18 +13,24 @@ an array whose candidate values contradict it yields a lemma over the
 recorded justification literals; the lemma joins the formula set, the
 propagation state is discarded, and the loop repeats.
 
+One formula index serves a run: the configuration is the index
+(:class:`caext.ground.FormulaIndex`), each lemma extends it, and the
+ground session encodes what was added, so every subterm is walked
+once.  Each candidate's true array equality atoms are evaluated once,
+into a set that propagation, the conflict scan and the model read.
+
 Propagation scans the recorded facts in a fixed order and restarts
 after every new one, so the same candidate always yields the same
 facts in the same order.  A scan reaches the stores next to an array
 (one list of store hops, down to the base and up to each store over
-it) and the equality atoms at it through adjacency maps kept with the
-formula index.  Each step carries what later phases need from it, as
-Christ & Hoenicke ("Weakly equivalent arrays", FroCoS 2015) carry the
-crossed indices along each hop of such a store graph: a read step its
-index value, a default step the set of index values its crossed
-stores block, derived from the step's source when the step is
-recorded.  Propagation, the conflict scan and the model read these
-records, and a recorded path is walked back only to write a lemma.
+it) and the equality atoms at it through the index's adjacency maps.
+Each step carries what later phases need from it, as Christ &
+Hoenicke ("Weakly equivalent arrays", FroCoS 2015) carry the crossed
+indices along each hop of such a store graph: a read step its index
+value, a default step the set of index values its crossed stores
+block, derived from the step's source when the step is recorded.
+Propagation, the conflict scan and the model read these records, and
+a recorded path is walked back only to write a lemma.
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -52,11 +58,11 @@ from .errors import (
     UndefinedStep,
 )
 from .flatten import flatten
-from .ground import GroundSession, Interpretation, solve_ground
+from .ground import (FormulaIndex, GroundSession, Interpretation,
+                     solve_ground)
 from .model import (ArrayValue, Model, complete_model, validate_model,
                     zero_value)
-from .terms import (Kind, Sort, Term, TermManager, domain_size,
-                    iter_subterms, substitute)
+from .terms import Kind, Sort, Term, TermManager, domain_size, substitute
 
 __all__ = [
     "Configuration",
@@ -84,10 +90,13 @@ LEMMA_RULES = (
 )
 
 
-class Configuration:
-    """Mutable solver state: the formula set, the current candidate
-    interpretation, the propagation map, and the equality atoms that
-    already received an extensionality witness.
+class Configuration(FormulaIndex):
+    """Mutable solver state: the run's formula index, the current
+    candidate interpretation, the propagation map, and the equality
+    atoms that already received an extensionality witness.
+
+    The configuration is the run's formula index; :func:`check_sat`
+    hands it to the ground session, which encodes what it gains.
 
     The propagation map records, for every pair of a destination array
     and a propagated term (a read or a constant array), the literal that
@@ -109,67 +118,26 @@ class Configuration:
     set across an equality, and the source's set plus the crossed
     store's index value across a store, so it equals the values of the
     store indices on the recorded path.  Every value is read from the
-    interpretation once per candidate (:meth:`value`).
+    interpretation once per candidate (:meth:`value`), and every array
+    equality atom once, into ``true_atoms`` (:func:`init_steps`).
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
-        self.manager = manager
-        self.formulas: list[Term] = list(formulas)
+        super().__init__(manager)
+        for f in formulas:
+            self.add_formula(f)
         self.interp: Optional[Interpretation] = None
         # (destination array, propagated term) -> (reason literal | None, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
         # array equality atoms whose extensionality lemma was emitted;
         # kept across resets, so each atom gets at most one
         self.witnessed: set[Term] = set()
-        self.ordinal: dict[Term, int] = {}
-        self.reads: list[Term] = []
-        self.stores: list[Term] = []
-        self.const_arrays: list[Term] = []
-        self.array_eq_atoms: list[Term] = []
-        # array -> (neighbour, store crossed): first the hop down to the
-        # base when the array is a store, then the stores over it in
-        # `stores` order
-        self.hops: dict[Term, list[tuple[Term, Term]]] = {}
-        # array -> (atom, other side), in `array_eq_atoms` order; an
-        # atom `a = a` has no entry
-        self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
-        # filled per candidate by `set_step` and `value`
+        # filled per candidate by `init_steps`, `set_step` and `value`
+        self.true_atoms: set[Term] = set()
         self.read_steps: list[tuple[Term, Term, int]] = []
         self.default_steps: dict[tuple[Term, Term],
                                  tuple[frozenset[int], int]] = {}
         self.values: dict[Term, int] = {}
-        self._index(self.formulas)
-
-    # -- formula-set term index ------------------------------------------
-
-    def _index(self, formulas: Sequence[Term]) -> None:
-        """Index the subterms of ``formulas`` not indexed yet.  Since
-        `iter_subterms` is prefix-stable, the ordinals equal those of
-        one walk over the whole formula set.  Children come before their
-        parents, so a store's hop to its base precedes the stores over
-        it."""
-        for t in iter_subterms(formulas):
-            if t in self.ordinal:
-                continue
-            self.ordinal[t] = len(self.ordinal)
-            if t.kind is Kind.SELECT:
-                self.reads.append(t)
-            elif t.kind is Kind.STORE:
-                self.stores.append(t)
-                self.hops[t] = [(t.array, t)]
-                self.hops.setdefault(t.array, []).append((t, t))
-            elif t.kind is Kind.CONST_ARRAY:
-                self.const_arrays.append(t)
-            elif t.kind is Kind.EQ and t.args[0].sort.is_array:
-                self.array_eq_atoms.append(t)
-                lhs, rhs = t.args
-                if lhs is not rhs:
-                    self.eqs_at.setdefault(lhs, []).append((t, rhs))
-                    self.eqs_at.setdefault(rhs, []).append((t, lhs))
-
-    def add_formula(self, f: Term) -> None:
-        self.formulas.append(f)
-        self._index([f])
 
     def ordinal_key(self, t: Term) -> int:
         return self.ordinal[t]
@@ -194,7 +162,8 @@ class Configuration:
         if source is not dest and (source, t) not in self.steps:
             raise InternalError(
                 "step source does not point at an earlier entry")
-        if reason is not None and not self.interp.eval(reason):
+        if reason is not None and reason not in self.true_atoms \
+                and not self.interp.eval(reason):
             raise InternalError(
                 "step reason is false under the current interpretation")
         crossed = None if reason is not None or source is dest \
@@ -225,23 +194,27 @@ class Configuration:
         stay."""
         self.interp = None
         self.steps.clear()
+        self.true_atoms.clear()
         self.read_steps.clear()
         self.default_steps.clear()
         self.values.clear()
 
 
 def init_steps(cfg: Configuration) -> Configuration:
-    """Record the self-evident starting points of propagation: every
-    read at the array it reads from, a virtual read of every store at
-    its updated index, and every constant array at itself."""
+    """Evaluate every array equality atom under the candidate, once,
+    into ``cfg.true_atoms``, and record the self-evident starting points
+    of propagation: every read at the array it reads from, every
+    store's virtual read (the left side of its read axiom) at the store,
+    and every constant array at itself."""
     if cfg.interp is None:
         raise InternalError("init_steps needs a candidate interpretation")
-    m = cfg.manager
+    cfg.true_atoms.update(e for e in cfg.array_eq_atoms
+                          if cfg.interp.eval(e))
     for r in cfg.reads:
         if not cfg.has_step(r.array, r):
             cfg.set_step(r.array, r, None, r.array)
-    for s in cfg.stores:
-        read = m.mk_select(s, s.index)
+    for s, axiom in cfg.read_axioms.items():
+        read = axiom.args[0]
         if not cfg.has_step(s, read):
             cfg.set_step(s, read, None, s)
     for c in cfg.const_arrays:
@@ -310,17 +283,16 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     equality atom.  Priorities 1 and 3 walk ``cfg.read_steps`` and
     ``cfg.default_steps``, which `set_step` extends as steps are
     recorded, so they test a hop with the index value and blocked set
-    its entry carries.  The one thing the call works out itself is
-    which array equality atoms hold: the interpretation and the formula
-    set are fixed during the call.
+    its entry carries.  Priority 2 copies across the atoms in
+    ``cfg.true_atoms``, which :func:`init_steps` filled for this
+    candidate.
     """
-    holds = {e for e in cfg.array_eq_atoms if cfg.interp.eval(e)}
-    while _apply_one(cfg, holds):
+    while _apply_one(cfg):
         pass
     return cfg
 
 
-def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
+def _apply_one(cfg: Configuration) -> bool:
     """Record the first applicable step of the scan, if any.  The loops
     stop at the step they record, so they may iterate over the live
     lists and maps."""
@@ -340,7 +312,7 @@ def _apply_one(cfg: Configuration, holds: set[Term]) -> bool:
                 return True
 
     # Priority 2: anything propagated copies across a true equality.
-    eqs_at = cfg.eqs_at
+    eqs_at, holds = cfg.eqs_at, cfg.true_atoms
     for dest, t in steps:
         for e, other in eqs_at.get(dest, ()):
             if e in holds and (other, t) not in steps:
@@ -429,7 +401,7 @@ def _find_conflict(cfg: Configuration,
 
     # 3. A falsified array equality that has no witness read yet.
     for e in cfg.array_eq_atoms:
-        if e in witnessed or cfg.interp.eval(e):
+        if e in witnessed or e in cfg.true_atoms:
             continue
         witnessed.add(e)
         lhs, rhs = e.args
@@ -502,28 +474,26 @@ def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
 def build_model(cfg: Configuration) -> Model:
     """Read a full model off a saturated, conflict-free configuration.
 
-    Scalar constants take their interpretation values.  Array values
-    are built over index classes: the values the interpretation gives
-    to the index terms of the formula set, plus one class for all other
-    indices.  Every read propagated to an array pins its index class,
-    and every constant array propagated to it pins each class that
-    differs from all crossed store indices to the default.  Pins are
-    then shared across the store terms of the formula set — a store
-    result and its base agree on every class except the stored index —
-    and across the array equality atoms the interpretation satisfies,
-    because a class left free in one array may be forced through such a
-    link by a pin on the other side.  Any class still free afterwards
-    holds the all-zero element.  Disagreeing pins are impossible after
-    saturation, so they raise :class:`IllDefinedModel` to flag an
-    engine bug.
+    The constants are the index's: scalar ones take their
+    interpretation values.  Array values are built over index classes:
+    the values the interpretation gives to the index terms of the
+    formula set, plus one class for all other indices.  Every read
+    propagated to an array pins its index class, and every constant
+    array propagated to it pins each class that differs from all
+    crossed store indices to the default.  Pins are then shared across
+    the store terms of the formula set — a store result and its base
+    agree on every class except the stored index — and across the true
+    array equality atoms (``cfg.true_atoms``), because a class left
+    free in one array may be forced through such a link by a pin on the
+    other side.  Any class still free afterwards holds the all-zero
+    element.  Disagreeing pins are impossible after saturation, so they
+    raise :class:`IllDefinedModel` to flag an engine bug.
     """
     if cfg.interp is None:
         raise InternalError("build_model needs a candidate interpretation")
     cells = _CellSolver(cfg)
     model = Model()
-    for t in iter_subterms(cfg.formulas):
-        if t.kind is not Kind.CONSTANT:
-            continue
+    for t in cfg.constants:
         if t.sort.is_array:
             model.set(t, cells.table(t))
         else:
@@ -568,7 +538,7 @@ class _CellSolver:
                 if x != at:
                     self._union((t, x), (t.array, x))
         for e in cfg.array_eq_atoms:
-            if cfg.interp.eval(e):
+            if e in cfg.true_atoms:
                 lhs, rhs = e.args
                 for x in self._classes_of(lhs.sort):
                     self._union((lhs, x), (rhs, x))
@@ -705,6 +675,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         cfg = Configuration(manager, flat.all_formulas)
         stats = SolveStats()
         session = GroundSession(seed=seed, budget=budget)
+        session.index = cfg
         while True:
             stats.iterations += 1
             ground = solve_ground(manager, cfg.formulas, session=session)

@@ -14,8 +14,9 @@ At-least-n-distinct atoms are encoded eagerly with first-occurrence
 flags feeding a sequential counter.
 
 A :class:`GroundSession` keeps one encoding across the calls of a
-refinement run: each call encodes only the formulas appended since the
-previous one, and the SAT core keeps what it has learned.
+refinement run: each call encodes only the terms and formulas that the
+run's :class:`FormulaIndex` gained since the previous one, and the SAT
+core keeps what it has learned.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError, UnassignedConstant
 from .sat import SatSolver
-from .terms import Kind, Sort, Term, TermManager, iter_subterms
+from .terms import Kind, Sort, Term, TermManager
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
 
@@ -94,6 +95,74 @@ class Interpretation:
         raise InternalError(f"cannot evaluate {f!r}")
 
 
+class FormulaIndex:
+    """The subterms of a growing formula list, each walked once.
+
+    :meth:`add_formula` gives every subterm not indexed yet the next
+    ordinal, children before parents, as one walk over the whole list
+    would; ``terms`` lists them in that order.  Each is also filed by
+    kind, and a store gets its virtual-read equality
+    ``select(s, s.index) = s.stored_value`` in ``read_axioms``.
+    """
+
+    def __init__(self, manager: TermManager) -> None:
+        self.manager = manager
+        self.formulas: list[Term] = []
+        self.terms: list[Term] = []
+        self.ordinal: dict[Term, int] = {}
+        self.reads: list[Term] = []
+        self.stores: list[Term] = []
+        self.read_axioms: dict[Term, Term] = {}
+        self.const_arrays: list[Term] = []
+        self.array_eq_atoms: list[Term] = []
+        self.constants: list[Term] = []
+        # array -> (neighbour, store crossed): first the hop down to the
+        # base when the array is a store, then the stores over it in
+        # `stores` order
+        self.hops: dict[Term, list[tuple[Term, Term]]] = {}
+        # array -> (atom, other side), in `array_eq_atoms` order; an
+        # atom `a = a` has no entry
+        self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
+
+    def add_formula(self, f: Term) -> None:
+        """Append ``f`` and index its new subterms.  The walk does not
+        enter an indexed term: its subterms are indexed too."""
+        self.formulas.append(f)
+        ordinal = self.ordinal
+        stack = [(f, False)]
+        while stack:
+            t, children_done = stack.pop()
+            if children_done:
+                self._file(t)
+            elif t not in ordinal:
+                stack.append((t, True))
+                stack.extend((c, False) for c in reversed(t.args)
+                             if c not in ordinal)
+
+    def _file(self, t: Term) -> None:
+        self.ordinal[t] = len(self.terms)
+        self.terms.append(t)
+        if t.kind is Kind.SELECT:
+            self.reads.append(t)
+        elif t.kind is Kind.STORE:
+            m = self.manager
+            self.stores.append(t)
+            self.read_axioms[t] = m.mk_eq(m.mk_select(t, t.index),
+                                          t.stored_value)
+            self.hops[t] = [(t.array, t)]
+            self.hops.setdefault(t.array, []).append((t, t))
+        elif t.kind is Kind.CONST_ARRAY:
+            self.const_arrays.append(t)
+        elif t.kind is Kind.CONSTANT:
+            self.constants.append(t)
+        elif t.kind is Kind.EQ and t.args[0].sort.is_array:
+            self.array_eq_atoms.append(t)
+            lhs, rhs = t.args
+            if lhs is not rhs:
+                self.eqs_at.setdefault(lhs, []).append((t, rhs))
+                self.eqs_at.setdefault(rhs, []).append((t, lhs))
+
+
 @dataclass
 class GroundResult:
     verdict: Optional[str]          # "sat", "unsat", or None on budget
@@ -106,9 +175,7 @@ def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
 
 
 class _Encoder:
-    def __init__(self, manager: TermManager, seed: int,
-                 budget: Optional[int]):
-        self.m = manager
+    def __init__(self, seed: int, budget: Optional[int]):
         self.sat = SatSolver(seed=seed, conflict_budget=budget)
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
@@ -116,7 +183,6 @@ class _Encoder:
         self.pair: dict[tuple[Term, Term], int] = {}
         self.cache: dict[Term, int] = {}
         self.eq_cache: dict[tuple[Term, Term], int] = {}
-        self.arrays: list[Term] = []
 
     # -- gates ----------------------------------------------------------
 
@@ -163,21 +229,16 @@ class _Encoder:
 
     # -- arrays ----------------------------------------------------------
 
-    def register_arrays(self, arrays: Sequence[Term],
-                        atoms: Sequence[Term]) -> None:
-        """Track ``arrays`` and give each pair related by an equality atom
-        of ``atoms`` a variable.  Transitivity is added over a chordal
-        completion of the atom graph: vertices are eliminated by least
-        degree (ties by term id), and each eliminated vertex gets a
+    def register_pairs(self,
+                       eqs_at: dict[Term, list[tuple[Term, Term]]]) -> None:
+        """Give each pair of arrays related by an equality atom (the
+        index's ``eqs_at``) a variable.  Transitivity is added over a
+        chordal completion of the atom graph: vertices are eliminated by
+        least degree (ties by term id), and each eliminated vertex gets a
         triangle with every pair of its remaining neighbours, adding the
         pair as a fill edge when it is new.  Transitivity on every
         triangle of a chordal graph makes the true pairs a partition."""
-        self.arrays.extend(arrays)
-        adj: dict[Term, set[Term]] = {}
-        for lhs, rhs in (e.args for e in atoms):
-            if lhs is not rhs:
-                adj.setdefault(lhs, set()).add(rhs)
-                adj.setdefault(rhs, set()).add(lhs)
+        adj = {a: {other for _, other in es} for a, es in eqs_at.items()}
         for key in sorted({_pair_key(s, t) for s in adj for t in adj[s]},
                           key=lambda p: (p[0].id, p[1].id)):
             self.pair[key] = self.sat.new_var()
@@ -285,45 +346,49 @@ class GroundSession:
     """One encoding shared by the `solve_ground` calls of a refinement
     run, with the run's ground settings: ``seed`` fixes the SAT
     solver's choices and ``budget`` caps the conflicts of each call
-    (``None``: no cap).  The formula list passed to each call must
-    extend the previous one; ``asserted`` counts the formulas already
-    encoded.  The first call makes the SAT solver."""
+    (``None``: no cap).  The encoding follows ``index``, the run's
+    :class:`FormulaIndex`: set it before the first call, or that call
+    makes one.  The first call makes the SAT solver."""
 
     def __init__(self, seed: int = 0, budget: Optional[int] = None) -> None:
         self.seed = seed
         self.budget = budget
+        self.index: Optional[FormulaIndex] = None
         self.enc: Optional[_Encoder] = None
-        self.asserted = 0
-        self._seen: set[Term] = set()
+        # how many of the index's terms and formulas are encoded
+        self._terms = 0
+        self._formulas = 0
 
     def assert_new(self, manager: TermManager,
                    formulas: Sequence[Term]) -> _Encoder:
-        """Encode ``formulas[asserted:]``, with the virtual reads of the
-        stores not seen before; bits are made for new scalar leaves."""
-        first = self.enc is None
-        if first:
-            self.enc = _Encoder(manager, self.seed, self.budget)
+        """Add the formulas the index lacks, then encode the index terms
+        and formulas past the cursors: bits for new scalar leaves, the
+        read axioms of new stores, a unit clause per formula."""
+        if self.index is None:
+            self.index = FormulaIndex(manager)
+        index = self.index
+        for f in formulas[len(index.formulas):]:
+            index.add_formula(f)
+        fresh = index.terms[self._terms:]
+        new = index.formulas[self._formulas:]
+        self._terms, self._formulas = len(index.terms), len(index.formulas)
+        if self.enc is None:
+            self.enc = _Encoder(self.seed, self.budget)
+            self.enc.register_pairs(index.eqs_at)
+        else:
+            for t in fresh:
+                if t.kind is Kind.EQ and t.args[0].sort.is_array:
+                    raise InternalError(f"array equality {t!r} appeared "
+                                        "after the first encoding")
         enc = self.enc
-        new = formulas[self.asserted:]
-        self.asserted = len(formulas)
-        fresh = [t for t in iter_subterms(new) if t not in self._seen]
-        self._seen.update(fresh)
-        virtuals = [manager.mk_eq(manager.mk_select(t, t.index),
-                                  t.stored_value)
-                    for t in fresh if t.kind is Kind.STORE]
-        atoms = [t for t in fresh
-                 if t.kind is Kind.EQ and t.args[0].sort.is_array]
-        if atoms and not first:
-            raise InternalError(f"array equality {atoms[0]!r} appeared "
-                                "after the first encoding")
-        enc.register_arrays([t for t in fresh if t.sort.is_array], atoms)
         for t in fresh:
             if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
                 enc.node_bits(t)
         for f in new:
             enc.sat.add_clause([enc.formula_lit(f)])
-        for eq in virtuals:
-            enc.assert_bits_equal(eq.args[0], eq.args[1])
+        for t in fresh:
+            if t.kind is Kind.STORE:
+                enc.assert_bits_equal(*index.read_axioms[t].args)
         return enc
 
 
@@ -334,9 +399,10 @@ def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
     (verdict ``None`` when the session's conflict budget runs out).
 
     Without ``session`` the call is one-shot, with seed 0 and no
-    budget.  With one, ``formulas`` must extend the list of the
-    session's previous call, and only the added formulas are encoded;
-    the session's budget caps this call's conflicts and the result's
+    budget.  With one, ``formulas`` must extend the formulas of the
+    session's index (the index's own list when the caller keeps it),
+    and only what the previous call left unencoded is encoded; the
+    session's budget caps this call's conflicts and the result's
     ``conflicts`` counts only them.  Array-equality atoms must all
     occur in the first call's formulas.
 
@@ -357,7 +423,7 @@ def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
                      for k, lit in enumerate(bits))
               for t, bits in enc.bits.items() if t.kind is not Kind.VALUE}
 
-    parent: dict[Term, Term] = {a: a for a in enc.arrays}
+    parent = {t: t for t in session.index.terms if t.sort.is_array}
 
     def find(x: Term) -> Term:
         while parent[x] is not x:
@@ -371,7 +437,7 @@ def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
             if rs is not rt:
                 keep, drop = (rs, rt) if rs.id < rt.id else (rt, rs)
                 parent[drop] = keep
-    array_repr = {a: find(a) for a in enc.arrays}
+    array_repr = {a: find(a) for a in parent}
     return GroundResult("sat", Interpretation(values, array_repr),
                         conflicts)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import CaextError, ParseError, SortError, UnknownSymbolError
-from .terms import Sort, Term, TermManager
+from .terms import Sort, Term, TermManager, parse_width
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,10 @@ class _Parser:
         if len(items) == 3 and items[0].atom == "_" and items[1].atom == "BitVec":
             width_txt = self._expect_atom(items[2], "bit-vector width")
             if not (width_txt.isascii() and width_txt.isdigit()) \
-                    or int(width_txt) < 1:
+                    or parse_width(width_txt) < 1:
                 self._err(items[2], f"bad bit-vector width {width_txt!r}",
                           SortError)
-            return self.m.bv_sort(int(width_txt))
+            return self._bv_sort(items[2], parse_width(width_txt))
         if items and items[0].atom == "Array":
             if len(items) != 3:
                 self._err(node, "Array sort takes two arguments", SortError)
@@ -224,6 +224,13 @@ class _Parser:
                 self._err(node, str(e), SortError)
         self._err(node, "unknown sort", SortError)
         raise AssertionError  # unreachable
+
+    def _bv_sort(self, node: SExpr, width: int) -> Sort:
+        try:
+            return self.m.bv_sort(width)
+        except CaextError as e:
+            self._err(node, str(e), SortError)
+            raise AssertionError  # unreachable
 
     # -- terms ----------------------------------------------------------
 
@@ -255,12 +262,13 @@ class _Parser:
             bits = text[2:]
             if not bits or set(bits) - set("01"):
                 self._err(node, f"bad binary literal {text!r}")
-            return self.m.mk_value(self.m.bv_sort(len(bits)), int(bits, 2))
+            return self.m.mk_value(self._bv_sort(node, len(bits)),
+                                   int(bits, 2))
         if text.startswith("#x"):
             hexits = text[2:]
             if not hexits or set(hexits) - set(string.hexdigits):
                 self._err(node, f"bad hexadecimal literal {text!r}")
-            return self.m.mk_value(self.m.bv_sort(4 * len(hexits)),
+            return self.m.mk_value(self._bv_sort(node, 4 * len(hexits)),
                                    int(hexits, 16))
         const = self.scope.get(text)
         if const is None:

@@ -44,7 +44,6 @@ class SatSolver:
 
     def __init__(self, seed: int = 0,
                  conflict_budget: Optional[int] = None):
-        self._seed = seed
         self._budget = conflict_budget
         self.num_vars = 0
         self.conflicts = 0

@@ -18,6 +18,21 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CaextError, SortMismatch
 
+# The widest bit-vector sort.  The ground layer gives every bit of every
+# scalar term a SAT variable, and the SAT core scans every variable per
+# decision, so solving time grows with the square of the total width.
+MAX_BV_WIDTH = 1024
+
+
+def parse_width(digits: str) -> int:
+    """The width that the decimal ``digits`` spell, except that every
+    width past ``MAX_BV_WIDTH`` reads as ``MAX_BV_WIDTH + 1``: int()
+    refuses strings of thousands of digits."""
+    digits = digits.lstrip("0")
+    if len(digits) > len(str(MAX_BV_WIDTH)):
+        return MAX_BV_WIDTH + 1
+    return int(digits or "0")
+
 
 class SortKind(Enum):
     BOOL = auto()
@@ -192,6 +207,9 @@ class TermManager:
     def bv_sort(self, width: int) -> Sort:
         if width < 1:
             raise CaextError(f"bit-vector width must be positive, got {width}")
+        if width > MAX_BV_WIDTH:
+            raise CaextError(
+                f"bit-vector width exceeds the limit of {MAX_BV_WIDTH}")
         return self._intern_sort((SortKind.BITVEC, width))
 
     def array_sort(self, index: Sort, element: Sort) -> Sort:

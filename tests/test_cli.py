@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from caext.cli import main
 from caext.errors import ResourceLimit
+from caext.terms import MAX_BV_WIDTH
 
 from helpers import run_module
 
@@ -164,6 +167,8 @@ class TestSolve:
          "(assert (= true false))", "1:16: reserved name 'true'"),
         ("(declare-fun false () Bool)", "1:14: reserved name 'false'"),
         ("(define-fun #b1 () Bool true)", "1:13: reserved name '#b1'"),
+        (f"(declare-const y (_ BitVec {MAX_BV_WIDTH + 1}))(assert (= y y))",
+         f"1:28: bit-vector width exceeds the limit of {MAX_BV_WIDTH}"),
     ])
     def test_malformed_numeral_or_reserved_name_is_located(
             self, tmp_path, capsys, text, diagnostic):
@@ -329,6 +334,37 @@ class TestGen:
         assert main(["gen", "--crafted", "2,1,1",
                      "--out", str(tmp_path)]) == 1
         assert "usage error" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--index-sort", "--element-sort"])
+    @pytest.mark.parametrize("width", [str(MAX_BV_WIDTH + 1), "9" * 5000])
+    def test_width_over_the_limit_is_a_usage_error(self, tmp_path, capsys,
+                                                   flag, width):
+        assert main(["gen", "--crafted", "0,0,0", flag, f"bv{width}",
+                     "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and not list(tmp_path.iterdir())
+        assert out.err.startswith("usage error: ")
+        assert f"exceeds the limit of {MAX_BV_WIDTH}" in out.err
+
+    @pytest.mark.parametrize("extra,verdict", [
+        # the stores cannot cover 2**64 indices
+        ("(assert (not (= v w)))", "unsat"),
+        ("(assert (not (= a1 (store a1 i3 e3))))", "sat"),
+    ])
+    def test_bv64_sorts_solve(self, tmp_path, capsys, extra, verdict):
+        assert main(["gen", "--crafted", "1,2,1,2", "--index-sort", "bv64",
+                     "--element-sort", "bv64", "--out", str(tmp_path)]) == 0
+        text = Path(capsys.readouterr().out.strip()).read_text()
+        path = tmp_path / "wide.smt2"
+        path.write_text(text.replace("(check-sat)",
+                                     f"{extra}\n(check-sat)\n(get-model)"))
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{verdict}\n")
+        if verdict == "sat":
+            model = tmp_path / "model.smt2"
+            model.write_text(out.split("\n", 1)[1])
+            assert main(["validate", str(path), str(model)]) == 0
 
     def test_bad_sort_rejected(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,0,0", "--index-sort", "int",

@@ -9,10 +9,13 @@ from collections import Counter
 import pytest
 
 import caext.engine
+import caext.ground
 from caext import (
+    Kind,
     OracleBounds,
     TermManager,
     domain_size,
+    iter_subterms,
     oracle_solve,
     oracle_valid,
     validate_model,
@@ -30,7 +33,8 @@ from caext.benchgen import gen_fuzz
 from caext.errors import (CaextError, InternalError, ResourceLimit,
                           UndefinedStep)
 from caext.flatten import flatten
-from caext.ground import GroundSession, Interpretation, solve_ground
+from caext.ground import (FormulaIndex, GroundSession, Interpretation,
+                          solve_ground)
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, benchmark_crafted, compute_reason,
@@ -766,6 +770,72 @@ class TestFormulaIndex:
                 res = check_sat(m, assertions)
             most = max(most, res.stats.refinements)
         assert most >= 3
+
+    @staticmethod
+    def instances(family):
+        if family == "fuzz":
+            return [gen_fuzz(seed) for seed in range(200)]
+        script = next(benchmark_crafted(1001))
+        return [(script.manager, script.assertions)]
+
+    @pytest.mark.parametrize("family", ["fuzz", "crafted"])
+    def test_each_subterm_is_walked_once_per_run(self, monkeypatch, family):
+        # Over one check_sat run, the engine and the ground layer share
+        # one index, whose walk files each subterm of each formula once,
+        # and neither walks the formulas again.
+        file = FormulaIndex._file
+        visits: Counter = Counter()
+        indexes = {}
+
+        def counted_file(index, t):
+            indexes[id(index)] = index
+            visits[t] += 1
+            return file(index, t)
+
+        def counted_walk(roots):
+            for t in iter_subterms(roots):
+                visits[t] += 1
+                yield t
+
+        monkeypatch.setattr(FormulaIndex, "_file", counted_file)
+        for module in (caext.engine, caext.ground):
+            monkeypatch.setattr(module, "iter_subterms", counted_walk,
+                                raising=False)
+        lemmas = 0
+        for m, assertions in self.instances(family):
+            visits.clear()
+            indexes.clear()
+            res = check_sat(m, assertions)
+            (index,) = indexes.values()
+            assert visits == Counter(iter_subterms(index.formulas))
+            lemmas += res.stats.refinements
+        assert lemmas > 0
+
+    @pytest.mark.parametrize("family", ["fuzz", "crafted"])
+    def test_array_equalities_are_evaluated_once_per_candidate(
+            self, monkeypatch, family):
+        # Across one candidate (init_steps, propagation, conflict scan
+        # and build_model), `Interpretation.eval` is asked about each
+        # array equality atom at most once.  Evaluating a whole lemma to
+        # check it excludes the candidate is not asking about an atom.
+        evaluate = Interpretation.eval
+        calls: Counter = Counter()
+        evaluating = []
+
+        def counted_eval(interp, f):
+            if not evaluating and f.kind is Kind.EQ \
+                    and f.args[0].sort.is_array:
+                calls[(interp, f)] += 1
+            evaluating.append(True)
+            try:
+                return evaluate(interp, f)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(Interpretation, "eval", counted_eval)
+        for m, assertions in self.instances(family):
+            check_sat(m, assertions)
+        assert calls and set(calls.values()) == {1}
 
     def test_adjacency(self):
         m = TermManager()

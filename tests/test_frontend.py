@@ -12,6 +12,7 @@ from caext.parser import (
 from caext.printer import (
     array_value_term, format_value, print_model, print_script, print_term,
 )
+from caext.terms import MAX_BV_WIDTH
 
 from helpers import random_instance
 
@@ -162,6 +163,22 @@ class TestParseErrors:
                            match="bad hexadecimal literal") as info:
             parse(f"(declare-const y (_ BitVec 8))\n(assert (= y {literal}))")
         assert (info.value.line, info.value.column) == (2, 14)
+
+    @pytest.mark.parametrize("text,column", [
+        (f"(declare-const y (_ BitVec {MAX_BV_WIDTH + 1}))", 28),
+        # more digits than int() converts
+        (f"(declare-const y (_ BitVec {'9' * 5000}))", 28),
+        (f"(assert (= #b{'1' * (MAX_BV_WIDTH + 1)} #b0))", 12),
+        (f"(assert (= #x{'f' * (MAX_BV_WIDTH // 4 + 1)} #x0))", 12),
+    ])
+    def test_width_over_the_limit_is_a_located_error(self, text, column):
+        with pytest.raises(SortError, match="exceeds the limit") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_width_with_leading_zeros(self):
+        s = parse(f"(declare-const y (_ BitVec {'0' * 5000}{MAX_BV_WIDTH}))")
+        assert s.declared[0].sort.width == MAX_BV_WIDTH
 
     def test_hex_digits_of_both_cases(self):
         s = parse("(declare-const y (_ BitVec 8))\n(assert (= y #xaF))")

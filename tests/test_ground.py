@@ -170,7 +170,7 @@ class TestSession:
             assert res.verdict == solve_ground(m, batch).verdict, seed
             if res.verdict == "sat":
                 assert all(res.interpretation.eval(f) for f in batch), seed
-        assert session.asserted == len(flat)
+        assert session.index.formulas == flat
 
     def test_new_array_atom_after_first_encode_raises(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)

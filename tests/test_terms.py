@@ -6,6 +6,7 @@ from caext import (
     CaextError, Kind, SortMismatch, TermManager, domain_size,
     free_constants, iter_subterms,
 )
+from caext.terms import MAX_BV_WIDTH
 
 
 @pytest.fixture
@@ -43,6 +44,11 @@ class TestSorts:
     def test_bad_width(self, m):
         with pytest.raises(CaextError):
             m.bv_sort(0)
+
+    def test_width_limit(self, m):
+        assert m.bv_sort(MAX_BV_WIDTH).width == MAX_BV_WIDTH
+        with pytest.raises(CaextError, match="exceeds the limit"):
+            m.bv_sort(MAX_BV_WIDTH + 1)
 
 
 class TestHashConsing:
