@@ -6,9 +6,11 @@ differential suite against the brute-force checker, and ``gen`` writes
 crafted benchmark files.
 
 Stream discipline: verdicts and generated output go to standard
-output; statistics and diagnostics go to the error stream.  Exit
-codes: 0 a verdict was produced (including ``unknown``), 1 usage or
-input error, 2 internal invariant violation, 3 resource limit.
+output; statistics and diagnostics go to the error stream.  ``solve``
+prints a verdict only for a script that reaches ``check-sat``.  Exit
+codes: 0 a verdict was produced (including ``unknown``) or none was
+asked for, 1 usage or input error, 2 internal invariant violation, 3
+resource limit.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     script = _parse_file(args.file)
+    if not script.has_check_sat:
+        return 0
     result = check_sat(script.manager, script.assertions,
                        seed=args.seed, budget=args.budget)
     print(result.verdict)

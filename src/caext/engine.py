@@ -123,9 +123,7 @@ class Configuration(FormulaIndex):
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
-        super().__init__(manager)
-        for f in formulas:
-            self.add_formula(f)
+        super().__init__(manager, formulas)
         self.interp: Optional[Interpretation] = None
         # (destination array, propagated term) -> (reason literal | None, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
@@ -653,13 +651,15 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               max_refinements: Optional[int] = None) -> SolveResult:
     """Decide the assertions and, when satisfiable, build a model.
 
-    One ground encoding, a :class:`GroundSession` made with ``seed`` and
-    ``budget``, serves the whole run: each lemma is added to it as
-    clauses, and the SAT core keeps what it learned.  ``seed`` fixes
-    the ground solver's choices, ``budget`` caps the SAT conflicts of
-    each candidate's search, counted afresh for every candidate
-    (exhaustion yields verdict ``unknown``), and ``max_refinements``
-    caps lemma iterations (exceeding it raises :class:`ResourceLimit`).
+    One configuration is the run's formula index, and one
+    :class:`GroundSession` over it, made with ``seed`` and ``budget``,
+    is the run's ground encoding: each lemma extends the index, the
+    next :func:`solve_ground` call adds it as clauses, and the SAT core
+    keeps what it learned.  ``seed`` fixes the ground solver's choices,
+    ``budget`` caps the SAT conflicts of each candidate's search,
+    counted afresh for every candidate (exhaustion yields verdict
+    ``unknown``), and ``max_refinements`` caps lemma iterations
+    (exceeding it raises :class:`ResourceLimit`).
 
     The proof invariants are checked on every run: each propagation
     step is recorded once, points at an earlier entry and has a true
@@ -674,11 +674,10 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         flat = flatten(manager, assertions)
         cfg = Configuration(manager, flat.all_formulas)
         stats = SolveStats()
-        session = GroundSession(seed=seed, budget=budget)
-        session.index = cfg
+        session = GroundSession(cfg, seed, budget)
         while True:
             stats.iterations += 1
-            ground = solve_ground(manager, cfg.formulas, session=session)
+            ground = solve_ground(session)
             stats.ground_conflicts += ground.conflicts
             if ground.verdict is None:
                 return SolveResult("unknown", None, stats)

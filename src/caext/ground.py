@@ -13,16 +13,19 @@ with transitivity constraints", ACM TOCL 2002), never over all pairs.
 At-least-n-distinct atoms are encoded eagerly with first-occurrence
 flags feeding a sequential counter.
 
-A :class:`GroundSession` keeps one encoding across the calls of a
-refinement run: each call encodes only the terms and formulas that the
-run's :class:`FormulaIndex` gained since the previous one, and the SAT
-core keeps what it has learned.
+One path leads in: a :class:`GroundSession` is made over the run's
+:class:`FormulaIndex`, and each :func:`solve_ground` call encodes the
+terms and formulas that the index gained since the previous call and
+searches, so the SAT core keeps what it has learned.  A candidate
+carries the scalar values and, for each array pair the encoding
+relates, whether that pair's variable is true; an array equality is
+read off its pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalError, UnassignedConstant
 from .sat import SatSolver
@@ -35,22 +38,28 @@ def _width(sort: Sort) -> int:
     return 1 if sort.is_bool else sort.width
 
 
+def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
+    return (s, t) if s.id < t.id else (t, s)
+
+
 class Interpretation:
     """A total assignment for one candidate ground model.
 
     ``values`` maps every scalar constant and read node of the encoded
     formula set to a domain value; :meth:`value` reads a literal off
-    the literal itself.  Array terms carry only equivalence-class
-    information: ``array_repr`` maps each array term to its class
-    representative (the lowest-id member).
+    the literal itself.  Array terms carry only equality information:
+    ``pairs`` says, for each pair of arrays the encoding relates
+    (keyed in term-id order), whether the two are equal.  Transitivity
+    on the encoding's chordal atom graph makes the true pairs a
+    partition of the related arrays.
     """
 
-    __slots__ = ("values", "array_repr")
+    __slots__ = ("values", "pairs")
 
     def __init__(self, values: dict[Term, int],
-                 array_repr: dict[Term, Term]):
+                 pairs: dict[tuple[Term, Term], bool]):
         self.values = values
-        self.array_repr = array_repr
+        self.pairs = pairs
 
     def value(self, t: Term) -> int:
         """Value of a scalar term."""
@@ -62,21 +71,20 @@ class Interpretation:
                                      "interpretation")
         return v
 
-    def arrays_equal(self, s: Term, t: Term) -> bool:
-        if s is t:
-            return True
-        rs, rt = self.array_repr.get(s), self.array_repr.get(t)
-        if rs is None or rt is None:
-            raise UnassignedConstant(f"{s!r} or {t!r} not tracked")
-        return rs is rt
-
     def eval(self, f: Term) -> bool:
         """Truth of a formula under this interpretation."""
         k = f.kind
         if k is Kind.EQ:
             lhs, rhs = f.args
             if lhs.sort.is_array:
-                return self.arrays_equal(lhs, rhs)
+                if lhs is rhs:
+                    return True
+                eq = self.pairs.get(_pair_key(lhs, rhs))
+                if eq is None:
+                    raise UnassignedConstant(
+                        f"{lhs!r} and {rhs!r} are not related by the "
+                        "encoding")
+                return eq
             return self.value(lhs) == self.value(rhs)
         if k is Kind.DISTINCT_N:
             return len({self.value(a) for a in f.args}) >= (f.n or 1)
@@ -102,10 +110,12 @@ class FormulaIndex:
     ordinal, children before parents, as one walk over the whole list
     would; ``terms`` lists them in that order.  Each is also filed by
     kind, and a store gets its virtual-read equality
-    ``select(s, s.index) = s.stored_value`` in ``read_axioms``.
+    ``select(s, s.index) = s.stored_value`` in ``read_axioms``.  The
+    index starts with ``formulas``, added in order.
     """
 
-    def __init__(self, manager: TermManager) -> None:
+    def __init__(self, manager: TermManager,
+                 formulas: Iterable[Term] = ()) -> None:
         self.manager = manager
         self.formulas: list[Term] = []
         self.terms: list[Term] = []
@@ -123,6 +133,8 @@ class FormulaIndex:
         # array -> (atom, other side), in `array_eq_atoms` order; an
         # atom `a = a` has no entry
         self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
+        for f in formulas:
+            self.add_formula(f)
 
     def add_formula(self, f: Term) -> None:
         """Append ``f`` and index its new subterms.  The walk does not
@@ -170,12 +182,22 @@ class GroundResult:
     conflicts: int = 0
 
 
-def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
-    return (s, t) if s.id < t.id else (t, s)
+class GroundSession:
+    """The CNF encoding of a growing :class:`FormulaIndex`, shared by the
+    `solve_ground` calls of a refinement run, so the SAT core keeps what
+    it learned.  ``seed`` fixes the SAT solver's choices and ``budget``
+    caps the conflicts of each call (``None``: no cap).
 
+    Making the session makes the SAT solver and gives every array pair
+    related by an equality atom of ``index`` its variable
+    (:meth:`_register_pairs`); an array equality that the index gains
+    later must relate a pair registered then.  Each `solve_ground` call
+    encodes the index terms and formulas added since the previous one.
+    """
 
-class _Encoder:
-    def __init__(self, seed: int, budget: Optional[int]):
+    def __init__(self, index: FormulaIndex, seed: int = 0,
+                 budget: Optional[int] = None) -> None:
+        self.index = index
         self.sat = SatSolver(seed=seed, conflict_budget=budget)
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
@@ -183,6 +205,27 @@ class _Encoder:
         self.pair: dict[tuple[Term, Term], int] = {}
         self.cache: dict[Term, int] = {}
         self.eq_cache: dict[tuple[Term, Term], int] = {}
+        # how many of the index's terms and formulas are encoded
+        self._terms = 0
+        self._formulas = 0
+        self._register_pairs(index.eqs_at)
+
+    def encode_new(self) -> None:
+        """Encode the index terms and formulas past the cursors: bits
+        for new scalar leaves, a unit clause per formula, the read
+        axioms of new stores."""
+        index = self.index
+        fresh = index.terms[self._terms:]
+        new = index.formulas[self._formulas:]
+        self._terms, self._formulas = len(index.terms), len(index.formulas)
+        for t in fresh:
+            if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
+                self.node_bits(t)
+        for f in new:
+            self.sat.add_clause([self.formula_lit(f)])
+        for t in fresh:
+            if t.kind is Kind.STORE:
+                self.assert_bits_equal(*index.read_axioms[t].args)
 
     # -- gates ----------------------------------------------------------
 
@@ -229,8 +272,8 @@ class _Encoder:
 
     # -- arrays ----------------------------------------------------------
 
-    def register_pairs(self,
-                       eqs_at: dict[Term, list[tuple[Term, Term]]]) -> None:
+    def _register_pairs(self,
+                        eqs_at: dict[Term, list[tuple[Term, Term]]]) -> None:
         """Give each pair of arrays related by an equality atom (the
         index's ``eqs_at``) a variable.  Transitivity is added over a
         chordal completion of the atom graph: vertices are eliminated by
@@ -342,104 +385,28 @@ class _Encoder:
             self.sat.add_clause([x, -y])
 
 
-class GroundSession:
-    """One encoding shared by the `solve_ground` calls of a refinement
-    run, with the run's ground settings: ``seed`` fixes the SAT
-    solver's choices and ``budget`` caps the conflicts of each call
-    (``None``: no cap).  The encoding follows ``index``, the run's
-    :class:`FormulaIndex`: set it before the first call, or that call
-    makes one.  The first call makes the SAT solver."""
-
-    def __init__(self, seed: int = 0, budget: Optional[int] = None) -> None:
-        self.seed = seed
-        self.budget = budget
-        self.index: Optional[FormulaIndex] = None
-        self.enc: Optional[_Encoder] = None
-        # how many of the index's terms and formulas are encoded
-        self._terms = 0
-        self._formulas = 0
-
-    def assert_new(self, manager: TermManager,
-                   formulas: Sequence[Term]) -> _Encoder:
-        """Add the formulas the index lacks, then encode the index terms
-        and formulas past the cursors: bits for new scalar leaves, the
-        read axioms of new stores, a unit clause per formula."""
-        if self.index is None:
-            self.index = FormulaIndex(manager)
-        index = self.index
-        for f in formulas[len(index.formulas):]:
-            index.add_formula(f)
-        fresh = index.terms[self._terms:]
-        new = index.formulas[self._formulas:]
-        self._terms, self._formulas = len(index.terms), len(index.formulas)
-        if self.enc is None:
-            self.enc = _Encoder(self.seed, self.budget)
-            self.enc.register_pairs(index.eqs_at)
-        else:
-            for t in fresh:
-                if t.kind is Kind.EQ and t.args[0].sort.is_array:
-                    raise InternalError(f"array equality {t!r} appeared "
-                                        "after the first encoding")
-        enc = self.enc
-        for t in fresh:
-            if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
-                enc.node_bits(t)
-        for f in new:
-            enc.sat.add_clause([enc.formula_lit(f)])
-        for t in fresh:
-            if t.kind is Kind.STORE:
-                enc.assert_bits_equal(*index.read_axioms[t].args)
-        return enc
-
-
-def solve_ground(manager: TermManager, formulas: Sequence[Term], *,
-                 session: Optional[GroundSession] = None) -> GroundResult:
-    """Find a total scalar interpretation satisfying ``formulas`` plus
-    the virtual-read equalities, or report ground unsatisfiability
-    (verdict ``None`` when the session's conflict budget runs out).
-
-    Without ``session`` the call is one-shot, with seed 0 and no
-    budget.  With one, ``formulas`` must extend the formulas of the
-    session's index (the index's own list when the caller keeps it),
-    and only what the previous call left unencoded is encoded; the
-    session's budget caps this call's conflicts and the result's
-    ``conflicts`` counts only them.  Array-equality atoms must all
-    occur in the first call's formulas.
-
-    Deterministic for fixed input and seed.
+def solve_ground(session: GroundSession) -> GroundResult:
+    """Encode what the session's index gained since the previous call,
+    then find a total scalar interpretation satisfying the index's
+    formulas plus the virtual-read equalities, or report ground
+    unsatisfiability (verdict ``None`` when the session's conflict
+    budget runs out).  The result's ``conflicts`` counts only this
+    call's.  Deterministic for fixed input and seed.
     """
-    if session is None:
-        session = GroundSession()
-    enc = session.assert_new(manager, formulas)
-    before = enc.sat.conflicts
-    outcome = enc.sat.solve()
-    conflicts = enc.sat.conflicts - before
+    session.encode_new()
+    sat = session.sat
+    before = sat.conflicts
+    outcome = sat.solve()
+    conflicts = sat.conflicts - before
     if outcome is None:
         return GroundResult(None, conflicts=conflicts)
     if not outcome:
         return GroundResult("unsat", conflicts=conflicts)
-
-    values = {t: sum((1 << k) if _lit_true(enc.sat, lit) else 0
+    values = {t: sum((1 << k) if _lit_true(sat, lit) else 0
                      for k, lit in enumerate(bits))
-              for t, bits in enc.bits.items() if t.kind is not Kind.VALUE}
-
-    parent = {t: t for t in session.index.terms if t.sort.is_array}
-
-    def find(x: Term) -> Term:
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (s, t), lit in enc.pair.items():
-        if _lit_true(enc.sat, lit):
-            rs, rt = find(s), find(t)
-            if rs is not rt:
-                keep, drop = (rs, rt) if rs.id < rt.id else (rt, rs)
-                parent[drop] = keep
-    array_repr = {a: find(a) for a in parent}
-    return GroundResult("sat", Interpretation(values, array_repr),
-                        conflicts)
+              for t, bits in session.bits.items() if t.kind is not Kind.VALUE}
+    pairs = {key: _lit_true(sat, lit) for key, lit in session.pair.items()}
+    return GroundResult("sat", Interpretation(values, pairs), conflicts)
 
 
 def _lit_true(sat: SatSolver, lit: int) -> bool:

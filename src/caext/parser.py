@@ -3,7 +3,9 @@
 Supported commands: ``set-logic`` (content ignored), ``declare-const``
 (and the zero-arity ``declare-fun`` spelling), zero-arity
 ``define-fun``, ``assert``, ``check-sat`` (at most one), ``get-model``
-(only after ``check-sat``), ``exit``.  One script names each constant
+(only after ``check-sat``), ``exit``.  After ``check-sat`` only
+``get-model`` and ``exit`` may come, and ``exit`` ends the script:
+nothing after it is read.  One script names each constant
 once, by a declaration or a definition, and a command sees only the
 constants that earlier commands of its script named: a definition's
 own name is not in scope in its body.  In a formula file a
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CaextError, ParseError, SortError, UnknownSymbolError
 from .terms import Sort, Term, TermManager, parse_width
@@ -80,24 +82,26 @@ def tokenize(text: str):
             yield text[start:i], line, start_col
 
 
-def read_sexprs(text: str) -> list[SExpr]:
-    """Parse ``text`` into a list of top-level s-expressions."""
+def read_sexprs(text: str) -> Iterator[SExpr]:
+    """Yield the top-level s-expressions of ``text``, each as soon as
+    it is complete, so a reader that stops early reads no further."""
     stack: list[SExpr] = []
-    top: list[SExpr] = []
     for tok, line, col in tokenize(text):
         if tok == "(":
             stack.append(SExpr(line, col, items=[]))
-        elif tok == ")":
+            continue
+        if tok == ")":
             if not stack:
                 raise ParseError("unmatched ')'", line, col)
             node = stack.pop()
-            (stack[-1].items if stack else top).append(node)
         else:
             node = SExpr(line, col, atom=tok)
-            (stack[-1].items if stack else top).append(node)
+        if stack:
+            stack[-1].items.append(node)
+        else:
+            yield node
     if stack:
         raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
-    return top
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +428,8 @@ class _Parser:
 
 def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     """Parse an SMT-LIB script; raises :class:`ParseError` (or a
-    subclass) with a source location on any problem."""
+    subclass) with a source location on any problem.  ``exit`` ends
+    the script: nothing after it is read."""
     m = manager if manager is not None else TermManager()
     p = _Parser(m)
     commands: list[Command] = []
@@ -435,13 +440,16 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
         except RecursionError:
             raise ParseError("input is nested too deeply to process",
                              node.line, node.col) from None
-        if isinstance(cmd, CheckSat):
-            if seen_check:
-                raise ParseError("only one check-sat is supported",
-                                 node.line, node.col)
-            seen_check = True
+        commands.append(cmd)
+        if isinstance(cmd, Exit):
+            break
+        if seen_check and not isinstance(cmd, GetModel):
+            raise ParseError(
+                "only one check-sat is supported" if isinstance(cmd, CheckSat)
+                else f"{node.head()} after check-sat: only get-model and "
+                     "exit may follow it", node.line, node.col)
         if isinstance(cmd, GetModel) and not seen_check:
             raise ParseError("get-model before check-sat",
                              node.line, node.col)
-        commands.append(cmd)
+        seen_check = seen_check or isinstance(cmd, CheckSat)
     return Script(commands, m)

@@ -15,6 +15,7 @@ import caext
 import caext.engine
 from caext import Configuration, TermManager, Term
 from caext.engine import _canonical_indices, _walk
+from caext.ground import FormulaIndex, GroundSession
 
 
 def src_env() -> dict[str, str]:
@@ -33,6 +34,12 @@ def run_module(*args, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "caext.cli", *args],
                           capture_output=True, text=True, env=src_env(),
                           cwd=cwd, timeout=300)
+
+
+def ground_session(m: TermManager, formulas, **settings) -> GroundSession:
+    """A ground session over a fresh formula index of ``formulas``;
+    ``settings`` are the session's ``seed`` and ``budget``."""
+    return GroundSession(FormulaIndex(m, formulas), **settings)
 
 
 @contextmanager

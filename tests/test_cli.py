@@ -144,6 +144,31 @@ class TestSolve:
         assert out.out == ""
         assert "unclosed" in out.err
 
+    def test_assert_after_check_sat_is_a_located_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const x Bool)\n(assert x)\n(check-sat)\n"
+                        "(assert (not x))\n")
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {path}:4:1: assert after check-sat: "
+                           "only get-model and exit may follow it\n")
+
+    @pytest.mark.parametrize("text,verdict", [
+        ("(assert x)\n(exit)\n(assert (not x))\n(check-sat)\n", ""),
+        ("(assert x)\n(check-sat)\n(exit)\n(assert (not x))\n", "sat\n"),
+        ("(assert x)\n(assert (not x))\n", ""),
+    ])
+    def test_verdict_only_for_a_script_reaching_check_sat(
+            self, tmp_path, capsys, text, verdict):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const x Bool)\n" + text)
+        assert main(["solve", str(path), "--stats"]) == 0
+        out = capsys.readouterr()
+        assert out.out == verdict
+        assert ("refinements:" in out.err) == bool(verdict)
+
     def test_definition_does_not_see_itself(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"
         path.write_text("(define-fun x () Bool (not x))\n(check-sat)\n")

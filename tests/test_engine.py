@@ -38,8 +38,8 @@ from caext.ground import (FormulaIndex, GroundSession, Interpretation,
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, benchmark_crafted, compute_reason,
-                     compute_updated_indices, random_instance, store_chain,
-                     watch_saturations)
+                     compute_updated_indices, ground_session, random_instance,
+                     store_chain, watch_saturations)
 from reference_propagation import exists_fresh_index
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -81,10 +81,9 @@ class Chain:
         for read, u in zip((self.r1, self.r2, self.r3, self.r4),
                            (ex.u1, ex.u2, ex.u3, ex.u4)):
             values[read] = values[u]
-        array_repr = {self.s1: self.s1, self.s2: self.s1,
-                      self.s3: self.s3, self.s4: self.s3,
-                      ex.cv: ex.cv, ex.cw: ex.cw, ex.a: ex.a}
-        return Interpretation(values, array_repr)
+        # both atoms hold; pair keys are in term-id order
+        pairs = {(self.s1, self.s2): True, (self.s3, self.s4): True}
+        return Interpretation(values, pairs)
 
     def configuration(self, interp) -> Configuration:
         cfg = Configuration(self.m, self.assertions)
@@ -321,7 +320,7 @@ class TestPropagationMap:
         m = TermManager()
         x, y = m.mk_const("x", m.bv_sort(2)), m.mk_const("y", m.bv_sort(2))
         formulas = [m.mk_eq(x, y)]
-        ground = solve_ground(m, formulas)
+        ground = solve_ground(ground_session(m, formulas))
         cfg = Configuration(m, formulas)
         cfg.interp = ground.interpretation
         init_steps(cfg)
@@ -335,7 +334,7 @@ class TestPropagationMap:
         i = m.mk_const("i", m.bv_sort(1))
         u = m.mk_const("u", m.bool_sort)
         formulas = [m.mk_eq(m.mk_select(a, i), u)]
-        ground = solve_ground(m, formulas)
+        ground = solve_ground(ground_session(m, formulas))
         cfg = Configuration(m, formulas)
         cfg.interp = ground.interpretation
         init_steps(cfg)
@@ -569,7 +568,8 @@ class TestExtensionalityWitness:
         a, b = m.mk_const("a", asort), m.mk_const("b", asort)
         e = m.mk_eq(a, b)
         cfg = Configuration(m, [m.mk_not(e)])
-        cfg.interp = solve_ground(m, cfg.formulas).interpretation
+        cfg.interp = solve_ground(
+            ground_session(m, cfg.formulas)).interpretation
         init_steps(cfg)
         propagate_fixpoint(cfg)
         info = check_conflicts(cfg)
@@ -584,10 +584,10 @@ class TestExtensionalityWitness:
         for seed in range(100):
             m, assertions = gen_fuzz(seed)
             cfg = Configuration(m, flatten(m, assertions).all_formulas)
-            session = GroundSession()
+            session = GroundSession(cfg)
             per_atom: Counter = Counter()
             for _ in range(200):
-                ground = solve_ground(m, cfg.formulas, session=session)
+                ground = solve_ground(session)
                 if ground.verdict == "unsat":
                     break
                 cfg.interp = ground.interpretation
@@ -717,9 +717,9 @@ class TestLoopControls:
         import caext.engine as engine
         sessions = []
 
-        def counting(*args, **kwargs):
-            sessions.append(kwargs["session"])
-            return solve_ground(*args, **kwargs)
+        def counting(session):
+            sessions.append(session)
+            return solve_ground(session)
 
         monkeypatch.setattr(engine, "solve_ground", counting)
         most = 0

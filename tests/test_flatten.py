@@ -2,8 +2,9 @@
 
 import pytest
 
-from caext import (Kind, OracleBounds, TermManager, interpretation_count,
-                   iter_subterms, oracle_solve)
+from caext import (Kind, OracleBounds, TermManager, free_constants,
+                   interpretation_count, iter_subterms, oracle_solve)
+from caext.benchgen import gen_fuzz
 from caext.flatten import flatten, is_flat_formula, is_leaf
 
 from helpers import Example2, random_instance
@@ -164,6 +165,19 @@ class TestSemantics:
         res = flatten(m, phi)
         assert oracle_solve(phi, WIDE).verdict == "unsat"
         assert oracle_solve(res.all_formulas, WIDE).verdict == "unsat"
+
+
+class TestConstants:
+    @pytest.mark.parametrize("make,count", [(gen_fuzz, 3000),
+                                            (random_instance, 500)])
+    def test_every_input_constant_occurs_in_the_formulas(self, make, count):
+        # Flattening adds constants that name applications but drops no
+        # constant of the input, so a model of the formulas assigns
+        # every input constant.
+        for seed in range(count):
+            m, assertions = make(seed)
+            kept = set(free_constants(flatten(m, assertions).all_formulas))
+            assert set(free_constants(assertions)) <= kept, seed
 
 
 class TestIdempotence:

@@ -118,6 +118,27 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="get-model before"):
             parse("(get-model)")
 
+    @pytest.mark.parametrize("command", [
+        "(assert (not x))", "(declare-const y Bool)",
+        "(define-fun y () Bool x)", "(set-logic QF_ABV)"])
+    def test_only_get_model_and_exit_follow_check_sat(self, command):
+        # check-sat sees only the assertions before it, so a later
+        # command could never take part in its verdict.
+        text = "(declare-const x Bool)\n(assert x)\n(check-sat)\n"
+        with pytest.raises(ParseError, match="after check-sat") as info:
+            parse(text + "(get-model)\n" + command)
+        assert (info.value.line, info.value.column) == (5, 1)
+
+    def test_exit_ends_the_script(self):
+        s = parse("(declare-const x Bool)(assert x)(exit)"
+                  "(assert (not x))(check-sat)(no-such-command")
+        assert s.assertions == [s.declared[0]]
+        assert not s.has_check_sat
+        s = parse("(declare-const x Bool)(assert x)(check-sat)(get-model)"
+                  "(exit)(assert (not x))")
+        assert s.has_check_sat and s.wants_model
+        assert s.assertions == [s.declared[0]]
+
     def test_sort_error_on_bad_application(self):
         with pytest.raises(SortError):
             parse("(declare-const a (Array Bool Bool))\n"

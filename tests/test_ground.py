@@ -2,12 +2,15 @@
 
 import pytest
 
-from caext import InternalError, OracleBounds, TermManager, oracle_solve
+import random
+
+from caext import (InternalError, OracleBounds, TermManager,
+                   UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
-from caext.ground import GroundSession, solve_ground
+from caext.ground import solve_ground
 from caext.terms import Kind, iter_subterms
 
-from helpers import random_instance
+from helpers import ground_session, random_instance
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -20,7 +23,7 @@ def m():
 class TestScalarCore:
     def test_equality_chain_sat(self, m):
         x, y, z = (m.mk_const(s, m.bv_sort(1)) for s in "xyz")
-        res = solve_ground(m, [m.mk_eq(x, y), m.mk_eq(y, z)])
+        res = solve_ground(ground_session(m, [m.mk_eq(x, y), m.mk_eq(y, z)]))
         assert res.verdict == "sat"
         vals = res.interpretation
         assert vals.value(x) == vals.value(y) == vals.value(z)
@@ -28,32 +31,34 @@ class TestScalarCore:
     def test_contradiction_unsat(self, m):
         x, y = (m.mk_const(s, m.bv_sort(2)) for s in "xy")
         eq = m.mk_eq(x, y)
-        assert solve_ground(m, [eq, m.mk_not(eq)]).verdict == "unsat"
+        res = solve_ground(ground_session(m, [eq, m.mk_not(eq)]))
+        assert res.verdict == "unsat"
 
     def test_three_distinct_values_do_not_fit_one_bit(self, m):
         ts = [m.mk_const(s, m.bv_sort(1)) for s in "xyz"]
-        res = solve_ground(m, [m.mk_distinct_n(3, ts)])
+        res = solve_ground(ground_session(m, [m.mk_distinct_n(3, ts)]))
         assert res.verdict == "unsat"
 
     def test_distinct_n_reified_negatively(self, m):
         ts = [m.mk_const(s, m.bv_sort(2)) for s in "xyz"]
         atom = m.mk_distinct_n(2, ts)
-        res = solve_ground(m, [m.mk_not(atom)])
+        res = solve_ground(ground_session(m, [m.mk_not(atom)]))
         assert res.verdict == "sat"
         vals = {res.interpretation.value(t) for t in ts}
         assert len(vals) == 1
 
     def test_distinct_n_counting(self, m):
         ts = [m.mk_const(s, m.bv_sort(2)) for s in "xyzw"]
-        res = solve_ground(m, [m.mk_distinct_n(3, ts),
-                               m.mk_eq(ts[0], ts[1])])
+        res = solve_ground(ground_session(m, [m.mk_distinct_n(3, ts),
+                                              m.mk_eq(ts[0], ts[1])]))
         assert res.verdict == "sat"
         vals = [res.interpretation.value(t) for t in ts]
         assert len(set(vals)) >= 3 and vals[0] == vals[1]
 
     def test_values_fixed(self, m):
         x = m.mk_const("x", m.bv_sort(3))
-        res = solve_ground(m, [m.mk_eq(x, m.mk_value(m.bv_sort(3), 5))])
+        five = m.mk_value(m.bv_sort(3), 5)
+        res = solve_ground(ground_session(m, [m.mk_eq(x, five)]))
         assert res.interpretation.value(x) == 5
 
 
@@ -65,8 +70,8 @@ class TestReadsAreFree:
         a = m.mk_const("a", m.array_sort(m.bv_sort(2), m.bool_sort))
         i, j = (m.mk_const(s, m.bv_sort(2)) for s in "ij")
         ri, rj = m.mk_select(a, i), m.mk_select(a, j)
-        res = solve_ground(m, [m.mk_eq(i, j),
-                               m.mk_not(m.mk_eq(ri, rj))])
+        res = solve_ground(ground_session(m, [m.mk_eq(i, j),
+                                              m.mk_not(m.mk_eq(ri, rj))]))
         assert res.verdict == "sat"
 
     def test_virtual_read_is_enforced(self, m):
@@ -74,16 +79,16 @@ class TestReadsAreFree:
         i = m.mk_const("i", m.bv_sort(2))
         u = m.mk_const("u", m.bool_sort)
         read = m.mk_select(m.mk_store(a, i, u), i)
-        res = solve_ground(m, [m.mk_not(m.mk_eq(read, u))])
+        res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(read, u))]))
         assert res.verdict == "unsat"
 
     def test_array_equality_does_not_bind_reads(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
         a, b = m.mk_const("a", asort), m.mk_const("b", asort)
         i = m.mk_const("i", m.bv_sort(2))
-        res = solve_ground(m, [
+        res = solve_ground(ground_session(m, [
             m.mk_eq(a, b),
-            m.mk_not(m.mk_eq(m.mk_select(a, i), m.mk_select(b, i)))])
+            m.mk_not(m.mk_eq(m.mk_select(a, i), m.mk_select(b, i)))]))
         assert res.verdict == "sat"
 
     def test_virtual_read_terms_enumerated(self, m):
@@ -91,9 +96,9 @@ class TestReadsAreFree:
         i = m.mk_const("i", m.bool_sort)
         u = m.mk_const("u", m.bool_sort)
         s = m.mk_store(a, i, u)
-        res = solve_ground(m, [
+        res = solve_ground(ground_session(m, [
             m.mk_eq(s, a),
-            m.mk_not(m.mk_eq(m.mk_select(s, i), u))])
+            m.mk_not(m.mk_eq(m.mk_select(s, i), u))]))
         assert res.verdict == "unsat"
 
 
@@ -101,19 +106,19 @@ class TestArrayPartition:
     def test_transitivity_enforced(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
         a, b, c = (m.mk_const(s, asort) for s in "abc")
-        res = solve_ground(m, [m.mk_eq(a, b), m.mk_eq(b, c),
-                               m.mk_not(m.mk_eq(a, c))])
+        res = solve_ground(ground_session(m, [m.mk_eq(a, b), m.mk_eq(b, c),
+                                              m.mk_not(m.mk_eq(a, c))]))
         assert res.verdict == "unsat"
 
     def test_representatives_follow_truth(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
         a, b, c = (m.mk_const(s, asort) for s in "abc")
-        res = solve_ground(m, [m.mk_eq(a, b), m.mk_not(m.mk_eq(b, c))])
+        res = solve_ground(ground_session(m, [m.mk_eq(a, b),
+                                              m.mk_not(m.mk_eq(b, c))]))
         assert res.verdict == "sat"
         interp = res.interpretation
-        assert interp.arrays_equal(a, b)
-        assert not interp.arrays_equal(b, c)
-        assert not interp.arrays_equal(a, c)
+        assert interp.eval(m.mk_eq(a, b))
+        assert not interp.eval(m.mk_eq(b, c))
 
     def test_store_nodes_participate(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
@@ -121,32 +126,76 @@ class TestArrayPartition:
         i = m.mk_const("i", m.bool_sort)
         u = m.mk_const("u", m.bool_sort)
         s = m.mk_store(a, i, u)
-        res = solve_ground(m, [m.mk_eq(s, b)])
+        res = solve_ground(ground_session(m, [m.mk_eq(s, b)]))
         assert res.verdict == "sat"
-        assert res.interpretation.arrays_equal(s, b)
+        assert res.interpretation.eval(m.mk_eq(s, b))
 
 
 class TestSparseTransitivity:
     def test_four_cycle_needs_a_fill_edge(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
         a, b, c, d = (m.mk_const(s, asort) for s in "abcd")
-        res = solve_ground(m, [m.mk_eq(a, b), m.mk_eq(b, c), m.mk_eq(c, d),
-                               m.mk_not(m.mk_eq(a, d))])
+        res = solve_ground(ground_session(m, [m.mk_eq(a, b), m.mk_eq(b, c),
+                                              m.mk_eq(c, d),
+                                              m.mk_not(m.mk_eq(a, d))]))
         assert res.verdict == "unsat"
 
     def test_unrelated_arrays_get_no_pair(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
         a, b, c, d = (m.mk_const(s, asort) for s in "abcd")
-        session = GroundSession()
-        res = solve_ground(m, [m.mk_eq(a, b), m.mk_not(m.mk_eq(c, d))],
-                           session=session)
+        session = ground_session(m, [m.mk_eq(a, b), m.mk_not(m.mk_eq(c, d))])
+        res = solve_ground(session)
         assert res.verdict == "sat"
-        assert set(session.enc.pair) == {(a, b), (c, d)}
+        assert set(session.pair) == {(a, b), (c, d)}
         interp = res.interpretation
-        assert set(interp.array_repr) == {a, b, c, d}
-        assert interp.arrays_equal(a, b)
-        assert not interp.arrays_equal(a, c)
-        assert not interp.arrays_equal(c, d)
+        assert set(interp.pairs) == {(a, b), (c, d)}
+        assert interp.eval(m.mk_eq(a, b))
+        assert not interp.eval(m.mk_eq(c, d))
+        with pytest.raises(UnassignedConstant):
+            interp.eval(m.mk_eq(a, c))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_true_atoms_are_closed_under_paths(self, seed):
+        # Transitivity on the chordal completion makes the true pair
+        # literals a partition: in every candidate an atom holds exactly
+        # when a path of true atoms joins its two sides.  Candidates are
+        # enumerated by blocking each one found.
+        rng = random.Random(seed)
+        m = TermManager()
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        arrays = [m.mk_const(f"a{k}", asort)
+                  for k in range(rng.randint(3, 8))]
+        atoms = [m.mk_eq(x, y) for k, x in enumerate(arrays)
+                 for y in arrays[k + 1:] if rng.random() < 0.5]
+        if len(atoms) < 2:
+            atoms = [m.mk_eq(arrays[0], arrays[1]),
+                     m.mk_eq(arrays[1], arrays[2])]
+        fs = []
+        for e in atoms:
+            other = rng.choice(atoms)
+            fs.append(rng.choice([e, m.mk_not(e), m.mk_or([e, other]),
+                                  m.mk_or([m.mk_not(e), other])]))
+        session = ground_session(m, fs)
+        for _ in range(30):
+            res = solve_ground(session)
+            if res.verdict == "unsat":
+                break
+            truth = {e: res.interpretation.eval(e) for e in atoms}
+            parent = {a: a for a in arrays}
+
+            def find(x):
+                while parent[x] is not x:
+                    x = parent[x]
+                return x
+
+            for e, holds in truth.items():
+                if holds:
+                    parent[find(e.args[0])] = find(e.args[1])
+            for e, holds in truth.items():
+                joined = find(e.args[0]) is find(e.args[1])
+                assert holds == joined, (seed, e)
+            session.index.add_formula(m.mk_or(
+                [m.mk_not(e) if holds else e for e, holds in truth.items()]))
 
 
 def _has_array_eq(f):
@@ -164,35 +213,37 @@ class TestSession:
         # Array-equality atoms must all come with the first batch.
         flat.sort(key=lambda f: not _has_array_eq(f))
         cut = max(sum(map(_has_array_eq, flat)), len(flat) // 2)
-        session = GroundSession()
+        session = ground_session(m, flat[:cut])
         for batch in (flat[:cut], flat):
-            res = solve_ground(m, batch, session=session)
-            assert res.verdict == solve_ground(m, batch).verdict, seed
+            for f in batch[len(session.index.formulas):]:
+                session.index.add_formula(f)
+            res = solve_ground(session)
+            one_shot = solve_ground(ground_session(m, batch))
+            assert res.verdict == one_shot.verdict, seed
             if res.verdict == "sat":
                 assert all(res.interpretation.eval(f) for f in batch), seed
-        assert session.index.formulas == flat
 
     def test_new_array_atom_after_first_encode_raises(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
         a, b, c = (m.mk_const(s, asort) for s in "abc")
-        fs = [m.mk_eq(a, b)]
-        session = GroundSession()
-        assert solve_ground(m, fs, session=session).verdict == "sat"
-        with pytest.raises(InternalError, match="after the first"):
-            solve_ground(m, fs + [m.mk_eq(b, c)], session=session)
+        session = ground_session(m, [m.mk_eq(a, b)])
+        assert solve_ground(session).verdict == "sat"
+        session.index.add_formula(m.mk_eq(b, c))
+        with pytest.raises(InternalError, match="unregistered array pair"):
+            solve_ground(session)
 
     def test_conflicts_and_budget_per_call(self, m):
         # Eight distinct 3-bit values: sat, but not within one conflict.
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
         fs = [m.mk_distinct_n(8, xs)]
-        session = GroundSession(budget=1)
+        session = ground_session(m, fs, budget=1)
         calls = []
         while not calls or calls[-1].verdict is None:
-            calls.append(solve_ground(m, fs, session=session))
+            calls.append(solve_ground(session))
             assert len(calls) < 500
         assert len(calls) > 1 and calls[-1].verdict == "sat"
         assert all(r.conflicts == 2 for r in calls[:-1])
-        assert sum(r.conflicts for r in calls) == session.enc.sat.conflicts
+        assert sum(r.conflicts for r in calls) == session.sat.conflicts
 
 
 class TestEvalAndInvariants:
@@ -200,14 +251,14 @@ class TestEvalAndInvariants:
         for seed in range(40):
             m, assertions = random_instance(seed)
             flat = flatten(m, assertions).all_formulas
-            res = solve_ground(m, flat)
+            res = solve_ground(ground_session(m, flat))
             if res.verdict == "sat":
                 assert all(res.interpretation.eval(f) for f in flat), seed
 
     def test_deterministic(self):
         m, assertions = random_instance(11)
-        r1 = solve_ground(m, assertions)
-        r2 = solve_ground(m, assertions)
+        r1 = solve_ground(ground_session(m, assertions))
+        r2 = solve_ground(ground_session(m, assertions))
         assert r1.verdict == r2.verdict
         if r1.verdict == "sat":
             assert r1.interpretation.values == r2.interpretation.values
@@ -216,7 +267,8 @@ class TestEvalAndInvariants:
         for seed in range(30):
             m, assertions = random_instance(seed)
             if oracle_solve(assertions, LOOSE).verdict == "sat":
-                assert solve_ground(m, assertions).verdict == "sat", seed
+                res = solve_ground(ground_session(m, assertions))
+                assert res.verdict == "sat", seed
 
     def test_scalar_only_formulas_match_oracle(self):
         import random as _r
@@ -232,11 +284,11 @@ class TestEvalAndInvariants:
                     f = m.mk_not(f)
                 fs.append(f)
             fs.append(m.mk_distinct_n(rng.randint(1, 3), xs))
-            assert (solve_ground(m, fs).verdict
+            assert (solve_ground(ground_session(m, fs)).verdict
                     == oracle_solve(fs, LOOSE).verdict), seed
 
     def test_budget_returns_none(self, m):
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
         fs = [m.mk_distinct_n(8, xs)]
-        res = solve_ground(m, fs, session=GroundSession(budget=0))
+        res = solve_ground(ground_session(m, fs, budget=0))
         assert res.verdict is None

@@ -39,7 +39,7 @@ from caext import (
     validate_model,
 )
 
-from helpers import Example2, compute_reason, random_instance
+from helpers import Example2, compute_reason, ground_session, random_instance
 
 AUDIT_BOUNDS = OracleBounds(max_free_constants=20, max_array_constants=10,
                             max_interpretations=5_000_000)
@@ -90,7 +90,7 @@ class LoopAudit:
 
     def run(self):
         for _ in range(100):
-            ground = solve_ground(self.m, self.cfg.formulas)
+            ground = solve_ground(ground_session(self.m, self.cfg.formulas))
             assert ground.verdict is not None
             if ground.verdict == "unsat":
                 return "unsat", None
@@ -237,7 +237,7 @@ class TestDistinctCounting:
                 formulas = [self.atom(n)]
                 if force_equal:
                     formulas.append(m.mk_eq(self.consts[0], self.consts[1]))
-                res = solve_ground(m, formulas)
+                res = solve_ground(ground_session(m, formulas))
                 possible = (n <= 2) if force_equal else True
                 assert (res.verdict == "sat") == possible
                 if res.verdict == "sat":
@@ -255,12 +255,13 @@ class TestDistinctCounting:
         m = self.m
         assert oracle_valid(m.mk_not(m.mk_distinct_n(4, self.consts)),
                             AUDIT_BOUNDS)
-        res = solve_ground(m, [m.mk_distinct_n(4, self.consts)])
+        res = solve_ground(
+            ground_session(m, [m.mk_distinct_n(4, self.consts)]))
         assert res.verdict == "unsat"
 
     def test_domain_caps_distinctness(self):
         m = TermManager()
         consts = [m.mk_const(f"b{k}", m.bv_sort(1)) for k in range(3)]
-        res = solve_ground(m, [m.mk_distinct_n(3, consts)])
+        res = solve_ground(ground_session(m, [m.mk_distinct_n(3, consts)]))
         assert res.verdict == "unsat"
         assert oracle_solve([m.mk_distinct_n(3, consts)]).verdict == "unsat"
