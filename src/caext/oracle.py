@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BoundsExceeded
 from .model import Model
-from .terms import Kind, Term, domain_size, free_constants, iter_subterms
+from .terms import Kind, Sort, Term, domain_size, iter_subterms
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,39 @@ class ValidityResult:
         return self.ok
 
 
-def _split_constants(assertions: Sequence[Term]) -> tuple[list[Term], list[Term]]:
-    consts = sorted(free_constants(assertions), key=lambda c: c.name or "")
+def _collect(assertions: Sequence[Term],
+             ) -> tuple[list[Term], list[Term], list[Sort]]:
+    """One walk of ``assertions``: their scalar and their array constants,
+    each sorted by name, and the array sorts of their subterms in
+    first-seen order."""
+    consts: list[Term] = []
+    array_sorts: dict[Sort, None] = {}
+    for t in iter_subterms(assertions):
+        if t.kind is Kind.CONSTANT:
+            consts.append(t)
+        if t.sort.is_array:
+            array_sorts[t.sort] = None
+    consts.sort(key=lambda c: c.name or "")
     scalars = [c for c in consts if not c.sort.is_array]
     arrays = [c for c in consts if c.sort.is_array]
-    return scalars, arrays
+    return scalars, arrays, list(array_sorts)
+
+
+def _count(constants: list[Term]) -> int:
+    return math.prod(domain_size(c.sort) for c in constants)
 
 
 def interpretation_count(assertions: Sequence[Term]) -> int:
     """Total number of interpretations the oracle would enumerate."""
-    scalars, arrays = _split_constants(assertions)
-    count = 1
-    for c in scalars:
-        count *= domain_size(c.sort)
-    for c in arrays:
-        count *= domain_size(c.sort)
-    return count
+    scalars, arrays, _ = _collect(assertions)
+    return _count(scalars + arrays)
 
 
-def check_bounds(assertions: Sequence[Term],
-                 bounds: OracleBounds = DEFAULT_BOUNDS) -> None:
-    """Raise :class:`BoundsExceeded` if the problem is too large to
-    enumerate under ``bounds``."""
-    scalars, arrays = _split_constants(assertions)
+def _bounded_constants(assertions: Sequence[Term], bounds: OracleBounds
+                       ) -> tuple[list[Term], list[Term]]:
+    """The scalar and the array constants of ``assertions``, each sorted
+    by name; raises :class:`BoundsExceeded` as `check_bounds` does."""
+    scalars, arrays, array_sorts = _collect(assertions)
     if len(scalars) > bounds.max_free_constants:
         raise BoundsExceeded(
             f"{len(scalars)} scalar constants exceed the limit of "
@@ -89,22 +99,28 @@ def check_bounds(assertions: Sequence[Term],
         raise BoundsExceeded(
             f"{len(arrays)} array constants exceed the limit of "
             f"{bounds.max_array_constants}")
-    for t in iter_subterms(assertions):
-        sort = t.sort
-        if sort.is_array:
-            if domain_size(sort.index) > bounds.max_index_domain:
-                raise BoundsExceeded(
-                    f"index sort {sort.index!r} exceeds the domain limit of "
-                    f"{bounds.max_index_domain}")
-            if domain_size(sort.element) > bounds.max_element_domain:
-                raise BoundsExceeded(
-                    f"element sort {sort.element!r} exceeds the domain limit "
-                    f"of {bounds.max_element_domain}")
-    total = interpretation_count(assertions)
+    for sort in array_sorts:
+        if domain_size(sort.index) > bounds.max_index_domain:
+            raise BoundsExceeded(
+                f"index sort {sort.index!r} exceeds the domain limit of "
+                f"{bounds.max_index_domain}")
+        if domain_size(sort.element) > bounds.max_element_domain:
+            raise BoundsExceeded(
+                f"element sort {sort.element!r} exceeds the domain limit "
+                f"of {bounds.max_element_domain}")
+    total = _count(scalars + arrays)
     if total > bounds.max_interpretations:
         raise BoundsExceeded(
             f"{total} interpretations exceed the ceiling of "
             f"{bounds.max_interpretations}")
+    return scalars, arrays
+
+
+def check_bounds(assertions: Sequence[Term],
+                 bounds: OracleBounds = DEFAULT_BOUNDS) -> None:
+    """Raise :class:`BoundsExceeded` if the problem is too large to
+    enumerate under ``bounds``."""
+    _bounded_constants(assertions, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +136,8 @@ class _Grid:
     order.
     """
 
-    def __init__(self, assertions: Sequence[Term]):
-        self.scalars, self.arrays = _split_constants(assertions)
+    def __init__(self, scalars: list[Term], arrays: list[Term]):
+        self.scalars, self.arrays = scalars, arrays
         self.axes: list[int] = []          # domain size per axis
         self.scalar_axis: dict[Term, int] = {}
         self.array_axes: dict[Term, list[int]] = {}
@@ -286,8 +302,7 @@ def oracle_solve(assertions: Sequence[Term],
     Returns the first satisfying interpretation in enumeration order,
     or an unsat verdict after exhausting the space.
     """
-    check_bounds(assertions, bounds)
-    grid = _Grid(assertions)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     hits = np.flatnonzero(_vector_truth(assertions, grid))
     if hits.size == 0:
         return OracleResult("unsat", interpretations=grid.total)
@@ -300,8 +315,7 @@ def oracle_valid(formulas: Sequence[Term] | Term,
     interpretation; otherwise return the first counterexample."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    check_bounds(formulas, bounds)
-    grid = _Grid(formulas)
+    grid = _Grid(*_bounded_constants(formulas, bounds))
     misses = np.flatnonzero(_vector_truth(formulas, grid) == 0)
     if misses.size == 0:
         return ValidityResult(True)

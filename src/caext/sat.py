@@ -7,16 +7,30 @@ and Luby-sequence restarts.  Runs are deterministic for a fixed seed;
 seed 0 (the default) starts every variable with a negative phase, any
 other seed randomizes the initial phases.
 
+Decisions take the unassigned variable of highest activity, the lowest
+index on ties.  As in MiniSat (Een & Sorensson, "An Extensible
+SAT-solver", SAT 2003), a binary heap keeps that order, so a decision
+costs O(log n) rather than a scan of every variable.  Here the heap
+holds (-activity, variable) pairs and deletes lazily: a variable is
+pushed when it is made and again whenever a backtrack unassigns it,
+and entries of assigned variables are dropped when they reach the top.
+Activities grow only while their variable is assigned, so an
+unassigned variable's newest entry always sorts before its older ones.
+When activities are rescaled, or the heap holds more than twice as
+many entries as there are variables, it is rebuilt from the unassigned
+variables.
+
 Variables and clauses may be added between `solve` calls, in the style
-of Een & Sorensson, "An Extensible SAT-solver" (SAT 2003): learned
-clauses, activities and saved phases carry over from one call to the
-next.  `solve` returns True (satisfiable), False (unsatisfiable, for
-good), or None if that call's conflict budget ran out first.
+of the same paper: learned clauses, activities and saved phases carry
+over from one call to the next.  `solve` returns True (satisfiable),
+False (unsatisfiable, for good), or None if that call's conflict budget
+ran out first.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 _RESTART_UNIT = 100
@@ -57,6 +71,7 @@ class SatSolver:
         self._activity: list[float] = [0.0]
         self._seen: list[bool] = [False]   # conflict-analysis marks
         self._act_inc = 1.0
+        self._heap: list[tuple[float, int]] = []   # (-activity, var)
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
@@ -77,11 +92,8 @@ class SatSolver:
         self._seen.append(False)
         self._watches.append([])
         self._watches.append([])
+        heappush(self._heap, (-0.0, self.num_vars))
         return self.num_vars
-
-    @staticmethod
-    def _code(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
 
     def _lit_value(self, lit: int) -> int:
         v = self._assign[abs(lit)]
@@ -120,8 +132,10 @@ class SatSolver:
             self._watch(clause)
 
     def _watch(self, clause: list[int]) -> None:
-        self._watches[self._code(-clause[0])].append(clause)
-        self._watches[self._code(-clause[1])].append(clause)
+        # Watched under the codes of -clause[0] and -clause[1].
+        a, b = clause[0], clause[1]
+        self._watches[2 * a + 1 if a > 0 else -2 * a].append(clause)
+        self._watches[2 * b + 1 if b > 0 else -2 * b].append(clause)
 
     # ------------------------------------------------------------------
     # Trail
@@ -135,33 +149,42 @@ class SatSolver:
 
     def _propagate(self) -> Optional[list[int]]:
         """Exhaust unit propagation; return a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
+        trail, watches, assign = self._trail, self._watches, self._assign
+        levels, reasons, level = self._level, self._reason, len(self._trail_lim)
+        while self._qhead < len(trail):
+            lit = trail[self._qhead]
             self._qhead += 1
-            watch_list = self._watches[self._code(lit)]
+            code = 2 * lit if lit > 0 else -2 * lit + 1
+            watch_list = watches[code]
             kept: list[list[int]] = []
-            for ci in range(len(watch_list)):
-                clause = watch_list[ci]
+            for ci, clause in enumerate(watch_list):
                 # Ensure the falsified literal sits at position 1.
                 if clause[0] == -lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) > 0:
+                first_val = assign[first] if first > 0 else -assign[-first]
+                if first_val > 0:
                     kept.append(clause)
                     continue
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[self._code(-clause[1])].append(clause)
+                    q = clause[k]
+                    if (assign[q] if q > 0 else -assign[-q]) >= 0:
+                        clause[1], clause[k] = q, clause[1]
+                        watches[2 * q + 1 if q > 0 else -2 * q].append(clause)
                         break
                 else:
                     kept.append(clause)
-                    if self._lit_value(first) < 0:
+                    if first_val < 0:
                         kept.extend(watch_list[ci + 1:])
-                        self._watches[self._code(lit)] = kept
+                        watches[code] = kept
                         return clause
-                    self._enqueue(first, clause)
-            self._watches[self._code(lit)] = kept
+                    # _enqueue(first, clause), inline in this hot loop
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    levels[var] = level
+                    reasons[var] = clause
+                    trail.append(first)
+            watches[code] = kept
         return None
 
     # ------------------------------------------------------------------
@@ -173,6 +196,14 @@ class SatSolver:
             for v in range(1, self.num_vars + 1):
                 self._activity[v] *= 1e-100
             self._act_inc *= 1e-100
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        activity = self._activity
+        self._heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                      if self._assign[v] == 0]
+        heapify(self._heap)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning; returns (learned clause, backjump level).
@@ -222,25 +253,35 @@ class SatSolver:
         return learned, back
 
     def _backtrack(self, level: int) -> None:
-        while len(self._trail_lim) > level:
-            mark = self._trail_lim.pop()
-            for lit in reversed(self._trail[mark:]):
+        trail, trail_lim = self._trail, self._trail_lim
+        if len(trail_lim) > level:
+            mark = trail_lim[level]
+            del trail_lim[level:]
+            phase, assign, reason = self._phase, self._assign, self._reason
+            heap, activity = self._heap, self._activity
+            for lit in reversed(trail[mark:]):
                 var = abs(lit)
-                self._phase[var] = lit > 0
-                self._assign[var] = 0
-                self._reason[var] = None
-            del self._trail[mark:]
-        self._qhead = min(self._qhead, len(self._trail))
+                phase[var] = lit > 0
+                assign[var] = 0
+                reason[var] = None
+                heappush(heap, (-activity[var], var))
+            del trail[mark:]
+            if len(heap) > 2 * self.num_vars:
+                self._rebuild_heap()
+        self._qhead = min(self._qhead, len(trail))
 
     # ------------------------------------------------------------------
     # Search
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for var in range(1, self.num_vars + 1):
-            if self._assign[var] == 0 and self._activity[var] > best_act:
-                best, best_act = var, self._activity[var]
-        return best
+        """The unassigned variable of highest activity, the lowest index
+        on ties; 0 when every variable is assigned."""
+        heap, assign = self._heap, self._assign
+        while heap:
+            var = heappop(heap)[1]
+            if assign[var] == 0:
+                return var
+        return 0
 
     def solve(self) -> Optional[bool]:
         if self._unsat:

@@ -19,9 +19,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import CaextError, SortMismatch
 
 # The widest bit-vector sort.  The ground layer gives every bit of every
-# scalar term a SAT variable, and the SAT core scans every variable per
-# decision, so solving time grows with the square of the total width.
-MAX_BV_WIDTH = 1024
+# scalar term its own SAT variable and clauses, so the limit bounds the
+# encoding that one declaration or literal can ask for.
+MAX_BV_WIDTH = 4096
 
 
 def parse_width(digits: str) -> int:

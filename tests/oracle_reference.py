@@ -17,7 +17,7 @@ from typing import Sequence
 
 from caext import (Kind, Model, OracleResult, Term, ValidityResult,
                    domain_size, eval_term)
-from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _Grid, check_bounds
+from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_constants, _Grid
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +43,7 @@ def _holds(model: Model, assertions: Sequence[Term]) -> bool:
 def oracle_solve_scalar(assertions: Sequence[Term],
                         bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
     """:func:`caext.oracle_solve` by the scalar engine."""
-    check_bounds(assertions, bounds)
-    grid = _Grid(assertions)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     for model in _interpretations(grid):
         if _holds(model, assertions):
             return OracleResult("sat", model, grid.total)
@@ -57,8 +56,8 @@ def oracle_valid_scalar(formulas: Sequence[Term] | Term,
     """:func:`caext.oracle_valid` by the scalar engine."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    check_bounds(formulas, bounds)
-    for model in _interpretations(_Grid(formulas)):
+    grid = _Grid(*_bounded_constants(formulas, bounds))
+    for model in _interpretations(grid):
         if not _holds(model, formulas):
             return ValidityResult(False, model)
     return ValidityResult(True)
@@ -131,8 +130,7 @@ def oracle_solve_pointwise(assertions: Sequence[Term],
                            bounds: OracleBounds = DEFAULT_BOUNDS,
                            ) -> OracleResult:
     """:func:`caext.oracle_solve` by the pointwise evaluator."""
-    check_bounds(assertions, bounds)
-    grid = _Grid(assertions)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     for model in _interpretations(grid):
         if all(eval_pointwise(model, a) for a in assertions):
             return OracleResult("sat", model, grid.total)

@@ -35,6 +35,7 @@ from caext.errors import (CaextError, InternalError, ResourceLimit,
 from caext.flatten import flatten
 from caext.ground import (FormulaIndex, GroundSession, Interpretation,
                           solve_ground)
+from caext.terms import MAX_BV_WIDTH
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, benchmark_crafted, compute_reason,
@@ -691,6 +692,14 @@ class TestLoopControls:
         res = check_sat(m, assertions, budget=0)
         assert res.verdict == "unknown"
         assert res.model is None
+
+    def test_distinct_constants_at_the_width_limit(self):
+        m = TermManager()
+        x, y = (m.mk_const(n, m.bv_sort(MAX_BV_WIDTH)) for n in "xy")
+        assertions = [m.mk_not(m.mk_eq(x, y))]  # (distinct x y)
+        res = check_sat(m, assertions)
+        assert res.verdict == "sat"
+        assert validate_model(res.model, assertions)
 
     def test_refinement_limit_raises(self, chain):
         with pytest.raises(ResourceLimit):

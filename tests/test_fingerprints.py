@@ -1,0 +1,24 @@
+"""Behaviour fingerprints against a committed golden file.
+
+``tests/data/fingerprints.txt`` is the output of::
+
+    python tests/fingerprints.py --fuzz 0:200 --crafted 7
+
+A change that alters a verdict, a ``SolveStats`` counter, a lemma or a
+model on these 215 runs fails here.  A change that does so on purpose
+regenerates the file with that command and says so in ``CHANGES.md``.
+"""
+
+from pathlib import Path
+
+from fingerprints import fingerprint, runs
+
+GOLDEN = Path(__file__).parent / "data" / "fingerprints.txt"
+
+
+def test_fingerprints_match_the_golden_file():
+    expected = GOLDEN.read_text().splitlines()
+    assert len(expected) == 215
+    got = [f"{name} {fingerprint(manager, assertions)}"
+           for name, manager, assertions in runs(range(200), [7])]
+    assert got == expected

@@ -179,6 +179,57 @@ class TestIncremental:
                 assert satisfies(s, clauses)
 
 
+class ScanCheckedSolver(SatSolver):
+    """Checks every decision against a linear scan of the variables."""
+
+    decisions = 0
+
+    def _decide(self):
+        var = super()._decide()
+        best, best_act = 0, -1.0
+        for v in range(1, self.num_vars + 1):
+            if self._assign[v] == 0 and self._activity[v] > best_act:
+                best, best_act = v, self._activity[v]
+        assert var == best, (var, best)
+        self.decisions += 1
+        return var
+
+
+class TestDecisionOrder:
+    """The heap picks the unassigned variable of highest activity, the
+    lowest index on ties, exactly as a scan would."""
+
+    @staticmethod
+    def solve_in_batches(rng, s, num_vars, batches, per_batch):
+        """Random 3-clauses in batches, one `solve` and one new variable
+        after each."""
+        for _ in range(num_vars):
+            s.new_var()
+        for _ in range(batches):
+            for _ in range(per_batch):
+                vs = rng.sample(range(1, s.num_vars + 1), 3)
+                s.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+            s.solve()
+            s.new_var()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_decisions_match_a_scan(self, seed):
+        rng = random.Random(2000 + seed)
+        s = ScanCheckedSolver(seed=seed % 3)
+        num_vars = rng.randint(10, 30)
+        self.solve_in_batches(rng, s, num_vars, 3, 3 * num_vars // 2)
+        assert s.decisions > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_decisions_match_a_scan_across_rescales(self, seed):
+        rng = random.Random(3000 + seed)
+        s = ScanCheckedSolver()
+        s._act_inc = 5e99  # a variable bumped twice passes 1e100
+        self.solve_in_batches(rng, s, 60, 3, 85)
+        assert s._act_inc < 1e99  # activities were rescaled
+        assert s.decisions > 0
+
+
 def test_luby_prefix():
     assert [_luby(i) for i in range(1, 16)] == [
         1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
