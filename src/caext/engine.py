@@ -19,11 +19,17 @@ ground session encodes what was added, so every subterm is walked
 once.  Each candidate's true array equality atoms are evaluated once,
 into a set that propagation, the conflict scan and the model read.
 
-Propagation scans the recorded facts in a fixed order and restarts
-after every new one, so the same candidate always yields the same
-facts in the same order.  A scan reaches the stores next to an array
-(one list of store hops, down to the base and up to each store over
-it) and the equality atoms at it through the index's adjacency maps.
+Propagation records facts in the order of a fixed-order scan that
+restarts after every new one, so the same candidate always yields the
+same facts in the same order.  The first rule, reads crossing stores,
+resumes at a cursor into the read entries instead of restarting: while
+one candidate saturates, the values and the store graph are fixed and
+facts are only added, so an entry that has crossed every store it can
+never crosses another.  The other two rules walk maps that offer no
+position to resume at, and still restart.  A scan reaches the stores
+next to an array (one list of store hops, down to the base and up to
+each store over it) and the equality atoms at it through the index's
+adjacency maps.
 Each step carries what later phases need from it, as Christ &
 Hoenicke ("Weakly equivalent arrays", FroCoS 2015) carry the crossed
 indices along each hop of such a store graph: a read step its index
@@ -273,8 +279,9 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     then copies across equalities that hold under the interpretation,
     then defaults crossing stores; within one priority, entries are
     visited in the order they were recorded, and each entry tries its
-    neighbours in formula order.  After every new step the scan
-    restarts, which makes saturation deterministic.
+    neighbours in formula order.  The steps come out in the order of a
+    scan that restarts at the first entry after every new step, which
+    makes saturation deterministic.
 
     A scan reaches an entry's neighbours through the configuration's
     adjacency maps (`hops`, `eqs_at`) instead of every store and
@@ -284,30 +291,50 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     its entry carries.  Priority 2 copies across the atoms in
     ``cfg.true_atoms``, which :func:`init_steps` filled for this
     candidate.
+
+    Priority 1 does not restart.  It keeps one forward cursor into
+    ``cfg.read_steps`` for this saturation and resumes there after any
+    new step.  Within one saturation an entry's index value and the
+    values of the store indices are fixed, `hops` does not grow and
+    ``cfg.steps`` only grows, so a hop an entry cannot cross now it
+    can never cross later.  One pass over an entry's hops therefore
+    records every step the restarting scan would record at that entry,
+    in the same order, and the cursor moves past the entry only after
+    that pass; the entries before it are exhausted and a restart would
+    find nothing there.  Entries that priority 2 appends land past the
+    cursor and are still scanned.  Priorities 2 and 3 walk the dicts
+    ``cfg.steps`` and ``cfg.default_steps``, which offer no positional
+    resume, so they still restart at their first entry after every new
+    step (:func:`_restart_scan`).
     """
-    while _apply_one(cfg):
-        pass
-    return cfg
-
-
-def _apply_one(cfg: Configuration) -> bool:
-    """Record the first applicable step of the scan, if any.  The loops
-    stop at the step they record, so they may iterate over the live
-    lists and maps."""
     m = cfg.manager
     steps = cfg.steps
     hops = cfg.hops
     # `init_steps` recorded each store's read of its own index, so the
     # value of every store index is already in the memo.
     values = cfg.values
+    reads = cfg.read_steps
+    # An index, not a list iterator: an exhausted iterator would not see
+    # the entries that priority 2 appends later.
+    cursor = 0
+    while True:
+        # Priority 1: reads cross stores whose updated index differs.
+        while cursor < len(reads):
+            dest, t, v = reads[cursor]
+            cursor += 1
+            for other, s in hops.get(dest, ()):
+                if (other, t) not in steps and v != values[s.index]:
+                    cfg.set_step(other, t,
+                                 m.mk_not(m.mk_eq(t.index, s.index)), dest)
+        if not _restart_scan(cfg):
+            return cfg
 
-    # Priority 1: reads cross stores whose updated index differs.
-    for dest, t, v in cfg.read_steps:
-        for other, s in hops.get(dest, ()):
-            if (other, t) not in steps and v != values[s.index]:
-                cfg.set_step(other, t, m.mk_not(m.mk_eq(t.index, s.index)),
-                             dest)
-                return True
+
+def _restart_scan(cfg: Configuration) -> bool:
+    """Record the first step that priority 2 or 3 can make, scanning
+    from the first entry, if any.  The loops stop at the step they
+    record, so they may iterate over the live maps."""
+    steps = cfg.steps
 
     # Priority 2: anything propagated copies across a true equality.
     eqs_at, holds = cfg.eqs_at, cfg.true_atoms
@@ -319,6 +346,7 @@ def _apply_one(cfg: Configuration) -> bool:
 
     # Priority 3: defaults cross stores while a cell off the updated
     # indices still exists.
+    hops, values = cfg.hops, cfg.values
     for (dest, t), (blocked, size) in cfg.default_steps.items():
         for other, s in hops.get(dest, ()):
             if (other, t) in steps:

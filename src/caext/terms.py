@@ -151,25 +151,45 @@ class Term:
         return _render(self)
 
 
+_HEADS = {
+    Kind.SELECT: "select", Kind.STORE: "store", Kind.EQ: "=",
+    Kind.NOT: "not", Kind.AND: "and", Kind.OR: "or",
+    Kind.IMPLIES: "=>", Kind.ITE: "ite",
+}
+
+
 def _render(t: Term) -> str:
-    if t.kind is Kind.CONSTANT:
-        return t.name or "?"
-    if t.kind is Kind.VALUE:
-        if t.sort.is_bool:
-            return "true" if t.value else "false"
-        return "#b" + format(t.value or 0, f"0{t.sort.width}b")
-    head = {
-        Kind.SELECT: "select", Kind.STORE: "store", Kind.EQ: "=",
-        Kind.NOT: "not", Kind.AND: "and", Kind.OR: "or",
-        Kind.IMPLIES: "=>", Kind.ITE: "ite",
-    }.get(t.kind)
-    if t.kind is Kind.CONST_ARRAY:
-        return f"((as const {t.sort!r}) {t.args[0]!r})"
-    if t.kind is Kind.DISTINCT_N:
-        inner = " ".join(map(_render, t.args))
-        return f"(distinct-at-least {t.n} {inner})"
-    inner = " ".join(map(_render, t.args))
-    return f"({head} {inner})"
+    """The SMT-LIB text of ``t``.  The walk keeps an explicit stack of
+    terms still to print and the closing text between them, so nesting
+    depth is bounded by memory, not by Python's recursion limit."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        k = x.kind
+        if k is Kind.CONSTANT:
+            out.append(x.name or "?")
+        elif k is Kind.VALUE:
+            if x.sort.is_bool:
+                out.append("true" if x.value else "false")
+            else:
+                out.append("#b" + format(x.value or 0, f"0{x.sort.width}b"))
+        elif k is Kind.CONST_ARRAY:
+            out.append(f"((as const {x.sort!r}) ")
+            stack += (")", x.args[0])
+        else:
+            head = f"distinct-at-least {x.n}" if k is Kind.DISTINCT_N \
+                else _HEADS[k]
+            out.append(f"({head} ")
+            stack.append(")")
+            for pos in range(len(x.args) - 1, -1, -1):
+                stack.append(x.args[pos])
+                if pos:
+                    stack.append(" ")
+    return "".join(out)
 
 
 class TermManager:
@@ -455,24 +475,35 @@ def substitute(manager: "TermManager", term: Term,
     resolve fully.  The mapping must therefore be acyclic.
     """
     cache: dict[Term, Term] = {}
-
-    def walk(t: Term) -> Term:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
+    # Each entry is a term and the position of its next operand to
+    # rebuild; a mapped term's only operand is its target.  Operands are
+    # rebuilt left to right before their term, so terms are made in the
+    # order of a recursive walk.  No term is on the stack twice.
+    stack: list[tuple[Term, int]] = [(term, 0)]
+    while stack:
+        t, pos = stack[-1]
         target = mapping.get(t)
+        todo = t.args if target is None else (target,)
+        while pos < len(todo):
+            c = todo[pos]
+            if c not in cache:
+                if c.args or c in mapping:
+                    break
+                cache[c] = c
+            pos += 1
+        if pos < len(todo):
+            stack[-1] = (t, pos)
+            stack.append((todo[pos], 0))
+            continue
+        stack.pop()
         if target is not None:
-            result = walk(target)
-        elif not t.args:
-            result = t
+            result = cache[target]
         else:
-            children = [walk(c) for c in t.args]
+            children = [cache[c] for c in t.args]
             if all(c is old for c, old in zip(children, t.args)):
                 result = t
             else:
                 result = manager.mk_term(t.kind, children, name=t.name,
                                          sort=t.sort, value=t.value, n=t.n)
         cache[t] = result
-        return result
-
-    return walk(term)
+    return cache[term]

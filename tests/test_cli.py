@@ -391,6 +391,25 @@ class TestGen:
             model.write_text(out.split("\n", 1)[1])
             assert main(["validate", str(path), str(model)]) == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--quantified"]])
+    def test_writes_a_2000_store_chain(self, tmp_path, capsys, flags):
+        # Printing and the quantified rewrite walk the chain with explicit
+        # stacks, so its depth is not bounded by the recursion limit.
+        assert main(["gen", "--crafted", "0,2000,2", "--index-sort", "bv12",
+                     *flags, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        path = Path(out.out.strip())
+        text = path.read_text()
+        assert text.count("(store ") == 2002
+        assert ("forall" in text) == bool(flags)
+        if not flags:
+            # Reading it back keeps the parser's located depth error.
+            assert main(["solve", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:")
+            assert "nested too deeply" in err
+
     def test_bad_sort_rejected(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,0,0", "--index-sort", "int",
                      "--out", str(tmp_path)]) == 1

@@ -41,7 +41,7 @@ from perfbench.tracing import ENGINE_NAMES
 from helpers import (Example2, benchmark_crafted, compute_reason,
                      compute_updated_indices, ground_session, random_instance,
                      store_chain, watch_saturations)
-from reference_propagation import exists_fresh_index
+from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -433,6 +433,60 @@ class TestPropagationMap:
                 assert walks <= limits.get(rule, 2), (rule, walks)
                 rules[rule] += 1
         assert rules[None] > 0 and sum(rules.values()) > rules[None]
+
+
+class TestReadCursor:
+    """Priority 1 resumes at its cursor into ``read_steps`` instead of
+    at the first entry; the steps must still come out in the order of
+    the restarting reference scan."""
+
+    @staticmethod
+    def saturate(m, formulas, values, pairs):
+        interp = Interpretation(
+            values, {tuple(sorted(p, key=lambda t: t.id)): eq
+                     for p, eq in pairs.items()})
+        cfg = Configuration(m, formulas)
+        cfg.interp = interp
+        init_steps(cfg)
+        propagate_fixpoint(cfg)
+        assert list(cfg.steps.items()) == \
+            list(reference_saturation(cfg).steps.items())
+        return cfg
+
+    @staticmethod
+    def sorts():
+        m = TermManager()
+        isort = m.bv_sort(2)
+        return m, isort, m.array_sort(isort, m.bool_sort)
+
+    def test_one_entry_crosses_two_stores(self):
+        m, isort, asort = self.sorts()
+        a = m.mk_const("a", asort)
+        i, j, k = (m.mk_const(n, isort) for n in "ijk")
+        x, y = m.mk_const("x", m.bool_sort), m.mk_const("y", m.bool_sort)
+        s1, s2 = m.mk_store(a, i, x), m.mk_store(a, j, y)
+        r = m.mk_select(a, k)
+        cfg = self.saturate(m, [m.mk_eq(s1, s2), m.mk_eq(r, x)],
+                            {i: 0, j: 1, k: 2, x: 1, y: 0, r: 1},
+                            {(s1, s2): False})
+        # The entry (a, r) fires twice before the cursor moves past it.
+        crossed = [dest for dest, t in cfg.steps if t is r]
+        assert crossed == [a, s1, s2]
+
+    def test_copy_past_the_end_then_crosses_a_store(self):
+        m, isort, asort = self.sorts()
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        i, k = m.mk_const("i", isort), m.mk_const("k", isort)
+        x = m.mk_const("x", m.bool_sort)
+        s = m.mk_store(b, i, x)
+        r, w = m.mk_select(a, k), m.mk_select(s, i)
+        cfg = self.saturate(m, [m.mk_eq(a, b), m.mk_eq(r, w)],
+                            {i: 0, k: 1, x: 1, r: 1, w: 1},
+                            {(a, b): True})
+        # No read crosses a store until priority 2 copies r to b, after
+        # the cursor has passed every entry recorded at the start.
+        assert list(cfg.steps)[-2:] == [(b, r), (s, r)]
+        assert cfg.steps[(s, r)] == (m.mk_not(m.mk_eq(k, i)), b)
 
 
 # ---------------------------------------------------------------------------
