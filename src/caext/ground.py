@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InternalError, UnassignedConstant
 from .sat import SatSolver
-from .terms import Kind, Sort, Term, TermManager
+from .terms import Kind, Sort, Term, TermManager, postorder
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
 
@@ -140,16 +140,8 @@ class FormulaIndex:
         """Append ``f`` and index its new subterms.  The walk does not
         enter an indexed term: its subterms are indexed too."""
         self.formulas.append(f)
-        ordinal = self.ordinal
-        stack = [(f, False)]
-        while stack:
-            t, children_done = stack.pop()
-            if children_done:
-                self._file(t)
-            elif t not in ordinal:
-                stack.append((t, True))
-                stack.extend((c, False) for c in reversed(t.args)
-                             if c not in ordinal)
+        for t in postorder((f,), self.ordinal):
+            self._file(t)
 
     def _file(self, t: Term) -> None:
         self.ordinal[t] = len(self.terms)

@@ -15,7 +15,8 @@ A model assigns every uninterpreted constant a concrete value:
 :func:`eval_term` implements the standard semantics, including
 extensional array equality (two arrays are equal iff their tables
 agree on every index), which on array values is a comparison of
-canonical forms.
+canonical forms.  It reads every constant of the term, even one that
+an and, or, implies or ite does not need.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnassignedConstant
-from .terms import Kind, Sort, Term, domain_size, free_constants
+from .terms import Kind, Sort, Term, domain_size, free_constants, postorder
 
 # Up to this many cells an array value hashes like its dense tuple.
 _DENSE_HASH_LIMIT = 1 << 16
@@ -183,52 +184,6 @@ class Model:
         return self.values.items()
 
 
-_SHORT_CIRCUIT = (Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE)
-
-
-def _ready(a: Term, model: Model, cache: dict) -> bool:
-    """Whether the value of ``a`` is cached, after caching it if ``a``
-    is a constant or a literal."""
-    if a in cache:
-        return True
-    if a.args:
-        return False
-    cache[a] = model[a] if a.kind is Kind.CONSTANT else a.value
-    return True
-
-
-def _lazy_next(t: Term, model: Model, cache: dict,
-               resume: dict) -> Optional[Term]:
-    """The operand of an and, or, implies or ite node ``t`` to evaluate
-    next, or None once ``t`` can be computed.  Operands are read as the
-    short-circuit semantics reads them: and/or stop at the first
-    false/true operand (``resume`` keeps where each scan stopped),
-    implies reads its conclusion first, ite reads its condition and
-    then one branch."""
-    k = t.kind
-    args = t.args
-    if k is Kind.ITE:
-        if not _ready(args[0], model, cache):
-            return args[0]
-        branch = args[1] if cache[args[0]] else args[2]
-        return None if _ready(branch, model, cache) else branch
-    if k is Kind.IMPLIES:
-        if not _ready(args[1], model, cache):
-            return args[1]
-        if cache[args[1]] or _ready(args[0], model, cache):
-            return None
-        return args[0]
-    stop = k is Kind.OR
-    for pos in range(resume.get(t, 0), len(args)):
-        a = args[pos]
-        if not _ready(a, model, cache):
-            resume[t] = pos
-            return a
-        if bool(cache[a]) is stop:
-            break
-    return None
-
-
 def _combine(t: Term, cache: dict) -> Value:
     """The value of an application ``t`` from the cached values of its
     operands."""
@@ -263,38 +218,21 @@ def eval_term(model: Model, term: Term,
     """Evaluate ``term`` under ``model``.
 
     Returns an ``int`` for scalar-sorted terms and an
-    :class:`ArrayValue` for array-sorted terms.  Raises
-    :class:`UnassignedConstant` when the model is silent about a
-    constant that the evaluation reads.  The walk keeps an explicit
-    stack, so nesting depth is bounded by memory, not by Python's
-    recursion limit; ``_cache`` maps every term evaluated so far to its
-    value and may be shared between calls under one model.
+    :class:`ArrayValue` for array-sorted terms.  Every operand is read,
+    so :class:`UnassignedConstant` is raised when the model is silent
+    about any constant of ``term``.  The walk keeps an explicit stack,
+    so nesting depth is bounded by memory, not by Python's recursion
+    limit; ``_cache`` maps every term evaluated so far to its value and
+    may be shared between calls under one model.
     """
     cache: dict[Term, Value] = {} if _cache is None else _cache
-    if _ready(term, model, cache):
-        return cache[term]
-    resume: dict[Term, int] = {}
-    # Every term on the stack is an operand of the one below it, so no
-    # term is on it twice and none is cached while it waits.
-    stack = [term]
-    while stack:
-        t = stack[-1]
-        nxt = None
-        if t.kind in _SHORT_CIRCUIT:
-            nxt = _lazy_next(t, model, cache, resume)
+    for t in postorder((term,), cache):
+        if t.kind is Kind.CONSTANT:
+            cache[t] = model[t]
+        elif t.kind is Kind.VALUE:
+            cache[t] = t.value
         else:
-            for a in t.args:
-                if a in cache:
-                    continue
-                if a.args:
-                    nxt = a
-                    break
-                cache[a] = model[a] if a.kind is Kind.CONSTANT else a.value
-        if nxt is None:
             cache[t] = _combine(t, cache)
-            stack.pop()
-        else:
-            stack.append(nxt)
     return cache[term]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BoundsExceeded
 from .model import Model
-from .terms import Kind, Sort, Term, domain_size, iter_subterms
+from .terms import Kind, Sort, Term, domain_size, iter_subterms, postorder
 
 
 @dataclass(frozen=True)
@@ -197,19 +197,24 @@ class _VectorEval:
         return np.arange(size, dtype=np.int16).reshape(shape)
 
     def scalar(self, t: Term) -> np.ndarray:
-        v = self.eval(t)
+        v = self.cache[t]
         assert not isinstance(v, list)
         return v  # type: ignore[return-value]
 
     def cells(self, t: Term) -> list:
-        v = self.eval(t)
+        v = self.cache[t]
         assert isinstance(v, list)
         return v
 
     def eval(self, t: Term):
-        hit = self.cache.get(t)
-        if hit is not None:
-            return hit
+        """The value of ``t``, after caching that of each subterm."""
+        cache = self.cache
+        for x in postorder((t,), cache):
+            cache[x] = self._value(x)
+        return cache[t]
+
+    def _value(self, t: Term):
+        """The value of ``t`` from the cached values of its operands."""
         k = t.kind
         if k is Kind.CONSTANT:
             if t.sort.is_array:
@@ -257,7 +262,8 @@ class _VectorEval:
             v = (np.int16(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
         elif k is Kind.ITE:
             cond = self.scalar(t.args[0])
-            v = np.where(cond != 0, self.eval(t.args[1]), self.eval(t.args[2])) \
+            v = np.where(cond != 0, self.scalar(t.args[1]),
+                         self.scalar(t.args[2])) \
                 if not t.sort.is_array else [
                     np.where(cond != 0, a, b).astype(np.int16)
                     for a, b in zip(self.cells(t.args[1]), self.cells(t.args[2]))]
@@ -276,7 +282,6 @@ class _VectorEval:
                 if isinstance(count, np.ndarray) else np.int16(count >= (t.n or 1))
         else:  # pragma: no cover
             raise AssertionError(f"unhandled kind {k}")
-        self.cache[t] = v
         return v
 
 
@@ -286,7 +291,7 @@ def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
     ev = _VectorEval(grid)
     acc = np.int16(1)
     for a in assertions:
-        acc = acc & ev.scalar(a)
+        acc = acc & ev.eval(a)
     shape = tuple(grid.axes) if grid.axes else ()
     return np.broadcast_to(acc, shape).reshape(-1)
 

@@ -63,7 +63,6 @@ class SatSolver:
         self.conflicts = 0
         # Indexed by literal code 2*v (positive) / 2*v+1 (negative).
         self._watches: list[list[list[int]]] = [[], []]
-        self._clauses: list[list[int]] = []
         self._assign: list[int] = [0]    # var -> 0 unset, 1 true, -1 false
         self._level: list[int] = [0]
         self._reason: list[Optional[list[int]]] = [None]
@@ -128,7 +127,6 @@ class SatSolver:
             if self._propagate() is not None:
                 self._unsat = True
         else:
-            self._clauses.append(clause)
             self._watch(clause)
 
     def _watch(self, clause: list[int]) -> None:
@@ -305,7 +303,6 @@ class SatSolver:
                 learned, back = self._analyze(conflict)
                 self._backtrack(back)
                 if len(learned) > 1:
-                    self._clauses.append(learned)
                     self._watch(learned)
                 self._enqueue(learned[0], learned if len(learned) > 1 else None)
                 self._act_inc /= 0.95

@@ -14,7 +14,7 @@ bit-vector.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import CaextError, SortMismatch
 
@@ -438,26 +438,43 @@ class TermManager:
         raise CaextError(f"unknown term kind {kind}")
 
 
+def postorder(roots: Iterable[Term],
+              done: Container[Term] = ()) -> list[Term]:
+    """The distinct subterms of ``roots`` not in ``done``, each once,
+    children first and operands left to right, as a recursive walk
+    finishes them.  The walk does not enter a term in ``done``, so a
+    cache of finished terms keeps their subterms out too.  The list is
+    complete when returned, so a caller may add to ``done`` as it reads
+    it.  The stack is explicit: depth is bounded by memory, not by
+    Python's recursion limit."""
+    out: list[Term] = []
+    seen: set[Term] = set()
+    # Terms whose operands are being walked, each with an iterator over
+    # the operands not taken yet; the roots sit at the bottom.
+    stack: list = [(None, iter(roots))]
+    while stack:
+        t, rest = stack[-1]
+        for c in rest:
+            if c not in seen and c not in done:
+                seen.add(c)
+                if c.args:
+                    stack.append((c, iter(c.args)))
+                    break
+                out.append(c)
+        else:
+            stack.pop()
+            if t is not None:
+                out.append(t)
+    return out
+
+
 def iter_subterms(roots: Iterable[Term]) -> Iterator[Term]:
     """Yield every distinct subterm of ``roots`` exactly once.
 
     Children are yielded before their parents; the overall order is
     deterministic given the iteration order of ``roots``.
     """
-    seen: set[Term] = set()
-    stack: list[tuple[Term, bool]] = [(r, False) for r in reversed(list(roots))]
-    while stack:
-        term, expanded = stack.pop()
-        if expanded:
-            yield term
-            continue
-        if term in seen:
-            continue
-        seen.add(term)
-        stack.append((term, True))
-        for child in reversed(term.args):
-            if child not in seen:
-                stack.append((child, False))
+    return iter(postorder(roots))
 
 
 def free_constants(roots: Iterable[Term]) -> list[Term]:

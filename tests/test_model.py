@@ -151,3 +151,18 @@ def test_deep_negation_chain_evaluates(m):
         t = m.mk_not(t)
     assert validate_model(Model({p: 1}), [t])
     assert eval_term(Model({p: 0}), m.mk_not(t)) == 1
+
+
+class TestReadsEveryConstant:
+    def test_unneeded_operand_is_still_read(self, m):
+        x = m.mk_const("x", m.bool_sort)
+        y = m.mk_const("y", m.bool_sort)
+        with pytest.raises(UnassignedConstant):
+            eval_term(Model({x: 1}), m.mk_or([x, y]))
+
+    def test_wide_conjunction_evaluates(self, m):
+        # Each operand is visited once: a walk that rescanned a node's
+        # operands after each child would be quadratic in the width.
+        xs = [m.mk_const(f"x{k}", m.bool_sort) for k in range(20_000)]
+        t = m.mk_and(xs)
+        assert eval_term(Model({x: 1 for x in xs}), t) == 1

@@ -200,3 +200,17 @@ def test_no_free_constants():
     assert oracle_solve([t]).verdict == "sat"
     assert oracle_solve([m.mk_not(t)]).verdict == "unsat"
     assert oracle_solve_pointwise([t]).verdict == "sat"
+
+
+def test_deep_negation_chain():
+    # 3,000 nested nots are past Python's default recursion limit; the
+    # grid evaluation walks them without recursing.
+    m = TermManager()
+    p = m.mk_const("p", m.bool_sort)
+    t = p
+    for _ in range(3000):
+        t = m.mk_not(t)
+    res = oracle_solve([t])
+    assert res.verdict == "sat" and res.model[p] == 1
+    valid = oracle_valid(t)
+    assert not valid.ok and valid.counterexample[p] == 0
