@@ -13,21 +13,23 @@ input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .terms import Kind, Term, TermManager
 
 _APP_KINDS = (Kind.SELECT, Kind.STORE)
+_LEAF_KINDS = (Kind.CONSTANT, Kind.VALUE)
+_CONST_ARRAY = Kind.CONST_ARRAY
 _STRUCTURE = (Kind.NOT, Kind.AND, Kind.OR, Kind.IMPLIES)
 
 
 def is_leaf(t: Term) -> bool:
     """Constants, values, and constant arrays over such defaults."""
-    if t.kind in (Kind.CONSTANT, Kind.VALUE):
+    kind = t.kind
+    if kind in _LEAF_KINDS:
         return True
-    if t.kind is Kind.CONST_ARRAY:
-        return t.default.kind in (Kind.CONSTANT, Kind.VALUE)
-    return False
+    return kind is _CONST_ARRAY and t.args[0].kind in _LEAF_KINDS
 
 
 def is_flat_application(t: Term) -> bool:
@@ -68,11 +70,16 @@ def is_flat_formula(t: Term) -> bool:
 
 
 def _flat_sub(t: Term) -> bool:
-    if is_flat_atom(t, allow_application=False):
-        return True
-    if t.kind in _STRUCTURE or (t.kind is Kind.ITE and t.sort.is_bool):
-        return all(_flat_sub(a) for a in t.args)
-    return False
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if is_flat_atom(x, allow_application=False):
+            continue
+        if x.kind in _STRUCTURE or (x.kind is Kind.ITE and x.sort.is_bool):
+            todo += x.args
+            continue
+        return False
+    return True
 
 
 @dataclass
@@ -96,6 +103,11 @@ class FlatResult:
         return all(is_flat_formula(f) for f in self.all_formulas)
 
 
+# What a term is rewritten into: a flat formula, or a leaf that stands
+# for it in a term position.
+_FORMULA, _NAME = 0, 1
+
+
 class _Flattener:
     def __init__(self, m: TermManager):
         self.m = m
@@ -103,61 +115,99 @@ class _Flattener:
         self.guards: list[Term] = []
         self._names: dict[Term, Term] = {}
 
-    def name(self, t: Term) -> Term:
-        """Reduce ``t`` to a leaf, introducing definitions as needed."""
-        if is_leaf(t):
-            return t
-        cached = self._names.get(t)
-        if cached is not None:
-            return cached
+    def rewrite(self, goal: int, root: Term) -> Term:
+        """The formula (``_FORMULA``) or the leaf (``_NAME``) that
+        ``root`` is rewritten into, introducing definitions and guards
+        as needed.
+
+        Each term being rewritten is on the stack with its goal, an
+        iterator over the goals and terms of its operands not taken yet
+        and the results of those taken.  Operands are rewritten left to
+        right before the term, so fresh constants, definitions and
+        guards come in the order of a recursive walk.  A term is named
+        once; its formula is made again wherever it occurs.
+        """
+        names, operands, make = self._names, self._operands, self._make
+        out: list[Term] = []
+        stack: list[tuple] = [(goal, None, iter(((goal, root),)), out)]
+        while stack:
+            goal, t, rest, results = stack[-1]
+            for g, x in rest:
+                if g == _NAME:
+                    if is_leaf(x):
+                        results.append(x)
+                        continue
+                    result = names.get(x)
+                    if result is not None:
+                        results.append(result)
+                        continue
+                stack.append((g, x, operands(g, x), []))
+                break
+            else:
+                stack.pop()
+                if t is not None:
+                    result = make(goal, t, results)
+                    if goal == _NAME:
+                        names[t] = result
+                    stack[-1][3].append(result)
+        return out[0]
+
+    @staticmethod
+    def _operands(goal: int, t: Term) -> Iterator[tuple[int, Term]]:
+        """The goals and terms of the rewrites that make ``t``'s."""
+        if goal == _FORMULA:
+            if t.kind in _STRUCTURE or (t.kind is Kind.ITE and t.sort.is_bool):
+                return zip(repeat(_FORMULA), t.args)
+            if t.kind in (Kind.EQ, Kind.DISTINCT_N):
+                return zip(repeat(_NAME), t.args)
+            # a Boolean-sorted constant, value, or read
+            return iter(((_NAME, t),))
+        if t.sort.is_bool and t.kind not in _APP_KINDS:
+            return iter(((_FORMULA, t),))
+        if t.kind is Kind.CONST_ARRAY or t.kind in _APP_KINDS:
+            return zip(repeat(_NAME), t.args)
+        if t.kind is Kind.ITE:
+            return zip((_FORMULA, _NAME, _NAME), t.args)
+        raise AssertionError(f"cannot name {t!r}")
+
+    def _make(self, goal: int, t: Term, operands: list[Term]) -> Term:
         m = self.m
+        if goal == _FORMULA:
+            if t.kind is Kind.EQ:
+                return m.mk_eq(*operands)
+            if t.kind is Kind.DISTINCT_N:
+                return m.mk_distinct_n(t.n, operands)
+            if t.kind in _STRUCTURE or (t.kind is Kind.ITE
+                                        and t.sort.is_bool):
+                return m.mk_term(t.kind, operands)
+            return operands[0]
         if t.sort.is_bool and t.kind not in _APP_KINDS:
             # A Boolean formula in a term position: bind it to a fresh
             # constant with an iff guard.
-            body = self.formula(t)
+            body, = operands
             fresh = m.fresh_const(m.bool_sort)
             self.guards.append(m.mk_implies(fresh, body))
             self.guards.append(m.mk_implies(body, fresh))
-        elif t.kind is Kind.CONST_ARRAY:
-            fresh = m.mk_const_array(t.sort, self.name(t.default))
-        elif t.kind in _APP_KINDS:
-            app = m.mk_term(t.kind, [self.name(a) for a in t.args],
-                            sort=t.sort)
+            return fresh
+        if t.kind is Kind.CONST_ARRAY:
+            return m.mk_const_array(t.sort, operands[0])
+        if t.kind in _APP_KINDS:
+            app = m.mk_term(t.kind, operands, sort=t.sort)
             fresh = m.fresh_const(t.sort)
             self.definitions[fresh] = app
-        elif t.kind is Kind.ITE:
-            cond = self.formula(t.args[0])
-            then_leaf = self.name(t.args[1])
-            else_leaf = self.name(t.args[2])
-            fresh = m.fresh_const(t.sort)
-            self.guards.append(m.mk_implies(cond, m.mk_eq(fresh, then_leaf)))
-            self.guards.append(
-                m.mk_implies(m.mk_not(cond), m.mk_eq(fresh, else_leaf)))
-        else:
-            raise AssertionError(f"cannot name {t!r}")
-        self._names[t] = fresh
+            return fresh
+        cond, then_leaf, else_leaf = operands
+        fresh = m.fresh_const(t.sort)
+        self.guards.append(m.mk_implies(cond, m.mk_eq(fresh, then_leaf)))
+        self.guards.append(
+            m.mk_implies(m.mk_not(cond), m.mk_eq(fresh, else_leaf)))
         return fresh
-
-    def atom(self, t: Term) -> Term:
-        m = self.m
-        if t.kind is Kind.EQ:
-            lhs, rhs = (self.name(a) for a in t.args)
-            return m.mk_eq(lhs, rhs)
-        if t.kind is Kind.DISTINCT_N:
-            return m.mk_distinct_n(t.n, [self.name(a) for a in t.args])
-        return self.name(t)  # Boolean-sorted constant, value, or read
-
-    def formula(self, t: Term) -> Term:
-        m = self.m
-        if t.kind in _STRUCTURE or (t.kind is Kind.ITE and t.sort.is_bool):
-            return m.mk_term(t.kind, [self.formula(a) for a in t.args])
-        return self.atom(t)
 
     def unit(self, t: Term) -> Term:
         """A top-level assertion; already-flat atoms pass through."""
         if is_flat_atom(t, allow_application=True):
             return t
-        return self.formula(t)
+        return self.rewrite(_FORMULA, t)
 
 
 def flatten(m: TermManager, assertions: Iterable[Term]) -> FlatResult:

@@ -25,7 +25,8 @@ read off its pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalError, UnassignedConstant
 from .sat import SatSolver
@@ -36,6 +37,36 @@ _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
 
 def _width(sort: Sort) -> int:
     return 1 if sort.is_bool else sort.width
+
+
+def _eliminate(adj: dict[Term, set[Term]]
+               ) -> Iterator[tuple[Term, list[Term]]]:
+    """Eliminate the vertices of the graph ``adj`` (emptied on the way)
+    one by one, each of least degree, ties broken by term id.  Yield
+    each vertex with its remaining neighbours in id order, joined
+    pairwise by fill edges when the caller asks for the next vertex.
+
+    A heap keyed by (degree, id) picks the vertex.  A vertex is pushed
+    again whenever its degree changes; an entry whose vertex is gone or
+    whose degree is no longer current is skipped."""
+    heap = [(len(nbrs), v.id, v) for v, nbrs in adj.items()]
+    heapify(heap)
+    while heap:
+        degree, _, v = heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) != degree:
+            continue
+        del adj[v]
+        nbrs = sorted(nbrs, key=lambda t: t.id)
+        for x in nbrs:
+            adj[x].discard(v)
+        yield v, nbrs
+        for k, x in enumerate(nbrs):
+            for y in nbrs[k + 1:]:
+                adj[x].add(y)
+                adj[y].add(x)
+        for x in nbrs:
+            heappush(heap, (len(adj[x]), x.id, x))
 
 
 def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
@@ -278,17 +309,11 @@ class GroundSession:
                           key=lambda p: (p[0].id, p[1].id)):
             self.pair[key] = self.sat.new_var()
         add = self.sat.add_clause
-        while adj:
-            v = min(adj, key=lambda t: (len(adj[t]), t.id))
-            nbrs = sorted(adj.pop(v), key=lambda t: t.id)
-            for x in nbrs:
-                adj[x].discard(v)
+        for v, nbrs in _eliminate(adj):
             for k, x in enumerate(nbrs):
                 for y in nbrs[k + 1:]:
                     if (x, y) not in self.pair:
                         self.pair[(x, y)] = self.sat.new_var()
-                        adj[x].add(y)
-                        adj[y].add(x)
                     vx, vy = self.pair_lit(v, x), self.pair_lit(v, y)
                     xy = self.pair[(x, y)]
                     add([-vx, -vy, xy])

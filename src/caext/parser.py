@@ -17,12 +17,24 @@ chainable ``=``, ``distinct`` (expanded to pairwise disequalities),
 ``not``, ``and``, ``or``, ``=>``, ``ite``, ``true``/``false`` and
 ``#b``/``#x`` literals; these names and every other ``#`` name cannot
 be declared.  All diagnostics carry a line:column location.
+
+One regular expression takes the tokens; the delimiters are ``(``,
+``)``, space, tab, carriage return and newline, and a comment runs
+from ``;`` to the end of the line.  Each top-level form is built in
+one loop over the tokens, and sorts, terms and commands are built from
+the forms on explicit stacks, so nesting depth is bounded by memory,
+not by Python's recursion limit.  A node keeps the index of its first
+token; its line:column is computed from the text only when a
+diagnostic names it.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .errors import CaextError, ParseError, SortError, UnknownSymbolError
@@ -32,76 +44,62 @@ from .terms import Sort, Term, TermManager, parse_width
 # ---------------------------------------------------------------------------
 # S-expressions
 
+# A parenthesis, an atom (a run of anything but the delimiters) or a
+# comment; what no alternative matches is white space.
+_TOKEN = re.compile(r"[()]|[^() \t\r\n;]+|;[^\n]*")
 
-@dataclass
-class SExpr:
-    """An atom (``items is None``) or a parenthesized list."""
-
-    line: int
-    col: int
-    atom: Optional[str] = None
-    items: Optional[list["SExpr"]] = None
-
-    @property
-    def is_atom(self) -> bool:
-        return self.items is None
-
-    def head(self) -> str:
-        if self.items and self.items[0].is_atom:
-            return self.items[0].atom or ""
-        return ""
+# A tree is an atom, held as the index of its token, or a list: the
+# index of its "(" token followed by its items.
+Tree = Union[int, list]
 
 
-_DELIMS = set("() \t\r\n;")
+class Source:
+    """The tokens of a text, and the trees they spell."""
 
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens: list[str] = _TOKEN.findall(text)
 
-def tokenize(text: str):
-    """Yield (token, line, col); comments run from ``;`` to end of line."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
+    def atom(self, node: Tree) -> Optional[str]:
+        """The text of an atom; None for a list."""
+        return self.tokens[node] if node.__class__ is int else None
 
+    def location(self, node: Tree) -> tuple[int, int]:
+        """The 1-based line and column of the first token of ``node``."""
+        k = node if node.__class__ is int else node[0]
+        start = next(islice(_TOKEN.finditer(self.text), k, None)).start()
+        return (self.text.count("\n", 0, start) + 1,
+                start - self.text.rfind("\n", 0, start))
 
-def read_sexprs(text: str) -> Iterator[SExpr]:
-    """Yield the top-level s-expressions of ``text``, each as soon as
-    it is complete, so a reader that stops early reads no further."""
-    stack: list[SExpr] = []
-    for tok, line, col in tokenize(text):
-        if tok == "(":
-            stack.append(SExpr(line, col, items=[]))
-            continue
-        if tok == ")":
-            if not stack:
-                raise ParseError("unmatched ')'", line, col)
-            node = stack.pop()
-        else:
-            node = SExpr(line, col, atom=tok)
-        if stack:
-            stack[-1].items.append(node)
-        else:
-            yield node
-    if stack:
-        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
+    def read_sexprs(self) -> Iterator[Tree]:
+        """Yield the top-level s-expressions as trees, each as soon as
+        it is complete, so a reader that stops early builds and
+        diagnoses no further."""
+        stack: list[list] = []
+        top = None  # the innermost open list
+        for k, tok in enumerate(self.tokens):
+            if tok == "(":
+                node = [k]
+                if top is not None:
+                    top.append(node)
+                stack.append(node)
+                top = node
+            elif tok == ")":
+                if top is None:
+                    raise ParseError("unmatched ')'", *self.location(k))
+                node = stack.pop()
+                if stack:
+                    top = stack[-1]
+                else:
+                    top = None
+                    yield node
+            elif tok[0] != ";":
+                if top is None:
+                    yield k
+                else:
+                    top.append(k)
+        if top is not None:
+            raise ParseError("unclosed '('", *self.location(top))
 
 
 # ---------------------------------------------------------------------------
@@ -186,50 +184,126 @@ class Script:
         return any(isinstance(c, GetModel) for c in self.commands)
 
 
+# ---------------------------------------------------------------------------
+# Operators: the least and the most operands (None: no most) and how the
+# term is made from the operand terms
+
+
+def _chain(m: TermManager, terms: list[Term]) -> Term:
+    eqs = [m.mk_eq(x, y) for x, y in zip(terms, terms[1:])]
+    return eqs[0] if len(eqs) == 1 else m.mk_and(eqs)
+
+
+def _distinct(m: TermManager, terms: list[Term]) -> Term:
+    pairs = [m.mk_not(m.mk_eq(terms[i], terms[j]))
+             for i in range(len(terms))
+             for j in range(i + 1, len(terms))]
+    return pairs[0] if len(pairs) == 1 else m.mk_and(pairs)
+
+
+def _implies(m: TermManager, terms: list[Term]) -> Term:
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = m.mk_implies(t, out)
+    return out
+
+
+def _const_array(sort: Sort, m: TermManager, terms: list[Term]) -> Term:
+    return m.mk_const_array(sort, terms[0])
+
+
+_OPERATORS = {
+    "select": (2, 2, lambda m, ts: m.mk_select(*ts)),
+    "store": (3, 3, lambda m, ts: m.mk_store(*ts)),
+    "=": (2, None, _chain),
+    "distinct": (2, None, _distinct),
+    "not": (1, 1, lambda m, ts: m.mk_not(*ts)),
+    "and": (1, None, lambda m, ts: ts[0] if len(ts) == 1 else m.mk_and(ts)),
+    "or": (1, None, lambda m, ts: ts[0] if len(ts) == 1 else m.mk_or(ts)),
+    "=>": (2, None, _implies),
+    "ite": (3, 3, lambda m, ts: m.mk_ite(*ts)),
+}
+
+
 class _Parser:
-    def __init__(self, manager: TermManager):
+    def __init__(self, manager: TermManager, source: Source):
         self.m = manager
+        self.source = source
+        self.tokens = source.tokens
         # the constants earlier commands of this script named
         self.scope: dict[str, Term] = {}
+        self._sorts: dict[tuple[str, ...], Sort] = {}
 
     # -- diagnostics ----------------------------------------------------
 
-    @staticmethod
-    def _err(node: SExpr, message: str, cls=ParseError):
-        raise cls(message, node.line, node.col)
+    def _err(self, node: Tree, message: str, cls=ParseError):
+        raise cls(message, *self.source.location(node))
 
-    def _expect_atom(self, node: SExpr, what: str) -> str:
-        if not node.is_atom:
+    def _expect_atom(self, node: Tree, what: str) -> str:
+        if node.__class__ is not int:
             self._err(node, f"expected {what}")
-        return node.atom or ""
+        return self.tokens[node]
 
     # -- sorts ----------------------------------------------------------
 
-    def sort(self, node: SExpr) -> Sort:
-        if node.is_atom:
-            if node.atom == "Bool":
-                return self.m.bool_sort
-            self._err(node, f"unknown sort {node.atom!r}", SortError)
-        items = node.items or []
-        if len(items) == 3 and items[0].atom == "_" and items[1].atom == "BitVec":
-            width_txt = self._expect_atom(items[2], "bit-vector width")
-            if not (width_txt.isascii() and width_txt.isdigit()) \
-                    or parse_width(width_txt) < 1:
-                self._err(items[2], f"bad bit-vector width {width_txt!r}",
-                          SortError)
-            return self._bv_sort(items[2], parse_width(width_txt))
-        if items and items[0].atom == "Array":
-            if len(items) != 3:
-                self._err(node, "Array sort takes two arguments", SortError)
-            index, element = self.sort(items[1]), self.sort(items[2])
-            try:
-                return self.m.array_sort(index, element)
-            except CaextError as e:
-                self._err(node, str(e), SortError)
-        self._err(node, "unknown sort", SortError)
-        raise AssertionError  # unreachable
+    def sort(self, node: Tree) -> Sort:
+        """The sort ``node`` names.  A script spells few sorts many
+        times, so each spelling (its tokens up to the last atom, which
+        fix the rest) is read once."""
+        last = node
+        while last.__class__ is list:
+            last = last[-1]
+        first = node if node.__class__ is int else node[0]
+        key = tuple(self.tokens[first:last + 1])
+        sort = self._sorts.get(key)
+        if sort is None:
+            sort = self._sorts[key] = self._read_sort(node)
+        return sort
 
-    def _bv_sort(self, node: SExpr, width: int) -> Sort:
+    def _read_sort(self, node: Tree) -> Sort:
+        """One stack holds the nodes still to read and, under their
+        operands, the ``Array`` nodes waiting for their index and
+        element sorts; operands are read left to right."""
+        m, tokens = self.m, self.tokens
+        done: list[Sort] = []
+        todo: list = [node]
+        while todo:
+            x = todo.pop()
+            if x.__class__ is int:
+                if tokens[x] != "Bool":
+                    self._err(x, f"unknown sort {tokens[x]!r}", SortError)
+                done.append(m.bool_sort)
+            elif x.__class__ is list:
+                n = len(x)
+                head = tokens[x[1]] if n > 1 and x[1].__class__ is int \
+                    else None
+                if head == "_" and n == 4 and x[2].__class__ is int \
+                        and tokens[x[2]] == "BitVec":
+                    done.append(self._bv_width(x[3]))
+                elif head == "Array":
+                    if n != 4:
+                        self._err(x, "Array sort takes two arguments",
+                                  SortError)
+                    todo += ((x,), x[3], x[2])
+                else:
+                    self._err(x, "unknown sort", SortError)
+            else:
+                element, index = done.pop(), done.pop()
+                try:
+                    done.append(m.array_sort(index, element))
+                except CaextError as e:
+                    self._err(x[0], str(e), SortError)
+        return done[0]
+
+    def _bv_width(self, node: Tree) -> Sort:
+        """The bit-vector sort of the width ``node`` spells."""
+        text = self._expect_atom(node, "bit-vector width")
+        width = parse_width(text) if text.isascii() and text.isdigit() else 0
+        if width < 1:
+            self._err(node, f"bad bit-vector width {text!r}", SortError)
+        return self._bv_sort(node, width)
+
+    def _bv_sort(self, node: Tree, width: int) -> Sort:
         try:
             return self.m.bv_sort(width)
         except CaextError as e:
@@ -238,134 +312,102 @@ class _Parser:
 
     # -- terms ----------------------------------------------------------
 
-    def term(self, node: SExpr) -> Term:
-        if node.is_atom:
-            return self._atom_term(node)
-        items = node.items or []
-        if not items:
-            self._err(node, "empty application")
-        if not items[0].is_atom:
-            return self._as_const(node)
-        head = items[0].atom or ""
-        args = items[1:]
-        try:
-            return self._apply(node, head, args)
-        except CaextError as e:
-            if isinstance(e, ParseError):
-                raise
-            self._err(node, str(e), SortError)
-            raise AssertionError  # unreachable
+    def term(self, node: Tree) -> Term:
+        """The term ``node`` spells.  One stack holds the nodes still to
+        read and, under their operands, the operators waiting for them.
+        Operands are made left to right before the operator that takes
+        them, as a recursive descent would make them, so term ids and
+        every diagnostic come in the same order."""
+        m, tokens, scope = self.m, self.tokens, self.scope
+        done: list[Term] = []
+        todo: list = [node]
+        while todo:
+            x = todo.pop()
+            if x.__class__ is int:
+                t = scope.get(tokens[x])
+                done.append(t if t is not None else self._literal(x))
+            elif x.__class__ is list:
+                todo.append(self._operator(x))
+                todo += x[:1:-1]
+            else:
+                build, x, k = x
+                operands = done[-k:]
+                del done[-k:]
+                try:
+                    done.append(build(m, operands))
+                except CaextError as e:
+                    self._err(x, str(e), SortError)
+        return done[0]
 
-    def _atom_term(self, node: SExpr) -> Term:
-        text = node.atom or ""
+    def _literal(self, node: int) -> Term:
+        """An atom that names no constant in scope."""
+        text = self.tokens[node]
         if text == "true":
             return self.m.true_term
         if text == "false":
             return self.m.false_term
         if text.startswith("#b"):
             bits = text[2:]
-            if not bits or set(bits) - set("01"):
+            if not bits or bits.strip("01"):
                 self._err(node, f"bad binary literal {text!r}")
             return self.m.mk_value(self._bv_sort(node, len(bits)),
                                    int(bits, 2))
         if text.startswith("#x"):
             hexits = text[2:]
-            if not hexits or set(hexits) - set(string.hexdigits):
+            if not hexits or hexits.strip(string.hexdigits):
                 self._err(node, f"bad hexadecimal literal {text!r}")
             return self.m.mk_value(self._bv_sort(node, 4 * len(hexits)),
                                    int(hexits, 16))
-        const = self.scope.get(text)
-        if const is None:
-            self._err(node, f"unknown symbol {text!r}", UnknownSymbolError)
-        return const
-
-    def _as_const(self, node: SExpr) -> Term:
-        items = node.items or []
-        head = items[0]
-        head_items = head.items or []
-        if (len(head_items) == 3 and head_items[0].atom == "as"
-                and head_items[1].atom == "const"):
-            sort = self.sort(head_items[2])
-            if not sort.is_array:
-                self._err(head_items[2], "const needs an array sort",
-                          SortError)
-            if len(items) != 2:
-                self._err(node, "const array takes one default value")
-            default = self.term(items[1])
-            try:
-                return self.m.mk_const_array(sort, default)
-            except CaextError as e:
-                self._err(node, str(e), SortError)
-        self._err(node, "expected ((as const (Array s t)) v)")
+        self._err(node, f"unknown symbol {text!r}", UnknownSymbolError)
         raise AssertionError  # unreachable
 
-    def _apply(self, node: SExpr, head: str, args: list[SExpr]) -> Term:
-        m = self.m
+    def _operator(self, node: list) -> tuple:
+        """Check an application's head and operand count, and return it
+        as an operator waiting for its operands: ``(build, node, k)``."""
+        if len(node) == 1:
+            self._err(node, "empty application")
+        k = len(node) - 2
+        if node[1].__class__ is not int:
+            return partial(_const_array, self._const_sort(node)), node, 1
+        head = self.tokens[node[1]]
+        op = _OPERATORS.get(head)
+        if op is None:
+            self._err(node, f"unknown operator {head!r}", UnknownSymbolError)
+        least, most, build = op
+        if most is not None and k != most:
+            self._err(node, f"{head!r} takes {most} arguments, got {k}")
+        if k < least:
+            self._err(node, f"{head!r} needs arguments" if least == 1
+                      else f"{head!r} takes at least two arguments")
+        return build, node, k
 
-        def need(k: int):
-            if len(args) != k:
-                self._err(node, f"{head!r} takes {k} arguments, "
-                                f"got {len(args)}")
-
-        if head == "select":
-            need(2)
-            return m.mk_select(self.term(args[0]), self.term(args[1]))
-        if head == "store":
-            need(3)
-            return m.mk_store(*(self.term(a) for a in args))
-        if head == "=":
-            if len(args) < 2:
-                self._err(node, "'=' takes at least two arguments")
-            terms = [self.term(a) for a in args]
-            eqs = [m.mk_eq(x, y) for x, y in zip(terms, terms[1:])]
-            return eqs[0] if len(eqs) == 1 else m.mk_and(eqs)
-        if head == "distinct":
-            if len(args) < 2:
-                self._err(node, "'distinct' takes at least two arguments")
-            terms = [self.term(a) for a in args]
-            pairs = [m.mk_not(m.mk_eq(terms[i], terms[j]))
-                     for i in range(len(terms))
-                     for j in range(i + 1, len(terms))]
-            return pairs[0] if len(pairs) == 1 else m.mk_and(pairs)
-        if head == "not":
-            need(1)
-            return m.mk_not(self.term(args[0]))
-        if head in ("and", "or"):
-            if not args:
-                self._err(node, f"{head!r} needs arguments")
-            terms = [self.term(a) for a in args]
-            if len(terms) == 1:
-                return terms[0]
-            return m.mk_and(terms) if head == "and" else m.mk_or(terms)
-        if head == "=>":
-            if len(args) < 2:
-                self._err(node, "'=>' takes at least two arguments")
-            terms = [self.term(a) for a in args]
-            out = terms[-1]
-            for t in reversed(terms[:-1]):
-                out = m.mk_implies(t, out)
-            return out
-        if head == "ite":
-            need(3)
-            return m.mk_ite(*(self.term(a) for a in args))
-        self._err(node, f"unknown operator {head!r}", UnknownSymbolError)
+    def _const_sort(self, node: list) -> Sort:
+        """The sort of ``((as const (Array s t)) v)``."""
+        head, atom = node[1], self.source.atom
+        if (len(head) == 4 and atom(head[1]) == "as"
+                and atom(head[2]) == "const"):
+            sort = self.sort(head[3])
+            if not sort.is_array:
+                self._err(head[3], "const needs an array sort", SortError)
+            if len(node) != 3:
+                self._err(node, "const array takes one default value")
+            return sort
+        self._err(node, "expected ((as const (Array s t)) v)")
         raise AssertionError  # unreachable
 
     # -- commands -------------------------------------------------------
 
-    def command(self, node: SExpr) -> Command:
-        if node.is_atom:
+    def command(self, node: Tree) -> Command:
+        if node.__class__ is int or len(node) == 1 \
+                or node[1].__class__ is not int:
             self._err(node, "expected a command")
-        items = node.items or []
-        if not items or not items[0].is_atom:
-            self._err(node, "expected a command")
-        head = items[0].atom or ""
-        args = items[1:]
+        head = self.tokens[node[1]]
+        args = node[2:]
 
         if head == "set-logic":
-            if len(args) != 1 or not args[0].is_atom:
+            if len(args) != 1 or args[0].__class__ is not int:
                 self._err(node, "set-logic takes one symbol")
-            return SetLogic(args[0].atom or "")
+            return SetLogic(self.tokens[args[0]])
         if head in ("declare-const", "declare-fun", "define-fun"):
             return self._declaration(node, head, args)
         if head == "assert":
@@ -390,8 +432,7 @@ class _Parser:
         self._err(node, f"unknown command {head!r}")
         raise AssertionError  # unreachable
 
-    def _declaration(self, node: SExpr, head: str,
-                     args: list[SExpr]) -> Command:
+    def _declaration(self, node: list, head: str, args: list) -> Command:
         takes_params = head in ("declare-fun", "define-fun")
         want = 3 if head == "declare-fun" else (4 if head == "define-fun" else 2)
         if len(args) != want:
@@ -402,7 +443,7 @@ class _Parser:
         pos = 1
         if takes_params:
             params = args[1]
-            if params.is_atom or params.items:
+            if params.__class__ is int or len(params) > 1:
                 self._err(params, f"{head} is supported with zero "
                                   "parameters only")
             pos = 2
@@ -431,25 +472,21 @@ def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     subclass) with a source location on any problem.  ``exit`` ends
     the script: nothing after it is read."""
     m = manager if manager is not None else TermManager()
-    p = _Parser(m)
+    source = Source(text)
+    p = _Parser(m, source)
     commands: list[Command] = []
     seen_check = False
-    for node in read_sexprs(text):
-        try:
-            cmd = p.command(node)
-        except RecursionError:
-            raise ParseError("input is nested too deeply to process",
-                             node.line, node.col) from None
+    for node in source.read_sexprs():
+        cmd = p.command(node)
         commands.append(cmd)
         if isinstance(cmd, Exit):
             break
         if seen_check and not isinstance(cmd, GetModel):
-            raise ParseError(
-                "only one check-sat is supported" if isinstance(cmd, CheckSat)
-                else f"{node.head()} after check-sat: only get-model and "
-                     "exit may follow it", node.line, node.col)
+            p._err(node, "only one check-sat is supported"
+                   if isinstance(cmd, CheckSat)
+                   else f"{p.tokens[node[1]]} after check-sat: only "
+                        "get-model and exit may follow it")
         if isinstance(cmd, GetModel) and not seen_check:
-            raise ParseError("get-model before check-sat",
-                             node.line, node.col)
+            p._err(node, "get-model before check-sat")
         seen_check = seen_check or isinstance(cmd, CheckSat)
     return Script(commands, m)

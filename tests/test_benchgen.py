@@ -27,7 +27,7 @@ from caext.benchgen import (
     write_crafted,
 )
 from caext.oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
-from caext.parser import read_sexprs
+from caext.parser import Source
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -188,8 +188,8 @@ class TestQuantifiedEmission:
     def test_crafted_emission_parses_as_sexprs(self):
         m, p = params(2, (2, 1, 1, 2))
         text = emit_quantified(m, gen_crafted(m, p))
-        nodes = read_sexprs(text)
-        heads = [n.head() for n in nodes]
+        source = Source(text)
+        heads = [source.atom(tree[1]) for tree in source.read_sexprs()]
         assert heads[0] == "set-logic"
         assert heads[-1] == "check-sat"
         assert heads.count("assert") == 3 + 2

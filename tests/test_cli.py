@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import caext
+from caext import Kind
 from caext.cli import main
 from caext.errors import ResourceLimit
+from caext.flatten import flatten
 from caext.terms import MAX_BV_WIDTH
 
 from helpers import run_module
@@ -404,11 +407,21 @@ class TestGen:
         assert text.count("(store ") == 2002
         assert ("forall" in text) == bool(flags)
         if not flags:
-            # Reading it back keeps the parser's located depth error.
-            assert main(["solve", str(path)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}:")
-            assert "nested too deeply" in err
+            # The reader and flatten walk on explicit stacks, so the
+            # chain reads back whole.
+            script = caext.parse(text)
+            flat = flatten(script.manager, script.assertions)
+            assert flat.is_flat()
+            assert sum(d.kind is Kind.STORE
+                       for d in flat.definitions.values()) == 2002
+
+    def test_solves_a_500_store_chain(self, tmp_path, capsys):
+        assert main(["gen", "--crafted", "0,500,2", "--index-sort", "bv12",
+                     "--out", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        assert main(["solve", path]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("sat\n", "")
 
     def test_bad_sort_rejected(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,0,0", "--index-sort", "int",

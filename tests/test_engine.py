@@ -844,26 +844,33 @@ class TestFormulaIndex:
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
     def test_each_subterm_is_walked_once_per_run(self, monkeypatch, family):
         # Over one check_sat run, the engine and the ground layer share
-        # one index, whose walk files each subterm of each formula once,
-        # and neither walks the formulas again.
-        file = FormulaIndex._file
+        # one index, whose walk visits each subterm of each formula once,
+        # and neither walks the formulas again.  Every term walk of the
+        # two modules goes through a walker they import by name, so each
+        # such name is replaced by one that counts what it visits.
+        walkers = [(module, name) for module in (caext.engine, caext.ground)
+                   for name in ("postorder", "iter_subterms")
+                   if hasattr(module, name)]
+        assert (caext.ground, "postorder") in walkers
         visits: Counter = Counter()
         indexes = {}
 
-        def counted_file(index, t):
+        def counted(walk):
+            def walked(roots, *args):
+                out = list(walk(roots, *args))
+                visits.update(out)
+                return out
+            return walked
+
+        for module, name in walkers:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        add_formula = FormulaIndex.add_formula
+
+        def noted(index, f):
             indexes[id(index)] = index
-            visits[t] += 1
-            return file(index, t)
+            return add_formula(index, f)
 
-        def counted_walk(roots):
-            for t in iter_subterms(roots):
-                visits[t] += 1
-                yield t
-
-        monkeypatch.setattr(FormulaIndex, "_file", counted_file)
-        for module in (caext.engine, caext.ground):
-            monkeypatch.setattr(module, "iter_subterms", counted_walk,
-                                raising=False)
+        monkeypatch.setattr(FormulaIndex, "add_formula", noted)
         lemmas = 0
         for m, assertions in self.instances(family):
             visits.clear()

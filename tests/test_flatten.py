@@ -212,3 +212,38 @@ class TestPredicates:
         atom = m.mk_eq(arr["w"], m.mk_select(arr["a"], arr["i"]))
         assert is_flat_formula(atom)
         assert not is_flat_formula(m.mk_not(atom))
+
+
+class TestDepth:
+    """Flattening walks on explicit stacks: depth is bounded by memory,
+    not by the recursion limit."""
+
+    DEPTH = 30000
+
+    def test_deep_negation_chain(self, m):
+        p = m.mk_const("p", m.bool_sort)
+        f = p
+        for _ in range(self.DEPTH):
+            f = m.mk_not(f)
+        res = flatten(m, [f])
+        assert res.formulas == [f] and not res.definitions
+        assert res.is_flat()
+
+    def test_deep_store_chain_under_a_read(self, m, arr):
+        a, i, u = arr["a"], arr["i"], arr["u"]
+        chain = a
+        for _ in range(self.DEPTH):
+            chain = m.mk_store(chain, i, u)
+        res = flatten(m, [m.mk_not(m.mk_eq(m.mk_select(chain, i), u))])
+        assert len(res.definitions) == self.DEPTH + 1
+        assert res.is_flat()
+
+    def test_deep_boolean_in_a_term_position(self, m):
+        p, q = (m.mk_const(s, m.bool_sort) for s in "pq")
+        f = p
+        for _ in range(self.DEPTH):
+            f = m.mk_not(f)
+        res = flatten(m, [m.mk_eq(q, f)])
+        fresh, = (c for c in free_constants(res.formulas) if c not in (p, q))
+        assert res.formulas == [m.mk_eq(q, fresh),
+                                m.mk_implies(fresh, f), m.mk_implies(f, fresh)]

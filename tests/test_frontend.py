@@ -6,6 +6,7 @@ from caext import (
     ArrayValue, Kind, Model, ParseError, SortError, TermManager,
     UnknownSymbolError, eval_term,
 )
+from caext.benchgen import gen_fuzz
 from caext.parser import (
     Assert, CheckSat, DeclareConst, DefineFun, GetModel, SetLogic, parse,
 )
@@ -14,7 +15,7 @@ from caext.printer import (
 )
 from caext.terms import MAX_BV_WIDTH
 
-from helpers import random_instance
+from helpers import benchmark_crafted, random_instance
 
 
 class TestParseBasics:
@@ -205,14 +206,62 @@ class TestParseErrors:
         s = parse("(declare-const y (_ BitVec 8))\n(assert (= y #xaF))")
         assert s.assertions[0].args[1].value == 0xAF
 
-    def test_deep_nesting_is_a_parse_error(self):
+    def test_unclosed_paren_at_depth_is_located_innermost(self):
+        depth = 30000
+        text = "(declare-const p Bool)\n(assert " + "(not " * depth + "p"
+        with pytest.raises(ParseError, match="unclosed") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == \
+            (2, len("(assert ") + 5 * (depth - 1) + 1)
+
+    @pytest.mark.parametrize("tail", [
+        ")", "(", "(assert (= x", "(no-such-command)", "(assert #bz)",
+        "(check-sat) (check-sat)", "x"])
+    def test_malformed_text_after_exit_is_ignored(self, tail):
+        s = parse("(declare-const x Bool)\n(assert x)\n(exit)\n" + tail)
+        assert s.assertions == [s.declared[0]]
+
+
+class TestReader:
+    def test_deep_nesting_parses(self):
         import caext
-        depth = 3000
+        depth = 30000
         text = ("(declare-const p Bool)\n(assert "
                 + "(not " * depth + "p" + ")" * depth + ")\n(check-sat)\n")
-        with pytest.raises(ParseError, match="nested too deeply") as info:
-            caext.parse(text)
-        assert (info.value.line, info.value.column) == (2, 1)
+        f, = caext.parse(text).assertions
+        for _ in range(depth):
+            assert f.kind is Kind.NOT
+            f = f.args[0]
+        assert f.name == "p"
+
+    @pytest.mark.parametrize("space", ["\f", "\v", "\u00a0", "\u2003",
+                                       "\u3000"])
+    def test_only_ascii_blanks_delimit(self, space):
+        # Only space, tab, carriage return and newline separate tokens;
+        # other white space belongs to the atom it stands in.
+        name = f"a{space}b"
+        s = parse(f"(declare-const {name} Bool)(assert {name})")
+        assert s.declared[0].name == name
+        with pytest.raises(UnknownSymbolError) as info:
+            parse(f"(assert (and{space}true))")
+        assert (info.value.line, info.value.column) == (1, 9)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_columns_after_either_line_ending(self, newline):
+        text = newline.join(["(declare-const x Bool) ; one",
+                             "", "  (assert (and x y))"])
+        with pytest.raises(UnknownSymbolError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (3, 18)
+
+    def test_carriage_return_inside_a_line_is_a_column(self):
+        with pytest.raises(UnknownSymbolError) as info:
+            parse("(assert\r\r(and\ty true))")
+        assert (info.value.line, info.value.column) == (1, 15)
+
+    def test_comment_ends_at_newline_only(self):
+        s = parse("(declare-const x Bool) ; (assert\r(not x))\n(assert x)")
+        assert s.assertions == [s.declared[0]]
 
 
 class TestDeclareAndDefineFun:
@@ -284,6 +333,18 @@ class TestRoundTrip:
         text = print_script(assertions)
         back = parse(text, m)
         assert back.assertions == assertions
+
+    @pytest.mark.parametrize("family", ["fuzz", "crafted"])
+    def test_print_parse_print_is_a_fixed_point(self, family):
+        if family == "fuzz":
+            texts = [print_script(gen_fuzz(seed)[1], get_model=True)
+                     for seed in range(200)]
+        else:
+            texts = [print_script(s.assertions, get_model=True)
+                     for s in benchmark_crafted(1001)]
+        for text in texts:
+            s = parse(text)
+            assert print_script(s.assertions, get_model=True) == text
 
     def test_example_file_with_check_sat(self):
         m, assertions = random_instance(1)

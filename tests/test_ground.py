@@ -7,7 +7,7 @@ import random
 from caext import (InternalError, OracleBounds, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
-from caext.ground import solve_ground
+from caext.ground import _eliminate, solve_ground
 from caext.terms import Kind, iter_subterms
 
 from helpers import ground_session, random_instance
@@ -196,6 +196,42 @@ class TestSparseTransitivity:
                 assert holds == joined, (seed, e)
             session.index.add_formula(m.mk_or(
                 [m.mk_not(e) if holds else e for e, holds in truth.items()]))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_heap_eliminates_in_the_order_of_a_min_scan(self, seed):
+        # The elimination order fixes the fill edges, the pair variables
+        # and the transitivity clauses, so the heap must pick the vertex
+        # that a scan of every remaining vertex for the least (degree,
+        # term id) picks, after every fill-in.
+        rng = random.Random(seed)
+        m = TermManager()
+        asort = m.array_sort(m.bool_sort, m.bool_sort)
+        # ids out of name order, so ties are not broken by creation order
+        arrays = [m.mk_const(f"a{k}", asort) for k in range(rng.randint(2, 24))]
+        rng.shuffle(arrays)
+        p = rng.uniform(0.05, 0.6)
+        edges = [(x, y) for k, x in enumerate(arrays)
+                 for y in arrays[k + 1:] if rng.random() < p]
+        adj: dict = {}
+        for x, y in edges:
+            adj.setdefault(x, set()).add(y)
+            adj.setdefault(y, set()).add(x)
+
+        expected = []
+        scan = {v: set(nbrs) for v, nbrs in adj.items()}
+        while scan:
+            v = min(scan, key=lambda t: (len(scan[t]), t.id))
+            nbrs = sorted(scan.pop(v), key=lambda t: t.id)
+            for x in nbrs:
+                scan[x].discard(v)
+            for k, x in enumerate(nbrs):
+                for y in nbrs[k + 1:]:
+                    scan[x].add(y)
+                    scan[y].add(x)
+            expected.append((v, nbrs))
+
+        assert list(_eliminate(adj)) == expected
+        assert adj == {}
 
 
 def _has_array_eq(f):
