@@ -8,10 +8,11 @@ partition (:mod:`caext.ground`).  A propagation phase then spreads each
 read and each constant-array default through the store and equality
 structure as far as the candidate interpretation allows, recording for
 every propagated fact the array it reached, the neighbouring array it
-came from, and the literal that justified the hop.  A fact that reaches
-an array whose candidate values contradict it yields a lemma over the
-recorded justification literals; the lemma joins the formula set, the
-propagation state is discarded, and the loop repeats.
+came from and, for a copy, the array equality it crossed.  A fact that
+reaches an array whose candidate values contradict it yields a lemma
+over the literals of its recorded path, built only then (as Brummayer
+& Biere, JSAT 2009, build lemmas from the propagation path); the lemma
+joins the formula set, the state is discarded, and the loop repeats.
 
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the
@@ -21,22 +22,15 @@ into a set that propagation, the conflict scan and the model read.
 
 Propagation records facts in the order of a fixed-order scan that
 restarts after every new one, so the same candidate always yields the
-same facts in the same order.  The first rule, reads crossing stores,
-resumes at a cursor into the read entries instead of restarting: while
-one candidate saturates, the values and the store graph are fixed and
-facts are only added, so an entry that has crossed every store it can
-never crosses another.  The other two rules walk maps that offer no
-position to resume at, and still restart.  A scan reaches the stores
-next to an array (one list of store hops, down to the base and up to
-each store over it) and the equality atoms at it through the index's
-adjacency maps.
-Each step carries what later phases need from it, as Christ &
-Hoenicke ("Weakly equivalent arrays", FroCoS 2015) carry the crossed
-indices along each hop of such a store graph: a read step its index
-value, a default step the set of index values its crossed stores
-block, derived from the step's source when the step is recorded.
-Propagation, the conflict scan and the model read these records, and
-a recorded path is walked back only to write a lemma.
+same facts in the same order (reads crossing stores resume at a cursor
+where a restart would find nothing new).  Each step carries what later
+phases need from it, as Christ & Hoenicke ("Weakly equivalent arrays",
+FroCoS 2015) carry the crossed indices along each hop of a store
+graph: a read step its index value, a default step the set of index
+values its crossed stores block, derived from the step's source when
+the step is recorded.  Propagation, the conflict scan and the model
+read these records, and a recorded path is walked back only to write a
+lemma.
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -53,6 +47,7 @@ model costs the same for any index width.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -101,20 +96,16 @@ class Configuration(FormulaIndex):
     candidate interpretation, the propagation map, and the equality
     atoms that already received an extensionality witness.
 
-    The configuration is the run's formula index; :func:`check_sat`
-    hands it to the ground session, which encodes what it gains.
-
     The propagation map records, for every pair of a destination array
-    and a propagated term (a read or a constant array), the literal that
-    justified the most recent hop and the array the term arrived from.
-    The step says which rule recorded it: a source equal to the
-    destination is a starting point, a reason that is an array equality
-    atom is a copy across that equality, and any other hop crosses the
-    store between source and destination.  Entries are write-once
-    between resets; sources always point at an entry recorded earlier,
-    so justification chains are acyclic, every reason literal holds
-    under the interpretation, and a hop without a reason crosses a
-    store.  :meth:`set_step` enforces all four.
+    and a propagated term (a read or a constant array), the array the
+    term arrived from and the reason for that hop, if any.  A source
+    equal to the destination is a starting point, a reason is the array
+    equality atom a copy crossed, and any other hop crosses the store
+    between source and destination.  Entries are write-once between
+    resets; sources point at an entry recorded earlier, so chains are
+    acyclic; every reason is in ``true_atoms``; a hop without a reason
+    crosses a store, and a read only one at another index value.
+    :meth:`set_step` enforces all five.
 
     :meth:`set_step` also records what later phases read off a step, in
     recording order: ``read_steps`` holds ``(destination, read, index
@@ -131,7 +122,7 @@ class Configuration(FormulaIndex):
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
         super().__init__(manager, formulas)
         self.interp: Optional[Interpretation] = None
-        # (destination array, propagated term) -> (reason literal | None, source)
+        # (destination array, propagated term) -> (atom | None, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
         # array equality atoms whose extensionality lemma was emitted;
         # kept across resets, so each atom gets at most one
@@ -166,14 +157,17 @@ class Configuration(FormulaIndex):
         if source is not dest and (source, t) not in self.steps:
             raise InternalError(
                 "step source does not point at an earlier entry")
-        if reason is not None and reason not in self.true_atoms \
-                and not self.interp.eval(reason):
+        if reason is not None and reason not in self.true_atoms:
             raise InternalError(
-                "step reason is false under the current interpretation")
+                "step reason is not an array equality atom that holds")
         crossed = None if reason is not None or source is dest \
             else _hop_index(dest, source)
         if t.kind is Kind.SELECT:
-            self.read_steps.append((dest, t, self.value(t.index)))
+            v = self.value(t.index)
+            if crossed is not None and self.value(crossed) == v:
+                raise InternalError(
+                    f"read {t!r} crosses a store at its own index")
+            self.read_steps.append((dest, t, v))
         elif t.kind is Kind.CONST_ARRAY:
             if source is dest:
                 blocked, size = frozenset(), domain_size(t.sort.index)
@@ -242,9 +236,11 @@ def _hop_index(dest: Term, source: Term) -> Term:
 def _walk(cfg: Configuration, dest: Term,
           t: Term) -> tuple[list[Term], list[Term]]:
     """Follow the recorded source links of ``t`` from ``dest`` back to
-    its origin.  Returns the reason literals, ordered origin-first, and
-    the index terms of the stores crossed by unjustified hops, in walk
-    order (destination-first)."""
+    its origin.  Returns the literals that explain the hops, ordered
+    origin-first (a copy's atom, or ``not (= i k)``, built here, for a
+    read with index ``i`` crossing a store at ``k``), and the index
+    terms of the stores a constant array crossed, destination-first."""
+    m = cfg.manager
     lits: list[Term] = []
     indices: list[Term] = []
     cur = dest
@@ -254,6 +250,8 @@ def _walk(cfg: Configuration, dest: Term,
             break
         if reason is not None:
             lits.append(reason)
+        elif t.kind is Kind.SELECT:
+            lits.append(m.mk_not(m.mk_eq(t.index, _hop_index(cur, src))))
         else:
             indices.append(_hop_index(cur, src))
         cur = src
@@ -283,31 +281,22 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     scan that restarts at the first entry after every new step, which
     makes saturation deterministic.
 
-    A scan reaches an entry's neighbours through the configuration's
-    adjacency maps (`hops`, `eqs_at`) instead of every store and
-    equality atom.  Priorities 1 and 3 walk ``cfg.read_steps`` and
-    ``cfg.default_steps``, which `set_step` extends as steps are
-    recorded, so they test a hop with the index value and blocked set
-    its entry carries.  Priority 2 copies across the atoms in
-    ``cfg.true_atoms``, which :func:`init_steps` filled for this
-    candidate.
+    A scan reaches an entry's neighbours through the adjacency maps
+    (`hops`, `eqs_at`).  Priorities 1 and 3 walk ``cfg.read_steps`` and
+    ``cfg.default_steps``, which `set_step` extends, and test a hop with
+    the index value or blocked set its entry carries; a store crossing
+    records no reason and makes no term.  Priority 2 copies across the
+    atoms in ``cfg.true_atoms``.
 
-    Priority 1 does not restart.  It keeps one forward cursor into
-    ``cfg.read_steps`` for this saturation and resumes there after any
-    new step.  Within one saturation an entry's index value and the
-    values of the store indices are fixed, `hops` does not grow and
-    ``cfg.steps`` only grows, so a hop an entry cannot cross now it
-    can never cross later.  One pass over an entry's hops therefore
-    records every step the restarting scan would record at that entry,
-    in the same order, and the cursor moves past the entry only after
-    that pass; the entries before it are exhausted and a restart would
-    find nothing there.  Entries that priority 2 appends land past the
-    cursor and are still scanned.  Priorities 2 and 3 walk the dicts
-    ``cfg.steps`` and ``cfg.default_steps``, which offer no positional
-    resume, so they still restart at their first entry after every new
-    step (:func:`_restart_scan`).
+    Priority 1 resumes at one forward cursor into ``cfg.read_steps``
+    instead of restarting.  Within one saturation the values are fixed,
+    `hops` does not grow and ``cfg.steps`` only grows, so a hop an entry
+    cannot cross now it never crosses later: one pass over an entry's
+    hops records every step a restart would record there, in the same
+    order.  Entries that priority 2 appends land past the cursor.
+    Priorities 2 and 3 walk dicts, which offer no positional resume,
+    so they restart after every new step (:func:`_restart_scan`).
     """
-    m = cfg.manager
     steps = cfg.steps
     hops = cfg.hops
     # `init_steps` recorded each store's read of its own index, so the
@@ -324,8 +313,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
             cursor += 1
             for other, s in hops.get(dest, ()):
                 if (other, t) not in steps and v != values[s.index]:
-                    cfg.set_step(other, t,
-                                 m.mk_not(m.mk_eq(t.index, s.index)), dest)
+                    cfg.set_step(other, t, None, dest)
         if not _restart_scan(cfg):
             return cfg
 
@@ -630,25 +618,37 @@ def _class_name(x: int) -> str:
 @dataclass
 class SolveStats:
     """Counters describing one :func:`check_sat` run.  Each lemma is
-    recorded once, in ``lemma_history`` as ``(rule, lemma)``; the
-    refinement count and the per-rule counts are read off it."""
+    recorded once, in ``lemmas`` as ``(rule, lemma)`` over the flattened
+    formulas; the refinement count and the per-rule counts are read off
+    it.  ``lemma_history`` is that list over the input's constants:
+    ``definitions`` is substituted into a lemma when it is first read."""
 
     iterations: int = 0
-    lemma_history: list[tuple[str, Term]] = field(default_factory=list)
     pi_size: int = 0
     ground_conflicts: int = 0
+    lemmas: list[tuple[str, Term]] = field(default_factory=list)
+    manager: Optional[TermManager] = field(default=None, repr=False,
+                                           compare=False)
+    definitions: dict[Term, Term] = field(default_factory=dict)
+    _history: list[tuple[str, Term]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def lemma_history(self) -> list[tuple[str, Term]]:
+        history = self._history
+        for rule, lemma in self.lemmas[len(history):]:
+            history.append(
+                (rule, substitute(self.manager, lemma, self.definitions)))
+        return history
 
     @property
     def refinements(self) -> int:
-        return len(self.lemma_history)
+        return len(self.lemmas)
 
     @property
     def lemma_counts(self) -> dict[str, int]:
         """Lemmas per rule, in order of each rule's first lemma."""
-        counts: dict[str, int] = {}
-        for rule, _ in self.lemma_history:
-            counts[rule] = counts.get(rule, 0) + 1
-        return counts
+        return dict(Counter(rule for rule, _ in self.lemmas))
 
     def lines(self) -> list[str]:
         out = [f"refinements: {self.refinements}",
@@ -690,9 +690,9 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     (exceeding it raises :class:`ResourceLimit`).
 
     The proof invariants are checked on every run: each propagation
-    step is recorded once, points at an earlier entry and has a true
-    reason; each lemma excludes the candidate that produced it; and a
-    model is returned only after it validates against both the
+    step is recorded once, points at an earlier entry and is a hop the
+    candidate allows; each lemma excludes the candidate that produced
+    it; and a model is returned only after it validates against both the
     assertions and the flattened formula set with every lemma.  A
     failed check raises :class:`InternalError`.  Input nested too
     deeply for Python's recursion limit raises :class:`CaextError`.
@@ -701,7 +701,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         assertions = list(assertions)
         flat = flatten(manager, assertions)
         cfg = Configuration(manager, flat.all_formulas)
-        stats = SolveStats()
+        stats = SolveStats(manager=manager, definitions=flat.definitions)
         session = GroundSession(cfg, seed, budget)
         while True:
             stats.iterations += 1
@@ -725,8 +725,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
                             "constructed model fails "
                             f"{outcome.failing_assertion!r}")
                 return SolveResult("sat", model, stats)
-            stats.lemma_history.append(
-                (info.rule, substitute(manager, info.lemma, flat.definitions)))
+            stats.lemmas.append((info.rule, info.lemma))
             if max_refinements is not None \
                     and stats.refinements > max_refinements:
                 raise ResourceLimit(

@@ -39,6 +39,10 @@ class SortKind(Enum):
     BITVEC = auto()
     ARRAY = auto()
 
+    # Members are singletons, so identity is equality; object's hash
+    # skips the Python-level ``Enum.__hash__`` on every interning key.
+    __hash__ = object.__hash__
+
 
 class Sort:
     """An interned sort: Bool, BitVec(w), or Array(index, element)."""
@@ -104,6 +108,8 @@ class Kind(Enum):
     IMPLIES = auto()
     ITE = auto()
     DISTINCT_N = auto()    # true iff at least n argument values are pairwise different
+
+    __hash__ = object.__hash__  # as for SortKind
 
 
 class Term:

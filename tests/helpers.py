@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import caext
 import caext.engine
-from caext import Configuration, TermManager, Term
+from caext import Configuration, Kind, TermManager, Term
 from caext.engine import _canonical_indices, _walk
 from caext.ground import FormulaIndex, GroundSession
 
@@ -92,6 +92,15 @@ def compute_reason(cfg: Configuration, dest: Term, t: Term) -> ReasonTrace:
     engine's path walker."""
     lits, idx = _walk(cfg, dest, t)
     return ReasonTrace(tuple(lits), _canonical_indices(cfg, idx))
+
+
+def read_crossings(cfg: Configuration) -> dict[tuple[Term, Term], Term]:
+    """The literal the engine's path walker builds for every read step
+    that crosses a store, keyed by the step: the last literal of the
+    walk from that step."""
+    return {(dest, t): _walk(cfg, dest, t)[0][-1]
+            for (dest, t), (reason, src) in cfg.steps.items()
+            if t.kind is Kind.SELECT and reason is None and src is not dest}
 
 
 def compute_updated_indices(cfg: Configuration, dest: Term,

@@ -8,6 +8,11 @@ every default entry's path is walked again on every scan, and two reads
 at one array are found by sorting every same-destination pair.  It is
 kept only so that tests can check that the engine records the same
 steps, in the same order, and finds the same conflicts.
+
+Like the engine, it records a read's store crossing with no reason.  It
+keeps the literal ``not (= i k)`` that explains each such hop, made when
+the hop is made, so that tests can compare it with the literal the
+engine's path walker rebuilds for that hop when it writes a lemma.
 """
 
 from __future__ import annotations
@@ -30,15 +35,19 @@ from caext.engine import (
 )
 
 
-def reference_saturation(cfg: Configuration) -> Configuration:
+def reference_saturation(cfg: Configuration) -> tuple[
+        Configuration, dict[tuple[Term, Term], Term]]:
     """A fresh configuration over ``cfg``'s formulas and interpretation,
-    saturated by the reference propagator."""
+    saturated by the reference propagator, and the literal
+    ``not (= i k)`` that explains each read's store crossing, keyed by
+    the step it explains."""
     fresh = Configuration(cfg.manager, cfg.formulas)
     fresh.interp = cfg.interp
     init_steps(fresh)
-    while _apply_one(fresh):
+    crossings: dict[tuple[Term, Term], Term] = {}
+    while _apply_one(fresh, crossings):
         pass
-    return fresh
+    return fresh, crossings
 
 
 def reference_conflict(cfg: Configuration,
@@ -65,7 +74,8 @@ def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
     return None
 
 
-def _apply_one(cfg: Configuration) -> bool:
+def _apply_one(cfg: Configuration,
+               crossings: dict[tuple[Term, Term], Term]) -> bool:
     interp = cfg.interp
     m = cfg.manager
     entries = list(cfg.steps)
@@ -77,14 +87,14 @@ def _apply_one(cfg: Configuration) -> bool:
         i = t.index
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
                 and interp.value(i) != interp.value(dest.index):
-            cfg.set_step(dest.array, t,
-                         m.mk_not(m.mk_eq(i, dest.index)), dest)
+            cfg.set_step(dest.array, t, None, dest)
+            crossings[(dest.array, t)] = m.mk_not(m.mk_eq(i, dest.index))
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
                     and interp.value(i) != interp.value(s.index):
-                cfg.set_step(s, t,
-                             m.mk_not(m.mk_eq(i, s.index)), dest)
+                cfg.set_step(s, t, None, dest)
+                crossings[(s, t)] = m.mk_not(m.mk_eq(i, s.index))
                 return True
 
     # Priority 2: anything propagated copies across a true equality.

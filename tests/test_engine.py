@@ -23,6 +23,7 @@ from caext import (
 from caext.engine import (
     Configuration,
     _find_conflict,
+    _walk,
     build_model,
     check_conflicts,
     check_sat,
@@ -40,7 +41,7 @@ from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (Example2, benchmark_crafted, compute_reason,
                      compute_updated_indices, ground_session, random_instance,
-                     store_chain, watch_saturations)
+                     read_crossings, store_chain, watch_saturations)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -226,10 +227,13 @@ class TestSpreadIndexSaturation:
         assert len(cfg.steps) == 30
 
     def test_read_travels_to_first_default(self, chain):
+        # The store crossing carries no reason; the path walker builds
+        # the literal that explains it when it writes a lemma.
         ex, m = chain.ex, chain.m
         cfg = chain.configuration(spread_interp(chain))
-        assert cfg.steps[(ex.cv, chain.r2)] == \
-            (m.mk_not(m.mk_eq(ex.j1, ex.i1)), chain.s1)
+        assert cfg.steps[(ex.cv, chain.r2)] == (None, chain.s1)
+        assert _walk(cfg, ex.cv, chain.r2)[0][-1] is \
+            m.mk_not(m.mk_eq(ex.j1, ex.i1))
 
     def test_defaults_blocked_once_chain_is_fully_updated(self, chain):
         ex, cfg = chain.ex, chain.configuration(spread_interp(chain))
@@ -354,6 +358,26 @@ class TestPropagationMap:
         assert not cfg.has_step(ex.a, cz)
         assert (ex.a, cz) not in cfg.default_steps
 
+    def test_read_crossing_a_store_at_its_own_index_rejected(self):
+        # A read's store crossing carries no reason, so `set_step`
+        # checks the hop itself: the store's index value must differ
+        # from the read's.
+        m = TermManager()
+        isort = m.bv_sort(2)
+        a = m.mk_const("a", m.array_sort(isort, m.bool_sort))
+        i, k = m.mk_const("i", isort), m.mk_const("k", isort)
+        x = m.mk_const("x", m.bool_sort)
+        s, r = m.mk_store(a, i, x), m.mk_select(a, k)
+        cfg = Configuration(m, [m.mk_eq(m.mk_select(s, i), x),
+                                m.mk_eq(r, x)])
+        cfg.interp = Interpretation({i: 1, k: 1, x: 0, r: 0}, {})
+        init_steps(cfg)
+        entries = list(cfg.read_steps)
+        with pytest.raises(InternalError, match="at its own index"):
+            cfg.set_step(s, r, None, a)
+        assert not cfg.has_step(s, r)
+        assert cfg.read_steps == entries
+
     def test_index_values_are_read_once_per_candidate(self, monkeypatch):
         # Across one candidate (init_steps, propagation, conflict scan
         # and build_model), and outside `Interpretation.eval`, the value
@@ -449,8 +473,9 @@ class TestReadCursor:
         cfg.interp = interp
         init_steps(cfg)
         propagate_fixpoint(cfg)
-        assert list(cfg.steps.items()) == \
-            list(reference_saturation(cfg).steps.items())
+        fresh, crossings = reference_saturation(cfg)
+        assert list(cfg.steps.items()) == list(fresh.steps.items())
+        assert crossings == read_crossings(cfg)
         return cfg
 
     @staticmethod
@@ -486,7 +511,30 @@ class TestReadCursor:
         # No read crosses a store until priority 2 copies r to b, after
         # the cursor has passed every entry recorded at the start.
         assert list(cfg.steps)[-2:] == [(b, r), (s, r)]
-        assert cfg.steps[(s, r)] == (m.mk_not(m.mk_eq(k, i)), b)
+        assert cfg.steps[(s, r)] == (None, b)
+        assert _walk(cfg, s, r)[0] == [m.mk_eq(a, b),
+                                       m.mk_not(m.mk_eq(k, i))]
+
+    def test_read_over_two_stores_keeps_its_lemma_text(self):
+        # The literals of a read's store crossings are built when the
+        # lemma is written, origin-first, in the text that stored
+        # reasons gave.
+        m, isort, asort = self.sorts()
+        i, j, k = (m.mk_const(n, isort) for n in "ijk")
+        x, y, v = (m.mk_const(n, m.bool_sort) for n in "xyv")
+        s1 = m.mk_store(m.mk_const_array(asort, v), i, x)
+        s2 = m.mk_store(s1, j, y)
+        r = m.mk_select(s2, k)
+        cfg = self.saturate(m, [m.mk_eq(r, y)],
+                            {i: 0, j: 1, k: 2, x: 0, y: 1, v: 0, r: 1,
+                             m.mk_select(s1, i): 0,
+                             m.mk_select(s2, j): 1}, {})
+        info = _find_conflict(cfg, set())
+        assert info.rule == "read_over_const"
+        assert repr(info.lemma) == (
+            "(=> (and (not (= k j)) (not (= k i))) (= (select (store "
+            "(store ((as const (Array (_ BitVec 2) Bool)) v) i x) j y) k) "
+            "v))")
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +781,31 @@ class TestLoopControls:
                                    for c, val in res.model.items()),)
             outcomes.append(summary)
         assert outcomes[0] == outcomes[1]
+
+    def test_lemma_text_is_substituted_when_first_read(self, monkeypatch):
+        # check_sat keeps each lemma over the flattened formulas; the
+        # first read of `lemma_history` substitutes each one once, and
+        # later reads return what it made.
+        calls = []
+        substitute = caext.engine.substitute
+
+        def counted_substitute(manager, term, mapping):
+            calls.append(term)
+            return substitute(manager, term, mapping)
+
+        monkeypatch.setattr(caext.engine, "substitute", counted_substitute)
+        script = next(benchmark_crafted(1001))
+        stats = check_sat(script.manager, script.assertions).stats
+        assert calls == []
+        assert stats.lemmas and stats.definitions
+        history = stats.lemma_history
+        assert calls == [lemma for _, lemma in stats.lemmas]
+        assert [rule for rule, _ in history] == \
+            [rule for rule, _ in stats.lemmas]
+        assert not set(stats.definitions) & set(
+            iter_subterms(lemma for _, lemma in history))
+        assert stats.lemma_history == history
+        assert len(calls) == len(stats.lemmas)
 
     def test_seeds_do_not_change_verdicts(self, chain):
         verdicts = {check_sat(chain.m, chain.assertions, seed=s).verdict

@@ -3,10 +3,12 @@ propagator and conflict scan in `reference_propagation`.
 
 At every saturation of a run the engine's propagation map must equal
 the one the reference records from scratch for the same formulas and
-interpretation (same keys, reasons, sources and insertion order), the
-blocked set every default step carries must equal the values of the
-store indices a fresh walk of its path crosses, and the conflict the
-engine finds must equal the reference's.
+interpretation (same keys, reasons of copies, sources and insertion
+order), the literal the engine's path walker rebuilds for every read's
+store crossing must be the ``not (= i k)`` the reference made for that
+hop, the blocked set every default step carries must equal the values
+of the store indices a fresh walk of its path crosses, and the conflict
+the engine finds must equal the reference's.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from caext import TermManager, check_sat
 from caext.benchgen import gen_fuzz
 from caext.engine import _find_conflict, _walk
 
-from helpers import benchmark_crafted, watch_saturations
+from helpers import benchmark_crafted, read_crossings, watch_saturations
 from reference_propagation import reference_conflict, reference_saturation
 
 
 def _gated_check_sat(m, assertions, rules: Counter):
     def gate(cfg):
-        fresh = reference_saturation(cfg)
+        fresh, crossings = reference_saturation(cfg)
         assert list(cfg.steps.items()) == list(fresh.steps.items())
+        assert crossings == read_crossings(cfg)
         expected = reference_conflict(fresh, cfg.witnessed)
         # check_sat's own scan follows and marks `cfg.witnessed`.
         info = _find_conflict(cfg, set(cfg.witnessed))
