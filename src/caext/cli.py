@@ -249,10 +249,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, OSError, CaextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: input is nested too deeply to process",
-              file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -51,18 +51,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    CaextError,
-    IllDefinedModel,
-    InternalError,
-    ResourceLimit,
-    UndefinedStep,
-)
+from .errors import (IllDefinedModel, InternalError, ResourceLimit,
+                     UndefinedStep)
 from .flatten import flatten
 from .ground import (FormulaIndex, GroundSession, Interpretation,
                      solve_ground)
-from .model import (ArrayValue, Model, complete_model, validate_model,
-                    zero_value)
+from .model import ArrayValue, Model, validate_model, zero_value
+from .model import complete_model  # noqa: F401  (perfbench wraps it)
 from .terms import Kind, Sort, Term, TermManager, domain_size, substitute
 
 __all__ = [
@@ -694,41 +689,37 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     candidate allows; each lemma excludes the candidate that produced
     it; and a model is returned only after it validates against both the
     assertions and the flattened formula set with every lemma.  A
-    failed check raises :class:`InternalError`.  Input nested too
-    deeply for Python's recursion limit raises :class:`CaextError`.
+    failed check raises :class:`InternalError`.
     """
-    try:
-        assertions = list(assertions)
-        flat = flatten(manager, assertions)
-        cfg = Configuration(manager, flat.all_formulas)
-        stats = SolveStats(manager=manager, definitions=flat.definitions)
-        session = GroundSession(cfg, seed, budget)
-        while True:
-            stats.iterations += 1
-            ground = solve_ground(session)
-            stats.ground_conflicts += ground.conflicts
-            if ground.verdict is None:
-                return SolveResult("unknown", None, stats)
-            if ground.verdict == "unsat":
-                return SolveResult("unsat", None, stats)
-            cfg.interp = ground.interpretation
-            init_steps(cfg)
-            propagate_fixpoint(cfg)
-            stats.pi_size = len(cfg.steps)
-            info = check_conflicts(cfg)
-            if info is None:
-                model = complete_model(build_model(cfg), assertions)
-                for scope in (assertions, cfg.formulas):
-                    outcome = validate_model(model, scope)
-                    if not outcome:
-                        raise InternalError(
-                            "constructed model fails "
-                            f"{outcome.failing_assertion!r}")
-                return SolveResult("sat", model, stats)
-            stats.lemmas.append((info.rule, info.lemma))
-            if max_refinements is not None \
-                    and stats.refinements > max_refinements:
-                raise ResourceLimit(
-                    f"refinement limit of {max_refinements} exceeded")
-    except RecursionError:
-        raise CaextError("input is nested too deeply to process") from None
+    assertions = list(assertions)
+    flat = flatten(manager, assertions)
+    cfg = Configuration(manager, flat.all_formulas)
+    stats = SolveStats(manager=manager, definitions=flat.definitions)
+    session = GroundSession(cfg, seed, budget)
+    while True:
+        stats.iterations += 1
+        ground = solve_ground(session)
+        stats.ground_conflicts += ground.conflicts
+        if ground.verdict is None:
+            return SolveResult("unknown", None, stats)
+        if ground.verdict == "unsat":
+            return SolveResult("unsat", None, stats)
+        cfg.interp = ground.interpretation
+        init_steps(cfg)
+        propagate_fixpoint(cfg)
+        stats.pi_size = len(cfg.steps)
+        info = check_conflicts(cfg)
+        if info is None:
+            model = build_model(cfg)
+            for scope in (assertions, cfg.formulas):
+                outcome = validate_model(model, scope)
+                if not outcome:
+                    raise InternalError(
+                        "constructed model fails "
+                        f"{outcome.failing_assertion!r}")
+            return SolveResult("sat", model, stats)
+        stats.lemmas.append((info.rule, info.lemma))
+        if max_refinements is not None \
+                and stats.refinements > max_refinements:
+            raise ResourceLimit(
+                f"refinement limit of {max_refinements} exceeded")

@@ -14,12 +14,12 @@ At-least-n-distinct atoms are encoded eagerly with first-occurrence
 flags feeding a sequential counter.
 
 One path leads in: a :class:`GroundSession` is made over the run's
-:class:`FormulaIndex`, and each :func:`solve_ground` call encodes the
-terms and formulas that the index gained since the previous call and
-searches, so the SAT core keeps what it has learned.  A candidate
-carries the scalar values and, for each array pair the encoding
-relates, whether that pair's variable is true; an array equality is
-read off its pair.
+:class:`FormulaIndex`, and each :func:`solve_ground` call encodes what
+the index gained since the previous call, from the Boolean terms the
+index filed (no formula is walked twice), and searches, so the SAT core
+keeps what it learned.  A candidate carries the scalar values and, for
+each array pair the encoding relates, whether that pair's variable is
+true; an array equality is read off its pair.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .sat import SatSolver
 from .terms import Kind, Sort, Term, TermManager, postorder
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
+_CONNECTIVES = (Kind.NOT, Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE)
 
 
 def _width(sort: Sort) -> int:
@@ -103,35 +104,46 @@ class Interpretation:
         return v
 
     def eval(self, f: Term) -> bool:
-        """Truth of a formula under this interpretation."""
-        k = f.kind
-        if k is Kind.EQ:
-            lhs, rhs = f.args
-            if lhs.sort.is_array:
-                if lhs is rhs:
-                    return True
-                eq = self.pairs.get(_pair_key(lhs, rhs))
-                if eq is None:
+        """Truth of a formula under this interpretation, on an explicit
+        stack.  A connective reads its operands left to right (``=>``
+        its consequent first) until one decides it."""
+        stack: list[tuple[Term, int]] = []  # (connective, operands read)
+        while True:
+            k = f.kind
+            if k is Kind.EQ and f.args[0].sort.is_array:
+                lhs, rhs = f.args
+                v = lhs is rhs or self.pairs.get(_pair_key(lhs, rhs))
+                if v is None:
                     raise UnassignedConstant(
-                        f"{lhs!r} and {rhs!r} are not related by the "
-                        "encoding")
-                return eq
-            return self.value(lhs) == self.value(rhs)
-        if k is Kind.DISTINCT_N:
-            return len({self.value(a) for a in f.args}) >= (f.n or 1)
-        if k is Kind.NOT:
-            return not self.eval(f.args[0])
-        if k is Kind.AND:
-            return all(self.eval(a) for a in f.args)
-        if k is Kind.OR:
-            return any(self.eval(a) for a in f.args)
-        if k is Kind.IMPLIES:
-            return self.eval(f.args[1]) or not self.eval(f.args[0])
-        if k is Kind.ITE:
-            return self.eval(f.args[1] if self.eval(f.args[0]) else f.args[2])
-        if k in (Kind.CONSTANT, Kind.VALUE, Kind.SELECT):
-            return bool(self.value(f))
-        raise InternalError(f"cannot evaluate {f!r}")
+                        f"{lhs!r} and {rhs!r} are unrelated in the encoding")
+            elif k is Kind.EQ:
+                v = self.value(f.args[0]) == self.value(f.args[1])
+            elif k is Kind.DISTINCT_N:
+                v = len({self.value(a) for a in f.args}) >= (f.n or 1)
+            elif k in _SCALAR_LEAVES:
+                v = bool(self.value(f))
+            elif k in _CONNECTIVES:
+                stack.append((f, 0))
+                f = f.args[1 if k is Kind.IMPLIES else 0]
+                continue
+            else:
+                raise InternalError(f"cannot evaluate {f!r}")
+            # hand v, the truth of f, to the connectives above f
+            while stack:
+                f, i = stack.pop()
+                k = f.kind
+                if k is Kind.NOT or (k is Kind.IMPLIES and i == 1):
+                    v = not v  # `=>` holds where its antecedent fails
+                elif k is Kind.ITE:
+                    f = f.args[1] if v else f.args[2]
+                    break
+                elif (v if k is Kind.AND else not v) and i + 1 < len(f.args):
+                    # undecided; for `=>`, its consequent failed
+                    stack.append((f, i + 1))
+                    f = f.args[0 if k is Kind.IMPLIES else i + 1]
+                    break
+            else:
+                return v
 
 
 class FormulaIndex:
@@ -139,10 +151,10 @@ class FormulaIndex:
 
     :meth:`add_formula` gives every subterm not indexed yet the next
     ordinal, children before parents, as one walk over the whole list
-    would; ``terms`` lists them in that order.  Each is also filed by
-    kind, and a store gets its virtual-read equality
-    ``select(s, s.index) = s.stored_value`` in ``read_axioms``.  The
-    index starts with ``formulas``, added in order.
+    would; ``terms`` lists them in that order, and ``bools`` the Boolean
+    ones, whose gates the ground encoder builds.  Each is also filed by
+    kind, and a store gets ``select(s, s.index) = s.stored_value``, its
+    virtual read, in ``read_axioms``.  It starts with ``formulas``, in order.
     """
 
     def __init__(self, manager: TermManager,
@@ -157,6 +169,9 @@ class FormulaIndex:
         self.const_arrays: list[Term] = []
         self.array_eq_atoms: list[Term] = []
         self.constants: list[Term] = []
+        # Boolean terms in order; formula k's share ends at bool_ends[k]
+        self.bools: list[Term] = []
+        self.bool_ends: list[int] = []
         # array -> (neighbour, store crossed): first the hop down to the
         # base when the array is a store, then the stores over it in
         # `stores` order
@@ -173,10 +188,13 @@ class FormulaIndex:
         self.formulas.append(f)
         for t in postorder((f,), self.ordinal):
             self._file(t)
+        self.bool_ends.append(len(self.bools))
 
     def _file(self, t: Term) -> None:
         self.ordinal[t] = len(self.terms)
         self.terms.append(t)
+        if t.sort.is_bool:
+            self.bools.append(t)
         if t.kind is Kind.SELECT:
             self.reads.append(t)
         elif t.kind is Kind.STORE:
@@ -215,7 +233,8 @@ class GroundSession:
     related by an equality atom of ``index`` its variable
     (:meth:`_register_pairs`); an array equality that the index gains
     later must relate a pair registered then.  Each `solve_ground` call
-    encodes the index terms and formulas added since the previous one.
+    encodes the index terms and formulas added since the previous one,
+    reading the Boolean terms the index filed: the encoder walks nothing.
     """
 
     def __init__(self, index: FormulaIndex, seed: int = 0,
@@ -226,7 +245,7 @@ class GroundSession:
         self.sat.add_clause([self.true_lit])
         self.bits: dict[Term, list[int]] = {}
         self.pair: dict[tuple[Term, Term], int] = {}
-        self.cache: dict[Term, int] = {}
+        self.lits: dict[Term, int] = {}
         self.eq_cache: dict[tuple[Term, Term], int] = {}
         # how many of the index's terms and formulas are encoded
         self._terms = 0
@@ -235,17 +254,22 @@ class GroundSession:
 
     def encode_new(self) -> None:
         """Encode the index terms and formulas past the cursors: bits
-        for new scalar leaves, a unit clause per formula, the read
-        axioms of new stores."""
+        for new scalar leaves; formula by formula, a literal for each
+        Boolean term of its share of the index's walk, children first,
+        then its unit clause; the read axioms of new stores."""
         index = self.index
         fresh = index.terms[self._terms:]
-        new = index.formulas[self._formulas:]
+        first = self._formulas
         self._terms, self._formulas = len(index.terms), len(index.formulas)
         for t in fresh:
             if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
                 self.node_bits(t)
-        for f in new:
-            self.sat.add_clause([self.formula_lit(f)])
+        start = index.bool_ends[first - 1] if first else 0
+        for f, end in zip(index.formulas[first:], index.bool_ends[first:]):
+            for t in index.bools[start:end]:
+                self.lits[t] = self.bool_lit(t)
+            start = end
+            self.sat.add_clause([self.lits[f]])
         for t in fresh:
             if t.kind is Kind.STORE:
                 self.assert_bits_equal(*index.read_axioms[t].args)
@@ -328,7 +352,7 @@ class GroundSession:
             raise InternalError(f"unregistered array pair {s!r} / {t!r}")
         return lit
 
-    # -- atoms -------------------------------------------------------------
+    # -- Boolean terms ------------------------------------------------
 
     def scalar_eq_lit(self, lhs: Term, rhs: Term) -> int:
         if lhs is rhs:
@@ -360,41 +384,30 @@ class GroundSession:
             count = nxt
         return count[n - 1] if n <= len(count) else -self.true_lit
 
-    def atom_lit(self, t: Term) -> int:
-        if t.kind is Kind.EQ:
-            lhs, rhs = t.args
-            if lhs.sort.is_array:
-                return self.pair_lit(lhs, rhs)
-            return self.scalar_eq_lit(lhs, rhs)
-        if t.kind is Kind.DISTINCT_N:
+    def bool_lit(self, t: Term) -> int:
+        """The literal of a Boolean term whose operands have theirs."""
+        k = t.kind
+        lits = self.lits
+        if k is Kind.NOT:
+            return -lits[t.args[0]]
+        if k is Kind.AND:
+            return self._and([lits[a] for a in t.args])
+        if k is Kind.OR:
+            return self._or([lits[a] for a in t.args])
+        if k is Kind.IMPLIES:
+            return self._or([-lits[t.args[0]], lits[t.args[1]]])
+        if k is Kind.ITE:
+            c, x, y = (lits[a] for a in t.args)
+            return self._or([self._and([c, x]), self._and([-c, y])])
+        if k is Kind.EQ and t.args[0].sort.is_array:
+            return self.pair_lit(*t.args)
+        if k is Kind.EQ:
+            return self.scalar_eq_lit(*t.args)
+        if k is Kind.DISTINCT_N:
             return self.distinct_lit(t)
-        if t.kind in _SCALAR_LEAVES and t.sort.is_bool:
+        if k in _SCALAR_LEAVES:
             return self.node_bits(t)[0]
         raise InternalError(f"unsupported atom {t!r}")
-
-    # -- formulas ----------------------------------------------------------
-
-    def formula_lit(self, f: Term) -> int:
-        lit = self.cache.get(f)
-        if lit is not None:
-            return lit
-        k = f.kind
-        if k is Kind.NOT:
-            lit = -self.formula_lit(f.args[0])
-        elif k is Kind.AND:
-            lit = self._and([self.formula_lit(a) for a in f.args])
-        elif k is Kind.OR:
-            lit = self._or([self.formula_lit(a) for a in f.args])
-        elif k is Kind.IMPLIES:
-            a, b = (self.formula_lit(x) for x in f.args)
-            lit = self._or([-a, b])
-        elif k is Kind.ITE:
-            c, x, y = (self.formula_lit(x) for x in f.args)
-            lit = self._or([self._and([c, x]), self._and([-c, y])])
-        else:
-            lit = self.atom_lit(f)
-        self.cache[f] = lit
-        return lit
 
     def assert_bits_equal(self, s: Term, t: Term) -> None:
         for x, y in zip(self.node_bits(s), self.node_bits(t)):

@@ -232,3 +232,22 @@ def benchmark_crafted(seed: int):
     from perfbench.workloads import setup
     for op in setup("crafted", seed):
         yield caext.parse(op.run.keywords["text"])
+
+
+# Boolean chains past any recursion limit: each level wraps the inner
+# formula in HEAD ... TAIL, around the innermost `p`.  With p and q both
+# true every chain holds; with p false and q true every chain of even
+# depth fails.
+DEEP = 30_000
+DEEP_CHAINS = {"not": ("(not ", ")"), "and": ("(and q ", ")"),
+               "or": ("(or (not q) ", ")"), "=>": ("(=> q ", ")"),
+               "ite": ("(ite q ", " (not q))")}
+
+
+def deep_chain_text(kind: str, depth: int = DEEP) -> str:
+    """A script asserting a ``depth``-deep ``kind`` chain over Booleans
+    ``p`` and ``q``, with ``(check-sat)`` and ``(get-model)``."""
+    head, tail = DEEP_CHAINS[kind]
+    return ("(declare-const p Bool)\n(declare-const q Bool)\n(assert "
+            + head * depth + "p" + tail * depth
+            + ")\n(check-sat)\n(get-model)\n")

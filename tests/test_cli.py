@@ -13,7 +13,7 @@ from caext.errors import ResourceLimit
 from caext.flatten import flatten
 from caext.terms import MAX_BV_WIDTH
 
-from helpers import run_module
+from helpers import DEEP, deep_chain_text, run_module
 
 CHAIN = """\
 (set-logic QF_ABV)
@@ -90,6 +90,17 @@ class TestSolve:
         lines = capsys.readouterr().out.splitlines()[1:]
         model_path = tmp_path / "model.smt2"
         model_path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(path), str(model_path)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_deep_model_roundtrips_through_validate(self, tmp_path, capsys):
+        path = tmp_path / "deep.smt2"
+        path.write_text(deep_chain_text("not"))
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "sat"
+        model_path = tmp_path / "model.smt2"
+        model_path.write_text("\n".join(out[1:]) + "\n")
         assert main(["validate", str(path), str(model_path)]) == 0
         assert capsys.readouterr().out == "valid\n"
 
@@ -451,20 +462,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "unsat\n"
 
-    def test_deep_nesting_is_a_diagnostic(self, tmp_path):
-        depth = 3000
+    def test_deep_nesting_is_answered(self, tmp_path):
+        depth = DEEP
         path = tmp_path / "deep.smt2"
         path.write_text("(declare-const p Bool)\n(assert "
                         + "(not " * depth + "p" + ")" * depth
                         + ")\n(check-sat)\n")
         proc = run_module("solve", str(path))
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert "nested too deeply" in lines[0]
+        assert proc.returncode == 0
+        assert proc.stdout == "sat\n"
+        assert proc.stderr == ""
 
     def test_unknown_command(self):
         proc = run_module("frobnicate")

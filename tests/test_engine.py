@@ -15,6 +15,7 @@ from caext import (
     OracleBounds,
     TermManager,
     domain_size,
+    free_constants,
     iter_subterms,
     oracle_solve,
     oracle_valid,
@@ -31,17 +32,17 @@ from caext.engine import (
     propagate_fixpoint,
 )
 from caext.benchgen import gen_fuzz
-from caext.errors import (CaextError, InternalError, ResourceLimit,
-                          UndefinedStep)
+from caext.errors import InternalError, ResourceLimit, UndefinedStep
 from caext.flatten import flatten
 from caext.ground import (FormulaIndex, GroundSession, Interpretation,
                           solve_ground)
 from caext.terms import MAX_BV_WIDTH
 from perfbench.tracing import ENGINE_NAMES
 
-from helpers import (Example2, benchmark_crafted, compute_reason,
-                     compute_updated_indices, ground_session, random_instance,
-                     read_crossings, store_chain, watch_saturations)
+from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
+                     compute_reason, compute_updated_indices, deep_chain_text,
+                     ground_session, random_instance, read_crossings,
+                     store_chain, watch_saturations)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -839,13 +840,23 @@ class TestLoopControls:
         assert len(sizes) == res.stats.iterations
         assert all(n > 0 for n in sizes)
 
-    def test_deep_nesting_is_a_caext_error(self):
+    def test_deep_nesting_is_answered(self):
         m = TermManager()
-        f = m.mk_const("p", m.bool_sort)
-        for _ in range(3000):
+        p = m.mk_const("p", m.bool_sort)
+        f = p
+        for _ in range(DEEP):
             f = m.mk_not(f)
-        with pytest.raises(CaextError, match="nested too deeply"):
-            check_sat(m, [f])
+        res = check_sat(m, [f])
+        assert res.verdict == "sat"
+        assert res.model[p] == 1
+
+    @pytest.mark.parametrize("kind", ["and", "or", "=>", "ite"])
+    def test_deep_boolean_chain_is_answered(self, kind):
+        # no walk from the formula to the verdict recurses
+        script = caext.parse(deep_chain_text(kind))
+        res = check_sat(script.manager, script.assertions)
+        assert res.verdict == "sat"
+        assert validate_model(res.model, script.assertions)
 
     def test_solve_ground_looked_up_once_per_iteration(self, monkeypatch):
         # check_sat must resolve solve_ground in caext.engine's globals and
@@ -868,7 +879,10 @@ class TestLoopControls:
             most = max(most, res.stats.iterations)
         assert most > 2
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    # check_sat builds a model of every input constant itself, so it
+    # no longer calls complete_model
+    @pytest.mark.parametrize("name", [n for n in ENGINE_NAMES
+                                      if n != "complete_model"])
     def test_engine_names_looked_up_at_call_time(self, monkeypatch, name):
         # The benchmark's tracer and `watch_saturations` replace these
         # module globals of caext.engine; check_sat must call them.
@@ -913,6 +927,19 @@ class TestFormulaIndex:
             return [gen_fuzz(seed) for seed in range(200)]
         script = next(benchmark_crafted(1001))
         return [(script.manager, script.assertions)]
+
+    def test_index_holds_every_input_constant(self):
+        # flatten names every operand in a definition or a guard, so the
+        # index of its formulas holds every constant of the input and
+        # build_model alone assigns them all
+        scripts = [script for seed in (1001, 7)
+                   for script in benchmark_crafted(seed)]
+        scripts += [caext.parse(deep_chain_text(kind)) for kind in DEEP_CHAINS]
+        instances = [gen_fuzz(seed) for seed in range(500)]
+        instances += [(s.manager, s.assertions) for s in scripts]
+        for m, assertions in instances:
+            index = FormulaIndex(m, flatten(m, assertions).all_formulas)
+            assert set(free_constants(assertions)) <= set(index.constants)
 
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
     def test_each_subterm_is_walked_once_per_run(self, monkeypatch, family):

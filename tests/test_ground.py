@@ -4,13 +4,15 @@ import pytest
 
 import random
 
+import caext
 from caext import (InternalError, OracleBounds, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
-from caext.ground import _eliminate, solve_ground
+from caext.ground import Interpretation, _eliminate, solve_ground
 from caext.terms import Kind, iter_subterms
 
-from helpers import ground_session, random_instance
+from helpers import (DEEP_CHAINS, deep_chain_text, ground_session,
+                     random_instance)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -290,6 +292,24 @@ class TestEvalAndInvariants:
             res = solve_ground(ground_session(m, flat))
             if res.verdict == "sat":
                 assert all(res.interpretation.eval(f) for f in flat), seed
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
+    def test_eval_of_a_deep_chain(self, kind):
+        script = caext.parse(deep_chain_text(kind))
+        f, = script.assertions
+        p, q = script.declared
+        for value, truth in ((1, True), (0, False)):
+            assert Interpretation({p: value, q: 1}, {}).eval(f) is truth
+
+    def test_eval_reads_only_the_operands_it_needs(self, m):
+        p, x = (m.mk_const(name, m.bool_sort) for name in "px")
+        interp = Interpretation({p: 1}, {})
+        assert interp.eval(m.mk_or([p, x]))
+        assert not interp.eval(m.mk_and([m.mk_not(p), x]))
+        assert interp.eval(m.mk_implies(x, p))
+        assert interp.eval(m.mk_ite(p, p, x))
+        with pytest.raises(UnassignedConstant):
+            interp.eval(m.mk_implies(p, x))
 
     def test_deterministic(self):
         m, assertions = random_instance(11)
