@@ -17,8 +17,9 @@ joins the formula set, the state is discarded, and the loop repeats.
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the
 ground session encodes what was added, so every subterm is walked
-once.  Each candidate's true array equality atoms are evaluated once,
-into a set that propagation, the conflict scan and the model read.
+once.  Each candidate is one table of scalar values and array equality
+truths, which propagation, the conflict scan and the model read
+(:class:`caext.ground.Interpretation`); only lemmas are evaluated.
 
 Propagation records facts in the order of a fixed-order scan that
 restarts after every new one, so the same candidate always yields the
@@ -98,9 +99,9 @@ class Configuration(FormulaIndex):
     equality atom a copy crossed, and any other hop crosses the store
     between source and destination.  Entries are write-once between
     resets; sources point at an entry recorded earlier, so chains are
-    acyclic; every reason is in ``true_atoms``; a hop without a reason
-    crosses a store, and a read only one at another index value.
-    :meth:`set_step` enforces all five.
+    acyclic; every reason is an array equality atom of the index that
+    holds; a hop without a reason crosses a store, and a read only one
+    at another index value.  :meth:`set_step` enforces all five.
 
     :meth:`set_step` also records what later phases read off a step, in
     recording order: ``read_steps`` holds ``(destination, read, index
@@ -109,9 +110,8 @@ class Configuration(FormulaIndex):
     default's blocked set is empty at its starting point, the source's
     set across an equality, and the source's set plus the crossed
     store's index value across a store, so it equals the values of the
-    store indices on the recorded path.  Every value is read from the
-    interpretation once per candidate (:meth:`value`), and every array
-    equality atom once, into ``true_atoms`` (:func:`init_steps`).
+    store indices on the recorded path.  Values and atom truths are
+    read off the table ``interp.values``.
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
@@ -122,12 +122,10 @@ class Configuration(FormulaIndex):
         # array equality atoms whose extensionality lemma was emitted;
         # kept across resets, so each atom gets at most one
         self.witnessed: set[Term] = set()
-        # filled per candidate by `init_steps`, `set_step` and `value`
-        self.true_atoms: set[Term] = set()
+        # filled per candidate by `set_step`
         self.read_steps: list[tuple[Term, Term, int]] = []
         self.default_steps: dict[tuple[Term, Term],
                                  tuple[frozenset[int], int]] = {}
-        self.values: dict[Term, int] = {}
 
     def ordinal_key(self, t: Term) -> int:
         return self.ordinal[t]
@@ -152,14 +150,16 @@ class Configuration(FormulaIndex):
         if source is not dest and (source, t) not in self.steps:
             raise InternalError(
                 "step source does not point at an earlier entry")
-        if reason is not None and reason not in self.true_atoms:
+        values = self.interp.values  # its only EQ keys: array equalities
+        if reason is not None and (reason.kind is not Kind.EQ
+                                   or not values.get(reason)):
             raise InternalError(
                 "step reason is not an array equality atom that holds")
         crossed = None if reason is not None or source is dest \
             else _hop_index(dest, source)
         if t.kind is Kind.SELECT:
-            v = self.value(t.index)
-            if crossed is not None and self.value(crossed) == v:
+            v = values[t.index]
+            if crossed is not None and values[crossed] == v:
                 raise InternalError(
                     f"read {t!r} crosses a store at its own index")
             self.read_steps.append((dest, t, v))
@@ -169,17 +169,9 @@ class Configuration(FormulaIndex):
             else:
                 blocked, size = self.default_steps[(source, t)]
                 if crossed is not None:
-                    blocked = blocked | {self.value(crossed)}
+                    blocked = blocked | {values[crossed]}
             self.default_steps[key] = (blocked, size)
         self.steps[key] = (reason, source)
-
-    def value(self, t: Term) -> int:
-        """The value of the scalar term ``t`` under the interpretation,
-        read from it once per candidate."""
-        v = self.values.get(t)
-        if v is None:
-            v = self.values[t] = self.interp.value(t)
-        return v
 
     def reset(self) -> None:
         """Discard the candidate interpretation, all recorded steps and
@@ -187,22 +179,17 @@ class Configuration(FormulaIndex):
         stay."""
         self.interp = None
         self.steps.clear()
-        self.true_atoms.clear()
         self.read_steps.clear()
         self.default_steps.clear()
-        self.values.clear()
 
 
 def init_steps(cfg: Configuration) -> Configuration:
-    """Evaluate every array equality atom under the candidate, once,
-    into ``cfg.true_atoms``, and record the self-evident starting points
-    of propagation: every read at the array it reads from, every
-    store's virtual read (the left side of its read axiom) at the store,
-    and every constant array at itself."""
+    """Record the self-evident starting points of propagation under the
+    candidate: every read at the array it reads from, every store's
+    virtual read (the left side of its read axiom) at the store, and
+    every constant array at itself."""
     if cfg.interp is None:
         raise InternalError("init_steps needs a candidate interpretation")
-    cfg.true_atoms.update(e for e in cfg.array_eq_atoms
-                          if cfg.interp.eval(e))
     for r in cfg.reads:
         if not cfg.has_step(r.array, r):
             cfg.set_step(r.array, r, None, r.array)
@@ -281,7 +268,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     ``cfg.default_steps``, which `set_step` extends, and test a hop with
     the index value or blocked set its entry carries; a store crossing
     records no reason and makes no term.  Priority 2 copies across the
-    atoms in ``cfg.true_atoms``.
+    atoms whose truth in ``cfg.interp.values`` is 1.
 
     Priority 1 resumes at one forward cursor into ``cfg.read_steps``
     instead of restarting.  Within one saturation the values are fixed,
@@ -292,11 +279,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     Priorities 2 and 3 walk dicts, which offer no positional resume,
     so they restart after every new step (:func:`_restart_scan`).
     """
-    steps = cfg.steps
-    hops = cfg.hops
-    # `init_steps` recorded each store's read of its own index, so the
-    # value of every store index is already in the memo.
-    values = cfg.values
+    steps, hops, values = cfg.steps, cfg.hops, cfg.interp.values
     reads = cfg.read_steps
     # An index, not a list iterator: an exhausted iterator would not see
     # the entries that priority 2 appends later.
@@ -320,16 +303,16 @@ def _restart_scan(cfg: Configuration) -> bool:
     steps = cfg.steps
 
     # Priority 2: anything propagated copies across a true equality.
-    eqs_at, holds = cfg.eqs_at, cfg.true_atoms
+    eqs_at, values = cfg.eqs_at, cfg.interp.values
     for dest, t in steps:
         for e, other in eqs_at.get(dest, ()):
-            if e in holds and (other, t) not in steps:
+            if values[e] and (other, t) not in steps:
                 cfg.set_step(other, t, e, dest)
                 return True
 
     # Priority 3: defaults cross stores while a cell off the updated
     # indices still exists.
-    hops, values = cfg.hops, cfg.values
+    hops = cfg.hops
     for (dest, t), (blocked, size) in cfg.default_steps.items():
         for other, s in hops.get(dest, ()):
             if (other, t) in steps:
@@ -381,11 +364,12 @@ def _find_conflict(cfg: Configuration,
     added to ``witnessed``; pass a copy of ``cfg.witnessed`` to scan
     without marking it."""
     m = cfg.manager
+    values = cfg.interp.values
 
     # 1. A read reached a constant array whose default disagrees.
     for dest, t, _ in cfg.read_steps:
         if dest.kind is Kind.CONST_ARRAY \
-                and cfg.value(t) != cfg.value(dest.default):
+                and values[t] != values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
             return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
@@ -398,7 +382,7 @@ def _find_conflict(cfg: Configuration,
     first: dict[tuple[Term, int], Term] = {}
     for dest, t2, v in cfg.read_steps:
         t1 = first.setdefault((dest, v), t2)
-        if t1 is t2 or cfg.value(t1) == cfg.value(t2):
+        if t1 is t2 or values[t1] == values[t2]:
             continue
         lits1, _ = _walk(cfg, dest, t1)
         lits2, _ = _walk(cfg, dest, t2)
@@ -410,11 +394,16 @@ def _find_conflict(cfg: Configuration,
 
     # 3. A falsified array equality that has no witness read yet.
     for e in cfg.array_eq_atoms:
-        if e in witnessed or e in cfg.true_atoms:
+        if e in witnessed or values[e]:
             continue
         witnessed.add(e)
         lhs, rhs = e.args
-        k = m.mk_const(f"__ext_k_{e.id}", lhs.sort.index)
+        isort, name = lhs.sort.index, f"__ext_k_{e.id}"
+        k = m.lookup_const(name)
+        if k is None or (k.sort is isort and k not in cfg.ordinal):
+            k = m.mk_const(name, isort)  # free, or an earlier run's witness
+        else:  # the name of an input constant
+            k = m.fresh_const(isort, prefix=name)
         diff = m.mk_not(m.mk_eq(m.mk_select(lhs, k), m.mk_select(rhs, k)))
         lemma = m.mk_implies(m.mk_not(e), diff)
         return ConflictInfo(LEMMA_EXTENSIONALITY, lemma)
@@ -424,7 +413,7 @@ def _find_conflict(cfg: Configuration,
     for dest, c1, c2 in _const_pairs(cfg):
         if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
             c1, c2 = c2, c1
-        if cfg.value(c1.default) == cfg.value(c2.default):
+        if values[c1.default] == values[c2.default]:
             continue
         b1, size = cfg.default_steps[(dest, c1)]
         b2 = cfg.default_steps[(dest, c2)][0]
@@ -481,18 +470,18 @@ def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
 
 
 def build_model(cfg: Configuration) -> Model:
-    """Read a full model off a saturated, conflict-free configuration.
+    """Read a full model off a saturated, conflict-free configuration:
+    off its steps and the candidate's table ``cfg.interp.values``.
 
-    The constants are the index's: scalar ones take their
-    interpretation values.  Array values are built over index classes:
-    the values the interpretation gives to the index terms of the
-    formula set, plus one class for all other indices.  Every read
-    propagated to an array pins its index class, and every constant
-    array propagated to it pins each class that differs from all
-    crossed store indices to the default.  Pins are then shared across
-    the store terms of the formula set — a store result and its base
-    agree on every class except the stored index — and across the true
-    array equality atoms (``cfg.true_atoms``), because a class left
+    The constants are the index's: scalar ones take their table values.
+    Array values are built over index classes: the values the table
+    gives to the index terms of the formula set, plus one class for all
+    other indices.  Every read propagated to an array pins its index
+    class, and every constant array propagated to it pins each class
+    that differs from all crossed store indices to the default.  Pins
+    are then shared across the store terms of the formula set — a store
+    result and its base agree on every class except the stored index —
+    and across the array equality atoms that hold, because a class left
     free in one array may be forced through such a link by a pin on the
     other side.  Any class still free afterwards holds the all-zero
     element.  Disagreeing pins are impossible after saturation, so they
@@ -506,7 +495,7 @@ def build_model(cfg: Configuration) -> Model:
         if t.sort.is_array:
             model.set(t, cells.table(t))
         else:
-            model.set(t, cfg.value(t))
+            model.set(t, cfg.interp.values[t])
     return model
 
 
@@ -531,30 +520,30 @@ class _CellSolver:
     """
 
     def __init__(self, cfg: Configuration):
-        value = cfg.value
+        values = cfg.interp.values
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
         covered: dict[Sort, set[int]] = {}
         for t in cfg.reads + cfg.stores:
-            covered.setdefault(t.index.sort, set()).add(value(t.index))
+            covered.setdefault(t.index.sort, set()).add(values[t.index])
         self._classes: dict[Sort, list[int]] = {
             sort: sorted(vals) + ([] if len(vals) == domain_size(sort)
                                   else [_REST])
             for sort, vals in covered.items()}
         for t in cfg.stores:
-            at = value(t.index)
+            at = values[t.index]
             for x in self._classes_of(t.sort):
                 if x != at:
                     self._union((t, x), (t.array, x))
         for e in cfg.array_eq_atoms:
-            if e in cfg.true_atoms:
+            if values[e]:
                 lhs, rhs = e.args
                 for x in self._classes_of(lhs.sort):
                     self._union((lhs, x), (rhs, x))
         for dest, t, v in cfg.read_steps:
-            self._pin((dest, v), value(t))
+            self._pin((dest, v), values[t])
         for (dest, t), (blocked, _) in cfg.default_steps.items():
-            val = value(t.default)
+            val = values[t.default]
             for x in self._classes_of(t.sort):
                 if x not in blocked:
                     self._pin((dest, x), val)

@@ -17,9 +17,8 @@ One path leads in: a :class:`GroundSession` is made over the run's
 :class:`FormulaIndex`, and each :func:`solve_ground` call encodes what
 the index gained since the previous call, from the Boolean terms the
 index filed (no formula is walked twice), and searches, so the SAT core
-keeps what it learned.  A candidate carries the scalar values and, for
-each array pair the encoding relates, whether that pair's variable is
-true; an array equality is read off its pair.
+keeps what it learned.  A candidate is one table: the value of every
+scalar leaf and the truth of every array equality atom of the index.
 """
 
 from __future__ import annotations
@@ -77,26 +76,20 @@ def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
 class Interpretation:
     """A total assignment for one candidate ground model.
 
-    ``values`` maps every scalar constant and read node of the encoded
-    formula set to a domain value; :meth:`value` reads a literal off
-    the literal itself.  Array terms carry only equality information:
-    ``pairs`` says, for each pair of arrays the encoding relates
-    (keyed in term-id order), whether the two are equal.  Transitivity
-    on the encoding's chordal atom graph makes the true pairs a
-    partition of the related arrays.
+    ``values`` maps every scalar leaf of the encoded index (constant,
+    read or literal) to a domain value, and every array equality atom
+    of the index to its truth, 0 or 1.  Transitivity on the encoding's
+    chordal atom graph makes the true atoms a partition of the related
+    arrays.  Any other array equality has no truth here.
     """
 
-    __slots__ = ("values", "pairs")
+    __slots__ = ("values",)
 
-    def __init__(self, values: dict[Term, int],
-                 pairs: dict[tuple[Term, Term], bool]):
+    def __init__(self, values: dict[Term, int]):
         self.values = values
-        self.pairs = pairs
 
     def value(self, t: Term) -> int:
-        """Value of a scalar term."""
-        if t.kind is Kind.VALUE:
-            return t.value or 0
+        """Value of a scalar leaf, or truth of an array equality atom."""
         v = self.values.get(t)
         if v is None:
             raise UnassignedConstant(f"{t!r} has no value in this "
@@ -107,27 +100,25 @@ class Interpretation:
         """Truth of a formula under this interpretation, on an explicit
         stack.  A connective reads its operands left to right (``=>``
         its consequent first) until one decides it."""
+        values = self.values
         stack: list[tuple[Term, int]] = []  # (connective, operands read)
         while True:
             k = f.kind
-            if k is Kind.EQ and f.args[0].sort.is_array:
-                lhs, rhs = f.args
-                v = lhs is rhs or self.pairs.get(_pair_key(lhs, rhs))
-                if v is None:
-                    raise UnassignedConstant(
-                        f"{lhs!r} and {rhs!r} are unrelated in the encoding")
-            elif k is Kind.EQ:
-                v = self.value(f.args[0]) == self.value(f.args[1])
-            elif k is Kind.DISTINCT_N:
-                v = len({self.value(a) for a in f.args}) >= (f.n or 1)
-            elif k in _SCALAR_LEAVES:
-                v = bool(self.value(f))
-            elif k in _CONNECTIVES:
+            if k in _CONNECTIVES:
                 stack.append((f, 0))
                 f = f.args[1 if k is Kind.IMPLIES else 0]
                 continue
-            else:
-                raise InternalError(f"cannot evaluate {f!r}")
+            try:
+                if k is Kind.EQ and f.args[0].sort.is_scalar:
+                    v = values[f.args[0]] == values[f.args[1]]
+                elif k is Kind.DISTINCT_N:
+                    v = len({values[a] for a in f.args}) >= (f.n or 1)
+                else:  # a Boolean leaf or an array equality atom
+                    v = bool(values[f])
+            except KeyError as missing:
+                raise UnassignedConstant(
+                    f"{missing.args[0]!r} has no value in this "
+                    "interpretation") from None
             # hand v, the truth of f, to the connectives above f
             while stack:
                 f, i = stack.pop()
@@ -254,15 +245,16 @@ class GroundSession:
 
     def encode_new(self) -> None:
         """Encode the index terms and formulas past the cursors: bits
-        for new scalar leaves; formula by formula, a literal for each
-        Boolean term of its share of the index's walk, children first,
-        then its unit clause; the read axioms of new stores."""
+        for new scalar leaves (±``true_lit`` for a literal); formula by
+        formula, a literal for each Boolean term of its share of the
+        index's walk, children first, then its unit clause; the read
+        axioms of new stores."""
         index = self.index
         fresh = index.terms[self._terms:]
         first = self._formulas
         self._terms, self._formulas = len(index.terms), len(index.formulas)
         for t in fresh:
-            if t.kind in (Kind.CONSTANT, Kind.SELECT) and t.sort.is_scalar:
+            if t.kind in _SCALAR_LEAVES and t.sort.is_scalar:
                 self.node_bits(t)
         start = index.bool_ends[first - 1] if first else 0
         for f, end in zip(index.formulas[first:], index.bool_ends[first:]):
@@ -434,9 +426,10 @@ def solve_ground(session: GroundSession) -> GroundResult:
         return GroundResult("unsat", conflicts=conflicts)
     values = {t: sum((1 << k) if _lit_true(sat, lit) else 0
                      for k, lit in enumerate(bits))
-              for t, bits in session.bits.items() if t.kind is not Kind.VALUE}
-    pairs = {key: _lit_true(sat, lit) for key, lit in session.pair.items()}
-    return GroundResult("sat", Interpretation(values, pairs), conflicts)
+              for t, bits in session.bits.items()}
+    for e in session.index.array_eq_atoms:
+        values[e] = int(_lit_true(sat, session.lits[e]))
+    return GroundResult("sat", Interpretation(values), conflicts)
 
 
 def _lit_true(sat: SatSolver, lit: int) -> bool:

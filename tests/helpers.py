@@ -251,3 +251,18 @@ def deep_chain_text(kind: str, depth: int = DEEP) -> str:
     return ("(declare-const p Bool)\n(declare-const q Bool)\n(assert "
             + head * depth + "p" + tail * depth
             + ")\n(check-sat)\n(get-model)\n")
+
+
+def witness_name_text(n: int, sort: str = "(_ BitVec 1)") -> str:
+    """A sat script whose input constant ``__ext_k_<n>`` of ``sort``
+    bears the engine's name for the witness index of an array equality
+    atom: with ``n == 5`` and a bit-vector sort that atom is ``(= a
+    b)``, and the script reads both arrays at the constant."""
+    if sort == "Bool":
+        use = f"(assert __ext_k_{n})\n"
+    else:
+        use = f"(assert (= (select a __ext_k_{n}) (select b __ext_k_{n})))\n"
+    return ("(declare-const a (Array (_ BitVec 1) Bool))\n"
+            "(declare-const b (Array (_ BitVec 1) Bool))\n"
+            f"(declare-const __ext_k_{n} {sort})\n"
+            "(assert (not (= a b)))\n" + use + "(check-sat)\n")

@@ -13,7 +13,7 @@ from caext.errors import ResourceLimit
 from caext.flatten import flatten
 from caext.terms import MAX_BV_WIDTH
 
-from helpers import DEEP, deep_chain_text, run_module
+from helpers import DEEP, deep_chain_text, run_module, witness_name_text
 
 CHAIN = """\
 (set-logic QF_ABV)
@@ -182,6 +182,17 @@ class TestSolve:
         out = capsys.readouterr()
         assert out.out == verdict
         assert ("refinements:" in out.err) == bool(verdict)
+
+    @pytest.mark.parametrize("sort", ["(_ BitVec 1)", "Bool"])
+    def test_witness_index_never_captures_an_input_constant(
+            self, tmp_path, capsys, sort):
+        # The witness index of `(= a b)` would be named __ext_k_5, the
+        # name of an input constant here; the engine takes a fresh name.
+        path = tmp_path / "f.smt2"
+        path.write_text(witness_name_text(5, sort))
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("sat\n", "")
 
     def test_definition_does_not_see_itself(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"

@@ -42,7 +42,7 @@ from perfbench.tracing import ENGINE_NAMES
 from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
                      compute_reason, compute_updated_indices, deep_chain_text,
                      ground_session, random_instance, read_crossings,
-                     store_chain, watch_saturations)
+                     store_chain, watch_saturations, witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -84,9 +84,9 @@ class Chain:
         for read, u in zip((self.r1, self.r2, self.r3, self.r4),
                            (ex.u1, ex.u2, ex.u3, ex.u4)):
             values[read] = values[u]
-        # both atoms hold; pair keys are in term-id order
-        pairs = {(self.s1, self.s2): True, (self.s3, self.s4): True}
-        return Interpretation(values, pairs)
+        # both atoms hold
+        values[self.eq12] = values[self.eq34] = 1
+        return Interpretation(values)
 
     def configuration(self, interp) -> Configuration:
         cfg = Configuration(self.m, self.assertions)
@@ -116,6 +116,45 @@ def model_interp(chain):
     """All indices distinct and every read consistent with both
     defaults; saturates without conflict."""
     return chain.interpretation((0, 1, 2, 3), (0, 1, 0, 1, 1, 0))
+
+
+def interpretation_queries(monkeypatch, instances):
+    """Run `check_sat` on each instance.  Per run, return the lemmas
+    that are not witness lemmas and every question the run asked an
+    interpretation, in order: ``("value", t)`` for
+    ``Interpretation.value(t)``, and ``("eval", f, lemma)`` for
+    ``Interpretation.eval(f)`` asked while `_checked` checks ``lemma``
+    (``None`` outside it)."""
+    value, evaluate = Interpretation.value, Interpretation.eval
+    checked = caext.engine._checked
+    asked, checking = [], []
+
+    def counted_value(interp, t):
+        asked.append(("value", t))
+        return value(interp, t)
+
+    def counted_eval(interp, f):
+        asked.append(("eval", f, checking[-1] if checking else None))
+        return evaluate(interp, f)
+
+    def noted_checked(cfg, info):
+        checking.append(info.lemma)
+        try:
+            return checked(cfg, info)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(Interpretation, "value", counted_value)
+    monkeypatch.setattr(Interpretation, "eval", counted_eval)
+    monkeypatch.setattr(caext.engine, "_checked", noted_checked)
+    runs = []
+    for m, assertions in instances:
+        asked.clear()
+        res = check_sat(m, assertions)
+        lemmas = [lemma for rule, lemma in res.stats.lemmas
+                  if rule != "extensionality"]
+        runs.append((lemmas, list(asked)))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +349,28 @@ class TestPropagationMap:
         with pytest.raises(InternalError):
             cfg.set_step(ex.a, fresh, bad, chain.s2)
 
+    @pytest.mark.parametrize("reason", ["bool_leaf", "false_atom"])
+    def test_reason_must_be_an_array_equality_that_holds(self, reason):
+        # The table also holds Bool leaves, so a reason valued 1 is not
+        # enough: it must be an array equality atom of the index.
+        m = TermManager()
+        isort = m.bv_sort(2)
+        asort = m.array_sort(isort, m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        i, x = m.mk_const("i", isort), m.mk_const("x", m.bool_sort)
+        r, e = m.mk_select(a, i), m.mk_eq(a, b)
+        cfg = Configuration(m, [m.mk_or([e, x]), m.mk_eq(r, x)])
+        values = {i: 0, x: 1, r: 1, e: 0}
+        cfg.interp = Interpretation(values)
+        init_steps(cfg)
+        bad = x if reason == "bool_leaf" else e
+        with pytest.raises(InternalError, match="atom that holds"):
+            cfg.set_step(b, r, bad, a)
+        assert not cfg.has_step(b, r)
+        values[e] = 1
+        cfg.set_step(b, r, e, a)
+        assert cfg.step(b, r) == (e, a)
+
     def test_unjustified_hop_raises(self, chain):
         cfg = chain.configuration(merged_interp(chain))
         m, ex = chain.m, chain.ex
@@ -371,7 +432,7 @@ class TestPropagationMap:
         s, r = m.mk_store(a, i, x), m.mk_select(a, k)
         cfg = Configuration(m, [m.mk_eq(m.mk_select(s, i), x),
                                 m.mk_eq(r, x)])
-        cfg.interp = Interpretation({i: 1, k: 1, x: 0, r: 0}, {})
+        cfg.interp = Interpretation({i: 1, k: 1, x: 0, r: 0})
         init_steps(cfg)
         entries = list(cfg.read_steps)
         with pytest.raises(InternalError, match="at its own index"):
@@ -380,41 +441,25 @@ class TestPropagationMap:
         assert cfg.read_steps == entries
 
     def test_index_values_are_read_once_per_candidate(self, monkeypatch):
-        # Across one candidate (init_steps, propagation, conflict scan
-        # and build_model), and outside `Interpretation.eval`, the value
-        # of each read's and store's index term is read from the
-        # interpretation at most once.
+        # Each candidate's values are read off the SAT assignment once,
+        # into the interpretation's table, which holds the value of every
+        # read's and store's index term.  Across the candidates (init_steps,
+        # propagation, conflict scan and build_model) the engine reads
+        # that table directly: `Interpretation.value` is never called,
+        # and `Interpretation.eval` only by `_checked`, once on each lemma.
         script = next(benchmark_crafted(1001))
-        value, evaluate = Interpretation.value, Interpretation.eval
-        calls: Counter = Counter()
-        evaluating = []
-
-        def counted_value(interp, t):
-            if not evaluating:
-                calls[(interp, t)] += 1
-            return value(interp, t)
-
-        def uncounted_eval(interp, f):
-            evaluating.append(True)
-            try:
-                return evaluate(interp, f)
-            finally:
-                evaluating.pop()
-
-        monkeypatch.setattr(Interpretation, "value", counted_value)
-        monkeypatch.setattr(Interpretation, "eval", uncounted_eval)
         seen = []
-        with watch_saturations(seen.append):
-            res = check_sat(script.manager, script.assertions)
-        assert res.verdict == "sat"
-        cfg = seen[-1]
-        index_terms = {t.index for t in cfg.reads + cfg.stores}
-        reads = Counter()
-        for (interp, t), n in calls.items():
-            if t in index_terms:
-                reads[interp] = max(reads[interp], n)
-        assert len(seen) > 1 and len(reads) == len(seen)
-        assert set(reads.values()) == {1}
+
+        def table_holds_the_index_values(cfg):
+            index_terms = {t.index for t in cfg.reads + cfg.stores}
+            assert index_terms <= cfg.interp.values.keys()
+            seen.append(cfg.interp)
+
+        with watch_saturations(table_holds_the_index_values):
+            (lemmas, asked), = interpretation_queries(
+                monkeypatch, [(script.manager, script.assertions)])
+        assert len(set(seen)) == len(seen) > 1 and lemmas
+        assert asked == [("eval", lemma, lemma) for lemma in lemmas]
 
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
     def test_paths_are_walked_only_for_lemmas(self, monkeypatch, family):
@@ -466,12 +511,9 @@ class TestReadCursor:
     the restarting reference scan."""
 
     @staticmethod
-    def saturate(m, formulas, values, pairs):
-        interp = Interpretation(
-            values, {tuple(sorted(p, key=lambda t: t.id)): eq
-                     for p, eq in pairs.items()})
+    def saturate(m, formulas, values):
         cfg = Configuration(m, formulas)
-        cfg.interp = interp
+        cfg.interp = Interpretation(values)
         init_steps(cfg)
         propagate_fixpoint(cfg)
         fresh, crossings = reference_saturation(cfg)
@@ -493,8 +535,8 @@ class TestReadCursor:
         s1, s2 = m.mk_store(a, i, x), m.mk_store(a, j, y)
         r = m.mk_select(a, k)
         cfg = self.saturate(m, [m.mk_eq(s1, s2), m.mk_eq(r, x)],
-                            {i: 0, j: 1, k: 2, x: 1, y: 0, r: 1},
-                            {(s1, s2): False})
+                            {i: 0, j: 1, k: 2, x: 1, y: 0, r: 1,
+                             m.mk_eq(s1, s2): 0})
         # The entry (a, r) fires twice before the cursor moves past it.
         crossed = [dest for dest, t in cfg.steps if t is r]
         assert crossed == [a, s1, s2]
@@ -507,8 +549,8 @@ class TestReadCursor:
         s = m.mk_store(b, i, x)
         r, w = m.mk_select(a, k), m.mk_select(s, i)
         cfg = self.saturate(m, [m.mk_eq(a, b), m.mk_eq(r, w)],
-                            {i: 0, k: 1, x: 1, r: 1, w: 1},
-                            {(a, b): True})
+                            {i: 0, k: 1, x: 1, r: 1, w: 1,
+                             m.mk_eq(a, b): 1})
         # No read crosses a store until priority 2 copies r to b, after
         # the cursor has passed every entry recorded at the start.
         assert list(cfg.steps)[-2:] == [(b, r), (s, r)]
@@ -529,7 +571,7 @@ class TestReadCursor:
         cfg = self.saturate(m, [m.mk_eq(r, y)],
                             {i: 0, j: 1, k: 2, x: 0, y: 1, v: 0, r: 1,
                              m.mk_select(s1, i): 0,
-                             m.mk_select(s2, j): 1}, {})
+                             m.mk_select(s2, j): 1})
         info = _find_conflict(cfg, set())
         assert info.rule == "read_over_const"
         assert repr(info.lemma) == (
@@ -665,6 +707,30 @@ class TestExtensionalityWitness:
         res = check_sat(m, assertions)
         assert res.verdict == "sat"
         assert res.stats.lemma_counts.get("extensionality", 0) == 1
+
+    def test_input_constant_named_like_a_witness(self):
+        # The input constant __ext_k_<n> bears, for some n, the name of
+        # the witness index of `(= a b)`; the verdict still agrees with
+        # the brute-force oracle.
+        for n in range(40):
+            script = caext.parse(witness_name_text(n))
+            res = check_sat(script.manager, script.assertions)
+            assert res.verdict == oracle_solve(script.assertions,
+                                               LOOSE).verdict, n
+
+    def test_witness_of_an_earlier_run_is_reused(self):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(1), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        e = m.mk_eq(a, b)
+        witnesses = []
+        for _ in range(2):
+            res = check_sat(m, [m.mk_not(e)])
+            (rule, lemma), = res.stats.lemmas
+            # the lemma is `not e => not (select(a, k) = select(b, k))`
+            witnesses.append(lemma.args[1].args[0].args[0].index)
+        assert witnesses[0] is witnesses[1]
+        assert witnesses[0].name == f"__ext_k_{e.id}"
 
     def test_witnessed_survives_reset(self):
         m = TermManager()
@@ -984,28 +1050,15 @@ class TestFormulaIndex:
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
     def test_array_equalities_are_evaluated_once_per_candidate(
             self, monkeypatch, family):
-        # Across one candidate (init_steps, propagation, conflict scan
-        # and build_model), `Interpretation.eval` is asked about each
-        # array equality atom at most once.  Evaluating a whole lemma to
-        # check it excludes the candidate is not asking about an atom.
-        evaluate = Interpretation.eval
-        calls: Counter = Counter()
-        evaluating = []
-
-        def counted_eval(interp, f):
-            if not evaluating and f.kind is Kind.EQ \
-                    and f.args[0].sort.is_array:
-                calls[(interp, f)] += 1
-            evaluating.append(True)
-            try:
-                return evaluate(interp, f)
-            finally:
-                evaluating.pop()
-
-        monkeypatch.setattr(Interpretation, "eval", counted_eval)
-        for m, assertions in self.instances(family):
-            check_sat(m, assertions)
-        assert calls and set(calls.values()) == {1}
+        # Each array equality atom's truth is read off the SAT assignment
+        # once per candidate, into the interpretation's table.  No atom
+        # is evaluated: during check_sat, `Interpretation.value` is never
+        # called, and `Interpretation.eval` only by `_checked`, once on
+        # each lemma that is not a witness lemma.
+        runs = interpretation_queries(monkeypatch, self.instances(family))
+        for lemmas, asked in runs:
+            assert asked == [("eval", lemma, lemma) for lemma in lemmas]
+        assert any(lemmas for lemmas, _ in runs)
 
     def test_adjacency(self):
         m = TermManager()

@@ -150,7 +150,6 @@ class TestSparseTransitivity:
         assert res.verdict == "sat"
         assert set(session.pair) == {(a, b), (c, d)}
         interp = res.interpretation
-        assert set(interp.pairs) == {(a, b), (c, d)}
         assert interp.eval(m.mk_eq(a, b))
         assert not interp.eval(m.mk_eq(c, d))
         with pytest.raises(UnassignedConstant):
@@ -299,11 +298,11 @@ class TestEvalAndInvariants:
         f, = script.assertions
         p, q = script.declared
         for value, truth in ((1, True), (0, False)):
-            assert Interpretation({p: value, q: 1}, {}).eval(f) is truth
+            assert Interpretation({p: value, q: 1}).eval(f) is truth
 
     def test_eval_reads_only_the_operands_it_needs(self, m):
         p, x = (m.mk_const(name, m.bool_sort) for name in "px")
-        interp = Interpretation({p: 1}, {})
+        interp = Interpretation({p: 1})
         assert interp.eval(m.mk_or([p, x]))
         assert not interp.eval(m.mk_and([m.mk_not(p), x]))
         assert interp.eval(m.mk_implies(x, p))
