@@ -13,6 +13,12 @@ reaches an array whose candidate values contradict it yields a lemma
 over the literals of its recorded path, built only then (as Brummayer
 & Biere, JSAT 2009, build lemmas from the propagation path); the lemma
 joins the formula set, the state is discarded, and the loop repeats.
+Axiom instances that every candidate would need go in before the
+first one, as array procedures instantiate them (de Moura & Bjørner,
+"Generalized, efficient array decision procedures", FMCAD 2009): here
+the extensionality witness of each asserted ``not (= a b)`` over
+arrays, and in the ground encoding the default of each read made
+directly on a constant array.
 
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the
@@ -345,11 +351,11 @@ def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
     a default, two reads at one array, a falsified array equality
     without a witness read, two defaults at one array) and the first
     hit produces one lemma.  The lemma is appended to the formula set
-    and the propagation state is reset.  A witness lemma marks its atom
-    in ``cfg.witnessed``, which the reset keeps, so each array equality
-    atom gets at most one.  Every lemma but a witness lemma is checked
-    to be false under the interpretation that produced it
-    (:class:`InternalError` otherwise).
+    and the propagation state is reset.  A witness lemma
+    (:func:`_witness_lemma`) marks its atom in ``cfg.witnessed``, which
+    the reset keeps, so each array equality atom gets at most one.
+    Every lemma but a witness lemma is checked to be false under the
+    interpretation that produced it (:class:`InternalError` otherwise).
     """
     info = _find_conflict(cfg, cfg.witnessed)
     if info is not None:
@@ -397,16 +403,7 @@ def _find_conflict(cfg: Configuration,
         if e in witnessed or values[e]:
             continue
         witnessed.add(e)
-        lhs, rhs = e.args
-        isort, name = lhs.sort.index, f"__ext_k_{e.id}"
-        k = m.lookup_const(name)
-        if k is None or (k.sort is isort and k not in cfg.ordinal):
-            k = m.mk_const(name, isort)  # free, or an earlier run's witness
-        else:  # the name of an input constant
-            k = m.fresh_const(isort, prefix=name)
-        diff = m.mk_not(m.mk_eq(m.mk_select(lhs, k), m.mk_select(rhs, k)))
-        lemma = m.mk_implies(m.mk_not(e), diff)
-        return ConflictInfo(LEMMA_EXTENSIONALITY, lemma)
+        return ConflictInfo(LEMMA_EXTENSIONALITY, _witness_lemma(cfg, e))
 
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
@@ -430,6 +427,32 @@ def _find_conflict(cfg: Configuration,
         return _checked(cfg, ConflictInfo(LEMMA_CONST_CONGRUENCE, lemma))
 
     return None
+
+
+def _witness_lemma(cfg: FormulaIndex, e: Term) -> Term:
+    """The extensionality lemma of the array equality atom ``e``:
+    ``not e => not (= (select lhs k) (select rhs k))`` over a witness
+    index ``k``.  ``k`` is named ``__ext_k_<id of e>``, or, if that name
+    is taken, ``__ext_k_<id of e>_<j>`` for the least ``j >= 1`` that is
+    not: a name is taken when it names a constant the index holds or
+    one of another sort.  A constant of the right sort that the index
+    does not hold is a witness of an earlier run on the same manager,
+    and is reused, so every call gives the same lemma."""
+    m = cfg.manager
+    lhs, rhs = e.args
+    isort, base = lhs.sort.index, f"__ext_k_{e.id}"
+    name, j = base, 0
+    while True:
+        k = m.lookup_const(name)
+        if k is None:
+            k = m.mk_const(name, isort)
+            break
+        if k.sort is isort and k not in cfg.ordinal:
+            break
+        j += 1
+        name = f"{base}_{j}"
+    diff = m.mk_not(m.mk_eq(m.mk_select(lhs, k), m.mk_select(rhs, k)))
+    return m.mk_implies(m.mk_not(e), diff)
 
 
 def _const_pairs(cfg: Configuration):
@@ -667,10 +690,14 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     :class:`GroundSession` over it, made with ``seed`` and ``budget``,
     is the run's ground encoding: each lemma extends the index, the
     next :func:`solve_ground` call adds it as clauses, and the SAT core
-    keeps what it learned.  ``seed`` fixes the ground solver's choices,
-    ``budget`` caps the SAT conflicts of each candidate's search,
-    counted afresh for every candidate (exhaustion yields verdict
-    ``unknown``), and ``max_refinements`` caps lemma iterations
+    keeps what it learned.  Before the first candidate, each top-level
+    ``not e`` of the flattened formulas, ``e`` an array equality, gets
+    its witness lemma, recorded first in ``stats.lemmas``: every
+    candidate falsifies ``e``, so the conflict scan would ask for it
+    anyway.  ``seed`` fixes the ground solver's choices, ``budget`` caps
+    the SAT conflicts of each candidate's search, counted afresh for
+    every candidate (exhaustion yields verdict ``unknown``), and
+    ``max_refinements`` caps the candidates that end in a lemma
     (exceeding it raises :class:`ResourceLimit`).
 
     The proof invariants are checked on every run: each propagation
@@ -684,6 +711,18 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     flat = flatten(manager, assertions)
     cfg = Configuration(manager, flat.all_formulas)
     stats = SolveStats(manager=manager, definitions=flat.definitions)
+    # An asserted `not e` falsifies e in every candidate: its witness
+    # lemma goes in before the first one.
+    for f in flat.all_formulas:
+        if f.kind is not Kind.NOT:
+            continue
+        e = f.args[0]
+        if e.kind is Kind.EQ and e.args[0].sort.is_array \
+                and e not in cfg.witnessed:
+            cfg.witnessed.add(e)
+            lemma = _witness_lemma(cfg, e)
+            cfg.add_formula(lemma)
+            stats.lemmas.append((LEMMA_EXTENSIONALITY, lemma))
     session = GroundSession(cfg, seed, budget)
     while True:
         stats.iterations += 1
@@ -709,6 +748,6 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
             return SolveResult("sat", model, stats)
         stats.lemmas.append((info.rule, info.lemma))
         if max_refinements is not None \
-                and stats.refinements > max_refinements:
+                and stats.iterations > max_refinements:
             raise ResourceLimit(
                 f"refinement limit of {max_refinements} exceeded")

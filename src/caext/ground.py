@@ -1,15 +1,17 @@
 """Ground model finder over finite scalar domains.
 
 Bit-blasts the scalar skeleton of a formula set to CNF and searches it
-with the CDCL core.  Reads (``select`` nodes) are free bit-vectors,
-constrained only by the virtual-read equality
-``select(store(a,i,u), i) = u`` of each store term present — array
-axioms beyond that are deliberately *not* encoded; the array engine
-repairs violations with lemmas.  Array-sorted terms carry only an
-equivalence partition: every pair related by an array-equality atom
-gets an equality variable, and transitivity is enforced over a chordal
-completion of that atom graph (Bryant & Velev, "Boolean satisfiability
-with transitivity constraints", ACM TOCL 2002), never over all pairs.
+with the CDCL core.  Reads (``select`` nodes) are bit-vectors
+constrained by two array axioms that hold in every candidate: the
+virtual-read equality ``select(store(a,i,u), i) = u`` of each store term
+present, and ``select(const(d), i) = d`` for each read made directly on
+a constant array.  Array axioms beyond those are deliberately *not*
+encoded; the array engine repairs violations with lemmas.  Array-sorted
+terms carry only an equivalence partition: every pair related by an
+array-equality atom gets an equality variable, and transitivity is
+enforced over a chordal completion of that atom graph (Bryant & Velev,
+"Boolean satisfiability with transitivity constraints", ACM TOCL 2002),
+never over all pairs.
 At-least-n-distinct atoms are encoded eagerly with first-occurrence
 flags feeding a sequential counter.
 
@@ -99,40 +101,57 @@ class Interpretation:
     def eval(self, f: Term) -> bool:
         """Truth of a formula under this interpretation, on an explicit
         stack.  A connective reads its operands left to right (``=>``
-        its consequent first) until one decides it."""
+        its consequent first) until one decides it.  An operand that is
+        an atom is read in place; only a connective operand pushes its
+        parent on the stack."""
         values = self.values
-        stack: list[tuple[Term, int]] = []  # (connective, operands read)
+        # the connectives above g, with how many operands each has read
+        stack: list[tuple[Optional[Term], int]] = []
+        g: Optional[Term] = None  # the connective reading op, if any
+        i = 0  # how many operands g has read
+        op = f
         while True:
-            k = f.kind
+            k = op.kind
+            negate = False
             if k in _CONNECTIVES:
-                stack.append((f, 0))
-                f = f.args[1 if k is Kind.IMPLIES else 0]
-                continue
-            try:
-                if k is Kind.EQ and f.args[0].sort.is_scalar:
-                    v = values[f.args[0]] == values[f.args[1]]
-                elif k is Kind.DISTINCT_N:
-                    v = len({values[a] for a in f.args}) >= (f.n or 1)
-                else:  # a Boolean leaf or an array equality atom
-                    v = bool(values[f])
-            except KeyError as missing:
-                raise UnassignedConstant(
-                    f"{missing.args[0]!r} has no value in this "
-                    "interpretation") from None
-            # hand v, the truth of f, to the connectives above f
-            while stack:
-                f, i = stack.pop()
-                k = f.kind
+                if k is Kind.NOT and op.args[0].kind not in _CONNECTIVES:
+                    negate, op = True, op.args[0]
+                    k = op.kind
+                else:
+                    stack.append((g, i))
+                    g, i = op, 0
+                    op = op.args[1 if k is Kind.IMPLIES else 0]
+                    continue
+            # a Boolean leaf or an array equality atom is in the table
+            v = values.get(op)
+            if v is None:
+                try:
+                    if k is Kind.EQ and op.args[0].sort.is_scalar:
+                        v = values[op.args[0]] == values[op.args[1]]
+                    elif k is Kind.DISTINCT_N:
+                        v = len({values[a] for a in op.args}) >= (op.n or 1)
+                    else:
+                        v = values[op]
+                except KeyError as missing:
+                    raise UnassignedConstant(
+                        f"{missing.args[0]!r} has no value in this "
+                        "interpretation") from None
+            v = not v if negate else bool(v)
+            # hand v, the truth of op, to g and the connectives above it
+            while g is not None:
+                k = g.kind
+                if k is Kind.ITE:  # the chosen branch stands in for g
+                    op = g.args[1] if v else g.args[2]
+                    g, i = stack.pop()
+                    break
                 if k is Kind.NOT or (k is Kind.IMPLIES and i == 1):
                     v = not v  # `=>` holds where its antecedent fails
-                elif k is Kind.ITE:
-                    f = f.args[1] if v else f.args[2]
-                    break
-                elif (v if k is Kind.AND else not v) and i + 1 < len(f.args):
+                elif (v if k is Kind.AND else not v) and i + 1 < len(g.args):
                     # undecided; for `=>`, its consequent failed
-                    stack.append((f, i + 1))
-                    f = f.args[0 if k is Kind.IMPLIES else i + 1]
+                    i += 1
+                    op = g.args[0 if k is Kind.IMPLIES else i]
                     break
+                g, i = stack.pop()
             else:
                 return v
 
@@ -248,7 +267,8 @@ class GroundSession:
         for new scalar leaves (±``true_lit`` for a literal); formula by
         formula, a literal for each Boolean term of its share of the
         index's walk, children first, then its unit clause; the read
-        axioms of new stores."""
+        axioms of new stores, and for each new read made directly on a
+        constant array, the array's default as its bits."""
         index = self.index
         fresh = index.terms[self._terms:]
         first = self._formulas
@@ -265,6 +285,8 @@ class GroundSession:
         for t in fresh:
             if t.kind is Kind.STORE:
                 self.assert_bits_equal(*index.read_axioms[t].args)
+            elif t.kind is Kind.SELECT and t.array.kind is Kind.CONST_ARRAY:
+                self.assert_bits_equal(t, t.array.default)
 
     # -- gates ----------------------------------------------------------
 
@@ -410,7 +432,7 @@ class GroundSession:
 def solve_ground(session: GroundSession) -> GroundResult:
     """Encode what the session's index gained since the previous call,
     then find a total scalar interpretation satisfying the index's
-    formulas plus the virtual-read equalities, or report ground
+    formulas plus the two read axioms, or report ground
     unsatisfiability (verdict ``None`` when the session's conflict
     budget runs out).  The result's ``conflicts`` counts only this
     call's.  Deterministic for fixed input and seed.

@@ -253,16 +253,36 @@ def deep_chain_text(kind: str, depth: int = DEEP) -> str:
             + ")\n(check-sat)\n(get-model)\n")
 
 
-def witness_name_text(n: int, sort: str = "(_ BitVec 1)") -> str:
+def witness_name_text(n: int, sort: str = "(_ BitVec 1)",
+                      lazy: bool = False) -> str:
     """A sat script whose input constant ``__ext_k_<n>`` of ``sort``
     bears the engine's name for the witness index of an array equality
     atom: with ``n == 5`` and a bit-vector sort that atom is ``(= a
-    b)``, and the script reads both arrays at the constant."""
+    b)``, and the script reads both arrays at the constant.  It asserts
+    ``(not (= a b))``, whose witness goes in before the first candidate,
+    or with ``lazy`` the same as ``(=> (= a b) false)``, whose witness
+    comes from the conflict scan."""
     if sort == "Bool":
         use = f"(assert __ext_k_{n})\n"
     else:
         use = f"(assert (= (select a __ext_k_{n}) (select b __ext_k_{n})))\n"
+    differ = "(=> (= a b) false)" if lazy else "(not (= a b))"
     return ("(declare-const a (Array (_ BitVec 1) Bool))\n"
             "(declare-const b (Array (_ BitVec 1) Bool))\n"
             f"(declare-const __ext_k_{n} {sort})\n"
-            "(assert (not (= a b)))\n" + use + "(check-sat)\n")
+            f"(assert {differ})\n" + use + "(check-sat)\n")
+
+
+def lazy_witnesses(m: TermManager, assertions: list[Term]) -> list[Term]:
+    """``assertions`` with each asserted ``(not e)``, ``e`` an array
+    equality, weakened to ``(or (not e) lazy_p)``, and ``(not lazy_p)``
+    asserted after them: the same constraints, but no witness of ``e``
+    goes in before the first candidate."""
+    p = m.mk_const("lazy_p", m.bool_sort)
+    out = [m.mk_or([a, p])
+           if a.kind is Kind.NOT and a.args[0].kind is Kind.EQ
+           and a.args[0].args[0].sort.is_array else a
+           for a in assertions]
+    if out != assertions:
+        out.append(m.mk_not(p))
+    return out

@@ -13,6 +13,8 @@ Like the engine, it records a read's store crossing with no reason.  It
 keeps the literal ``not (= i k)`` that explains each such hop, made when
 the hop is made, so that tests can compare it with the literal the
 engine's path walker rebuilds for that hop when it writes a lemma.
+A witness lemma is the engine's `_witness_lemma`, so both scans name the
+witness index by one rule.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from caext.engine import (
     _checked,
     _implication,
     _walk,
+    _witness_lemma,
     init_steps,
 )
 
@@ -163,11 +166,7 @@ def _find_conflict(cfg: Configuration,
         if e in witnessed or interp.eval(e):
             continue
         witnessed.add(e)
-        lhs, rhs = e.args
-        k = m.mk_const(f"__ext_k_{e.id}", lhs.sort.index)
-        diff = m.mk_not(m.mk_eq(m.mk_select(lhs, k), m.mk_select(rhs, k)))
-        lemma = m.mk_implies(m.mk_not(e), diff)
-        return ConflictInfo(LEMMA_EXTENSIONALITY, lemma)
+        return ConflictInfo(LEMMA_EXTENSIONALITY, _witness_lemma(cfg, e))
 
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.

@@ -187,7 +187,7 @@ class TestSolve:
     def test_witness_index_never_captures_an_input_constant(
             self, tmp_path, capsys, sort):
         # The witness index of `(= a b)` would be named __ext_k_5, the
-        # name of an input constant here; the engine takes a fresh name.
+        # name of an input constant here; the engine takes another name.
         path = tmp_path / "f.smt2"
         path.write_text(witness_name_text(5, sort))
         assert main(["solve", str(path)]) == 0

@@ -651,6 +651,30 @@ class TestConstArrayEqualities:
         assert res.verdict == "sat"
         assert res.model[a] == (1, 1, 1, 1)
 
+    def test_read_of_a_const_array_is_its_default_in_every_candidate(self):
+        # the ground encoding gives the read the default's bits, so no
+        # candidate needs a lemma to learn it
+        m = TermManager()
+        idx = m.bv_sort(2)
+        asort = m.array_sort(idx, m.bv_sort(2))
+        d, i = m.mk_const("d", asort.element), m.mk_const("i", idx)
+        read = m.mk_select(m.mk_const_array(asort, d), i)
+        res = check_sat(m, [m.mk_not(m.mk_eq(read, d))])
+        assert res.verdict == "unsat"
+        assert res.stats.iterations == 1 and res.stats.refinements == 0
+
+    def test_read_over_const_lemmas_cross_a_hop(self):
+        # a read made on a constant array never conflicts with its
+        # default, so every read-over-const lemma has an antecedent
+        hits = 0
+        for seed in range(200):
+            m, assertions = gen_fuzz(seed)
+            for rule, lemma in check_sat(m, assertions).stats.lemmas:
+                if rule == "read_over_const":
+                    assert lemma.kind is Kind.IMPLIES, seed
+                    hits += 1
+        assert hits > 0
+
 
 class TestStoreCoverLaw:
     """A store chain over one constant array can only equal an array
@@ -680,8 +704,30 @@ class TestExtensionalityWitness:
         assertions = [m.mk_not(m.mk_eq(a, b))]
         res = check_sat(m, assertions)
         assert res.verdict == "sat"
-        assert res.stats.lemma_counts.get("extensionality", 0) == 1
+        # the witness goes in before the first candidate
+        assert res.stats.iterations == 1
+        assert res.stats.lemma_counts == {"extensionality": 1}
         assert res.model[a] != res.model[b]
+
+    def test_disequality_under_a_connective_gets_its_witness_lazily(self):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(1), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        p = m.mk_const("p", m.bool_sort)
+        assertions = [m.mk_or([m.mk_not(m.mk_eq(a, b)), p]), m.mk_not(p)]
+        res = check_sat(m, assertions)
+        assert res.verdict == "sat"
+        assert res.stats.iterations == 2
+        assert res.stats.lemma_counts == {"extensionality": 1}
+        assert res.model[a] != res.model[b]
+
+    def test_up_front_witness_is_not_a_loop_refinement(self):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(1), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        res = check_sat(m, [m.mk_not(m.mk_eq(a, b))], max_refinements=0)
+        assert res.verdict == "sat"
+        assert res.stats.refinements == 1
 
     def test_pointwise_equal_but_disequal_is_unsat(self):
         m = TermManager()
@@ -713,10 +759,29 @@ class TestExtensionalityWitness:
         # the witness index of `(= a b)`; the verdict still agrees with
         # the brute-force oracle.
         for n in range(40):
-            script = caext.parse(witness_name_text(n))
+            for lazy in (False, True):
+                script = caext.parse(witness_name_text(n, lazy=lazy))
+                res = check_sat(script.manager, script.assertions)
+                assert res.verdict == oracle_solve(script.assertions,
+                                                   LOOSE).verdict, (n, lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_witness_name_skips_an_input_constant(self, lazy):
+        # __ext_k_5 is an input constant; the witness of `(= a b)`, made
+        # before the first candidate or by the conflict scan, takes the
+        # next name by the rule and keeps it in a second run.
+        script = caext.parse(witness_name_text(5, lazy=lazy))
+        witnesses = []
+        for _ in range(2):
             res = check_sat(script.manager, script.assertions)
-            assert res.verdict == oracle_solve(script.assertions,
-                                               LOOSE).verdict, n
+            assert res.verdict == "sat"
+            lemma, = (lemma for rule, lemma in res.stats.lemmas
+                      if rule == "extensionality")
+            if not lazy:  # an up-front witness is recorded first
+                assert res.stats.lemmas[0][1] is lemma
+            witnesses.append(lemma.args[1].args[0].args[0].index)
+        assert witnesses[0] is witnesses[1]
+        assert witnesses[0].name == "__ext_k_5_1"
 
     def test_witness_of_an_earlier_run_is_reused(self):
         m = TermManager()
@@ -728,6 +793,7 @@ class TestExtensionalityWitness:
             res = check_sat(m, [m.mk_not(e)])
             (rule, lemma), = res.stats.lemmas
             # the lemma is `not e => not (select(a, k) = select(b, k))`
+            assert res.stats.iterations == 1  # a witness made up front
             witnesses.append(lemma.args[1].args[0].args[0].index)
         assert witnesses[0] is witnesses[1]
         assert witnesses[0].name == f"__ext_k_{e.id}"

@@ -66,7 +66,8 @@ class TestScalarCore:
 
 class TestReadsAreFree:
     """The ground level enforces neither select congruence nor array
-    axioms; those violations are the array engine's job to repair."""
+    axioms beyond the two read axioms; those violations are the array
+    engine's job to repair."""
 
     def test_congruence_not_enforced(self, m):
         a = m.mk_const("a", m.array_sort(m.bv_sort(2), m.bool_sort))
@@ -83,6 +84,19 @@ class TestReadsAreFree:
         read = m.mk_select(m.mk_store(a, i, u), i)
         res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(read, u))]))
         assert res.verdict == "unsat"
+
+    def test_read_on_a_const_array_is_its_default(self, m):
+        asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
+        d, i = m.mk_const("d", asort.element), m.mk_const("i", asort.index)
+        c = m.mk_const_array(asort, d)
+        direct = m.mk_select(c, i)
+        res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(direct, d))]))
+        assert res.verdict == "unsat"
+        # across a store the read stays free
+        j = m.mk_const("j", asort.index)
+        across = m.mk_select(m.mk_store(c, j, d), i)
+        res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(across, d))]))
+        assert res.verdict == "sat"
 
     def test_array_equality_does_not_bind_reads(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
@@ -283,7 +297,69 @@ class TestSession:
         assert sum(r.conflicts for r in calls) == session.sat.conflicts
 
 
+def _reference_eval(values, f):
+    """Recursive evaluation in `Interpretation.eval`'s operand order."""
+    k, args = f.kind, f.args
+    if k is Kind.NOT:
+        return not _reference_eval(values, args[0])
+    if k is Kind.AND:
+        return all(_reference_eval(values, a) for a in args)
+    if k is Kind.OR:
+        return any(_reference_eval(values, a) for a in args)
+    if k is Kind.IMPLIES:
+        return (_reference_eval(values, args[1])
+                or not _reference_eval(values, args[0]))
+    if k is Kind.ITE:
+        return _reference_eval(
+            values, args[1] if _reference_eval(values, args[0]) else args[2])
+    if k is Kind.EQ and args[0].sort.is_scalar:
+        return values[args[0]] == values[args[1]]
+    if k is Kind.DISTINCT_N:
+        return len({values[a] for a in args}) >= (f.n or 1)
+    return bool(values[f])
+
+
 class TestEvalAndInvariants:
+    def test_eval_matches_a_recursive_reference(self, m):
+        # Random nestings of every connective over every atom kind, with
+        # some leaves unassigned: the same truth, and an unassigned leaf
+        # raises exactly when the operand order reaches it.
+        bv = m.bv_sort(2)
+        ps = [m.mk_const(f"p{k}", m.bool_sort) for k in range(3)]
+        xs = [m.mk_const(f"x{k}", bv) for k in range(3)]
+        a, b = (m.mk_const(s, m.array_sort(bv, bv)) for s in "ab")
+        atoms = ps + [m.mk_eq(xs[0], xs[1]), m.mk_distinct_n(2, xs),
+                      m.mk_eq(a, b)]
+        rng = random.Random(5)
+
+        def formula(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice(atoms)
+            sub = [formula(depth - 1) for _ in range(rng.randrange(2, 4))]
+            return rng.choice([
+                lambda: m.mk_not(sub[0]), lambda: m.mk_and(sub),
+                lambda: m.mk_or(sub), lambda: m.mk_implies(sub[0], sub[1]),
+                lambda: m.mk_ite(sub[0], sub[1], sub[-1])])()
+
+        missing = 0
+        for _ in range(3000):
+            f = formula(rng.randrange(1, 6))
+            values = {t: rng.randrange(2 if t.sort.is_bool else 4)
+                      for t in ps + xs if rng.random() < 0.85}
+            if rng.random() < 0.85:
+                values[atoms[-1]] = rng.randrange(2)
+            try:
+                want = _reference_eval(values, f)
+            except KeyError:
+                want = None
+            try:
+                got = Interpretation(values).eval(f)
+            except UnassignedConstant:
+                got = None
+            assert got is want, f
+            missing += want is None
+        assert 0 < missing < 3000
+
     def test_model_satisfies_all_inputs(self):
         for seed in range(40):
             m, assertions = random_instance(seed)

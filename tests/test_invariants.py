@@ -187,7 +187,13 @@ def test_refinement_terminates_quickly_on_tiny_instances():
         m, assertions = random_instance(seed)
         res = check_sat(m, assertions)
         assert res.stats.refinements <= 30, seed
-        assert res.stats.iterations == res.stats.refinements + 1
+        # each top-level `not e`, e an array equality, has its witness
+        # lemma before the first candidate; every other lemma costs one
+        # candidate
+        w = len({f.args[0] for f in flatten(m, assertions).all_formulas
+                 if f.kind is Kind.NOT and f.args[0].kind is Kind.EQ
+                 and f.args[0].args[0].sort.is_array})
+        assert res.stats.iterations == res.stats.refinements - w + 1, seed
 
 
 def test_extensionality_audit_form_is_checked():
