@@ -192,15 +192,14 @@ class Configuration(FormulaIndex):
 def init_steps(cfg: Configuration) -> Configuration:
     """Record the self-evident starting points of propagation under the
     candidate: every read at the array it reads from, every store's
-    virtual read (the left side of its read axiom) at the store, and
+    virtual read (its entry in ``read_axioms``) at the store, and
     every constant array at itself."""
     if cfg.interp is None:
         raise InternalError("init_steps needs a candidate interpretation")
     for r in cfg.reads:
         if not cfg.has_step(r.array, r):
             cfg.set_step(r.array, r, None, r.array)
-    for s, axiom in cfg.read_axioms.items():
-        read = axiom.args[0]
+    for s, read in cfg.read_axioms.items():
         if not cfg.has_step(s, read):
             cfg.set_step(s, read, None, s)
     for c in cfg.const_arrays:
@@ -709,11 +708,12 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     """
     assertions = list(assertions)
     flat = flatten(manager, assertions)
-    cfg = Configuration(manager, flat.all_formulas)
+    formulas = flat.all_formulas
+    cfg = Configuration(manager, formulas)
     stats = SolveStats(manager=manager, definitions=flat.definitions)
     # An asserted `not e` falsifies e in every candidate: its witness
     # lemma goes in before the first one.
-    for f in flat.all_formulas:
+    for f in formulas:
         if f.kind is not Kind.NOT:
             continue
         e = f.args[0]

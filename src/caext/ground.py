@@ -30,11 +30,11 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalError, UnassignedConstant
+from .model import Model, eval_term
 from .sat import SatSolver
 from .terms import Kind, Sort, Term, TermManager, postorder
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
-_CONNECTIVES = (Kind.NOT, Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE)
 
 
 def _width(sort: Sort) -> int:
@@ -82,7 +82,7 @@ class Interpretation:
     read or literal) to a domain value, and every array equality atom
     of the index to its truth, 0 or 1.  Transitivity on the encoding's
     chordal atom graph makes the true atoms a partition of the related
-    arrays.  Any other array equality has no truth here.
+    arrays.  Any other array equality has no entry.
     """
 
     __slots__ = ("values",)
@@ -99,61 +99,12 @@ class Interpretation:
         return v
 
     def eval(self, f: Term) -> bool:
-        """Truth of a formula under this interpretation, on an explicit
-        stack.  A connective reads its operands left to right (``=>``
-        its consequent first) until one decides it.  An operand that is
-        an atom is read in place; only a connective operand pushes its
-        parent on the stack."""
-        values = self.values
-        # the connectives above g, with how many operands each has read
-        stack: list[tuple[Optional[Term], int]] = []
-        g: Optional[Term] = None  # the connective reading op, if any
-        i = 0  # how many operands g has read
-        op = f
-        while True:
-            k = op.kind
-            negate = False
-            if k in _CONNECTIVES:
-                if k is Kind.NOT and op.args[0].kind not in _CONNECTIVES:
-                    negate, op = True, op.args[0]
-                    k = op.kind
-                else:
-                    stack.append((g, i))
-                    g, i = op, 0
-                    op = op.args[1 if k is Kind.IMPLIES else 0]
-                    continue
-            # a Boolean leaf or an array equality atom is in the table
-            v = values.get(op)
-            if v is None:
-                try:
-                    if k is Kind.EQ and op.args[0].sort.is_scalar:
-                        v = values[op.args[0]] == values[op.args[1]]
-                    elif k is Kind.DISTINCT_N:
-                        v = len({values[a] for a in op.args}) >= (op.n or 1)
-                    else:
-                        v = values[op]
-                except KeyError as missing:
-                    raise UnassignedConstant(
-                        f"{missing.args[0]!r} has no value in this "
-                        "interpretation") from None
-            v = not v if negate else bool(v)
-            # hand v, the truth of op, to g and the connectives above it
-            while g is not None:
-                k = g.kind
-                if k is Kind.ITE:  # the chosen branch stands in for g
-                    op = g.args[1] if v else g.args[2]
-                    g, i = stack.pop()
-                    break
-                if k is Kind.NOT or (k is Kind.IMPLIES and i == 1):
-                    v = not v  # `=>` holds where its antecedent fails
-                elif (v if k is Kind.AND else not v) and i + 1 < len(g.args):
-                    # undecided; for `=>`, its consequent failed
-                    i += 1
-                    op = g.args[0 if k is Kind.IMPLIES else i]
-                    break
-                g, i = stack.pop()
-            else:
-                return v
+        """Truth of a formula: ``eval_term`` with no constant assigned,
+        over a copy of the table as its cache, so a term with an entry
+        is not entered.  Any other term is evaluated from all its
+        operands; an array constant or a leaf the table lacks raises
+        :class:`UnassignedConstant`."""
+        return bool(eval_term(Model(), f, dict(self.values)))
 
 
 class FormulaIndex:
@@ -163,8 +114,9 @@ class FormulaIndex:
     ordinal, children before parents, as one walk over the whole list
     would; ``terms`` lists them in that order, and ``bools`` the Boolean
     ones, whose gates the ground encoder builds.  Each is also filed by
-    kind, and a store gets ``select(s, s.index) = s.stored_value``, its
-    virtual read, in ``read_axioms``.  It starts with ``formulas``, in order.
+    kind, and a store ``s`` gets its virtual read ``select(s, s.index)``
+    in ``read_axioms``, whose bits the encoder makes equal to those of
+    ``s.stored_value``.  It starts with ``formulas``, in order.
     """
 
     def __init__(self, manager: TermManager,
@@ -208,10 +160,8 @@ class FormulaIndex:
         if t.kind is Kind.SELECT:
             self.reads.append(t)
         elif t.kind is Kind.STORE:
-            m = self.manager
             self.stores.append(t)
-            self.read_axioms[t] = m.mk_eq(m.mk_select(t, t.index),
-                                          t.stored_value)
+            self.read_axioms[t] = self.manager.mk_select(t, t.index)
             self.hops[t] = [(t.array, t)]
             self.hops.setdefault(t.array, []).append((t, t))
         elif t.kind is Kind.CONST_ARRAY:
@@ -284,7 +234,7 @@ class GroundSession:
             self.sat.add_clause([self.lits[f]])
         for t in fresh:
             if t.kind is Kind.STORE:
-                self.assert_bits_equal(*index.read_axioms[t].args)
+                self.assert_bits_equal(index.read_axioms[t], t.stored_value)
             elif t.kind is Kind.SELECT and t.array.kind is Kind.CONST_ARRAY:
                 self.assert_bits_equal(t, t.array.default)
 

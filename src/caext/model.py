@@ -223,7 +223,8 @@ def eval_term(model: Model, term: Term,
     about any constant of ``term``.  The walk keeps an explicit stack,
     so nesting depth is bounded by memory, not by Python's recursion
     limit; ``_cache`` maps every term evaluated so far to its value and
-    may be shared between calls under one model.
+    may be shared between calls under one model.  The walk does not
+    enter a term already in ``_cache``: its cached value stands.
     """
     cache: dict[Term, Value] = {} if _cache is None else _cache
     for t in postorder((term,), cache):

@@ -23,6 +23,7 @@ from caext import (
 )
 from caext.engine import (
     Configuration,
+    _checked,
     _find_conflict,
     _walk,
     build_model,
@@ -292,6 +293,17 @@ class TestSpreadIndexSaturation:
             m.mk_and([chain.eq12, m.mk_not(m.mk_eq(ex.j1, ex.i1))]),
             m.mk_eq(chain.r2, ex.v))
         assert info.lemma is expected
+
+    def test_lemma_that_holds_under_its_candidate_is_refused(self, chain):
+        # The spread candidate's read-over-const lemma is false under it
+        # and holds under the conflict-free candidate, where `_checked`
+        # refuses it: such a lemma would not rule its candidate out.
+        cfg = chain.configuration(spread_interp(chain))
+        info = _find_conflict(cfg, set())
+        assert _checked(cfg, info) is info
+        cfg = chain.configuration(model_interp(chain))
+        with pytest.raises(InternalError, match="does not exclude"):
+            _checked(cfg, info)
 
     def test_reason_modes_agree_here(self, chain):
         ex = chain.ex

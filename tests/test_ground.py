@@ -298,20 +298,19 @@ class TestSession:
 
 
 def _reference_eval(values, f):
-    """Recursive evaluation in `Interpretation.eval`'s operand order."""
+    """Recursive evaluation that reads every operand of a connective."""
     k, args = f.kind, f.args
-    if k is Kind.NOT:
-        return not _reference_eval(values, args[0])
-    if k is Kind.AND:
-        return all(_reference_eval(values, a) for a in args)
-    if k is Kind.OR:
-        return any(_reference_eval(values, a) for a in args)
-    if k is Kind.IMPLIES:
-        return (_reference_eval(values, args[1])
-                or not _reference_eval(values, args[0]))
-    if k is Kind.ITE:
-        return _reference_eval(
-            values, args[1] if _reference_eval(values, args[0]) else args[2])
+    if k in (Kind.NOT, Kind.AND, Kind.OR, Kind.IMPLIES, Kind.ITE):
+        ops = [_reference_eval(values, a) for a in args]
+        if k is Kind.NOT:
+            return not ops[0]
+        if k is Kind.AND:
+            return all(ops)
+        if k is Kind.OR:
+            return any(ops)
+        if k is Kind.IMPLIES:
+            return ops[1] or not ops[0]
+        return ops[1] if ops[0] else ops[2]
     if k is Kind.EQ and args[0].sort.is_scalar:
         return values[args[0]] == values[args[1]]
     if k is Kind.DISTINCT_N:
@@ -323,7 +322,7 @@ class TestEvalAndInvariants:
     def test_eval_matches_a_recursive_reference(self, m):
         # Random nestings of every connective over every atom kind, with
         # some leaves unassigned: the same truth, and an unassigned leaf
-        # raises exactly when the operand order reaches it.
+        # raises wherever it sits, even under an operand that decides.
         bv = m.bv_sort(2)
         ps = [m.mk_const(f"p{k}", m.bool_sort) for k in range(3)]
         xs = [m.mk_const(f"x{k}", bv) for k in range(3)]
@@ -376,15 +375,33 @@ class TestEvalAndInvariants:
         for value, truth in ((1, True), (0, False)):
             assert Interpretation({p: value, q: 1}).eval(f) is truth
 
-    def test_eval_reads_only_the_operands_it_needs(self, m):
+    def test_eval_reads_every_operand(self, m):
+        # An operand that does not decide the formula is still read.
         p, x = (m.mk_const(name, m.bool_sort) for name in "px")
         interp = Interpretation({p: 1})
-        assert interp.eval(m.mk_or([p, x]))
-        assert not interp.eval(m.mk_and([m.mk_not(p), x]))
-        assert interp.eval(m.mk_implies(x, p))
-        assert interp.eval(m.mk_ite(p, p, x))
+        for f in (m.mk_or([p, x]), m.mk_and([m.mk_not(p), x]),
+                  m.mk_implies(x, p), m.mk_ite(p, p, x),
+                  m.mk_implies(p, x)):
+            with pytest.raises(UnassignedConstant):
+                interp.eval(f)
+
+    def test_eval_decides_an_array_equality_off_the_table(self, m):
+        # An array equality without a table entry is decided from its
+        # operands' array values: extensionally over constant arrays of
+        # literals, and not at all over an array constant.
+        bit = m.bv_sort(1)
+        asort = m.array_sort(bit, m.bool_sort)
+        no, yes = m.mk_value(m.bool_sort, 0), m.mk_value(m.bool_sort, 1)
+        zero, one = m.mk_value(bit, 0), m.mk_value(bit, 1)
+        falses = m.mk_const_array(asort, no)
+        trues = m.mk_const_array(asort, yes)
+        both = m.mk_store(m.mk_store(falses, zero, yes), one, yes)
+        interp = Interpretation({})
+        assert interp.eval(m.mk_eq(both, trues))
+        assert interp.eval(m.mk_eq(m.mk_store(falses, one, no), falses))
+        assert not interp.eval(m.mk_eq(m.mk_store(falses, one, yes), falses))
         with pytest.raises(UnassignedConstant):
-            interp.eval(m.mk_implies(p, x))
+            interp.eval(m.mk_eq(m.mk_const("a", asort), trues))
 
     def test_deterministic(self):
         m, assertions = random_instance(11)
