@@ -13,6 +13,9 @@ reaches an array whose candidate values contradict it yields a lemma
 over the literals of its recorded path, built only then (as Brummayer
 & Biere, JSAT 2009, build lemmas from the propagation path); the lemma
 joins the formula set, the state is discarded, and the loop repeats.
+Reads and stores stay nested as the input writes them
+(:mod:`caext.flatten` names neither), so a path runs along the store
+edges of the term graph and a lemma carries no naming equality.
 Axiom instances that every candidate would need go in before the
 first one, as array procedures instantiate them (de Moura & Bjørner,
 "Generalized, efficient array decision procedures", FMCAD 2009): here
@@ -65,7 +68,7 @@ from .ground import (FormulaIndex, GroundSession, Interpretation,
                      solve_ground)
 from .model import ArrayValue, Model, validate_model, zero_value
 from .model import complete_model  # noqa: F401  (perfbench wraps it)
-from .terms import Kind, Sort, Term, TermManager, domain_size, substitute
+from .terms import Kind, Sort, Term, TermManager, domain_size
 
 __all__ = [
     "Configuration",
@@ -624,28 +627,19 @@ def _class_name(x: int) -> str:
 @dataclass
 class SolveStats:
     """Counters describing one :func:`check_sat` run.  Each lemma is
-    recorded once, in ``lemmas`` as ``(rule, lemma)`` over the flattened
-    formulas; the refinement count and the per-rule counts are read off
-    it.  ``lemma_history`` is that list over the input's constants:
-    ``definitions`` is substituted into a lemma when it is first read."""
+    recorded once, in ``lemmas`` as ``(rule, lemma)`` over the input's
+    terms and the constants flattening names; the refinement count and
+    the per-rule counts are read off it."""
 
     iterations: int = 0
     pi_size: int = 0
     ground_conflicts: int = 0
     lemmas: list[tuple[str, Term]] = field(default_factory=list)
-    manager: Optional[TermManager] = field(default=None, repr=False,
-                                           compare=False)
-    definitions: dict[Term, Term] = field(default_factory=dict)
-    _history: list[tuple[str, Term]] = field(
-        default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def lemma_history(self) -> list[tuple[str, Term]]:
-        history = self._history
-        for rule, lemma in self.lemmas[len(history):]:
-            history.append(
-                (rule, substitute(self.manager, lemma, self.definitions)))
-        return history
+        """The same list as ``lemmas``."""
+        return self.lemmas
 
     @property
     def refinements(self) -> int:
@@ -685,19 +679,20 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
               max_refinements: Optional[int] = None) -> SolveResult:
     """Decide the assertions and, when satisfiable, build a model.
 
-    One configuration is the run's formula index, and one
-    :class:`GroundSession` over it, made with ``seed`` and ``budget``,
-    is the run's ground encoding: each lemma extends the index, the
-    next :func:`solve_ground` call adds it as clauses, and the SAT core
-    keeps what it learned.  Before the first candidate, each top-level
-    ``not e`` of the flattened formulas, ``e`` an array equality, gets
-    its witness lemma, recorded first in ``stats.lemmas``: every
-    candidate falsifies ``e``, so the conflict scan would ask for it
-    anyway.  ``seed`` fixes the ground solver's choices, ``budget`` caps
-    the SAT conflicts of each candidate's search, counted afresh for
-    every candidate (exhaustion yields verdict ``unknown``), and
-    ``max_refinements`` caps the candidates that end in a lemma
-    (exceeding it raises :class:`ResourceLimit`).
+    The assertions are flattened, which names only ites and Boolean
+    terms in term positions.  One configuration is the run's formula
+    index, and one :class:`GroundSession` over it, made with ``seed``
+    and ``budget``, is the run's ground encoding: each lemma extends
+    the index, the next :func:`solve_ground` call adds it as clauses,
+    and the SAT core keeps what it learned.  Before the first
+    candidate, each top-level ``not e`` of the flattened formulas, ``e``
+    an array equality, gets its witness lemma, recorded first in
+    ``stats.lemmas``: every candidate falsifies ``e``, so the conflict
+    scan would ask for it anyway.  ``seed`` fixes the ground solver's
+    choices, ``budget`` caps the SAT conflicts of each candidate's
+    search, counted afresh for every candidate (exhaustion yields
+    verdict ``unknown``), and ``max_refinements`` caps the candidates
+    that end in a lemma (exceeding it raises :class:`ResourceLimit`).
 
     The proof invariants are checked on every run: each propagation
     step is recorded once, points at an earlier entry and is a hop the
@@ -707,10 +702,9 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     failed check raises :class:`InternalError`.
     """
     assertions = list(assertions)
-    flat = flatten(manager, assertions)
-    formulas = flat.all_formulas
+    formulas = flatten(manager, assertions).formulas
     cfg = Configuration(manager, formulas)
-    stats = SolveStats(manager=manager, definitions=flat.definitions)
+    stats = SolveStats()
     # An asserted `not e` falsifies e in every candidate: its witness
     # lemma goes in before the first one.
     for f in formulas:

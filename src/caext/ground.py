@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InternalError, UnassignedConstant
+from .errors import InternalError
 from .model import Model, eval_term
 from .sat import SatSolver
 from .terms import Kind, Sort, Term, TermManager, postorder
@@ -89,14 +89,6 @@ class Interpretation:
 
     def __init__(self, values: dict[Term, int]):
         self.values = values
-
-    def value(self, t: Term) -> int:
-        """Value of a scalar leaf, or truth of an array equality atom."""
-        v = self.values.get(t)
-        if v is None:
-            raise UnassignedConstant(f"{t!r} has no value in this "
-                                     "interpretation")
-        return v
 
     def eval(self, f: Term) -> bool:
         """Truth of a formula: ``eval_term`` with no constant assigned,

@@ -29,7 +29,7 @@ class DenseCellSolver:
         self._value: dict[tuple[Term, int], int] = {}
         for t in iter_subterms(cfg.formulas):
             if t.kind is Kind.STORE:
-                at = interp.value(t.index)
+                at = interp.values[t.index]
                 for x in range(domain_size(t.sort.index)):
                     if x != at:
                         self._union((t, x), (t.array, x))
@@ -40,10 +40,10 @@ class DenseCellSolver:
                     self._union((lhs, x), (rhs, x))
         for (dest, t) in cfg.steps:
             if t.kind is Kind.SELECT:
-                self._pin((dest, interp.value(t.index)), interp.value(t))
+                self._pin((dest, interp.values[t.index]), interp.values[t])
             elif t.kind is Kind.CONST_ARRAY:
-                blocked = {interp.value(k) for k in _walk(cfg, dest, t)[1]}
-                val = interp.value(t.default)
+                blocked = {interp.values[k] for k in _walk(cfg, dest, t)[1]}
+                val = interp.values[t.default]
                 for x in range(domain_size(t.sort.index)):
                     if x not in blocked:
                         self._pin((dest, x), val)

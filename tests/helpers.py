@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import caext
 import caext.engine
-from caext import Configuration, Kind, TermManager, Term
+from caext import Configuration, Kind, Sort, TermManager, Term, domain_size
 from caext.engine import _canonical_indices, _walk
 from caext.ground import FormulaIndex, GroundSession
 
@@ -223,6 +223,95 @@ def random_instance(seed: int, *, max_scalars: int = 4, max_arrays: int = 2,
 
     assertions = [bool_term(2) for _ in range(n_assertions)]
     return m, assertions
+
+
+def structured_instance(seed: int, *, depth: int = 3,
+                        n_assertions: int = 3):
+    """A small deterministic instance in the shapes that reach the
+    engine unflattened: ``or``, ``=>`` and ``ite`` in Boolean structure;
+    scalar, array and Boolean ``ite`` in term positions; Boolean
+    formulas as stored values and indices; ``distinct-at-least``; reads
+    as indices, through an index-to-index array; and constant arrays
+    over read defaults.  Formulas and their terms nest up to ``depth``
+    deep.  Index sorts have at most four values and element sorts two,
+    so ``oracle_solve`` enumerates every instance.
+    """
+    rng = random.Random(seed)
+    m = TermManager()
+    b = m.bool_sort
+    isort = rng.choice([b, m.bv_sort(1), m.bv_sort(2)])
+    esort = rng.choice([b, m.bv_sort(1)])
+    asort, psort = m.array_sort(isort, esort), m.array_sort(isort, isort)
+    consts: dict = {}
+    # a second array only over the smaller index sorts keeps the oracle's
+    # enumeration at most 2^18 interpretations
+    arrays = rng.randint(1, 2) if domain_size(isort) == 2 else 1
+    for name, sort, count in (("a", asort, arrays),
+                              ("p", psort, 1), ("i", isort, 2),
+                              ("e", esort, 1), ("q", b, 1)):
+        consts.setdefault(sort, []).extend(
+            m.mk_const(f"{name}{k}", sort) for k in range(count))
+    arrays_to = {}
+    for sort in (asort, psort):
+        arrays_to.setdefault(sort.element, []).append(sort)
+
+    def leaf(sort: Sort) -> Term:
+        if rng.random() < 0.25:
+            return m.mk_value(sort, rng.randrange(domain_size(sort)))
+        return rng.choice(consts[sort])
+
+    def scalar(sort: Sort, d: int) -> Term:
+        r = rng.random()
+        if d <= 0 or r < 0.3:
+            return leaf(sort)
+        if r < 0.7 and sort in arrays_to:
+            a = array(rng.choice(arrays_to[sort]), d - 1)
+            return m.mk_select(a, scalar(a.sort.index, d - 1))
+        if r < 0.85 or not sort.is_bool:
+            return m.mk_ite(formula(d - 1), scalar(sort, d - 1),
+                            scalar(sort, d - 1))
+        return formula(d - 1)
+
+    def array(sort: Sort, d: int) -> Term:
+        r = rng.random()
+        if d <= 0 or r < 0.3:
+            return rng.choice(consts[sort])
+        if r < 0.45:
+            return m.mk_const_array(sort, scalar(sort.element, d - 1))
+        if r < 0.85:
+            return m.mk_store(array(sort, d - 1), scalar(isort, d - 1),
+                              scalar(sort.element, d - 1))
+        return m.mk_ite(formula(d - 1), array(sort, d - 1),
+                        array(sort, d - 1))
+
+    def atom(d: int) -> Term:
+        r = rng.random()
+        if r < 0.3:
+            sort = rng.choice([isort, esort])
+            return m.mk_eq(scalar(sort, d), scalar(sort, d))
+        if r < 0.55:
+            sort = rng.choice([asort, psort])
+            return m.mk_eq(array(sort, d), array(sort, d))
+        if r < 0.75:
+            args = [scalar(isort, d) for _ in range(rng.randint(2, 3))]
+            return m.mk_distinct_n(rng.randint(1, len(args)), args)
+        return scalar(b, d)
+
+    def formula(d: int) -> Term:
+        r = rng.random()
+        if d <= 0 or r < 0.3:
+            return atom(d)
+        if r < 0.4:
+            return m.mk_not(formula(d - 1))
+        if r < 0.55:
+            return m.mk_and([formula(d - 1), formula(d - 1)])
+        if r < 0.7:
+            return m.mk_or([formula(d - 1), formula(d - 1)])
+        if r < 0.85:
+            return m.mk_implies(formula(d - 1), formula(d - 1))
+        return m.mk_ite(formula(d - 1), formula(d - 1), formula(d - 1))
+
+    return m, [formula(depth) for _ in range(n_assertions)]
 
 
 def benchmark_crafted(seed: int):

@@ -64,7 +64,7 @@ def exists_fresh_index(interp: Interpretation,
                        sort: Sort) -> bool:
     """True iff some value of ``sort`` differs from the value of every
     given index term under ``interp``."""
-    used = {interp.value(k) for k in index_terms}
+    used = {interp.values[k] for k in index_terms}
     return len(used) < domain_size(sort)
 
 
@@ -89,13 +89,13 @@ def _apply_one(cfg: Configuration,
             continue
         i = t.index
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
-                and interp.value(i) != interp.value(dest.index):
+                and interp.values[i] != interp.values[dest.index]:
             cfg.set_step(dest.array, t, None, dest)
             crossings[(dest.array, t)] = m.mk_not(m.mk_eq(i, dest.index))
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
-                    and interp.value(i) != interp.value(s.index):
+                    and interp.values[i] != interp.values[s.index]:
                 cfg.set_step(s, t, None, dest)
                 crossings[(s, t)] = m.mk_not(m.mk_eq(i, s.index))
                 return True
@@ -139,7 +139,7 @@ def _find_conflict(cfg: Configuration,
     # 1. A read reached a constant array whose default disagrees.
     for dest, t in cfg.steps:
         if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
-                and interp.value(t) != interp.value(dest.default):
+                and interp.values[t] != interp.values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
             return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
@@ -149,9 +149,9 @@ def _find_conflict(cfg: Configuration,
     # 2. Two reads reached one array, their indices agree, their values
     #    do not.
     for dest, t1, t2 in _entry_pairs(cfg, pos, Kind.SELECT):
-        if interp.value(t1.index) != interp.value(t2.index):
+        if interp.values[t1.index] != interp.values[t2.index]:
             continue
-        if interp.value(t1) == interp.value(t2):
+        if interp.values[t1] == interp.values[t2]:
             continue
         lits1, _ = _walk(cfg, dest, t1)
         lits2, _ = _walk(cfg, dest, t2)
@@ -173,7 +173,7 @@ def _find_conflict(cfg: Configuration,
     for dest, c1, c2 in _entry_pairs(cfg, pos, Kind.CONST_ARRAY):
         if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
             c1, c2 = c2, c1
-        if interp.value(c1.default) == interp.value(c2.default):
+        if interp.values[c1.default] == interp.values[c2.default]:
             continue
         sort = c1.sort.index
         lits1, idx1 = _walk(cfg, dest, c1)

@@ -125,7 +125,7 @@ class TestCraftedShape:
         m, p = params(z, counts)
         phi = gen_crafted(m, p)
         flat = flatten(m, phi)
-        assert flat.all_formulas
+        assert flat.formulas
 
     def test_verdicts_agree_with_oracle(self):
         for z, counts in [(0, (0, 0)), (0, (2, 0)), (1, (1, 1, 1)),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import caext
-from caext import Kind
+from caext import Kind, iter_subterms
 from caext.cli import main
 from caext.errors import ResourceLimit
 from caext.flatten import flatten
@@ -430,12 +430,13 @@ class TestGen:
         assert ("forall" in text) == bool(flags)
         if not flags:
             # The reader and flatten walk on explicit stacks, so the
-            # chain reads back whole.
+            # chain reads back whole, and flatten leaves it in place.
             script = caext.parse(text)
             flat = flatten(script.manager, script.assertions)
-            assert flat.is_flat()
-            assert sum(d.kind is Kind.STORE
-                       for d in flat.definitions.values()) == 2002
+            assert flat.is_flat() and not flat.definitions
+            assert flat.formulas == script.assertions
+            assert sum(t.kind is Kind.STORE
+                       for t in iter_subterms(flat.formulas)) == 2002
 
     def test_solves_a_500_store_chain(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,500,2", "--index-sort", "bv12",

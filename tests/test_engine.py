@@ -43,7 +43,8 @@ from perfbench.tracing import ENGINE_NAMES
 from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
                      compute_reason, compute_updated_indices, deep_chain_text,
                      ground_session, random_instance, read_crossings,
-                     store_chain, watch_saturations, witness_name_text)
+                     store_chain, structured_instance, watch_saturations,
+                     witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -121,18 +122,13 @@ def model_interp(chain):
 
 def interpretation_queries(monkeypatch, instances):
     """Run `check_sat` on each instance.  Per run, return the lemmas
-    that are not witness lemmas and every question the run asked an
-    interpretation, in order: ``("value", t)`` for
-    ``Interpretation.value(t)``, and ``("eval", f, lemma)`` for
+    that are not witness lemmas and every formula the run asked an
+    interpretation to evaluate, in order, as ``("eval", f, lemma)`` for
     ``Interpretation.eval(f)`` asked while `_checked` checks ``lemma``
     (``None`` outside it)."""
-    value, evaluate = Interpretation.value, Interpretation.eval
+    evaluate = Interpretation.eval
     checked = caext.engine._checked
     asked, checking = [], []
-
-    def counted_value(interp, t):
-        asked.append(("value", t))
-        return value(interp, t)
 
     def counted_eval(interp, f):
         asked.append(("eval", f, checking[-1] if checking else None))
@@ -145,7 +141,6 @@ def interpretation_queries(monkeypatch, instances):
         finally:
             checking.pop()
 
-    monkeypatch.setattr(Interpretation, "value", counted_value)
     monkeypatch.setattr(Interpretation, "eval", counted_eval)
     monkeypatch.setattr(caext.engine, "_checked", noted_checked)
     runs = []
@@ -457,8 +452,8 @@ class TestPropagationMap:
         # into the interpretation's table, which holds the value of every
         # read's and store's index term.  Across the candidates (init_steps,
         # propagation, conflict scan and build_model) the engine reads
-        # that table directly: `Interpretation.value` is never called,
-        # and `Interpretation.eval` only by `_checked`, once on each lemma.
+        # that table directly, and calls `Interpretation.eval` only in
+        # `_checked`, once on each lemma.
         script = next(benchmark_crafted(1001))
         seen = []
 
@@ -831,7 +826,7 @@ class TestExtensionalityWitness:
         witnesses = 0
         for seed in range(100):
             m, assertions = gen_fuzz(seed)
-            cfg = Configuration(m, flatten(m, assertions).all_formulas)
+            cfg = Configuration(m, flatten(m, assertions).formulas)
             session = GroundSession(cfg)
             per_atom: Counter = Counter()
             for _ in range(200):
@@ -908,6 +903,48 @@ class TestOracleAgreement:
             assert oracle_valid(lemma, LOOSE), rule
 
 
+def _shape(t):
+    """The shape `structured_instance` promises that ``t`` has, if any."""
+    if t.kind is Kind.ITE:
+        return "ite/" + ("bool" if t.sort.is_bool
+                         else "array" if t.sort.is_array else "scalar")
+    if t.kind is Kind.SELECT and t.index.kind is Kind.SELECT:
+        return "read as index"
+    if t.kind is Kind.CONST_ARRAY and t.default.kind is Kind.SELECT:
+        return "const array over a read"
+    if t.kind is Kind.SELECT and t.array.kind is Kind.STORE:
+        return "read over a store"
+    return t.kind.name
+
+
+class TestStructuredShapes:
+    """Nested reads and stores reach the engine as written; only ites
+    and Boolean terms in term positions are named."""
+
+    SEEDS = range(500)
+
+    def test_agrees_with_the_oracle(self):
+        verdicts = Counter()
+        for seed in self.SEEDS:
+            m, assertions = structured_instance(seed)
+            res = check_sat(m, assertions)
+            want = oracle_solve(assertions, LOOSE).verdict
+            assert res.verdict == want, f"seed {seed}"
+            if want == "sat":
+                assert validate_model(res.model, assertions), seed
+            verdicts[want] += 1
+        assert min(verdicts["sat"], verdicts["unsat"]) >= 100, verdicts
+
+    def test_the_instances_hold_every_shape(self):
+        shapes = Counter(
+            _shape(t) for seed in self.SEEDS
+            for t in iter_subterms(structured_instance(seed)[1]))
+        for shape in ("OR", "IMPLIES", "ite/bool", "ite/scalar",
+                      "ite/array", "DISTINCT_N", "read as index",
+                      "const array over a read", "read over a store"):
+            assert shapes[shape] >= 20, shape
+
+
 # ---------------------------------------------------------------------------
 # Determinism, budgets, limits
 # ---------------------------------------------------------------------------
@@ -927,30 +964,16 @@ class TestLoopControls:
             outcomes.append(summary)
         assert outcomes[0] == outcomes[1]
 
-    def test_lemma_text_is_substituted_when_first_read(self, monkeypatch):
-        # check_sat keeps each lemma over the flattened formulas; the
-        # first read of `lemma_history` substitutes each one once, and
-        # later reads return what it made.
-        calls = []
-        substitute = caext.engine.substitute
-
-        def counted_substitute(manager, term, mapping):
-            calls.append(term)
-            return substitute(manager, term, mapping)
-
-        monkeypatch.setattr(caext.engine, "substitute", counted_substitute)
+    def test_lemma_history_is_the_lemma_list(self):
+        # flatten names no read or store, so the lemmas are already over
+        # the input's terms, and `lemma_history` is `lemmas` itself.
         script = next(benchmark_crafted(1001))
         stats = check_sat(script.manager, script.assertions).stats
-        assert calls == []
-        assert stats.lemmas and stats.definitions
-        history = stats.lemma_history
-        assert calls == [lemma for _, lemma in stats.lemmas]
-        assert [rule for rule, _ in history] == \
-            [rule for rule, _ in stats.lemmas]
-        assert not set(stats.definitions) & set(
-            iter_subterms(lemma for _, lemma in history))
-        assert stats.lemma_history == history
-        assert len(calls) == len(stats.lemmas)
+        assert stats.lemmas and stats.lemma_history is stats.lemmas
+        inputs = set(free_constants(script.assertions))
+        for _, lemma in stats.lemmas:
+            for c in free_constants([lemma]):
+                assert c in inputs or c.name.startswith("__ext_k_"), c
 
     def test_seeds_do_not_change_verdicts(self, chain):
         verdicts = {check_sat(chain.m, chain.assertions, seed=s).verdict
@@ -993,6 +1016,21 @@ class TestLoopControls:
         res = check_sat(m, [f])
         assert res.verdict == "sat"
         assert res.model[p] == 1
+
+    def test_read_across_a_deep_store_chain_is_answered(self):
+        # The read at k crosses every store at i down to the base, and
+        # the lemma's path walk does not recurse either.
+        m = TermManager()
+        bv2 = m.bv_sort(2)
+        a = m.mk_const("a", m.array_sort(bv2, bv2))
+        i, k, u = (m.mk_const(name, bv2) for name in "iku")
+        chain = a
+        for _ in range(DEEP):
+            chain = m.mk_store(chain, i, u)
+        differ = m.mk_not(m.mk_eq(m.mk_select(chain, k), m.mk_select(a, k)))
+        res = check_sat(m, [m.mk_not(m.mk_eq(i, k)), differ])
+        assert res.verdict == "unsat"
+        assert res.stats.lemma_counts == {"read_congruence": 1}
 
     @pytest.mark.parametrize("kind", ["and", "or", "=>", "ite"])
     def test_deep_boolean_chain_is_answered(self, kind):
@@ -1082,7 +1120,7 @@ class TestFormulaIndex:
         instances = [gen_fuzz(seed) for seed in range(500)]
         instances += [(s.manager, s.assertions) for s in scripts]
         for m, assertions in instances:
-            index = FormulaIndex(m, flatten(m, assertions).all_formulas)
+            index = FormulaIndex(m, flatten(m, assertions).formulas)
             assert set(free_constants(assertions)) <= set(index.constants)
 
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
@@ -1130,9 +1168,9 @@ class TestFormulaIndex:
             self, monkeypatch, family):
         # Each array equality atom's truth is read off the SAT assignment
         # once per candidate, into the interpretation's table.  No atom
-        # is evaluated: during check_sat, `Interpretation.value` is never
-        # called, and `Interpretation.eval` only by `_checked`, once on
-        # each lemma that is not a witness lemma.
+        # is evaluated: during check_sat, `Interpretation.eval` is called
+        # only by `_checked`, once on each lemma that is not a witness
+        # lemma.
         runs = interpretation_queries(monkeypatch, self.instances(family))
         for lemmas, asked in runs:
             assert asked == [("eval", lemma, lemma) for lemma in lemmas]

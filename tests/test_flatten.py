@@ -5,7 +5,7 @@ import pytest
 from caext import (Kind, OracleBounds, TermManager, free_constants,
                    interpretation_count, iter_subterms, oracle_solve)
 from caext.benchgen import gen_fuzz
-from caext.flatten import flatten, is_flat_formula, is_leaf
+from caext.flatten import flatten, is_flat_formula
 
 from helpers import Example2, random_instance
 
@@ -33,16 +33,11 @@ def arr(m):
 
 
 class TestShapes:
-    def test_nested_select_names_every_application(self, m, arr):
+    def test_nested_select_keeps_its_applications(self, m, arr):
         a, i, u, j, w = (arr[k] for k in "aiujw")
-        inner = m.mk_store(a, i, u)
-        top = m.mk_eq(m.mk_select(inner, j), w)
+        top = m.mk_eq(m.mk_select(m.mk_store(a, i, u), j), w)
         res = flatten(m, [top])
-        assert len(res.definitions) == 2
-        (t1, d1), (t2, d2) = res.definitions.items()
-        assert d1 is inner and t1.name == "__flat_0"
-        assert d2 is m.mk_select(t1, j) and t2.name == "__flat_1"
-        assert res.formulas == [m.mk_eq(t2, w)]
+        assert res.formulas == [top] and not res.definitions
         assert res.is_flat()
 
     def test_constant_equality_unchanged(self, m, arr):
@@ -55,24 +50,20 @@ class TestShapes:
         res = flatten(m, [atom])
         assert res.formulas == [atom] and not res.definitions
 
-    def test_negated_application_equality_is_named(self, m, arr):
+    def test_negated_application_equality_is_unchanged(self, m, arr):
         a, b, i, u = arr["a"], arr["b"], arr["i"], arr["u"]
-        store = m.mk_store(a, i, u)
-        res = flatten(m, [m.mk_not(m.mk_eq(store, b))])
-        (t1, d1), = res.definitions.items()
-        assert d1 is store
-        assert res.formulas == [m.mk_not(m.mk_eq(t1, b))]
+        f = m.mk_not(m.mk_eq(m.mk_store(a, i, u), b))
+        res = flatten(m, [f])
+        assert res.formulas == [f] and not res.definitions
         assert res.is_flat()
 
     def test_bool_read_atom_under_structure(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
         a = m.mk_const("ba", asort)
         i = m.mk_const("bi", m.bv_sort(2))
-        read = m.mk_select(a, i)
-        res = flatten(m, [m.mk_not(read)])
-        (t1, d1), = res.definitions.items()
-        assert d1 is read
-        assert res.formulas == [m.mk_not(t1)]
+        f = m.mk_not(m.mk_select(a, i))
+        res = flatten(m, [f])
+        assert res.formulas == [f] and not res.definitions
 
     def test_const_array_is_leaf_not_named(self, m, arr):
         ca = m.mk_const_array(arr["asort"], arr["u"])
@@ -83,24 +74,17 @@ class TestShapes:
     def test_const_array_over_read_default(self, m, arr):
         deep = m.mk_const_array(arr["asort"],
                                 m.mk_select(arr["a"], arr["i"]))
-        res = flatten(m, [m.mk_eq(arr["b"], deep)])
-        (t1, d1), = res.definitions.items()
-        assert d1 is m.mk_select(arr["a"], arr["i"])
-        assert res.formulas == [m.mk_eq(arr["b"],
-                                        m.mk_const_array(arr["asort"], t1))]
+        f = m.mk_eq(arr["b"], deep)
+        res = flatten(m, [f])
+        assert res.formulas == [f] and not res.definitions
         assert res.is_flat()
 
     def test_two_chain_regression_shape(self):
         ex = Example2(TermManager())
-        res = flatten(ex.m, ex.phi + [ex.v_ne_w])
-        stores = list(res.definitions.values())
-        assert all(s.kind is Kind.STORE for s in stores)
-        assert len(stores) == 4
-        names = [t.name for t in res.definitions]
-        assert names == ["__flat_0", "__flat_1", "__flat_2", "__flat_3"]
-        s = list(res.definitions)
-        assert res.formulas == [ex.m.mk_eq(s[0], s[1]),
-                                ex.m.mk_eq(s[2], s[3]), ex.v_ne_w]
+        phi = ex.phi + [ex.v_ne_w]
+        res = flatten(ex.m, phi)
+        assert res.formulas == phi and not res.definitions
+        assert sum(t.kind is Kind.STORE for t in iter_subterms(phi)) == 4
 
 
 class TestIte:
@@ -109,7 +93,9 @@ class TestIte:
         z = m.mk_const("z", m.bv_sort(2))
         ite = m.mk_ite(c, arr["i"], arr["j"])
         res = flatten(m, [m.mk_eq(z, ite)])
-        assert all(t.kind is not Kind.ITE for f in res.all_formulas
+        (fresh, named), = res.definitions.items()
+        assert named is ite and res.formulas[0] == m.mk_eq(z, fresh)
+        assert all(t.kind is not Kind.ITE for f in res.formulas
                    for t in iter_subterms([f]))
         assert res.is_flat()
         guards = [f for f in res.formulas if f.kind is Kind.IMPLIES]
@@ -119,7 +105,7 @@ class TestIte:
         c = m.mk_const("c", m.bool_sort)
         ite = m.mk_ite(c, arr["a"], arr["b"])
         res = flatten(m, [m.mk_eq(arr["a"], ite)])
-        assert all(t.kind is not Kind.ITE for f in res.all_formulas
+        assert all(t.kind is not Kind.ITE for f in res.formulas
                    for t in iter_subterms([f]))
         assert res.is_flat()
 
@@ -132,7 +118,7 @@ class TestIte:
         phi = [m.mk_eq(p, inner), m.mk_not(p), inner]
         assert oracle_solve(phi, WIDE).verdict == "unsat"
         assert oracle_solve(
-            flatten(m, phi).all_formulas, WIDE).verdict == "unsat"
+            flatten(m, phi).formulas, WIDE).verdict == "unsat"
 
     def test_bool_ite_stays_structural(self, m, arr):
         c = m.mk_const("c", m.bool_sort)
@@ -148,10 +134,10 @@ class TestSemantics:
         for seed in range(40):
             m, assertions = random_instance(seed)
             res = flatten(m, assertions)
-            if interpretation_count(res.all_formulas) > WIDE.max_interpretations:
+            if interpretation_count(res.formulas) > WIDE.max_interpretations:
                 continue
             before = oracle_solve(assertions, WIDE).verdict
-            after = oracle_solve(res.all_formulas, WIDE).verdict
+            after = oracle_solve(res.formulas, WIDE).verdict
             assert before == after, f"seed {seed}"
             checked += 1
         assert checked >= 25
@@ -164,19 +150,19 @@ class TestSemantics:
                m.mk_not(m.mk_eq(z, arr["j"]))]
         res = flatten(m, phi)
         assert oracle_solve(phi, WIDE).verdict == "unsat"
-        assert oracle_solve(res.all_formulas, WIDE).verdict == "unsat"
+        assert oracle_solve(res.formulas, WIDE).verdict == "unsat"
 
 
 class TestConstants:
     @pytest.mark.parametrize("make,count", [(gen_fuzz, 3000),
                                             (random_instance, 500)])
     def test_every_input_constant_occurs_in_the_formulas(self, make, count):
-        # Flattening adds constants that name applications but drops no
-        # constant of the input, so a model of the formulas assigns
-        # every input constant.
+        # Flattening adds constants that name ites and Boolean terms
+        # but drops no constant of the input, so a model of the
+        # formulas assigns every input constant.
         for seed in range(count):
             m, assertions = make(seed)
-            kept = set(free_constants(flatten(m, assertions).all_formulas))
+            kept = set(free_constants(flatten(m, assertions).formulas))
             assert set(free_constants(assertions)) <= kept, seed
 
 
@@ -185,9 +171,9 @@ class TestIdempotence:
     def test_second_pass_changes_nothing(self, seed):
         m, assertions = random_instance(seed)
         first = flatten(m, assertions)
-        second = flatten(m, first.all_formulas)
+        second = flatten(m, first.formulas)
         assert not second.definitions
-        assert second.formulas == first.all_formulas
+        assert second.formulas == first.formulas
 
     def test_outputs_always_flat(self):
         for seed in range(25):
@@ -196,22 +182,35 @@ class TestIdempotence:
 
 
 class TestPredicates:
-    def test_leaves(self, m, arr):
-        assert is_leaf(arr["i"])
-        assert is_leaf(m.mk_value(m.bv_sort(2), 3))
-        assert is_leaf(m.mk_const_array(arr["asort"], arr["u"]))
-        assert not is_leaf(m.mk_select(arr["a"], arr["i"]))
+    def test_term_positions_take_array_terms(self, m, arr):
+        a, b, i, u = (arr[k] for k in "abiu")
+        read = m.mk_select(a, i)
+        for t in (arr["j"], m.mk_value(m.bv_sort(2), 3), read,
+                  m.mk_select(m.mk_store(a, read, u), read)):
+            assert is_flat_formula(m.mk_eq(u, t))
+        for t in (m.mk_const_array(arr["asort"], read),
+                  m.mk_store(m.mk_store(b, i, read), read, u)):
+            assert is_flat_formula(m.mk_eq(a, t))
 
     def test_nested_formula_rejected(self, m, arr):
-        a, i, u, j, w = (arr[k] for k in "aiujw")
-        deep = m.mk_eq(m.mk_select(m.mk_store(a, i, u), j), w)
-        assert not is_flat_formula(deep)
+        # A Boolean formula or a non-Boolean ite in a term position
+        # has no bits in the ground encoding.
+        i, j, u, w = (arr[k] for k in "ijuw")
+        p = m.mk_const("p", m.bool_sort)
+        assert not is_flat_formula(m.mk_eq(p, m.mk_eq(i, j)))
+        assert not is_flat_formula(m.mk_eq(u, m.mk_ite(p, i, j)))
+        bsort = m.array_sort(m.bv_sort(2), m.bool_sort)
+        ba = m.mk_const("ba", bsort)
+        assert not is_flat_formula(
+            m.mk_select(m.mk_store(ba, i, m.mk_not(p)), j))
         assert is_flat_formula(m.mk_eq(i, j))
+        assert is_flat_formula(m.mk_ite(p, m.mk_eq(i, j), m.mk_eq(u, w)))
 
-    def test_application_only_at_unit_level(self, m, arr):
+    def test_applications_at_any_level(self, m, arr):
         atom = m.mk_eq(arr["w"], m.mk_select(arr["a"], arr["i"]))
         assert is_flat_formula(atom)
-        assert not is_flat_formula(m.mk_not(atom))
+        assert is_flat_formula(m.mk_not(atom))
+        assert is_flat_formula(m.mk_or([m.mk_not(atom), atom]))
 
 
 class TestDepth:
@@ -234,8 +233,9 @@ class TestDepth:
         chain = a
         for _ in range(self.DEPTH):
             chain = m.mk_store(chain, i, u)
-        res = flatten(m, [m.mk_not(m.mk_eq(m.mk_select(chain, i), u))])
-        assert len(res.definitions) == self.DEPTH + 1
+        f = m.mk_not(m.mk_eq(m.mk_select(chain, i), u))
+        res = flatten(m, [f])
+        assert res.formulas == [f] and not res.definitions
         assert res.is_flat()
 
     def test_deep_boolean_in_a_term_position(self, m):

@@ -28,7 +28,7 @@ class TestScalarCore:
         res = solve_ground(ground_session(m, [m.mk_eq(x, y), m.mk_eq(y, z)]))
         assert res.verdict == "sat"
         vals = res.interpretation
-        assert vals.value(x) == vals.value(y) == vals.value(z)
+        assert vals.values[x] == vals.values[y] == vals.values[z]
 
     def test_contradiction_unsat(self, m):
         x, y = (m.mk_const(s, m.bv_sort(2)) for s in "xy")
@@ -46,7 +46,7 @@ class TestScalarCore:
         atom = m.mk_distinct_n(2, ts)
         res = solve_ground(ground_session(m, [m.mk_not(atom)]))
         assert res.verdict == "sat"
-        vals = {res.interpretation.value(t) for t in ts}
+        vals = {res.interpretation.values[t] for t in ts}
         assert len(vals) == 1
 
     def test_distinct_n_counting(self, m):
@@ -54,14 +54,14 @@ class TestScalarCore:
         res = solve_ground(ground_session(m, [m.mk_distinct_n(3, ts),
                                               m.mk_eq(ts[0], ts[1])]))
         assert res.verdict == "sat"
-        vals = [res.interpretation.value(t) for t in ts]
+        vals = [res.interpretation.values[t] for t in ts]
         assert len(set(vals)) >= 3 and vals[0] == vals[1]
 
     def test_values_fixed(self, m):
         x = m.mk_const("x", m.bv_sort(3))
         five = m.mk_value(m.bv_sort(3), 5)
         res = solve_ground(ground_session(m, [m.mk_eq(x, five)]))
-        assert res.interpretation.value(x) == 5
+        assert res.interpretation.values[x] == 5
 
 
 class TestReadsAreFree:
@@ -260,7 +260,7 @@ class TestSession:
     @pytest.mark.parametrize("seed", range(60))
     def test_two_batches_match_one_shot(self, seed):
         m, assertions = random_instance(seed)
-        flat = flatten(m, assertions).all_formulas
+        flat = flatten(m, assertions).formulas
         # Array-equality atoms must all come with the first batch.
         flat.sort(key=lambda f: not _has_array_eq(f))
         cut = max(sum(map(_has_array_eq, flat)), len(flat) // 2)
@@ -362,7 +362,7 @@ class TestEvalAndInvariants:
     def test_model_satisfies_all_inputs(self):
         for seed in range(40):
             m, assertions = random_instance(seed)
-            flat = flatten(m, assertions).all_formulas
+            flat = flatten(m, assertions).formulas
             res = solve_ground(ground_session(m, flat))
             if res.verdict == "sat":
                 assert all(res.interpretation.eval(f) for f in flat), seed

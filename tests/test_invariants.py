@@ -81,7 +81,7 @@ class LoopAudit:
         self.m = manager
         self.assertions = assertions
         self.flat = flatten(manager, assertions)
-        self.cfg = Configuration(manager, self.flat.all_formulas)
+        self.cfg = Configuration(manager, self.flat.formulas)
         self.lemmas = []
         self.candidates = 0
 
@@ -190,7 +190,7 @@ def test_refinement_terminates_quickly_on_tiny_instances():
         # each top-level `not e`, e an array equality, has its witness
         # lemma before the first candidate; every other lemma costs one
         # candidate
-        w = len({f.args[0] for f in flatten(m, assertions).all_formulas
+        w = len({f.args[0] for f in flatten(m, assertions).formulas
                  if f.kind is Kind.NOT and f.args[0].kind is Kind.EQ
                  and f.args[0].args[0].sort.is_array})
         assert res.stats.iterations == res.stats.refinements - w + 1, seed
@@ -247,7 +247,7 @@ class TestDistinctCounting:
                 possible = (n <= 2) if force_equal else True
                 assert (res.verdict == "sat") == possible
                 if res.verdict == "sat":
-                    vals = [res.interpretation.value(c) for c in self.consts]
+                    vals = [res.interpretation.values[c] for c in self.consts]
                     assert len(set(vals)) >= n
 
     def test_equals_arity_means_pairwise_distinct(self):

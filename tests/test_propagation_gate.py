@@ -38,7 +38,7 @@ def _gated_check_sat(m, assertions, rules: Counter):
         assert info == expected
         for (dest, t), (blocked, _) in cfg.default_steps.items():
             crossed = _walk(cfg, dest, t)[1]
-            assert blocked == {cfg.interp.value(k) for k in crossed}
+            assert blocked == {cfg.interp.values[k] for k in crossed}
         rules[info.rule if info else "none"] += 1
 
     with watch_saturations(gate):
