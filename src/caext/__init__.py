@@ -62,7 +62,6 @@ from .terms import (
     TermManager,
     domain_size,
     free_constants,
-    iter_subterms,
     substitute,
 )
 
@@ -84,6 +83,6 @@ __all__ = [
     "OracleBounds", "OracleResult", "ValidityResult",
     "interpretation_count", "oracle_solve", "oracle_valid",
     "Kind", "Sort", "SortKind", "Term", "TermManager", "domain_size",
-    "free_constants", "iter_subterms", "substitute",
+    "free_constants", "substitute",
     "__version__",
 ]

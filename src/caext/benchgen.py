@@ -31,7 +31,7 @@ from .errors import BoundsExceeded, CaextError
 from .oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
 from .printer import print_script, print_sort, print_term
 from .terms import (Kind, Sort, SortKind, Term, TermManager, domain_size,
-                    free_constants, iter_subterms, substitute)
+                    free_constants, postorder, substitute)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def emit_quantified(manager: TermManager,
     solvers that lack the construct; it is emission-only and is not
     read back by this package's own parser.
     """
-    const_arrays = [t for t in iter_subterms(assertions)
+    const_arrays = [t for t in postorder(assertions)
                     if t.kind is Kind.CONST_ARRAY]
     taken = {c.name for c in free_constants(assertions)}
     mapping: dict[Term, Term] = {}

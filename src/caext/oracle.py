@@ -25,7 +25,11 @@ import numpy as np
 
 from .errors import BoundsExceeded
 from .model import Model
-from .terms import Kind, Sort, Term, domain_size, iter_subterms, postorder
+from .terms import Kind, Sort, Term, domain_size, postorder
+
+# The integer types a grid may hold its values in, narrowest first, each
+# with the widest bit-vector sort whose values it holds.
+_DTYPES = ((15, np.int16), (31, np.int32), (63, np.int64))
 
 
 @dataclass(frozen=True)
@@ -59,21 +63,30 @@ class ValidityResult:
 
 
 def _collect(assertions: Sequence[Term],
-             ) -> tuple[list[Term], list[Term], list[Sort]]:
+             ) -> tuple[list[Term], list[Term], list[Sort], int]:
     """One walk of ``assertions``: their scalar and their array constants,
-    each sorted by name, and the array sorts of their subterms in
-    first-seen order."""
+    each sorted by name, the array sorts of their subterms in first-seen
+    order, and the widest bit-vector sort of a scalar constant, a
+    literal, an index or an element (0 if there is none), which bounds
+    every value a subterm can take."""
     consts: list[Term] = []
     array_sorts: dict[Sort, None] = {}
-    for t in iter_subterms(assertions):
+    width = 0
+    for t in postorder(assertions):
         if t.kind is Kind.CONSTANT:
             consts.append(t)
+        elif t.kind is Kind.VALUE:
+            width = max(width, t.sort.width)
         if t.sort.is_array:
             array_sorts[t.sort] = None
     consts.sort(key=lambda c: c.name or "")
     scalars = [c for c in consts if not c.sort.is_array]
     arrays = [c for c in consts if c.sort.is_array]
-    return scalars, arrays, list(array_sorts)
+    for c in scalars:
+        width = max(width, c.sort.width)
+    for sort in array_sorts:
+        width = max(width, sort.index.width, sort.element.width)
+    return scalars, arrays, list(array_sorts), width
 
 
 def _count(constants: list[Term]) -> int:
@@ -82,15 +95,15 @@ def _count(constants: list[Term]) -> int:
 
 def interpretation_count(assertions: Sequence[Term]) -> int:
     """Total number of interpretations the oracle would enumerate."""
-    scalars, arrays, _ = _collect(assertions)
+    scalars, arrays, _, _ = _collect(assertions)
     return _count(scalars + arrays)
 
 
-def _bounded_constants(assertions: Sequence[Term], bounds: OracleBounds
-                       ) -> tuple[list[Term], list[Term]]:
-    """The scalar and the array constants of ``assertions``, each sorted
-    by name; raises :class:`BoundsExceeded` as `check_bounds` does."""
-    scalars, arrays, array_sorts = _collect(assertions)
+def _bounded_grid(assertions: Sequence[Term], bounds: OracleBounds
+                  ) -> _Grid:
+    """The grid of ``assertions``' interpretations; raises
+    :class:`BoundsExceeded` as `check_bounds` does."""
+    scalars, arrays, array_sorts, width = _collect(assertions)
     if len(scalars) > bounds.max_free_constants:
         raise BoundsExceeded(
             f"{len(scalars)} scalar constants exceed the limit of "
@@ -113,14 +126,18 @@ def _bounded_constants(assertions: Sequence[Term], bounds: OracleBounds
         raise BoundsExceeded(
             f"{total} interpretations exceed the ceiling of "
             f"{bounds.max_interpretations}")
-    return scalars, arrays
+    dtype = next((d for bits, d in _DTYPES if width <= bits), None)
+    if dtype is None:
+        raise BoundsExceeded(
+            f"{width}-bit values exceed the oracle's 64-bit integers")
+    return _Grid(scalars, arrays, dtype)
 
 
 def check_bounds(assertions: Sequence[Term],
                  bounds: OracleBounds = DEFAULT_BOUNDS) -> None:
     """Raise :class:`BoundsExceeded` if the problem is too large to
     enumerate under ``bounds``."""
-    _bounded_constants(assertions, bounds)
+    _bounded_grid(assertions, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +150,13 @@ class _Grid:
     Scalar constants own one axis; an array constant owns one axis per
     table cell.  Axis order follows the name-sorted constant order, so a
     flat C-order index enumerates interpretations in the documented
-    order.
+    order.  Values are held as ``dtype``, the narrowest integer type that
+    holds every value of every sort the problem uses.
     """
 
-    def __init__(self, scalars: list[Term], arrays: list[Term]):
+    def __init__(self, scalars: list[Term], arrays: list[Term], dtype):
         self.scalars, self.arrays = scalars, arrays
+        self.dtype = dtype
         self.axes: list[int] = []          # domain size per axis
         self.scalar_axis: dict[Term, int] = {}
         self.array_axes: dict[Term, list[int]] = {}
@@ -181,8 +200,9 @@ class _Grid:
 class _VectorEval:
     """Evaluates terms over the whole interpretation grid at once.
 
-    Scalar-sorted terms evaluate to broadcastable int16 arrays (Bool as
-    0/1); array-sorted terms evaluate to a list of per-cell arrays.
+    Scalar-sorted terms evaluate to broadcastable arrays of the grid's
+    dtype (Bool as 0/1); array-sorted terms evaluate to a list of
+    per-cell arrays.
     """
 
     def __init__(self, grid: _Grid):
@@ -194,7 +214,7 @@ class _VectorEval:
         size = self.grid.axes[axis]
         shape = [1] * self.rank
         shape[axis] = size
-        return np.arange(size, dtype=np.int16).reshape(shape)
+        return np.arange(size, dtype=self.grid.dtype).reshape(shape)
 
     def scalar(self, t: Term) -> np.ndarray:
         v = self.cache[t]
@@ -215,24 +235,24 @@ class _VectorEval:
 
     def _value(self, t: Term):
         """The value of ``t`` from the cached values of its operands."""
-        k = t.kind
+        k, dt = t.kind, self.grid.dtype
         if k is Kind.CONSTANT:
             if t.sort.is_array:
                 v = [self._axis_values(a) for a in self.grid.array_axes[t]]
             else:
                 v = self._axis_values(self.grid.scalar_axis[t])
         elif k is Kind.VALUE:
-            v = np.int16(t.value)
+            v = dt(t.value)
         elif k is Kind.SELECT:
             table, idx = self.cells(t.array), self.scalar(t.index)
             acc = np.broadcast_arrays(table[0], idx)[0].copy()
             for cell, cell_vals in enumerate(table):
                 acc = np.where(idx == cell, cell_vals, acc)
-            v = acc.astype(np.int16)
+            v = acc.astype(dt)
         elif k is Kind.STORE:
             table, idx = self.cells(t.array), self.scalar(t.index)
             val = self.scalar(t.stored_value)
-            v = [np.where(idx == cell, val, old).astype(np.int16)
+            v = [np.where(idx == cell, val, old).astype(dt)
                  for cell, old in enumerate(table)]
         elif k is Kind.CONST_ARRAY:
             d = self.scalar(t.default)
@@ -240,14 +260,14 @@ class _VectorEval:
         elif k is Kind.EQ:
             left, right = t.args
             if left.sort.is_array:
-                acc = np.int16(1)
+                acc = dt(1)
                 for lc, rc in zip(self.cells(left), self.cells(right)):
                     acc = acc & (lc == rc)
-                v = acc.astype(np.int16) if isinstance(acc, np.ndarray) else acc
+                v = acc.astype(dt) if isinstance(acc, np.ndarray) else acc
             else:
-                v = (self.scalar(left) == self.scalar(right)).astype(np.int16)
+                v = (self.scalar(left) == self.scalar(right)).astype(dt)
         elif k is Kind.NOT:
-            v = np.int16(1) - self.scalar(t.args[0])
+            v = dt(1) - self.scalar(t.args[0])
         elif k is Kind.AND:
             acc = self.scalar(t.args[0])
             for a in t.args[1:]:
@@ -259,27 +279,27 @@ class _VectorEval:
                 acc = acc | self.scalar(a)
             v = acc
         elif k is Kind.IMPLIES:
-            v = (np.int16(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
+            v = (dt(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
         elif k is Kind.ITE:
             cond = self.scalar(t.args[0])
             v = np.where(cond != 0, self.scalar(t.args[1]),
                          self.scalar(t.args[2])) \
                 if not t.sort.is_array else [
-                    np.where(cond != 0, a, b).astype(np.int16)
+                    np.where(cond != 0, a, b).astype(dt)
                     for a, b in zip(self.cells(t.args[1]), self.cells(t.args[2]))]
             if not t.sort.is_array:
-                v = v.astype(np.int16)
+                v = v.astype(dt)
         elif k is Kind.DISTINCT_N:
             vals = [self.scalar(a) for a in t.args]
-            count = np.int16(0)
+            count = dt(0)
             for p, vp in enumerate(vals):
-                first = np.int16(1)
+                first = dt(1)
                 for q in range(p):
                     first = first & (vp != vals[q])
-                count = count + (first.astype(np.int16)
+                count = count + (first.astype(dt)
                                  if isinstance(first, np.ndarray) else first)
-            v = (count >= (t.n or 1)).astype(np.int16) \
-                if isinstance(count, np.ndarray) else np.int16(count >= (t.n or 1))
+            v = (count >= (t.n or 1)).astype(dt) \
+                if isinstance(count, np.ndarray) else dt(count >= (t.n or 1))
         else:  # pragma: no cover
             raise AssertionError(f"unhandled kind {k}")
         return v
@@ -289,7 +309,7 @@ def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
     """The conjunction of ``assertions`` at every grid position, flat in
     C order."""
     ev = _VectorEval(grid)
-    acc = np.int16(1)
+    acc = grid.dtype(1)
     for a in assertions:
         acc = acc & ev.eval(a)
     shape = tuple(grid.axes) if grid.axes else ()
@@ -307,7 +327,7 @@ def oracle_solve(assertions: Sequence[Term],
     Returns the first satisfying interpretation in enumeration order,
     or an unsat verdict after exhausting the space.
     """
-    grid = _Grid(*_bounded_constants(assertions, bounds))
+    grid = _bounded_grid(assertions, bounds)
     hits = np.flatnonzero(_vector_truth(assertions, grid))
     if hits.size == 0:
         return OracleResult("unsat", interpretations=grid.total)
@@ -320,7 +340,7 @@ def oracle_valid(formulas: Sequence[Term] | Term,
     interpretation; otherwise return the first counterexample."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    grid = _Grid(*_bounded_constants(formulas, bounds))
+    grid = _bounded_grid(formulas, bounds)
     misses = np.flatnonzero(_vector_truth(formulas, grid) == 0)
     if misses.size == 0:
         return ValidityResult(True)

@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError
 from .model import ArrayValue, Model, Value
-from .terms import Kind, Sort, Term, TermManager, free_constants, iter_subterms
+from .terms import Kind, Sort, Term, TermManager, free_constants, postorder
 
 
 def print_sort(sort: Sort) -> str:
@@ -19,7 +19,7 @@ def print_term(term: Term) -> str:
     The internal at-least-n-distinct predicate has no SMT-LIB spelling
     and is rejected; it never reaches printed output in normal use.
     """
-    for t in iter_subterms([term]):
+    for t in postorder([term]):
         if t.kind is Kind.DISTINCT_N:
             raise InternalError(
                 "at-least-n-distinct atoms cannot be printed as SMT-LIB")

@@ -14,7 +14,7 @@ bit-vector.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import CaextError, SortMismatch
 
@@ -474,19 +474,10 @@ def postorder(roots: Iterable[Term],
     return out
 
 
-def iter_subterms(roots: Iterable[Term]) -> Iterator[Term]:
-    """Yield every distinct subterm of ``roots`` exactly once.
-
-    Children are yielded before their parents; the overall order is
-    deterministic given the iteration order of ``roots``.
-    """
-    return iter(postorder(roots))
-
-
 def free_constants(roots: Iterable[Term]) -> list[Term]:
     """All uninterpreted constants occurring in ``roots``, in first-seen
     order."""
-    return [t for t in iter_subterms(roots) if t.kind is Kind.CONSTANT]
+    return [t for t in postorder(roots) if t.kind is Kind.CONSTANT]
 
 
 def substitute(manager: "TermManager", term: Term,

@@ -16,7 +16,7 @@ from caext import Kind, Model, Sort, Term, TermManager, domain_size
 from caext.engine import Configuration, _walk
 from caext.errors import IllDefinedModel
 from caext.printer import print_sort
-from caext.terms import iter_subterms
+from caext.terms import postorder
 
 
 class DenseCellSolver:
@@ -27,7 +27,7 @@ class DenseCellSolver:
         interp = cfg.interp
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
-        for t in iter_subterms(cfg.formulas):
+        for t in postorder(cfg.formulas):
             if t.kind is Kind.STORE:
                 at = interp.values[t.index]
                 for x in range(domain_size(t.sort.index)):
@@ -82,7 +82,7 @@ class DenseCellSolver:
 def dense_tables(cfg: Configuration) -> dict[Term, tuple]:
     """The dense table of every array constant of the formula set."""
     cells = DenseCellSolver(cfg)
-    return {t: cells.table(t) for t in iter_subterms(cfg.formulas)
+    return {t: cells.table(t) for t in postorder(cfg.formulas)
             if t.kind is Kind.CONSTANT and t.sort.is_array}
 
 

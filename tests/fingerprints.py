@@ -1,7 +1,9 @@
 """Behaviour fingerprints of the refinement loop, for comparing commits.
 
-Runs ``check_sat`` on ``gen_fuzz`` instances and on the benchmark's
-crafted ladder and prints one line per run: its name and a SHA-256 of
+Runs ``check_sat`` on ``gen_fuzz`` instances, on the benchmark's
+crafted ladder and on the test suite's ``structured_instance`` shapes,
+whose ites and Boolean terms in term positions ``flatten`` names, and
+prints one line per run: its name and a SHA-256 of
 the verdict, the ``SolveStats`` counters with every lemma's repr, the
 model tables and the ``print_model`` text.  Two commits behave the same
 on these runs when their outputs are identical::
@@ -10,9 +12,10 @@ on these runs when their outputs are identical::
     python tests/fingerprints.py > after.txt    # at the other
     diff before.txt after.txt
 
-By default the runs are ``gen_fuzz`` seeds 0-2999 and the 15 crafted
-rungs under seeds 1001 and 7.  ``--fuzz START:STOP`` and ``--crafted
-SEED,...`` choose others (an empty ``--crafted ''`` skips the ladder).
+By default the runs are ``gen_fuzz`` seeds 0-2999, the 15 crafted
+rungs under seeds 1001 and 7 and ``structured_instance`` seeds 0-499.
+``--fuzz START:STOP``, ``--crafted SEED,...`` and ``--structured
+START:STOP`` choose others (an empty ``--crafted ''`` skips the ladder).
 The script imports caext from the ``src`` directory next to it, so it
 measures the checkout it lives in.  It is not a pytest module.
 """
@@ -29,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from caext import check_sat, parse, print_model  # noqa: E402
 from caext.benchgen import gen_fuzz  # noqa: E402
+from helpers import structured_instance  # noqa: E402
 
 
 def fingerprint(manager, assertions) -> str:
@@ -45,7 +49,7 @@ def fingerprint(manager, assertions) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def runs(fuzz: range, crafted_seeds: list[int]):
+def runs(fuzz: range, crafted_seeds: list[int], structured: range):
     """``(name, manager, assertions)`` for every run, in output order."""
     for seed in fuzz:
         manager, assertions = gen_fuzz(seed)
@@ -56,6 +60,9 @@ def runs(fuzz: range, crafted_seeds: list[int]):
         for op in setup("crafted", seed):
             script = parse(op.run.keywords["text"])
             yield f"{op.name}/seed{seed}", script.manager, script.assertions
+    for seed in structured:
+        manager, assertions = structured_instance(seed)
+        yield f"structured/{seed}", manager, assertions
 
 
 def _seed_range(text: str) -> range:
@@ -70,9 +77,14 @@ def main(argv=None) -> int:
                     help="gen_fuzz seeds, STOP excluded (default 0:3000)")
     ap.add_argument("--crafted", default="1001,7", metavar="SEED,...",
                     help="seeds of the crafted ladder (default 1001,7)")
+    ap.add_argument("--structured", type=_seed_range, default=range(500),
+                    metavar="START:STOP",
+                    help="structured_instance seeds, STOP excluded "
+                         "(default 0:500)")
     args = ap.parse_args(argv)
     crafted = [int(s) for s in args.crafted.split(",") if s]
-    for name, manager, assertions in runs(args.fuzz, crafted):
+    for name, manager, assertions in runs(args.fuzz, crafted,
+                                          args.structured):
         print(name, fingerprint(manager, assertions))
     return 0
 

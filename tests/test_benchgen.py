@@ -14,7 +14,6 @@ from caext import (
     flatten,
     free_constants,
     interpretation_count,
-    iter_subterms,
     oracle_solve,
     parse,
 )
@@ -27,6 +26,7 @@ from caext.benchgen import (
     write_crafted,
 )
 from caext.oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
+from caext.terms import postorder
 from caext.parser import Source
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -40,7 +40,7 @@ def params(z, counts, idx_width=2, elem="bool", seed=0):
 
 
 def count_kind(assertions, kind):
-    return sum(1 for t in iter_subterms(assertions) if t.kind is kind)
+    return sum(1 for t in postorder(assertions) if t.kind is kind)
 
 
 class TestCraftedParams:

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import caext
-from caext import Kind, iter_subterms
+from caext import Kind
 from caext.cli import main
 from caext.errors import ResourceLimit
 from caext.flatten import flatten
-from caext.terms import MAX_BV_WIDTH
+from caext.terms import MAX_BV_WIDTH, postorder
 
 from helpers import DEEP, deep_chain_text, run_module, witness_name_text
 
@@ -436,7 +436,7 @@ class TestGen:
             assert flat.is_flat() and not flat.definitions
             assert flat.formulas == script.assertions
             assert sum(t.kind is Kind.STORE
-                       for t in iter_subterms(flat.formulas)) == 2002
+                       for t in postorder(flat.formulas)) == 2002
 
     def test_solves_a_500_store_chain(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "0,500,2", "--index-sort", "bv12",

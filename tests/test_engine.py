@@ -16,7 +16,6 @@ from caext import (
     TermManager,
     domain_size,
     free_constants,
-    iter_subterms,
     oracle_solve,
     oracle_valid,
     validate_model,
@@ -37,7 +36,7 @@ from caext.errors import InternalError, ResourceLimit, UndefinedStep
 from caext.flatten import flatten
 from caext.ground import (FormulaIndex, GroundSession, Interpretation,
                           solve_ground)
-from caext.terms import MAX_BV_WIDTH
+from caext.terms import MAX_BV_WIDTH, postorder
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
@@ -938,7 +937,7 @@ class TestStructuredShapes:
     def test_the_instances_hold_every_shape(self):
         shapes = Counter(
             _shape(t) for seed in self.SEEDS
-            for t in iter_subterms(structured_instance(seed)[1]))
+            for t in postorder(structured_instance(seed)[1]))
         for shape in ("OR", "IMPLIES", "ite/bool", "ite/scalar",
                       "ite/array", "DISTINCT_N", "read as index",
                       "const array over a read", "read over a store"):
@@ -1130,9 +1129,9 @@ class TestFormulaIndex:
         # and neither walks the formulas again.  Every term walk of the
         # two modules goes through a walker they import by name, so each
         # such name is replaced by one that counts what it visits.
-        walkers = [(module, name) for module in (caext.engine, caext.ground)
-                   for name in ("postorder", "iter_subterms")
-                   if hasattr(module, name)]
+        walkers = [(module, "postorder")
+                   for module in (caext.engine, caext.ground)
+                   if hasattr(module, "postorder")]
         assert (caext.ground, "postorder") in walkers
         visits: Counter = Counter()
         indexes = {}
@@ -1159,7 +1158,7 @@ class TestFormulaIndex:
             indexes.clear()
             res = check_sat(m, assertions)
             (index,) = indexes.values()
-            assert visits == Counter(iter_subterms(index.formulas))
+            assert visits == Counter(postorder(index.formulas))
             lemmas += res.stats.refinements
         assert lemmas > 0
 

@@ -2,10 +2,10 @@
 
 ``tests/data/fingerprints.txt`` is the output of::
 
-    python tests/fingerprints.py --fuzz 0:200 --crafted 7
+    python tests/fingerprints.py --fuzz 0:200 --crafted 7 --structured 0:50
 
 A change that alters a verdict, a ``SolveStats`` counter, a lemma or a
-model on these 215 runs fails here.  A change that does so on purpose
+model on these 265 runs fails here.  A change that does so on purpose
 regenerates the file with that command and says so in ``CHANGES.md``.
 """
 
@@ -18,7 +18,8 @@ GOLDEN = Path(__file__).parent / "data" / "fingerprints.txt"
 
 def test_fingerprints_match_the_golden_file():
     expected = GOLDEN.read_text().splitlines()
-    assert len(expected) == 215
+    assert len(expected) == 265
     got = [f"{name} {fingerprint(manager, assertions)}"
-           for name, manager, assertions in runs(range(200), [7])]
+           for name, manager, assertions in runs(range(200), [7],
+                                                 range(50))]
     assert got == expected

@@ -3,11 +3,12 @@
 import pytest
 
 from caext import (Kind, OracleBounds, TermManager, free_constants,
-                   interpretation_count, iter_subterms, oracle_solve)
+                   interpretation_count, oracle_solve)
 from caext.benchgen import gen_fuzz
 from caext.flatten import flatten, is_flat_formula
+from caext.terms import postorder
 
-from helpers import Example2, random_instance
+from helpers import Example2, random_instance, structured_instance
 
 WIDE = OracleBounds(max_free_constants=24, max_array_constants=10,
                     max_index_domain=8, max_element_domain=8)
@@ -84,7 +85,7 @@ class TestShapes:
         phi = ex.phi + [ex.v_ne_w]
         res = flatten(ex.m, phi)
         assert res.formulas == phi and not res.definitions
-        assert sum(t.kind is Kind.STORE for t in iter_subterms(phi)) == 4
+        assert sum(t.kind is Kind.STORE for t in postorder(phi)) == 4
 
 
 class TestIte:
@@ -96,7 +97,7 @@ class TestIte:
         (fresh, named), = res.definitions.items()
         assert named is ite and res.formulas[0] == m.mk_eq(z, fresh)
         assert all(t.kind is not Kind.ITE for f in res.formulas
-                   for t in iter_subterms([f]))
+                   for t in postorder([f]))
         assert res.is_flat()
         guards = [f for f in res.formulas if f.kind is Kind.IMPLIES]
         assert len(guards) == 2
@@ -106,7 +107,7 @@ class TestIte:
         ite = m.mk_ite(c, arr["a"], arr["b"])
         res = flatten(m, [m.mk_eq(arr["a"], ite)])
         assert all(t.kind is not Kind.ITE for f in res.formulas
-                   for t in iter_subterms([f]))
+                   for t in postorder([f]))
         assert res.is_flat()
 
     def test_bool_equality_over_formulas(self, m, arr):
@@ -130,17 +131,22 @@ class TestIte:
 
 class TestSemantics:
     def test_equisatisfiable_with_original(self):
-        checked = 0
-        for seed in range(40):
-            m, assertions = random_instance(seed)
-            res = flatten(m, assertions)
-            if interpretation_count(res.formulas) > WIDE.max_interpretations:
-                continue
-            before = oracle_solve(assertions, WIDE).verdict
-            after = oracle_solve(res.formulas, WIDE).verdict
-            assert before == after, f"seed {seed}"
-            checked += 1
-        assert checked >= 25
+        # The structured instances hold ites and Boolean formulas in term
+        # positions, whose names and guards the fold makes.
+        for make, count, least in ((random_instance, 40, 25),
+                                   (structured_instance, 200, 150)):
+            checked = 0
+            for seed in range(count):
+                m, assertions = make(seed)
+                res = flatten(m, assertions)
+                if interpretation_count(res.formulas) \
+                        > WIDE.max_interpretations:
+                    continue
+                before = oracle_solve(assertions, WIDE).verdict
+                after = oracle_solve(res.formulas, WIDE).verdict
+                assert before == after, f"{make.__name__} seed {seed}"
+                checked += 1
+            assert checked >= least, make.__name__
 
     def test_ite_equisatisfiable(self, m, arr):
         c = m.mk_const("c", m.bool_sort)
@@ -151,6 +157,46 @@ class TestSemantics:
         res = flatten(m, phi)
         assert oracle_solve(phi, WIDE).verdict == "unsat"
         assert oracle_solve(res.formulas, WIDE).verdict == "unsat"
+
+
+class TestSharing:
+    """A subterm shared anywhere in the input is rewritten once, so
+    flattening a DAG costs time linear in its distinct subterms, not in
+    its paths."""
+
+    DEPTH = 12
+
+    @pytest.mark.parametrize("in_term_position", [False, True])
+    def test_shared_dag_is_rewritten_once(self, m, monkeypatch,
+                                          in_term_position):
+        # f_{k+1} = (or (and f_k q) (and (not f_k) p)) has 2^k paths to
+        # f_0 but four new subterms per level.
+        p, q, r = (m.mk_const(s, m.bool_sort) for s in "pqr")
+        f = p
+        for _ in range(self.DEPTH):
+            f = m.mk_or([m.mk_and([f, q]), m.mk_and([m.mk_not(f), p])])
+        root = m.mk_eq(r, f) if in_term_position else f
+        distinct = len(postorder([root]))
+        calls = 0
+        intern = TermManager._intern
+
+        def counted(manager, key, build):
+            nonlocal calls
+            calls += 1
+            return intern(manager, key, build)
+
+        monkeypatch.setattr(TermManager, "_intern", counted)
+        res = flatten(m, [root])
+        monkeypatch.undo()
+        assert calls <= 2 * distinct, (calls, distinct)
+        assert res.is_flat()
+        if in_term_position:
+            (fresh, named), = res.definitions.items()
+            assert named is f
+            assert res.formulas == [m.mk_eq(r, fresh), m.mk_implies(fresh, f),
+                                    m.mk_implies(f, fresh)]
+        else:
+            assert res.formulas == [f] and not res.definitions
 
 
 class TestConstants:
@@ -236,6 +282,16 @@ class TestDepth:
         f = m.mk_not(m.mk_eq(m.mk_select(chain, i), u))
         res = flatten(m, [f])
         assert res.formulas == [f] and not res.definitions
+        assert res.is_flat()
+
+    def test_deep_ite_chain_in_a_term_position(self, m, arr):
+        c = m.mk_const("c", m.bool_sort)
+        t, ites = arr["i"], []
+        for _ in range(self.DEPTH):
+            t = m.mk_ite(c, t, arr["j"])
+            ites.append(t)
+        res = flatten(m, [m.mk_eq(arr["u"], t)])
+        assert list(res.definitions.values()) == ites
         assert res.is_flat()
 
     def test_deep_boolean_in_a_term_position(self, m):

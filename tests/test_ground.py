@@ -9,7 +9,7 @@ from caext import (InternalError, OracleBounds, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
 from caext.ground import Interpretation, _eliminate, solve_ground
-from caext.terms import Kind, iter_subterms
+from caext.terms import Kind, postorder
 
 from helpers import (DEEP_CHAINS, deep_chain_text, ground_session,
                      random_instance)
@@ -251,7 +251,7 @@ class TestSparseTransitivity:
 
 def _has_array_eq(f):
     return any(t.kind is Kind.EQ and t.args[0].sort.is_array
-               for t in iter_subterms([f]))
+               for t in postorder([f]))
 
 
 class TestSession:

@@ -30,7 +30,6 @@ from caext import (
     eval_term,
     flatten,
     init_steps,
-    iter_subterms,
     oracle_solve,
     oracle_valid,
     propagate_fixpoint,

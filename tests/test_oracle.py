@@ -214,3 +214,30 @@ def test_deep_negation_chain():
     assert res.verdict == "sat" and res.model[p] == 1
     valid = oracle_valid(t)
     assert not valid.ok and valid.counterexample[p] == 0
+
+
+class TestWideValues:
+    """Values past 2^15 are held exactly, whatever the grid's size."""
+
+    def test_wide_constant_takes_every_value(self):
+        # 65,536 interpretations are inside the default bounds.
+        m = TermManager()
+        x = m.mk_const("x", m.bv_sort(16))
+        phi = [m.mk_eq(x, m.mk_value(x.sort, 0x9000))]
+        res = oracle_solve(phi)
+        assert res.verdict == "sat" and res.model[x] == 0x9000
+        assert oracle_solve_scalar(phi).model[x] == 0x9000
+
+    @pytest.mark.parametrize("width", [16, 32, 63])
+    def test_wide_literals_compare_exactly(self, width):
+        m = TermManager()
+        top, below = (m.mk_value(m.bv_sort(width), 2 ** width - k)
+                      for k in (1, 2))
+        assert oracle_solve([m.mk_eq(top, top)]).verdict == "sat"
+        assert oracle_solve([m.mk_eq(top, below)]).verdict == "unsat"
+
+    def test_values_past_64_bits_exceed_the_bounds(self):
+        m = TermManager()
+        top = m.mk_value(m.bv_sort(64), 2 ** 64 - 1)
+        with pytest.raises(BoundsExceeded, match="64-bit"):
+            oracle_solve([m.mk_eq(top, top)])

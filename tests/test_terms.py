@@ -4,9 +4,9 @@ import pytest
 
 from caext import (
     CaextError, Kind, SortMismatch, TermManager, domain_size,
-    free_constants, iter_subterms,
+    free_constants,
 )
-from caext.terms import MAX_BV_WIDTH
+from caext.terms import MAX_BV_WIDTH, postorder
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ class TestTraversal:
         i = m.mk_const("i", m.bv_sort(1))
         r = m.mk_select(a, i)
         e = m.mk_eq(r, m.mk_select(a, i))
-        order = list(iter_subterms([e]))
+        order = postorder([e])
         assert order.count(r) == 1
         assert order.index(a) < order.index(r) < order.index(e)
 
