@@ -27,9 +27,9 @@ from .errors import BoundsExceeded
 from .model import Model
 from .terms import Kind, Sort, Term, domain_size, postorder
 
-# The integer types a grid may hold its values in, narrowest first, each
-# with the widest bit-vector sort whose values it holds.
-_DTYPES = ((15, np.int16), (31, np.int32), (63, np.int64))
+# The integer type every grid value is held in; it holds every value of
+# a bit-vector sort up to 63 bits wide.
+_DTYPE = np.int64
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ def interpretation_count(assertions: Sequence[Term]) -> int:
     return _count(scalars + arrays)
 
 
-def _bounded_grid(assertions: Sequence[Term], bounds: OracleBounds
-                  ) -> _Grid:
-    """The grid of ``assertions``' interpretations; raises
-    :class:`BoundsExceeded` as `check_bounds` does."""
+def _bounded_constants(assertions: Sequence[Term], bounds: OracleBounds
+                       ) -> tuple[list[Term], list[Term]]:
+    """The scalar and the array constants of ``assertions``, each sorted
+    by name; raises :class:`BoundsExceeded` as `check_bounds` does."""
     scalars, arrays, array_sorts, width = _collect(assertions)
     if len(scalars) > bounds.max_free_constants:
         raise BoundsExceeded(
@@ -126,18 +126,17 @@ def _bounded_grid(assertions: Sequence[Term], bounds: OracleBounds
         raise BoundsExceeded(
             f"{total} interpretations exceed the ceiling of "
             f"{bounds.max_interpretations}")
-    dtype = next((d for bits, d in _DTYPES if width <= bits), None)
-    if dtype is None:
+    if width > 63:
         raise BoundsExceeded(
             f"{width}-bit values exceed the oracle's 64-bit integers")
-    return _Grid(scalars, arrays, dtype)
+    return scalars, arrays
 
 
 def check_bounds(assertions: Sequence[Term],
                  bounds: OracleBounds = DEFAULT_BOUNDS) -> None:
     """Raise :class:`BoundsExceeded` if the problem is too large to
     enumerate under ``bounds``."""
-    _bounded_grid(assertions, bounds)
+    _bounded_constants(assertions, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +149,11 @@ class _Grid:
     Scalar constants own one axis; an array constant owns one axis per
     table cell.  Axis order follows the name-sorted constant order, so a
     flat C-order index enumerates interpretations in the documented
-    order.  Values are held as ``dtype``, the narrowest integer type that
-    holds every value of every sort the problem uses.
+    order.
     """
 
-    def __init__(self, scalars: list[Term], arrays: list[Term], dtype):
+    def __init__(self, scalars: list[Term], arrays: list[Term]):
         self.scalars, self.arrays = scalars, arrays
-        self.dtype = dtype
         self.axes: list[int] = []          # domain size per axis
         self.scalar_axis: dict[Term, int] = {}
         self.array_axes: dict[Term, list[int]] = {}
@@ -200,9 +197,8 @@ class _Grid:
 class _VectorEval:
     """Evaluates terms over the whole interpretation grid at once.
 
-    Scalar-sorted terms evaluate to broadcastable arrays of the grid's
-    dtype (Bool as 0/1); array-sorted terms evaluate to a list of
-    per-cell arrays.
+    Scalar-sorted terms evaluate to broadcastable ``_DTYPE`` arrays (Bool
+    as 0/1); array-sorted terms evaluate to a list of per-cell arrays.
     """
 
     def __init__(self, grid: _Grid):
@@ -214,7 +210,7 @@ class _VectorEval:
         size = self.grid.axes[axis]
         shape = [1] * self.rank
         shape[axis] = size
-        return np.arange(size, dtype=self.grid.dtype).reshape(shape)
+        return np.arange(size, dtype=_DTYPE).reshape(shape)
 
     def scalar(self, t: Term) -> np.ndarray:
         v = self.cache[t]
@@ -235,24 +231,24 @@ class _VectorEval:
 
     def _value(self, t: Term):
         """The value of ``t`` from the cached values of its operands."""
-        k, dt = t.kind, self.grid.dtype
+        k = t.kind
         if k is Kind.CONSTANT:
             if t.sort.is_array:
                 v = [self._axis_values(a) for a in self.grid.array_axes[t]]
             else:
                 v = self._axis_values(self.grid.scalar_axis[t])
         elif k is Kind.VALUE:
-            v = dt(t.value)
+            v = _DTYPE(t.value)
         elif k is Kind.SELECT:
             table, idx = self.cells(t.array), self.scalar(t.index)
             acc = np.broadcast_arrays(table[0], idx)[0].copy()
             for cell, cell_vals in enumerate(table):
                 acc = np.where(idx == cell, cell_vals, acc)
-            v = acc.astype(dt)
+            v = acc.astype(_DTYPE)
         elif k is Kind.STORE:
             table, idx = self.cells(t.array), self.scalar(t.index)
             val = self.scalar(t.stored_value)
-            v = [np.where(idx == cell, val, old).astype(dt)
+            v = [np.where(idx == cell, val, old).astype(_DTYPE)
                  for cell, old in enumerate(table)]
         elif k is Kind.CONST_ARRAY:
             d = self.scalar(t.default)
@@ -260,14 +256,14 @@ class _VectorEval:
         elif k is Kind.EQ:
             left, right = t.args
             if left.sort.is_array:
-                acc = dt(1)
+                acc = _DTYPE(1)
                 for lc, rc in zip(self.cells(left), self.cells(right)):
                     acc = acc & (lc == rc)
-                v = acc.astype(dt) if isinstance(acc, np.ndarray) else acc
+                v = acc.astype(_DTYPE) if isinstance(acc, np.ndarray) else acc
             else:
-                v = (self.scalar(left) == self.scalar(right)).astype(dt)
+                v = (self.scalar(left) == self.scalar(right)).astype(_DTYPE)
         elif k is Kind.NOT:
-            v = dt(1) - self.scalar(t.args[0])
+            v = _DTYPE(1) - self.scalar(t.args[0])
         elif k is Kind.AND:
             acc = self.scalar(t.args[0])
             for a in t.args[1:]:
@@ -279,27 +275,27 @@ class _VectorEval:
                 acc = acc | self.scalar(a)
             v = acc
         elif k is Kind.IMPLIES:
-            v = (dt(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
+            v = (_DTYPE(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
         elif k is Kind.ITE:
             cond = self.scalar(t.args[0])
             v = np.where(cond != 0, self.scalar(t.args[1]),
                          self.scalar(t.args[2])) \
                 if not t.sort.is_array else [
-                    np.where(cond != 0, a, b).astype(dt)
+                    np.where(cond != 0, a, b).astype(_DTYPE)
                     for a, b in zip(self.cells(t.args[1]), self.cells(t.args[2]))]
             if not t.sort.is_array:
-                v = v.astype(dt)
+                v = v.astype(_DTYPE)
         elif k is Kind.DISTINCT_N:
             vals = [self.scalar(a) for a in t.args]
-            count = dt(0)
+            count = _DTYPE(0)
             for p, vp in enumerate(vals):
-                first = dt(1)
+                first = _DTYPE(1)
                 for q in range(p):
                     first = first & (vp != vals[q])
-                count = count + (first.astype(dt)
+                count = count + (first.astype(_DTYPE)
                                  if isinstance(first, np.ndarray) else first)
-            v = (count >= (t.n or 1)).astype(dt) \
-                if isinstance(count, np.ndarray) else dt(count >= (t.n or 1))
+            v = (count >= (t.n or 1)).astype(_DTYPE) \
+                if isinstance(count, np.ndarray) else _DTYPE(count >= (t.n or 1))
         else:  # pragma: no cover
             raise AssertionError(f"unhandled kind {k}")
         return v
@@ -309,7 +305,7 @@ def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
     """The conjunction of ``assertions`` at every grid position, flat in
     C order."""
     ev = _VectorEval(grid)
-    acc = grid.dtype(1)
+    acc = _DTYPE(1)
     for a in assertions:
         acc = acc & ev.eval(a)
     shape = tuple(grid.axes) if grid.axes else ()
@@ -327,7 +323,7 @@ def oracle_solve(assertions: Sequence[Term],
     Returns the first satisfying interpretation in enumeration order,
     or an unsat verdict after exhausting the space.
     """
-    grid = _bounded_grid(assertions, bounds)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     hits = np.flatnonzero(_vector_truth(assertions, grid))
     if hits.size == 0:
         return OracleResult("unsat", interpretations=grid.total)
@@ -340,7 +336,7 @@ def oracle_valid(formulas: Sequence[Term] | Term,
     interpretation; otherwise return the first counterexample."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    grid = _bounded_grid(formulas, bounds)
+    grid = _Grid(*_bounded_constants(formulas, bounds))
     misses = np.flatnonzero(_vector_truth(formulas, grid) == 0)
     if misses.size == 0:
         return ValidityResult(True)

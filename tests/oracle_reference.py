@@ -17,7 +17,7 @@ from typing import Sequence
 
 from caext import (Kind, Model, OracleResult, Term, ValidityResult,
                    domain_size, eval_term)
-from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_grid, _Grid
+from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_constants, _Grid
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def _holds(model: Model, assertions: Sequence[Term]) -> bool:
 def oracle_solve_scalar(assertions: Sequence[Term],
                         bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
     """:func:`caext.oracle_solve` by the scalar engine."""
-    grid = _bounded_grid(assertions, bounds)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     for model in _interpretations(grid):
         if _holds(model, assertions):
             return OracleResult("sat", model, grid.total)
@@ -56,7 +56,7 @@ def oracle_valid_scalar(formulas: Sequence[Term] | Term,
     """:func:`caext.oracle_valid` by the scalar engine."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    grid = _bounded_grid(formulas, bounds)
+    grid = _Grid(*_bounded_constants(formulas, bounds))
     for model in _interpretations(grid):
         if not _holds(model, formulas):
             return ValidityResult(False, model)
@@ -130,7 +130,7 @@ def oracle_solve_pointwise(assertions: Sequence[Term],
                            bounds: OracleBounds = DEFAULT_BOUNDS,
                            ) -> OracleResult:
     """:func:`caext.oracle_solve` by the pointwise evaluator."""
-    grid = _bounded_grid(assertions, bounds)
+    grid = _Grid(*_bounded_constants(assertions, bounds))
     for model in _interpretations(grid):
         if all(eval_pointwise(model, a) for a in assertions):
             return OracleResult("sat", model, grid.total)
