@@ -50,7 +50,6 @@ class CraftedParams:
     update_counts: tuple[int, ...]
     index_sort: Sort
     element_sort: Sort
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.z < 0:
@@ -116,7 +115,7 @@ def _sort_slug(sort: Sort) -> str:
 def crafted_filename(params: CraftedParams, *, quantified: bool = False) -> str:
     counts = "-".join(str(c) for c in params.update_counts)
     stem = (f"crafted_z{params.z}_{counts}_{_sort_slug(params.index_sort)}"
-            f"_{_sort_slug(params.element_sort)}_{params.seed}")
+            f"_{_sort_slug(params.element_sort)}")
     if quantified:
         stem += "_quantified"
     return stem + ".smt2"

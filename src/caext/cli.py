@@ -23,8 +23,7 @@ from typing import Optional, Sequence
 
 from .benchgen import CraftedParams, gen_fuzz, write_crafted
 from .engine import check_sat
-from .errors import (CaextError, IllDefinedModel, InternalError, ParseError,
-                     ResourceLimit)
+from .errors import CaextError, InternalError, ParseError, ResourceLimit
 from .model import Model, complete_model, eval_term, validate_model
 from .oracle import DEFAULT_BOUNDS, OracleBounds, oracle_solve
 from .parser import Script, parse
@@ -175,8 +174,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     manager = TermManager()
     params = CraftedParams(z, counts,
                            _parse_scalar_sort(manager, args.index_sort),
-                           _parse_scalar_sort(manager, args.element_sort),
-                           seed=args.seed)
+                           _parse_scalar_sort(manager, args.element_sort))
     path = write_crafted(params, args.out, quantified=args.quantified)
     print(path)
     return 0
@@ -225,7 +223,6 @@ def _build_parser() -> _ArgumentParser:
                           "constant-array terms")
     gen.add_argument("--index-sort", default="bv2")
     gen.add_argument("--element-sort", default="bool")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
     gen.set_defaults(run=_cmd_gen)
 
@@ -243,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (InternalError, IllDefinedModel) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError, CaextError) as exc:

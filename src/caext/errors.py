@@ -49,17 +49,17 @@ class UnassignedConstant(CaextError):
     its constants."""
 
 
-class UndefinedStep(CaextError):
+class InternalError(CaextError):
+    """An internal invariant of the solver was violated."""
+
+
+class UndefinedStep(InternalError):
     """A propagation-map entry was queried but never recorded."""
 
 
-class IllDefinedModel(CaextError):
+class IllDefinedModel(InternalError):
     """Model construction found two applicable cases that disagree.
 
     This cannot happen for a saturated configuration; raising it signals
     a bug in the propagation engine rather than in the input.
     """
-
-
-class InternalError(CaextError):
-    """An internal invariant of the solver was violated."""

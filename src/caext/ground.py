@@ -263,8 +263,7 @@ class GroundSession:
             return got
         w = _width(t.sort)
         if t.kind is Kind.VALUE:
-            v = t.value or 0
-            out = [self.true_lit if (v >> k) & 1 else -self.true_lit
+            out = [self.true_lit if (t.value >> k) & 1 else -self.true_lit
                    for k in range(w)]
         elif t.kind in (Kind.CONSTANT, Kind.SELECT):
             out = [self.sat.new_var() for _ in range(w)]
@@ -322,7 +321,7 @@ class GroundSession:
         return lit
 
     def distinct_lit(self, t: Term) -> int:
-        ts, n = list(t.args), t.n or 1
+        ts, n = list(t.args), t.n
         if n > len(ts):
             return -self.true_lit
         # first[i]: ts[i] differs from every earlier argument.

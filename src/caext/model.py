@@ -209,7 +209,7 @@ def _combine(t: Term, cache: dict) -> Value:
     if k is Kind.ITE:
         return cache[args[1]] if cache[args[0]] else cache[args[2]]
     if k is Kind.DISTINCT_N:
-        return int(len({cache[a] for a in args}) >= (t.n or 1))
+        return int(len({cache[a] for a in args}) >= t.n)
     raise AssertionError(f"unhandled kind {k}")  # pragma: no cover
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import BoundsExceeded
 from .model import Model
 from .terms import Kind, Sort, Term, domain_size, postorder
 
-# The integer type every grid value is held in; it holds every value of
-# a bit-vector sort up to 63 bits wide.
+# The integer type of every axis and literal value; it holds every value
+# of a bit-vector sort up to 63 bits wide.
 _DTYPE = np.int64
 
 
@@ -79,7 +80,7 @@ def _collect(assertions: Sequence[Term],
             width = max(width, t.sort.width)
         if t.sort.is_array:
             array_sorts[t.sort] = None
-    consts.sort(key=lambda c: c.name or "")
+    consts.sort(key=lambda c: c.name)
     scalars = [c for c in consts if not c.sort.is_array]
     arrays = [c for c in consts if c.sort.is_array]
     for c in scalars:
@@ -157,7 +158,7 @@ class _Grid:
         self.axes: list[int] = []          # domain size per axis
         self.scalar_axis: dict[Term, int] = {}
         self.array_axes: dict[Term, list[int]] = {}
-        order = sorted(self.scalars + self.arrays, key=lambda c: c.name or "")
+        order = sorted(self.scalars + self.arrays, key=lambda c: c.name)
         for c in order:
             if c.sort.is_array:
                 cells = domain_size(c.sort.index)
@@ -172,7 +173,7 @@ class _Grid:
 
     @property
     def total(self) -> int:
-        return math.prod(self.axes) if self.axes else 1
+        return math.prod(self.axes)
 
     def model_at(self, flat_index: int) -> Model:
         """Decode the interpretation at a flat C-order grid position."""
@@ -197,8 +198,9 @@ class _Grid:
 class _VectorEval:
     """Evaluates terms over the whole interpretation grid at once.
 
-    Scalar-sorted terms evaluate to broadcastable ``_DTYPE`` arrays (Bool
-    as 0/1); array-sorted terms evaluate to a list of per-cell arrays.
+    Scalar-sorted terms evaluate to broadcastable arrays: ``_DTYPE``
+    for bit-vectors, and numpy bool or 0/1 ``_DTYPE`` for Booleans;
+    array-sorted terms evaluate to a list of per-cell arrays.
     """
 
     def __init__(self, grid: _Grid):
@@ -212,104 +214,69 @@ class _VectorEval:
         shape[axis] = size
         return np.arange(size, dtype=_DTYPE).reshape(shape)
 
-    def scalar(self, t: Term) -> np.ndarray:
-        v = self.cache[t]
-        assert not isinstance(v, list)
-        return v  # type: ignore[return-value]
-
-    def cells(self, t: Term) -> list:
-        v = self.cache[t]
-        assert isinstance(v, list)
-        return v
-
     def eval(self, t: Term):
         """The value of ``t``, after caching that of each subterm."""
         cache = self.cache
         for x in postorder((t,), cache):
-            cache[x] = self._value(x)
+            cache[x] = self._value(x, [cache[a] for a in x.args])
         return cache[t]
 
-    def _value(self, t: Term):
-        """The value of ``t`` from the cached values of its operands."""
+    def _value(self, t: Term, ops: list):
+        """The value of ``t`` from the values ``ops`` of its operands."""
         k = t.kind
         if k is Kind.CONSTANT:
             if t.sort.is_array:
-                v = [self._axis_values(a) for a in self.grid.array_axes[t]]
-            else:
-                v = self._axis_values(self.grid.scalar_axis[t])
-        elif k is Kind.VALUE:
-            v = _DTYPE(t.value)
-        elif k is Kind.SELECT:
-            table, idx = self.cells(t.array), self.scalar(t.index)
-            acc = np.broadcast_arrays(table[0], idx)[0].copy()
-            for cell, cell_vals in enumerate(table):
-                acc = np.where(idx == cell, cell_vals, acc)
-            v = acc.astype(_DTYPE)
-        elif k is Kind.STORE:
-            table, idx = self.cells(t.array), self.scalar(t.index)
-            val = self.scalar(t.stored_value)
-            v = [np.where(idx == cell, val, old).astype(_DTYPE)
-                 for cell, old in enumerate(table)]
-        elif k is Kind.CONST_ARRAY:
-            d = self.scalar(t.default)
-            v = [d] * domain_size(t.sort.index)
-        elif k is Kind.EQ:
-            left, right = t.args
-            if left.sort.is_array:
-                acc = _DTYPE(1)
-                for lc, rc in zip(self.cells(left), self.cells(right)):
-                    acc = acc & (lc == rc)
-                v = acc.astype(_DTYPE) if isinstance(acc, np.ndarray) else acc
-            else:
-                v = (self.scalar(left) == self.scalar(right)).astype(_DTYPE)
-        elif k is Kind.NOT:
-            v = _DTYPE(1) - self.scalar(t.args[0])
-        elif k is Kind.AND:
-            acc = self.scalar(t.args[0])
-            for a in t.args[1:]:
-                acc = acc & self.scalar(a)
-            v = acc
-        elif k is Kind.OR:
-            acc = self.scalar(t.args[0])
-            for a in t.args[1:]:
-                acc = acc | self.scalar(a)
-            v = acc
-        elif k is Kind.IMPLIES:
-            v = (_DTYPE(1) - self.scalar(t.args[0])) | self.scalar(t.args[1])
-        elif k is Kind.ITE:
-            cond = self.scalar(t.args[0])
-            v = np.where(cond != 0, self.scalar(t.args[1]),
-                         self.scalar(t.args[2])) \
-                if not t.sort.is_array else [
-                    np.where(cond != 0, a, b).astype(_DTYPE)
-                    for a, b in zip(self.cells(t.args[1]), self.cells(t.args[2]))]
+                return [self._axis_values(a) for a in self.grid.array_axes[t]]
+            return self._axis_values(self.grid.scalar_axis[t])
+        if k is Kind.VALUE:
+            return _DTYPE(t.value)
+        if k is Kind.SELECT:
+            table, idx = ops
+            acc = table[0]
+            for cell in range(1, len(table)):
+                acc = np.where(idx == cell, table[cell], acc)
+            return acc
+        if k is Kind.STORE:
+            table, idx, val = ops
+            return [np.where(idx == cell, val, old)
+                    for cell, old in enumerate(table)]
+        if k is Kind.CONST_ARRAY:
+            return ops * domain_size(t.sort.index)
+        if k is Kind.EQ:
+            left, right = ops
+            if not t.args[0].sort.is_array:
+                return left == right
+            return reduce(np.logical_and,
+                          (lc == rc for lc, rc in zip(left, right)))
+        if k is Kind.NOT:
+            return np.logical_not(ops[0])
+        if k is Kind.AND:
+            return reduce(np.logical_and, ops)
+        if k is Kind.OR:
+            return reduce(np.logical_or, ops)
+        if k is Kind.IMPLIES:
+            return np.logical_or(np.logical_not(ops[0]), ops[1])
+        if k is Kind.ITE:
+            cond, then, els = ops
             if not t.sort.is_array:
-                v = v.astype(_DTYPE)
-        elif k is Kind.DISTINCT_N:
-            vals = [self.scalar(a) for a in t.args]
-            count = _DTYPE(0)
-            for p, vp in enumerate(vals):
-                first = _DTYPE(1)
-                for q in range(p):
-                    first = first & (vp != vals[q])
-                count = count + (first.astype(_DTYPE)
-                                 if isinstance(first, np.ndarray) else first)
-            v = (count >= (t.n or 1)).astype(_DTYPE) \
-                if isinstance(count, np.ndarray) else _DTYPE(count >= (t.n or 1))
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled kind {k}")
-        return v
+                return np.where(cond, then, els)
+            return [np.where(cond, a, b) for a, b in zip(then, els)]
+        if k is Kind.DISTINCT_N:
+            # the number of operands that differ from every earlier one
+            count = 0
+            for p, vp in enumerate(ops):
+                count = count + reduce(np.logical_and,
+                                       (vp != vq for vq in ops[:p]), True)
+            return count >= t.n
+        raise AssertionError(f"unhandled kind {k}")  # pragma: no cover
 
 
 def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
     """The conjunction of ``assertions`` at every grid position, flat in
     C order."""
     ev = _VectorEval(grid)
-    acc = _DTYPE(1)
-    for a in assertions:
-        acc = acc & ev.eval(a)
-    shape = tuple(grid.axes) if grid.axes else ()
-    return np.broadcast_to(acc, shape).reshape(-1)
+    acc = reduce(np.logical_and, map(ev.eval, assertions), True)
+    return np.broadcast_to(acc, tuple(grid.axes)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,18 @@ be declared.  All diagnostics carry a line:column location.
 One regular expression takes the tokens; the delimiters are ``(``,
 ``)``, space, tab, carriage return and newline, and a comment runs
 from ``;`` to the end of the line.  Each top-level form is built in
-one loop over the tokens, and sorts, terms and commands are built from
-the forms on explicit stacks, so nesting depth is bounded by memory,
-not by Python's recursion limit.  A node keeps the index of its first
-token; its line:column is computed from the text only when a
-diagnostic names it.
+one loop over the tokens and read into the script at once; sorts and
+terms are built from the forms on explicit stacks, so nesting depth is
+bounded by memory, not by Python's recursion limit.  A node keeps the
+index of its first token; its line:column is computed from the text
+only when a diagnostic names it.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Iterator, Optional, Union
@@ -103,85 +103,24 @@ class Source:
 
 
 # ---------------------------------------------------------------------------
-# Commands
-
-
-@dataclass
-class SetLogic:
-    name: str
-
-
-@dataclass
-class DeclareConst:
-    constant: Term
-
-
-@dataclass
-class DefineFun:
-    constant: Term
-    body: Term
-
-
-@dataclass
-class Assert:
-    term: Term
-
-
-@dataclass
-class CheckSat:
-    pass
-
-
-@dataclass
-class GetModel:
-    pass
-
-
-@dataclass
-class Exit:
-    pass
-
-
-Command = Union[SetLogic, DeclareConst, DefineFun, Assert, CheckSat,
-                GetModel, Exit]
+# Scripts
 
 
 @dataclass
 class Script:
-    """An ordered command sequence sharing one term manager."""
+    """What a script declares, defines and asserts, in one term manager.
 
-    commands: list[Command]
+    ``assertions`` holds the asserted terms in command order, each
+    definition read as the equality of its constant and its body;
+    ``declared`` and ``defined`` hold the declared constants and each
+    defined constant's body, in command order."""
+
     manager: TermManager
-
-    @property
-    def assertions(self) -> list[Term]:
-        """The asserted terms in command order, each definition read as
-        the equality of its constant and its body."""
-        out = []
-        for c in self.commands:
-            if isinstance(c, Assert):
-                out.append(c.term)
-            elif isinstance(c, DefineFun):
-                out.append(self.manager.mk_eq(c.constant, c.body))
-        return out
-
-    @property
-    def declared(self) -> list[Term]:
-        return [c.constant for c in self.commands
-                if isinstance(c, DeclareConst)]
-
-    @property
-    def defined(self) -> dict[Term, Term]:
-        return {c.constant: c.body for c in self.commands
-                if isinstance(c, DefineFun)}
-
-    @property
-    def has_check_sat(self) -> bool:
-        return any(isinstance(c, CheckSat) for c in self.commands)
-
-    @property
-    def wants_model(self) -> bool:
-        return any(isinstance(c, GetModel) for c in self.commands)
+    assertions: list[Term] = field(default_factory=list)
+    declared: list[Term] = field(default_factory=list)
+    defined: dict[Term, Term] = field(default_factory=dict)
+    has_check_sat: bool = False
+    wants_model: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -397,42 +336,58 @@ class _Parser:
 
     # -- commands -------------------------------------------------------
 
-    def command(self, node: Tree) -> Command:
+    def command(self, node: Tree, script: Script) -> bool:
+        """Read one command into ``script``; False at ``exit``, which
+        ends the script.  The command is read before the rules on what
+        may follow ``check-sat`` are applied."""
         if node.__class__ is int or len(node) == 1 \
                 or node[1].__class__ is not int:
             self._err(node, "expected a command")
         head = self.tokens[node[1]]
         args = node[2:]
-
-        if head == "set-logic":
-            if len(args) != 1 or args[0].__class__ is not int:
-                self._err(node, "set-logic takes one symbol")
-            return SetLogic(self.tokens[args[0]])
         if head in ("declare-const", "declare-fun", "define-fun"):
-            return self._declaration(node, head, args)
-        if head == "assert":
+            const, body = self._declaration(node, head, args)
+        elif head == "assert":
             if len(args) != 1:
                 self._err(node, "assert takes one term")
-            term = self.term(args[0])
-            if not term.sort.is_bool:
+            body = self.term(args[0])
+            if not body.sort.is_bool:
                 self._err(args[0], "assertion must be Boolean", SortError)
-            return Assert(term)
-        if head == "check-sat":
+        elif head == "set-logic":
+            if len(args) != 1 or args[0].__class__ is not int:
+                self._err(node, "set-logic takes one symbol")
+        elif head in ("check-sat", "get-model", "exit"):
             if args:
-                self._err(node, "check-sat takes no arguments")
-            return CheckSat()
-        if head == "get-model":
-            if args:
-                self._err(node, "get-model takes no arguments")
-            return GetModel()
-        if head == "exit":
-            if args:
-                self._err(node, "exit takes no arguments")
-            return Exit()
-        self._err(node, f"unknown command {head!r}")
-        raise AssertionError  # unreachable
+                self._err(node, f"{head} takes no arguments")
+        else:
+            self._err(node, f"unknown command {head!r}")
 
-    def _declaration(self, node: list, head: str, args: list) -> Command:
+        if head == "exit":
+            return False
+        if head == "get-model":
+            if not script.has_check_sat:
+                self._err(node, "get-model before check-sat")
+            script.wants_model = True
+        elif script.has_check_sat:
+            self._err(node, "only one check-sat is supported"
+                      if head == "check-sat"
+                      else f"{head} after check-sat: only get-model and "
+                           "exit may follow it")
+        elif head == "check-sat":
+            script.has_check_sat = True
+        elif head == "assert":
+            script.assertions.append(body)
+        elif head == "define-fun":
+            script.defined[const] = body
+            script.assertions.append(self.m.mk_eq(const, body))
+        elif head != "set-logic":
+            script.declared.append(const)
+        return True
+
+    def _declaration(self, node: list, head: str,
+                     args: list) -> tuple[Term, Optional[Term]]:
+        """The constant a declaration or definition names, and the
+        definition's body (None for a declaration)."""
         takes_params = head in ("declare-fun", "define-fun")
         want = 3 if head == "declare-fun" else (4 if head == "define-fun" else 2)
         if len(args) != want:
@@ -464,29 +419,17 @@ class _Parser:
                           f"body sort {body.sort!r} does not match "
                           f"declared {sort!r}", SortError)
         const = self.scope[name] = self.m.mk_const(name, sort)
-        return DeclareConst(const) if body is None else DefineFun(const, body)
+        return const, body
 
 
 def parse(text: str, manager: Optional[TermManager] = None) -> Script:
     """Parse an SMT-LIB script; raises :class:`ParseError` (or a
     subclass) with a source location on any problem.  ``exit`` ends
     the script: nothing after it is read."""
-    m = manager if manager is not None else TermManager()
     source = Source(text)
-    p = _Parser(m, source)
-    commands: list[Command] = []
-    seen_check = False
+    script = Script(manager if manager is not None else TermManager())
+    p = _Parser(script.manager, source)
     for node in source.read_sexprs():
-        cmd = p.command(node)
-        commands.append(cmd)
-        if isinstance(cmd, Exit):
+        if not p.command(node, script):
             break
-        if seen_check and not isinstance(cmd, GetModel):
-            p._err(node, "only one check-sat is supported"
-                   if isinstance(cmd, CheckSat)
-                   else f"{p.tokens[node[1]]} after check-sat: only "
-                        "get-model and exit may follow it")
-        if isinstance(cmd, GetModel) and not seen_check:
-            p._err(node, "get-model before check-sat")
-        seen_check = seen_check or isinstance(cmd, CheckSat)
-    return Script(commands, m)
+    return script

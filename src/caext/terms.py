@@ -14,6 +14,7 @@ bit-vector.
 from __future__ import annotations
 
 from enum import Enum, auto
+from operator import is_
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import CaextError, SortMismatch
@@ -177,12 +178,12 @@ def _render(t: Term) -> str:
             continue
         k = x.kind
         if k is Kind.CONSTANT:
-            out.append(x.name or "?")
+            out.append(x.name)
         elif k is Kind.VALUE:
             if x.sort.is_bool:
                 out.append("true" if x.value else "false")
             else:
-                out.append("#b" + format(x.value or 0, f"0{x.sort.width}b"))
+                out.append("#b" + format(x.value, f"0{x.sort.width}b"))
         elif k is Kind.CONST_ARRAY:
             out.append(f"((as const {x.sort!r}) ")
             stack += (")", x.args[0])
@@ -482,42 +483,13 @@ def free_constants(roots: Iterable[Term]) -> list[Term]:
 
 def substitute(manager: "TermManager", term: Term,
                mapping: "dict[Term, Term]") -> Term:
-    """Rebuild ``term`` with every mapped subterm replaced.
+    """Rebuild ``term`` with every mapped subterm replaced by its image.
 
-    Replacement is applied recursively: if a replacement itself contains
-    mapped subterms they are replaced too, so chained definitions
-    resolve fully.  The mapping must therefore be acyclic.
-    """
-    cache: dict[Term, Term] = {}
-    # Each entry is a term and the position of its next operand to
-    # rebuild; a mapped term's only operand is its target.  Operands are
-    # rebuilt left to right before their term, so terms are made in the
-    # order of a recursive walk.  No term is on the stack twice.
-    stack: list[tuple[Term, int]] = [(term, 0)]
-    while stack:
-        t, pos = stack[-1]
-        target = mapping.get(t)
-        todo = t.args if target is None else (target,)
-        while pos < len(todo):
-            c = todo[pos]
-            if c not in cache:
-                if c.args or c in mapping:
-                    break
-                cache[c] = c
-            pos += 1
-        if pos < len(todo):
-            stack[-1] = (t, pos)
-            stack.append((todo[pos], 0))
-            continue
-        stack.pop()
-        if target is not None:
-            result = cache[target]
-        else:
-            children = [cache[c] for c in t.args]
-            if all(c is old for c, old in zip(children, t.args)):
-                result = t
-            else:
-                result = manager.mk_term(t.kind, children, name=t.name,
-                                         sort=t.sort, value=t.value, n=t.n)
-        cache[t] = result
-    return cache[term]
+    Images are taken as they are, not rewritten in turn, and a term
+    whose operands all come back unchanged is kept."""
+    image = dict(mapping)
+    for t in postorder((term,), mapping):
+        args = [image[c] for c in t.args]
+        image[t] = t if all(map(is_, args, t.args)) else \
+            manager.mk_term(t.kind, args, sort=t.sort, n=t.n)
+    return image[term]

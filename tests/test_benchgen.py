@@ -32,11 +32,11 @@ from caext.parser import Source
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
 
-def params(z, counts, idx_width=2, elem="bool", seed=0):
+def params(z, counts, idx_width=2, elem="bool"):
     m = TermManager()
     elem_sort = m.bool_sort if elem == "bool" else m.bv_sort(int(elem[2:]))
     return m, CraftedParams(z, tuple(counts), m.bv_sort(idx_width),
-                            elem_sort, seed)
+                            elem_sort)
 
 
 def count_kind(assertions, kind):
@@ -138,13 +138,13 @@ class TestCraftedShape:
 
 class TestFileNaming:
     def test_native_name(self):
-        _, p = params(1, (1, 1, 1), seed=7)
-        assert crafted_filename(p) == "crafted_z1_1-1-1_bv2_bool_7.smt2"
+        _, p = params(1, (1, 1, 1))
+        assert crafted_filename(p) == "crafted_z1_1-1-1_bv2_bool.smt2"
 
     def test_quantified_name(self):
-        _, p = params(2, (2, 1, 1, 2), elem="bv1", seed=3)
+        _, p = params(2, (2, 1, 1, 2), elem="bv1")
         assert crafted_filename(p, quantified=True) == \
-            "crafted_z2_2-1-1-2_bv2_bv1_3_quantified.smt2"
+            "crafted_z2_2-1-1-2_bv2_bv1_quantified.smt2"
 
     def test_write_native_roundtrips_through_the_parser(self, tmp_path):
         _, p = params(1, (1, 1, 1))

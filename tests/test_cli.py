@@ -9,7 +9,7 @@ import pytest
 import caext
 from caext import Kind
 from caext.cli import main
-from caext.errors import ResourceLimit
+from caext.errors import IllDefinedModel, ResourceLimit, UndefinedStep
 from caext.flatten import flatten
 from caext.terms import MAX_BV_WIDTH, postorder
 
@@ -250,6 +250,20 @@ class TestSolve:
         assert main(["solve", str(path)]) == 3
         assert "resource limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [UndefinedStep, IllDefinedModel])
+    def test_engine_invariant_failure_maps_to_exit_2(self, tmp_path, capsys,
+                                                     monkeypatch, error):
+        import caext.cli as cli_module
+
+        def boom(*args, **kwargs):
+            raise error("engine invariant broken")
+
+        monkeypatch.setattr(cli_module, "check_sat", boom)
+        path = chain_file(tmp_path)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "internal error: engine invariant broken\n"
+
 
 class TestValidate:
     def test_wrong_model_names_failing_assertion(self, tmp_path, capsys):
@@ -362,7 +376,7 @@ class TestGen:
         assert main(["gen", "--crafted", "1,1,1,1",
                      "--out", str(tmp_path)]) == 0
         written = capsys.readouterr().out.strip()
-        assert written.endswith("crafted_z1_1-1-1_bv2_bool_0.smt2")
+        assert Path(written).name == "crafted_z1_1-1-1_bv2_bool.smt2"
         assert main(["solve", written]) == 0
         assert capsys.readouterr().out == "sat\n"
 
@@ -375,10 +389,13 @@ class TestGen:
         assert "as const" not in text
         assert text.count("forall") == 2
 
-    def test_seed_lands_in_filename(self, tmp_path, capsys):
+    def test_seed_option_is_gone(self, tmp_path, capsys):
+        # a crafted instance does not depend on a seed, so gen takes none
         assert main(["gen", "--crafted", "0,0,0", "--seed", "7",
-                     "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.strip().endswith("_7.smt2")
+                     "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "usage error" in out.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_shape_rejected(self, tmp_path, capsys):
         assert main(["gen", "--crafted", "2,1,1",

@@ -7,9 +7,7 @@ from caext import (
     UnknownSymbolError, eval_term,
 )
 from caext.benchgen import gen_fuzz
-from caext.parser import (
-    Assert, CheckSat, DeclareConst, DefineFun, GetModel, SetLogic, parse,
-)
+from caext.parser import parse
 from caext.printer import (
     array_value_term, format_value, print_model, print_script, print_term,
 )
@@ -30,7 +28,8 @@ class TestParseBasics:
         assert x.sort.is_bool
         assert y.sort.is_bitvec and y.sort.width == 3
         assert a.sort.is_array and a.sort.index.width == 2
-        assert isinstance(s.commands[0], SetLogic)
+        # set-logic and declarations assert and define nothing
+        assert s.assertions == [] and s.defined == {}
 
     def test_const_array_surface_syntax(self):
         s = parse("""
@@ -267,8 +266,9 @@ class TestReader:
 class TestDeclareAndDefineFun:
     def test_declare_fun_zero_arity(self):
         s = parse("(declare-fun x () (_ BitVec 2))")
-        assert isinstance(s.commands[0], DeclareConst)
-        assert s.declared[0].sort.width == 2
+        x, = s.declared
+        assert x.sort.width == 2
+        assert s.assertions == [] and s.defined == {}
 
     def test_declare_fun_with_params_rejected(self):
         with pytest.raises(ParseError, match="zero parameters"):
@@ -276,9 +276,27 @@ class TestDeclareAndDefineFun:
 
     def test_define_fun_model_entry(self):
         s = parse("(define-fun x () (_ BitVec 2) #b10)")
-        cmd = s.commands[0]
-        assert isinstance(cmd, DefineFun)
-        assert cmd.body.value == 2
+        (x, body), = s.defined.items()
+        assert body.value == 2
+        assert s.declared == []
+        assert s.assertions == [s.manager.mk_eq(x, body)]
+
+    def test_definitions_and_assertions_interleave(self):
+        s = parse("(declare-const p Bool)\n"
+                  "(define-fun x () Bool (not p))\n"
+                  "(assert x)\n"
+                  "(define-fun y () Bool (and p x))\n"
+                  "(assert (or x y))\n"
+                  "(check-sat)\n(get-model)")
+        m = s.manager
+        p, x, y = (m.lookup_const(n) for n in "pxy")
+        assert s.declared == [p]
+        assert s.defined == {x: m.mk_not(p), y: m.mk_and([p, x])}
+        assert list(s.defined) == [x, y]
+        assert s.assertions == [m.mk_eq(x, m.mk_not(p)), x,
+                                m.mk_eq(y, m.mk_and([p, x])),
+                                m.mk_or([x, y])]
+        assert s.has_check_sat and s.wants_model
 
     def test_define_fun_sort_mismatch(self):
         with pytest.raises(SortError, match="does not match"):

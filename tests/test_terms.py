@@ -4,7 +4,7 @@ import pytest
 
 from caext import (
     CaextError, Kind, SortMismatch, TermManager, domain_size,
-    free_constants,
+    free_constants, substitute,
 )
 from caext.terms import MAX_BV_WIDTH, postorder
 
@@ -184,3 +184,26 @@ class TestTraversal:
         y = m.mk_const("y", m.bool_sort)
         f = m.mk_and([m.mk_eq(y, x), m.mk_not(x)])
         assert free_constants([f]) == [y, x]
+
+
+class TestSubstitute:
+    def test_mapped_terms_take_their_images(self, m):
+        asort = m.array_sort(m.bv_sort(2), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        i, j = m.mk_const("i", m.bv_sort(2)), m.mk_const("j", m.bv_sort(2))
+        x = m.mk_const("x", m.bool_sort)
+        f = m.mk_and([m.mk_select(m.mk_store(a, i, x), j), m.mk_not(x)])
+        g = substitute(m, f, {a: b, x: m.true_term})
+        assert g is m.mk_and([m.mk_select(m.mk_store(b, i, m.true_term), j),
+                              m.mk_not(m.true_term)])
+        assert substitute(m, f, {f: x}) is x
+
+    def test_unchanged_terms_are_kept(self, m):
+        x, y = m.mk_const("x", m.bool_sort), m.mk_const("y", m.bool_sort)
+        f = m.mk_or([x, m.mk_not(x)])
+        assert substitute(m, f, {y: x}) is f
+        assert substitute(m, f, {}) is f
+
+    def test_images_are_not_rewritten(self, m):
+        x, y, z = (m.mk_const(n, m.bool_sort) for n in "xyz")
+        assert substitute(m, m.mk_not(x), {x: y, y: z}) is m.mk_not(y)
