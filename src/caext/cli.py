@@ -40,12 +40,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _digits(text: str) -> Optional[int]:
+    """The non-negative integer that ``text`` spells in ASCII digits, or
+    None if it spells none or has more digits than int() reads."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def _natural(text: str) -> int:
     """An argparse type: a non-negative integer."""
-    if not text.isdecimal():
+    n = _digits(text)
+    if n is None:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return n
 
 
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
@@ -79,11 +91,12 @@ def _parse_bounds(text: Optional[str]) -> OracleBounds:
     updates = {}
     for part in text.split(","):
         key, sep, val = part.partition("=")
-        if not sep or key not in fields or not val.isdecimal():
+        n = _digits(val)
+        if not sep or key not in fields or n is None:
             raise _UsageError(
                 f"bad bounds entry {part!r}; use field=n with n >= 0 and "
                 "fields " + ", ".join(sorted(fields)))
-        updates[key] = int(val)
+        updates[key] = n
     return dataclasses.replace(DEFAULT_BOUNDS, **updates)
 
 
@@ -166,11 +179,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    raw = args.crafted.split(",")
-    if not all(p.lstrip("-").isdecimal() for p in raw) or len(raw) < 3:
+    parts = [_digits(p) for p in args.crafted.split(",")]
+    if None in parts or len(parts) < 3:
         raise _UsageError(
-            "--crafted wants z,count,...: z followed by z+2 chain lengths")
-    z, counts = int(raw[0]), tuple(int(p) for p in raw[1:])
+            "--crafted wants z,count,...: z followed by z+2 chain lengths, "
+            "each a non-negative integer")
+    z, *counts = parts
     manager = TermManager()
     params = CraftedParams(z, counts,
                            _parse_scalar_sort(manager, args.index_sort),

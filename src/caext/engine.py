@@ -30,10 +30,10 @@ once.  Each candidate is one table of scalar values and array equality
 truths, which propagation, the conflict scan and the model read
 (:class:`caext.ground.Interpretation`); only lemmas are evaluated.
 
-Propagation records facts in the order of a fixed-order scan that
-restarts after every new one, so the same candidate always yields the
-same facts in the same order (reads crossing stores resume at a cursor
-where a restart would find nothing new).  Each step carries what later
+Propagation records facts in a fixed priority order, each priority
+walking the facts recorded so far with one forward cursor, so the same
+candidate always yields the same facts in the same order and the store
+graph is walked once, never rescanned.  Each step carries what later
 phases need from it, as Christ & Hoenicke ("Weakly equivalent arrays",
 FroCoS 2015) carry the crossed indices along each hop of a store
 graph: a read step its index value, a default step the set of index
@@ -113,14 +113,16 @@ class Configuration(FormulaIndex):
     at another index value.  :meth:`set_step` enforces all five.
 
     :meth:`set_step` also records what later phases read off a step, in
-    recording order: ``read_steps`` holds ``(destination, read, index
-    value)``, and ``default_steps`` maps ``(destination, constant
-    array)`` to ``(blocked index values, index domain size)``.  A
-    default's blocked set is empty at its starting point, the source's
-    set across an equality, and the source's set plus the crossed
-    store's index value across a store, so it equals the values of the
-    store indices on the recorded path.  Values and atom truths are
-    read off the table ``interp.values``.
+    recording order: ``step_keys`` lists every key, ``read_steps``
+    holds ``(destination, read, index value)``, ``default_keys`` lists
+    the keys of the default steps, and ``default_steps`` maps
+    ``(destination, constant array)`` to ``(blocked index values, index
+    domain size)``.  The lists give propagation's cursors a position to
+    resume at.  A default's blocked set is empty at its starting point,
+    the source's set across an equality, and the source's set plus the
+    crossed store's index value across a store, so it equals the values
+    of the store indices on the recorded path.  Values and atom truths
+    are read off the table ``interp.values``.
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
@@ -132,7 +134,9 @@ class Configuration(FormulaIndex):
         # kept across resets, so each atom gets at most one
         self.witnessed: set[Term] = set()
         # filled per candidate by `set_step`
+        self.step_keys: list[tuple[Term, Term]] = []
         self.read_steps: list[tuple[Term, Term, int]] = []
+        self.default_keys: list[tuple[Term, Term]] = []
         self.default_steps: dict[tuple[Term, Term],
                                  tuple[frozenset[int], int]] = {}
 
@@ -179,7 +183,9 @@ class Configuration(FormulaIndex):
                 blocked, size = self.default_steps[(source, t)]
                 if crossed is not None:
                     blocked = blocked | {values[crossed]}
+            self.default_keys.append(key)
             self.default_steps[key] = (blocked, size)
+        self.step_keys.append(key)
         self.steps[key] = (reason, source)
 
     def reset(self) -> None:
@@ -188,7 +194,9 @@ class Configuration(FormulaIndex):
         stay."""
         self.interp = None
         self.steps.clear()
+        self.step_keys.clear()
         self.read_steps.clear()
+        self.default_keys.clear()
         self.default_steps.clear()
 
 
@@ -265,71 +273,60 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
 
     Rules are tried in a fixed priority: reads crossing stores first,
     then copies across equalities that hold under the interpretation,
-    then defaults crossing stores; within one priority, entries are
-    visited in the order they were recorded, and each entry tries its
-    neighbours in formula order.  The steps come out in the order of a
-    scan that restarts at the first entry after every new step, which
-    makes saturation deterministic.
+    then defaults crossing stores.  Each priority walks its entries in
+    recording order (``cfg.read_steps``, ``cfg.step_keys``,
+    ``cfg.default_keys``) with one forward cursor, and each entry tries
+    its neighbours in formula order through the adjacency maps (`hops`,
+    `eqs_at`).  A read or a default tests a store hop with the index
+    value or blocked set its entry carries, and records no reason; a
+    copy needs its atom's truth in ``cfg.interp.values`` to be 1.
+    Priority 1 records every hop of its entry in one pass; priorities 2
+    and 3 record one step, then return to priority 1.  A cursor leaves
+    its entry only after a pass over it records nothing.
 
-    A scan reaches an entry's neighbours through the adjacency maps
-    (`hops`, `eqs_at`).  Priorities 1 and 3 walk ``cfg.read_steps`` and
-    ``cfg.default_steps``, which `set_step` extends, and test a hop with
-    the index value or blocked set its entry carries; a store crossing
-    records no reason and makes no term.  Priority 2 copies across the
-    atoms whose truth in ``cfg.interp.values`` is 1.
-
-    Priority 1 resumes at one forward cursor into ``cfg.read_steps``
-    instead of restarting.  Within one saturation the values are fixed,
-    `hops` does not grow and ``cfg.steps`` only grows, so a hop an entry
-    cannot cross now it never crosses later: one pass over an entry's
-    hops records every step a restart would record there, in the same
-    order.  Entries that priority 2 appends land past the cursor.
-    Priorities 2 and 3 walk dicts, which offer no positional resume,
-    so they restart after every new step (:func:`_restart_scan`).
+    Within one saturation the values are fixed, the adjacency maps do
+    not grow and ``cfg.steps`` only grows, so a rule that cannot fire
+    at an entry never fires there later.  The steps thus come out in
+    the order of a scan that restarts at the first entry after every
+    new step, which makes saturation deterministic, at a cost linear in
+    the steps recorded.
     """
-    steps, hops, values = cfg.steps, cfg.hops, cfg.interp.values
-    reads = cfg.read_steps
-    # An index, not a list iterator: an exhausted iterator would not see
-    # the entries that priority 2 appends later.
-    cursor = 0
+    steps, hops, eqs_at = cfg.steps, cfg.hops, cfg.eqs_at
+    values = cfg.interp.values
+    reads, keys, defaults = cfg.read_steps, cfg.step_keys, cfg.default_keys
+    # Indices, not iterators: an exhausted iterator misses later entries.
+    r = k = d = 0
     while True:
-        # Priority 1: reads cross stores whose updated index differs.
-        while cursor < len(reads):
-            dest, t, v = reads[cursor]
-            cursor += 1
+        if r < len(reads):
+            # Priority 1: reads cross stores whose updated index differs.
+            dest, t, v = reads[r]
+            r += 1
             for other, s in hops.get(dest, ()):
                 if (other, t) not in steps and v != values[s.index]:
                     cfg.set_step(other, t, None, dest)
-        if not _restart_scan(cfg):
+        elif k < len(keys):
+            # Priority 2: anything propagated copies across a true equality.
+            dest, t = keys[k]
+            for e, other in eqs_at.get(dest, ()):
+                if values[e] and (other, t) not in steps:
+                    cfg.set_step(other, t, e, dest)
+                    break
+            else:
+                k += 1
+        elif d < len(defaults):
+            # Priority 3: defaults cross stores while a cell off the
+            # updated indices still exists.
+            dest, t = defaults[d]
+            blocked, size = cfg.default_steps[(dest, t)]
+            for other, s in hops.get(dest, ()):
+                if (other, t) not in steps and \
+                        len(blocked) + (values[s.index] not in blocked) < size:
+                    cfg.set_step(other, t, None, dest)
+                    break
+            else:
+                d += 1
+        else:
             return cfg
-
-
-def _restart_scan(cfg: Configuration) -> bool:
-    """Record the first step that priority 2 or 3 can make, scanning
-    from the first entry, if any.  The loops stop at the step they
-    record, so they may iterate over the live maps."""
-    steps = cfg.steps
-
-    # Priority 2: anything propagated copies across a true equality.
-    eqs_at, values = cfg.eqs_at, cfg.interp.values
-    for dest, t in steps:
-        for e, other in eqs_at.get(dest, ()):
-            if values[e] and (other, t) not in steps:
-                cfg.set_step(other, t, e, dest)
-                return True
-
-    # Priority 3: defaults cross stores while a cell off the updated
-    # indices still exists.
-    hops = cfg.hops
-    for (dest, t), (blocked, size) in cfg.default_steps.items():
-        for other, s in hops.get(dest, ()):
-            if (other, t) in steps:
-                continue
-            if len(blocked) + (values[s.index] not in blocked) < size:
-                cfg.set_step(other, t, None, dest)
-                return True
-
-    return False
 
 
 # ---------------------------------------------------------------------------

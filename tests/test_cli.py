@@ -476,12 +476,24 @@ class TestGen:
     # a superscript two passes str.isdigit() but int() rejects it
     ["gen", "--crafted", "0,0,\u00b2"],
     ["gen", "--crafted", "0,0,0", "--index-sort", "bv\u00b2"],
+    # a leading "--" is not a sign
+    ["gen", "--crafted", "0,--5,2"],
+    # int() reads at most 4,300 digits
+    ["gen", "--crafted", "0," + "9" * 5000 + ",2"],
+    ["fuzz", "--bounds", "max_index_domain=" + "9" * 5000],
+    ["fuzz", "--count", "9" * 5000],
+    # an Arabic-Indic three is a decimal digit to str and to int()
+    ["gen", "--crafted", "0,\u0663,2"],
+    ["fuzz", "--count", "\u0663"],
+    ["fuzz", "--count", "1", "--bounds", "max_index_domain=\u0663"],
 ])
-def test_bad_numbers_are_usage_errors(argv, capsys):
+def test_bad_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:

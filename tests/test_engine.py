@@ -31,7 +31,7 @@ from caext.engine import (
     init_steps,
     propagate_fixpoint,
 )
-from caext.benchgen import gen_fuzz
+from caext.benchgen import CraftedParams, gen_crafted, gen_fuzz
 from caext.errors import InternalError, ResourceLimit, UndefinedStep
 from caext.flatten import flatten
 from caext.ground import (FormulaIndex, GroundSession, Interpretation,
@@ -512,9 +512,10 @@ class TestPropagationMap:
 
 
 class TestReadCursor:
-    """Priority 1 resumes at its cursor into ``read_steps`` instead of
-    at the first entry; the steps must still come out in the order of
-    the restarting reference scan."""
+    """Each priority resumes at its cursor (into ``read_steps``,
+    ``step_keys`` or ``default_keys``) instead of at the first entry;
+    the steps must still come out in the order of the restarting
+    reference scan."""
 
     @staticmethod
     def saturate(m, formulas, values):
@@ -563,6 +564,55 @@ class TestReadCursor:
         assert cfg.steps[(s, r)] == (None, b)
         assert _walk(cfg, s, r)[0] == [m.mk_eq(a, b),
                                        m.mk_not(m.mk_eq(k, i))]
+
+    def test_one_entry_copies_across_two_equalities(self):
+        m, isort, asort = self.sorts()
+        a, b, c = (m.mk_const(n, asort) for n in "abc")
+        k, x = m.mk_const("k", isort), m.mk_const("x", m.bool_sort)
+        r = m.mk_select(a, k)
+        eab, eac = m.mk_eq(a, b), m.mk_eq(a, c)
+        cfg = self.saturate(m, [eab, eac, m.mk_eq(r, x)],
+                            {k: 0, x: 1, r: 1, eab: 1, eac: 1})
+        # The priority-2 cursor stays at (a, r) until both copies fire;
+        # neither b nor c can pass r on to the other.
+        assert list(cfg.steps) == [(a, r), (b, r), (c, r)]
+        assert cfg.steps[(c, r)] == (eac, a)
+
+    def test_one_default_crosses_two_stores(self):
+        m, isort, asort = self.sorts()
+        i, j = m.mk_const("i", isort), m.mk_const("j", isort)
+        x, y, v = (m.mk_const(n, m.bool_sort) for n in "xyv")
+        c = m.mk_const_array(asort, v)
+        s1, s2 = m.mk_store(c, i, x), m.mk_store(c, j, y)
+        cfg = self.saturate(m, [m.mk_eq(s1, s2)],
+                            {i: 0, j: 1, x: 1, y: 1, v: 0,
+                             m.mk_eq(s1, s2): 0})
+        # The priority-3 cursor stays at (c, c) until the default has
+        # crossed both stores; neither store leads to the other.
+        assert [dest for dest, t in cfg.steps if t is c] == [c, s1, s2]
+        assert cfg.default_steps[(s2, c)] == (frozenset({1}), 4)
+
+    def test_saturation_work_is_linear_in_the_steps(self):
+        # A restarting scan looks up a neighbour list per entry per new
+        # step; the cursors look one up per visit, and each entry is
+        # visited once plus once per step it records.
+        class Counting(dict):
+            gets = 0
+
+            def get(self, *args):
+                Counting.gets += 1
+                return super().get(*args)
+
+        m = TermManager()
+        assertions = gen_crafted(m, CraftedParams(0, (400, 2), m.bv_sort(12),
+                                                  m.bool_sort))
+        cfg = Configuration(m, flatten(m, assertions).formulas)
+        cfg.interp = solve_ground(GroundSession(cfg)).interpretation
+        cfg.hops, cfg.eqs_at = Counting(cfg.hops), Counting(cfg.eqs_at)
+        init_steps(cfg)
+        propagate_fixpoint(cfg)
+        assert len(cfg.steps) > 800
+        assert Counting.gets <= 3 * len(cfg.steps)
 
     def test_read_over_two_stores_keeps_its_lemma_text(self):
         # The literals of a read's store crossings are built when the
