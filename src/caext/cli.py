@@ -63,10 +63,11 @@ def _natural(text: str) -> int:
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     if slug == "bool":
         return manager.bool_sort
-    if slug.startswith("bv") and slug[2:].isdecimal() \
-            and parse_width(slug[2:]) > 0:
+    digits = slug[2:]
+    if slug.startswith("bv") and digits.isascii() and digits.isdecimal() \
+            and parse_width(digits) > 0:
         try:
-            return manager.bv_sort(parse_width(slug[2:]))
+            return manager.bv_sort(parse_width(digits))
         except CaextError as e:
             raise _UsageError(f"sort {slug!r}: {e}") from None
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")

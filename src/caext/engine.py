@@ -13,6 +13,10 @@ reaches an array whose candidate values contradict it yields a lemma
 over the literals of its recorded path, built only then (as Brummayer
 & Biere, JSAT 2009, build lemmas from the propagation path); the lemma
 joins the formula set, the state is discarded, and the loop repeats.
+Every read that reached a constant array with a disagreeing default
+yields its lemma in the same scan, as Brummayer & Biere add every
+lemma one consistency check finds, so one candidate pays for all of
+them; each other conflict kind yields its first hit's lemma only.
 Reads and stores stay nested as the input writes them
 (:mod:`caext.flatten` names neither), so a path runs along the store
 edges of the term graph and a lemma carries no naming equality.
@@ -337,10 +341,19 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
 @dataclass(frozen=True)
 class ConflictInfo:
     """A detected contradiction between propagated facts and the
-    candidate interpretation, with the lemma that rules it out."""
+    candidate interpretation, with the lemmas that rule it out: the
+    first hit's ``lemma`` and, for a read-over-const batch, the lemmas
+    of the later hits in scan order in ``more`` (empty for every other
+    rule)."""
 
     rule: str
     lemma: Term
+    more: tuple[Term, ...] = ()
+
+    @property
+    def lemmas(self) -> tuple[Term, ...]:
+        """Every lemma of the batch, the first hit's first."""
+        return (self.lemma,) + self.more
 
 
 def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
@@ -348,9 +361,11 @@ def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
 
     The four conflict kinds are scanned in a fixed order (read against
     a default, two reads at one array, a falsified array equality
-    without a witness read, two defaults at one array) and the first
-    hit produces one lemma.  The lemma is appended to the formula set
-    and the propagation state is reset.  A witness lemma
+    without a witness read, two defaults at one array).  The first kind
+    that hits produces the lemmas: every hit of a read against a
+    default, in ``cfg.read_steps`` order, or the first hit of any other
+    kind.  Every lemma is appended to the formula set and then the
+    propagation state is reset.  A witness lemma
     (:func:`_witness_lemma`) marks its atom in ``cfg.witnessed``, which
     the reset keeps, so each array equality atom gets at most one.
     Every lemma but a witness lemma is checked to be false under the
@@ -358,26 +373,33 @@ def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
     """
     info = _find_conflict(cfg, cfg.witnessed)
     if info is not None:
-        cfg.add_formula(info.lemma)
+        for lemma in info.lemmas:
+            cfg.add_formula(lemma)
         cfg.reset()
     return info
 
 
 def _find_conflict(cfg: Configuration,
                    witnessed: set[Term]) -> Optional[ConflictInfo]:
-    """The scan of :func:`check_conflicts`.  A witness lemma's atom is
-    added to ``witnessed``; pass a copy of ``cfg.witnessed`` to scan
-    without marking it."""
+    """The scan of :func:`check_conflicts`: the first kind that hits
+    gives every hit of a read against a default, or the first hit of
+    any other kind.  A witness lemma's atom is added to ``witnessed``;
+    pass a copy of ``cfg.witnessed`` to scan without marking it."""
     m = cfg.manager
     values = cfg.interp.values
 
-    # 1. A read reached a constant array whose default disagrees.
+    # 1. A read reached a constant array whose default disagrees: every
+    #    hit gives a lemma.
+    hits = []
     for dest, t, _ in cfg.read_steps:
         if dest.kind is Kind.CONST_ARRAY \
                 and values[t] != values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
-            return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
+            hits.append(_checked(
+                cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma)).lemma)
+    if hits:
+        return ConflictInfo(LEMMA_READ_OVER_CONST, hits[0], tuple(hits[1:]))
 
     # 2. Two reads reached one array, their indices agree, their values
     #    do not.  The hit is the first pair by when its later entry was
@@ -681,7 +703,9 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     index, and one :class:`GroundSession` over it, made with ``seed``
     and ``budget``, is the run's ground encoding: each lemma extends
     the index, the next :func:`solve_ground` call adds it as clauses,
-    and the SAT core keeps what it learned.  Before the first
+    and the SAT core keeps what it learned.  A candidate ends in one
+    lemma, or in a batch of read-over-const lemmas, each recorded in
+    ``stats.lemmas`` in scan order.  Before the first
     candidate, each top-level ``not e`` of the flattened formulas, ``e``
     an array equality, gets its witness lemma, recorded first in
     ``stats.lemmas``: every candidate falsifies ``e``, so the conflict
@@ -737,7 +761,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
                         "constructed model fails "
                         f"{outcome.failing_assertion!r}")
             return SolveResult("sat", model, stats)
-        stats.lemmas.append((info.rule, info.lemma))
+        stats.lemmas.extend((info.rule, lemma) for lemma in info.lemmas)
         if max_refinements is not None \
                 and stats.iterations > max_refinements:
             raise ResourceLimit(

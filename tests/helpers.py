@@ -63,6 +63,25 @@ def watch_saturations(callback: Callable[[Configuration], None]
         caext.engine.propagate_fixpoint = saturate
 
 
+@contextmanager
+def counted_scans(scans: list) -> Iterator[None]:
+    """Within the block, every conflict scan `check_sat` runs appends
+    its result (a `ConflictInfo` or ``None``) to ``scans``.  It wraps
+    the module global ``caext.engine.check_conflicts``."""
+    scan = caext.engine.check_conflicts
+
+    def counted(cfg: Configuration):
+        info = scan(cfg)
+        scans.append(info)
+        return info
+
+    caext.engine.check_conflicts = counted
+    try:
+        yield
+    finally:
+        caext.engine.check_conflicts = scan
+
+
 @dataclass(frozen=True)
 class ReasonTrace:
     """The justification for one propagated fact: the conjunction of
@@ -321,6 +340,21 @@ def benchmark_crafted(seed: int):
     from perfbench.workloads import setup
     for op in setup("crafted", seed):
         yield caext.parse(op.run.keywords["text"])
+
+
+def crafted_rung(counts: tuple[int, int], width: int, seed: int):
+    """The z=0 `gen_crafted` chains with ``counts`` stores over
+    ``width``-bit indices and Bool elements, plus ``v != w``, disguised
+    under ``seed`` as the benchmark disguises its ladder (constants
+    renamed, assertions shuffled): ``(manager, assertions)``."""
+    from caext.benchgen import CraftedParams, gen_crafted
+    from perfbench.workloads import _disguise
+    m = TermManager()
+    assertions = gen_crafted(
+        m, CraftedParams(0, counts, m.bv_sort(width), m.bool_sort))
+    assertions.append(m.mk_not(m.mk_eq(m.lookup_const("v"),
+                                       m.lookup_const("w"))))
+    return m, _disguise(m, assertions, random.Random(seed))
 
 
 # Boolean chains past any recursion limit: each level wraps the inner

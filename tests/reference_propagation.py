@@ -136,13 +136,18 @@ def _find_conflict(cfg: Configuration,
     interp = cfg.interp
     m = cfg.manager
 
-    # 1. A read reached a constant array whose default disagrees.
+    # 1. A read reached a constant array whose default disagrees: every
+    #    hit gives a lemma.
+    hits = []
     for dest, t in cfg.steps:
         if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
                 and interp.values[t] != interp.values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
-            return _checked(cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma))
+            hits.append(_checked(
+                cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma)).lemma)
+    if hits:
+        return ConflictInfo(LEMMA_READ_OVER_CONST, hits[0], tuple(hits[1:]))
 
     pos = {key: k for k, key in enumerate(cfg.steps)}
 

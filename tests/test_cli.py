@@ -484,6 +484,8 @@ class TestGen:
     ["fuzz", "--count", "9" * 5000],
     # an Arabic-Indic three is a decimal digit to str and to int()
     ["gen", "--crafted", "0,\u0663,2"],
+    ["gen", "--crafted", "0,1,1", "--index-sort", "bv\u0663"],
+    ["gen", "--crafted", "0,1,1", "--element-sort", "bv\u0663"],
     ["fuzz", "--count", "\u0663"],
     ["fuzz", "--count", "1", "--bounds", "max_index_domain=\u0663"],
 ])

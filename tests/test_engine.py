@@ -40,10 +40,10 @@ from caext.terms import MAX_BV_WIDTH, postorder
 from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
-                     compute_reason, compute_updated_indices, deep_chain_text,
-                     ground_session, random_instance, read_crossings,
-                     store_chain, structured_instance, watch_saturations,
-                     witness_name_text)
+                     compute_reason, compute_updated_indices, crafted_rung,
+                     deep_chain_text, ground_session, random_instance,
+                     read_crossings, store_chain, structured_instance,
+                     watch_saturations, witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -470,8 +470,9 @@ class TestPropagationMap:
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
     def test_paths_are_walked_only_for_lemmas(self, monkeypatch, family):
         # Within one check_sat, a candidate walks recorded paths back
-        # only to write the lemma it emits: at most two walks per lemma,
-        # none for a witness lemma and none on the accepted candidate.
+        # only to write the lemmas it emits: at most two walks per lemma
+        # of its batch, none for a witness lemma and none on the
+        # accepted candidate.
         walk = caext.engine._walk
         initialise = caext.engine.init_steps
         scan = caext.engine.check_conflicts
@@ -506,7 +507,8 @@ class TestPropagationMap:
             check_sat(m, assertions)
             for walks, info in candidates:
                 rule = info.rule if info else None
-                assert walks <= limits.get(rule, 2), (rule, walks)
+                batch = len(info.lemmas) if info else 1
+                assert walks <= limits.get(rule, 2) * batch, (rule, walks)
                 rules[rule] += 1
         assert rules[None] > 0 and sum(rules.values()) > rules[None]
 
@@ -750,6 +752,41 @@ class TestStoreCoverLaw:
         expected = "sat" if updates == domain_size(idx) else "unsat"
         assert res.verdict == expected
         assert res.verdict == oracle_solve(assertions, LOOSE).verdict
+
+
+class TestScaleRungs:
+    """The z=0 crafted rungs with ``v != w``: at the store-cover bound
+    the chains meet, one store short they cannot.  After the
+    `const_congruence` lemma, one saturation holds a read-over-const
+    hit for every store on the ``v`` side, and the scan turns them all
+    into lemmas, so a sat rung takes three candidates at any width."""
+
+    @pytest.mark.parametrize("seed", [1001, 7, 0])
+    @pytest.mark.parametrize("counts,width", [((8, 8), 4), ((16, 16), 5)])
+    def test_sat_rung_takes_three_candidates(self, counts, width, seed):
+        m, assertions = crafted_rung(counts, width, seed)
+        res = check_sat(m, assertions)
+        assert res.verdict == "sat"
+        assert validate_model(res.model, assertions)
+        assert res.stats.iterations == 3
+        assert res.stats.lemma_counts == {"const_congruence": 1,
+                                          "read_over_const": counts[0]}
+
+    @pytest.mark.parametrize("seed", [1001, 7, 0])
+    @pytest.mark.parametrize("counts,width", [((8, 7), 4), ((16, 15), 5)])
+    def test_one_store_short_is_unsat(self, counts, width, seed):
+        m, assertions = crafted_rung(counts, width, seed)
+        assert check_sat(m, assertions).verdict == "unsat"
+
+    def test_max_refinements_counts_candidates(self):
+        # The second candidate ends in a batch of 8 lemmas; the cap
+        # counts it once.
+        m, assertions = crafted_rung((8, 8), 4, 1001)
+        res = check_sat(m, assertions, max_refinements=2)
+        assert res.verdict == "sat" and len(res.stats.lemmas) == 9
+        m, assertions = crafted_rung((8, 8), 4, 1001)
+        with pytest.raises(ResourceLimit):
+            check_sat(m, assertions, max_refinements=1)
 
 
 class TestExtensionalityWitness:

@@ -19,6 +19,7 @@ import itertools
 
 from caext import (
     Configuration,
+    ConflictInfo,
     Kind,
     Model,
     OracleBounds,
@@ -38,7 +39,8 @@ from caext import (
     validate_model,
 )
 
-from helpers import Example2, compute_reason, ground_session, random_instance
+from helpers import (Example2, compute_reason, counted_scans, ground_session,
+                     random_instance)
 
 AUDIT_BOUNDS = OracleBounds(max_free_constants=20, max_array_constants=10,
                             max_interpretations=5_000_000)
@@ -103,7 +105,8 @@ class LoopAudit:
                 model = build_model(self.cfg)
                 assert validate_model(model, self.cfg.formulas)
                 return "sat", model
-            self.lemmas.append(info)
+            self.lemmas.extend(ConflictInfo(info.rule, lemma)
+                               for lemma in info.lemmas)
         raise AssertionError("refinement failed to terminate in 100 rounds")
 
     def audit_saturation(self):
@@ -184,15 +187,19 @@ def test_every_lemma_in_the_stream_is_valid():
 def test_refinement_terminates_quickly_on_tiny_instances():
     for seed in range(40):
         m, assertions = random_instance(seed)
-        res = check_sat(m, assertions)
+        scans = []
+        with counted_scans(scans):
+            res = check_sat(m, assertions)
         assert res.stats.refinements <= 30, seed
-        # each top-level `not e`, e an array equality, has its witness
-        # lemma before the first candidate; every other lemma costs one
-        # candidate
+        # every candidate but the last ends in a batch of at least one
+        # lemma, and each top-level `not e`, e an array equality, has
+        # its witness lemma before the first candidate
+        batches = [info.lemmas for info in scans if info is not None]
+        assert res.stats.iterations == len(batches) + 1, seed
         w = len({f.args[0] for f in flatten(m, assertions).formulas
                  if f.kind is Kind.NOT and f.args[0].kind is Kind.EQ
                  and f.args[0].args[0].sort.is_array})
-        assert res.stats.iterations == res.stats.refinements - w + 1, seed
+        assert res.stats.refinements == w + sum(map(len, batches)), seed
 
 
 def test_extensionality_audit_form_is_checked():
