@@ -25,7 +25,8 @@ first one, as array procedures instantiate them (de Moura & Bjørner,
 "Generalized, efficient array decision procedures", FMCAD 2009): here
 the extensionality witness of each asserted ``not (= a b)`` over
 arrays, and in the ground encoding the default of each read made
-directly on a constant array.
+directly on a constant array and the stored value of each read made
+directly on a store whose index it equals.
 
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the

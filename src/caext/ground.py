@@ -2,11 +2,17 @@
 
 Bit-blasts the scalar skeleton of a formula set to CNF and searches it
 with the CDCL core.  Reads (``select`` nodes) are bit-vectors
-constrained by two array axioms that hold in every candidate: the
+constrained by three array axioms that hold in every candidate: the
 virtual-read equality ``select(store(a,i,u), i) = u`` of each store term
-present, and ``select(const(d), i) = d`` for each read made directly on
-a constant array.  Array axioms beyond those are deliberately *not*
-encoded; the array engine repairs violations with lemmas.  Array-sorted
+present, ``select(const(d), i) = d`` for each read made directly on
+a constant array, and the read-over-write hit
+``j = i => select(store(a,i,u), j) = u`` for each read made directly on
+a store at another index term (de Moura & Bjørner, "Generalized,
+efficient array decision procedures", FMCAD 2009), which costs one
+index comparator and makes no term.  Array axioms beyond those, such as
+the miss ``j != i => select(store(a,i,u), j) = select(a, j)``, are
+deliberately *not* encoded; the array engine repairs violations with
+lemmas.  Array-sorted
 terms carry only an equivalence partition: every pair related by an
 array-equality atom gets an equality variable, and transitivity is
 enforced over a chordal completion of that atom graph (Bryant & Velev,
@@ -209,8 +215,10 @@ class GroundSession:
         for new scalar leaves (±``true_lit`` for a literal); formula by
         formula, a literal for each Boolean term of its share of the
         index's walk, children first, then its unit clause; the read
-        axioms of new stores, and for each new read made directly on a
-        constant array, the array's default as its bits."""
+        axioms of new stores; for each new read made directly on a
+        constant array, the array's default as its bits; and for each
+        new read made directly on a store at another index term, the
+        stored value as its bits wherever the two indices are equal."""
         index = self.index
         fresh = index.terms[self._terms:]
         first = self._formulas
@@ -227,8 +235,13 @@ class GroundSession:
         for t in fresh:
             if t.kind is Kind.STORE:
                 self.assert_bits_equal(index.read_axioms[t], t.stored_value)
-            elif t.kind is Kind.SELECT and t.array.kind is Kind.CONST_ARRAY:
-                self.assert_bits_equal(t, t.array.default)
+            elif t.kind is Kind.SELECT:
+                a = t.array
+                if a.kind is Kind.CONST_ARRAY:
+                    self.assert_bits_equal(t, a.default)
+                elif a.kind is Kind.STORE and t.index is not a.index:
+                    hit = self.scalar_eq_lit(t.index, a.index)
+                    self.assert_bits_equal(t, a.stored_value, guard=-hit)
 
     # -- gates ----------------------------------------------------------
 
@@ -364,16 +377,20 @@ class GroundSession:
             return self.node_bits(t)[0]
         raise InternalError(f"unsupported atom {t!r}")
 
-    def assert_bits_equal(self, s: Term, t: Term) -> None:
+    def assert_bits_equal(self, s: Term, t: Term,
+                          guard: Optional[int] = None) -> None:
+        """Make the bits of ``s`` equal those of ``t``; with a ``guard``
+        literal, only where the guard is false (it joins each clause)."""
+        extra = [] if guard is None else [guard]
         for x, y in zip(self.node_bits(s), self.node_bits(t)):
-            self.sat.add_clause([-x, y])
-            self.sat.add_clause([x, -y])
+            self.sat.add_clause([-x, y] + extra)
+            self.sat.add_clause([x, -y] + extra)
 
 
 def solve_ground(session: GroundSession) -> GroundResult:
     """Encode what the session's index gained since the previous call,
     then find a total scalar interpretation satisfying the index's
-    formulas plus the two read axioms, or report ground
+    formulas plus the three read axioms, or report ground
     unsatisfiability (verdict ``None`` when the session's conflict
     budget runs out).  The result's ``conflicts`` counts only this
     call's.  Deterministic for fixed input and seed.

@@ -66,7 +66,7 @@ class TestScalarCore:
 
 class TestReadsAreFree:
     """The ground level enforces neither select congruence nor array
-    axioms beyond the two read axioms; those violations are the array
+    axioms beyond the three read axioms; those violations are the array
     engine's job to repair."""
 
     def test_congruence_not_enforced(self, m):
@@ -84,6 +84,24 @@ class TestReadsAreFree:
         read = m.mk_select(m.mk_store(a, i, u), i)
         res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(read, u))]))
         assert res.verdict == "unsat"
+
+    def _read_hits_its_store(self, m):
+        asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
+        a = m.mk_const("a", asort)
+        i, j = (m.mk_const(s, asort.index) for s in "ij")
+        u = m.mk_const("u", asort.element)
+        read = m.mk_select(m.mk_store(a, i, u), j)
+        return [m.mk_eq(i, j), m.mk_not(m.mk_eq(read, u))]
+
+    def test_read_on_a_store_at_its_index_is_the_stored_value(self, m):
+        res = solve_ground(ground_session(m, self._read_hits_its_store(m)))
+        assert res.verdict == "unsat"
+
+    def test_read_over_write_hit_costs_no_lemma(self, m):
+        res = caext.check_sat(m, self._read_hits_its_store(m))
+        assert res.verdict == "unsat"
+        assert res.stats.iterations == 1
+        assert res.stats.lemmas == []
 
     def test_read_on_a_const_array_is_its_default(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
