@@ -65,7 +65,7 @@ def main():
     print(print_model(m, result.model, names))
     print()
     print("lemmas learned along the way:")
-    for rule, lemma in result.stats.lemma_history:
+    for rule, lemma in result.stats.lemmas:
         try:
             print(f"  [{rule}] {print_term(lemma)}")
         except Exception:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .flatten import FlatResult, flatten
-from .ground import GroundResult, Interpretation, solve_ground
+from .ground import GroundResult, solve_ground
 from .parser import Script, parse
 from .printer import print_model, print_script, print_term
 from .model import (
@@ -75,7 +75,7 @@ __all__ = [
     "ParseError", "ResourceLimit", "SortError", "SortMismatch",
     "UnassignedConstant", "UndefinedStep", "UnknownSymbolError",
     "FlatResult", "flatten",
-    "GroundResult", "Interpretation", "solve_ground",
+    "GroundResult", "solve_ground",
     "Script", "parse",
     "print_model", "print_script", "print_term",
     "ArrayValue", "Model", "ValidationResult", "complete_model", "eval_term",

@@ -60,6 +60,14 @@ def _natural(text: str) -> int:
     return n
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer, ASCII digits after at most one ``-``."""
+    n = _digits(text.removeprefix("-"))
+    if n is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return -n if text.startswith("-") else n
+
+
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     if slug == "bool":
         return manager.bool_sort
@@ -211,7 +219,7 @@ def _build_parser() -> _ArgumentParser:
     solve.add_argument("file")
     solve.add_argument("--stats", action="store_true",
                        help="print solver statistics to the error stream")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_integer, default=0)
     solve.add_argument("--budget", type=_natural, default=None,
                        help="ground-solver conflict budget per candidate")
     solve.set_defaults(run=_cmd_solve)
@@ -225,7 +233,7 @@ def _build_parser() -> _ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz", help="differential suite against the brute-force checker")
     fuzz.add_argument("--count", type=_natural, default=100)
-    fuzz.add_argument("--seed", type=int, default=0)
+    fuzz.add_argument("--seed", type=_integer, default=0)
     fuzz.add_argument("--bounds", default=None,
                       help="comma-separated field=value overrides")
     fuzz.set_defaults(run=_cmd_fuzz)

@@ -32,8 +32,8 @@ One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the
 ground session encodes what was added, so every subterm is walked
 once.  Each candidate is one table of scalar values and array equality
-truths, which propagation, the conflict scan and the model read
-(:class:`caext.ground.Interpretation`); only lemmas are evaluated.
+truths (``values``), which propagation, the conflict scan and the
+model read; only lemmas are evaluated.
 
 Propagation records facts in a fixed priority order, each priority
 walking the facts recorded so far with one forward cursor, so the same
@@ -41,11 +41,11 @@ candidate always yields the same facts in the same order and the store
 graph is walked once, never rescanned.  Each step carries what later
 phases need from it, as Christ & Hoenicke ("Weakly equivalent arrays",
 FroCoS 2015) carry the crossed indices along each hop of a store
-graph: a read step its index value, a default step the set of index
-values its crossed stores block, derived from the step's source when
-the step is recorded.  Propagation, the conflict scan and the model
-read these records, and a recorded path is walked back only to write a
-lemma.
+graph: a store crossing names the store it crossed, a read step carries
+its index value, and a default step the set of index values its crossed
+stores block, derived from the step's source when the step is recorded.
+Propagation, the conflict scan and the model read these records, and a
+recorded path is walked back only to write a lemma.
 
 The refinement terminates on finite domains: every lemma except the
 extensionality-witness kind is false under the interpretation that
@@ -69,9 +69,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import (IllDefinedModel, InternalError, ResourceLimit,
                      UndefinedStep)
 from .flatten import flatten
-from .ground import (FormulaIndex, GroundSession, Interpretation,
-                     solve_ground)
-from .model import ArrayValue, Model, validate_model, zero_value
+from .ground import FormulaIndex, GroundSession, solve_ground
+from .model import ArrayValue, Model, eval_term, validate_model, zero_value
 from .model import complete_model  # noqa: F401  (perfbench wraps it)
 from .terms import Kind, Sort, Term, TermManager, domain_size
 
@@ -103,19 +102,18 @@ LEMMA_RULES = (
 
 class Configuration(FormulaIndex):
     """Mutable solver state: the run's formula index, the current
-    candidate interpretation, the propagation map, and the equality
-    atoms that already received an extensionality witness.
+    candidate's table, the propagation map, and the equality atoms that
+    already received an extensionality witness.
 
     The propagation map records, for every pair of a destination array
     and a propagated term (a read or a constant array), the array the
-    term arrived from and the reason for that hop, if any.  A source
-    equal to the destination is a starting point, a reason is the array
-    equality atom a copy crossed, and any other hop crosses the store
-    between source and destination.  Entries are write-once between
-    resets; sources point at an entry recorded earlier, so chains are
-    acyclic; every reason is an array equality atom of the index that
-    holds; a hop without a reason crosses a store, and a read only one
-    at another index value.  :meth:`set_step` enforces all five.
+    term arrived from and the reason for that hop: ``None`` at a
+    starting point, whose source is its destination, the atom of a copy
+    or the store of a crossing.  Entries are write-once between resets;
+    sources point at an entry recorded earlier, so chains are acyclic;
+    a copy's atom holds and relates the hop's two arrays, a crossed
+    store joins them, and a read crosses one only at another index
+    value.  :meth:`set_step` enforces all of these.
 
     :meth:`set_step` also records what later phases read off a step, in
     recording order: ``step_keys`` lists every key, ``read_steps``
@@ -127,13 +125,13 @@ class Configuration(FormulaIndex):
     the source's set across an equality, and the source's set plus the
     crossed store's index value across a store, so it equals the values
     of the store indices on the recorded path.  Values and atom truths
-    are read off the table ``interp.values``.
+    are read off the candidate's table ``values``.
     """
 
     def __init__(self, manager: TermManager, formulas: Iterable[Term]):
         super().__init__(manager, formulas)
-        self.interp: Optional[Interpretation] = None
-        # (destination array, propagated term) -> (atom | None, source)
+        self.values: Optional[dict[Term, int]] = None
+        # (destination array, propagated term) -> (reason, source)
         self.steps: dict[tuple[Term, Term], tuple[Optional[Term], Term]] = {}
         # array equality atoms whose extensionality lemma was emitted;
         # kept across resets, so each atom gets at most one
@@ -168,16 +166,23 @@ class Configuration(FormulaIndex):
         if source is not dest and (source, t) not in self.steps:
             raise InternalError(
                 "step source does not point at an earlier entry")
-        values = self.interp.values  # its only EQ keys: array equalities
-        if reason is not None and (reason.kind is not Kind.EQ
-                                   or not values.get(reason)):
+        values = self.values  # its only EQ keys: array equalities
+        ends, crossed = ((dest, source), (source, dest)), None
+        if reason is None:
+            if source is not dest:
+                raise InternalError(f"hop to {dest!r} has no reason")
+        elif reason.kind is Kind.STORE:
+            if (reason, reason.array) not in ends:
+                raise InternalError(f"store {reason!r} does not join the hop")
+            crossed = values[reason.index]
+        elif reason.kind is not Kind.EQ or not values.get(reason):
             raise InternalError(
                 "step reason is not an array equality atom that holds")
-        crossed = None if reason is not None or source is dest \
-            else _hop_index(dest, source)
+        elif reason.args not in ends:
+            raise InternalError(f"atom {reason!r} does not relate the hop")
         if t.kind is Kind.SELECT:
             v = values[t.index]
-            if crossed is not None and values[crossed] == v:
+            if crossed == v:
                 raise InternalError(
                     f"read {t!r} crosses a store at its own index")
             self.read_steps.append((dest, t, v))
@@ -187,17 +192,16 @@ class Configuration(FormulaIndex):
             else:
                 blocked, size = self.default_steps[(source, t)]
                 if crossed is not None:
-                    blocked = blocked | {values[crossed]}
+                    blocked = blocked | {crossed}
             self.default_keys.append(key)
             self.default_steps[key] = (blocked, size)
         self.step_keys.append(key)
         self.steps[key] = (reason, source)
 
     def reset(self) -> None:
-        """Discard the candidate interpretation, all recorded steps and
-        what was read off them; the formula set and ``witnessed``
-        stay."""
-        self.interp = None
+        """Discard the candidate's table, all recorded steps and what
+        was read off them; the formula set and ``witnessed`` stay."""
+        self.values = None
         self.steps.clear()
         self.step_keys.clear()
         self.read_steps.clear()
@@ -210,8 +214,8 @@ def init_steps(cfg: Configuration) -> Configuration:
     candidate: every read at the array it reads from, every store's
     virtual read (its entry in ``read_axioms``) at the store, and
     every constant array at itself."""
-    if cfg.interp is None:
-        raise InternalError("init_steps needs a candidate interpretation")
+    if cfg.values is None:
+        raise InternalError("init_steps needs a candidate's table")
     for r in cfg.reads:
         if not cfg.has_step(r.array, r):
             cfg.set_step(r.array, r, None, r.array)
@@ -224,25 +228,13 @@ def init_steps(cfg: Configuration) -> Configuration:
     return cfg
 
 
-def _hop_index(dest: Term, source: Term) -> Term:
-    """The index of the store that a hop without a reason crosses from
-    ``source`` to ``dest``: up from a store's base, or down from a
-    store to it."""
-    if source.kind is Kind.STORE and source.array is dest:
-        return source.index
-    if dest.kind is Kind.STORE and dest.array is source:
-        return dest.index
-    raise InternalError(
-        f"unjustified hop {dest!r} <- {source!r} crosses no store")
-
-
 def _walk(cfg: Configuration, dest: Term,
           t: Term) -> tuple[list[Term], list[Term]]:
     """Follow the recorded source links of ``t`` from ``dest`` back to
     its origin.  Returns the literals that explain the hops, ordered
     origin-first (a copy's atom, or ``not (= i k)``, built here, for a
-    read with index ``i`` crossing a store at ``k``), and the index
-    terms of the stores a constant array crossed, destination-first."""
+    read with index ``i`` crossing the reason's store at ``k``), and the
+    index terms of the stores a constant array crossed, destination-first."""
     m = cfg.manager
     lits: list[Term] = []
     indices: list[Term] = []
@@ -251,12 +243,12 @@ def _walk(cfg: Configuration, dest: Term,
         reason, src = cfg.step(cur, t)
         if src is cur:
             break
-        if reason is not None:
+        if reason.kind is Kind.EQ:
             lits.append(reason)
         elif t.kind is Kind.SELECT:
-            lits.append(m.mk_not(m.mk_eq(t.index, _hop_index(cur, src))))
+            lits.append(m.mk_not(m.mk_eq(t.index, reason.index)))
         else:
-            indices.append(_hop_index(cur, src))
+            indices.append(reason.index)
         cur = src
     lits.reverse()
     return lits, indices
@@ -283,8 +275,8 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     ``cfg.default_keys``) with one forward cursor, and each entry tries
     its neighbours in formula order through the adjacency maps (`hops`,
     `eqs_at`).  A read or a default tests a store hop with the index
-    value or blocked set its entry carries, and records no reason; a
-    copy needs its atom's truth in ``cfg.interp.values`` to be 1.
+    value or blocked set its entry carries, and records the store as the
+    reason; a copy needs its atom's truth in ``cfg.values`` to be 1.
     Priority 1 records every hop of its entry in one pass; priorities 2
     and 3 record one step, then return to priority 1.  A cursor leaves
     its entry only after a pass over it records nothing.
@@ -297,7 +289,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     the steps recorded.
     """
     steps, hops, eqs_at = cfg.steps, cfg.hops, cfg.eqs_at
-    values = cfg.interp.values
+    values = cfg.values
     reads, keys, defaults = cfg.read_steps, cfg.step_keys, cfg.default_keys
     # Indices, not iterators: an exhausted iterator misses later entries.
     r = k = d = 0
@@ -308,7 +300,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
             r += 1
             for other, s in hops.get(dest, ()):
                 if (other, t) not in steps and v != values[s.index]:
-                    cfg.set_step(other, t, None, dest)
+                    cfg.set_step(other, t, s, dest)
         elif k < len(keys):
             # Priority 2: anything propagated copies across a true equality.
             dest, t = keys[k]
@@ -326,7 +318,7 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
             for other, s in hops.get(dest, ()):
                 if (other, t) not in steps and \
                         len(blocked) + (values[s.index] not in blocked) < size:
-                    cfg.set_step(other, t, None, dest)
+                    cfg.set_step(other, t, s, dest)
                     break
             else:
                 d += 1
@@ -341,20 +333,12 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
 
 @dataclass(frozen=True)
 class ConflictInfo:
-    """A detected contradiction between propagated facts and the
-    candidate interpretation, with the lemmas that rule it out: the
-    first hit's ``lemma`` and, for a read-over-const batch, the lemmas
-    of the later hits in scan order in ``more`` (empty for every other
-    rule)."""
+    """A contradiction between propagated facts and the candidate: the
+    ``rule`` that found it and the ``lemmas`` that rule it out, every
+    hit's in scan order for a read-over-const batch, else the first's."""
 
     rule: str
-    lemma: Term
-    more: tuple[Term, ...] = ()
-
-    @property
-    def lemmas(self) -> tuple[Term, ...]:
-        """Every lemma of the batch, the first hit's first."""
-        return (self.lemma,) + self.more
+    lemmas: tuple[Term, ...]
 
 
 def check_conflicts(cfg: Configuration) -> Optional[ConflictInfo]:
@@ -387,7 +371,7 @@ def _find_conflict(cfg: Configuration,
     any other kind.  A witness lemma's atom is added to ``witnessed``;
     pass a copy of ``cfg.witnessed`` to scan without marking it."""
     m = cfg.manager
-    values = cfg.interp.values
+    values = cfg.values
 
     # 1. A read reached a constant array whose default disagrees: every
     #    hit gives a lemma.
@@ -397,10 +381,9 @@ def _find_conflict(cfg: Configuration,
                 and values[t] != values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
-            hits.append(_checked(
-                cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma)).lemma)
+            hits.append(_checked(cfg, LEMMA_READ_OVER_CONST, lemma))
     if hits:
-        return ConflictInfo(LEMMA_READ_OVER_CONST, hits[0], tuple(hits[1:]))
+        return ConflictInfo(LEMMA_READ_OVER_CONST, tuple(hits))
 
     # 2. Two reads reached one array, their indices agree, their values
     #    do not.  The hit is the first pair by when its later entry was
@@ -418,14 +401,15 @@ def _find_conflict(cfg: Configuration,
         if t1.index is not t2.index:
             ante.append(m.mk_eq(t1.index, t2.index))
         lemma = _implication(m, ante, m.mk_eq(t1, t2))
-        return _checked(cfg, ConflictInfo(LEMMA_READ_CONGRUENCE, lemma))
+        return ConflictInfo(LEMMA_READ_CONGRUENCE,
+                            (_checked(cfg, LEMMA_READ_CONGRUENCE, lemma),))
 
     # 3. A falsified array equality that has no witness read yet.
     for e in cfg.array_eq_atoms:
         if e in witnessed or values[e]:
             continue
         witnessed.add(e)
-        return ConflictInfo(LEMMA_EXTENSIONALITY, _witness_lemma(cfg, e))
+        return ConflictInfo(LEMMA_EXTENSIONALITY, (_witness_lemma(cfg, e),))
 
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
@@ -446,7 +430,8 @@ def _find_conflict(cfg: Configuration,
         if multiset:
             ante.append(m.mk_not(m.mk_distinct_n(size, multiset)))
         lemma = _implication(m, ante, m.mk_eq(c1.default, c2.default))
-        return _checked(cfg, ConflictInfo(LEMMA_CONST_CONGRUENCE, lemma))
+        return ConflictInfo(LEMMA_CONST_CONGRUENCE,
+                            (_checked(cfg, LEMMA_CONST_CONGRUENCE, lemma),))
 
     return None
 
@@ -499,14 +484,14 @@ def _implication(m: TermManager, antecedent: Sequence[Term],
     return m.mk_implies(m.mk_and(lits), consequent)
 
 
-def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
-    """Insist that a lemma actually rules out the interpretation that
-    produced it (witness lemmas are exempt: their fresh reads have no
-    value yet)."""
-    if cfg.interp.eval(info.lemma):
+def _checked(cfg: Configuration, rule: str, lemma: Term) -> Term:
+    """``lemma``, once ``eval_term`` over a copy of the candidate's table
+    finds it false, so that it rules out the candidate (witness lemmas
+    are exempt: their fresh reads have no value yet)."""
+    if eval_term(Model(), lemma, dict(cfg.values)):
         raise InternalError(
-            f"{info.rule} lemma does not exclude the interpretation")
-    return info
+            f"{rule} lemma does not exclude the interpretation")
+    return lemma
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +501,7 @@ def _checked(cfg: Configuration, info: ConflictInfo) -> ConflictInfo:
 
 def build_model(cfg: Configuration) -> Model:
     """Read a full model off a saturated, conflict-free configuration:
-    off its steps and the candidate's table ``cfg.interp.values``.
+    off its steps and the candidate's table ``cfg.values``.
 
     The constants are the index's: scalar ones take their table values.
     Array values are built over index classes: the values the table
@@ -532,15 +517,15 @@ def build_model(cfg: Configuration) -> Model:
     element.  Disagreeing pins are impossible after saturation, so they
     raise :class:`IllDefinedModel` to flag an engine bug.
     """
-    if cfg.interp is None:
-        raise InternalError("build_model needs a candidate interpretation")
+    if cfg.values is None:
+        raise InternalError("build_model needs a candidate's table")
     cells = _CellSolver(cfg)
     model = Model()
     for t in cfg.constants:
         if t.sort.is_array:
             model.set(t, cells.table(t))
         else:
-            model.set(t, cfg.interp.values[t])
+            model.set(t, cfg.values[t])
     return model
 
 
@@ -565,7 +550,7 @@ class _CellSolver:
     """
 
     def __init__(self, cfg: Configuration):
-        values = cfg.interp.values
+        values = cfg.values
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
         covered: dict[Sort, set[int]] = {}
@@ -658,7 +643,8 @@ class SolveStats:
 
     @property
     def lemma_history(self) -> list[tuple[str, Term]]:
-        """The same list as ``lemmas``."""
+        """The same list as ``lemmas``; only the benchmark harness
+        (``perfbench``) still reads it."""
         return self.lemmas
 
     @property
@@ -748,7 +734,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
             return SolveResult("unknown", None, stats)
         if ground.verdict == "unsat":
             return SolveResult("unsat", None, stats)
-        cfg.interp = ground.interpretation
+        cfg.values = ground.values
         init_steps(cfg)
         propagate_fixpoint(cfg)
         stats.pi_size = len(cfg.steps)

@@ -36,7 +36,6 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalError
-from .model import Model, eval_term
 from .sat import SatSolver
 from .terms import Kind, Sort, Term, TermManager, postorder
 
@@ -79,30 +78,6 @@ def _eliminate(adj: dict[Term, set[Term]]
 
 def _pair_key(s: Term, t: Term) -> tuple[Term, Term]:
     return (s, t) if s.id < t.id else (t, s)
-
-
-class Interpretation:
-    """A total assignment for one candidate ground model.
-
-    ``values`` maps every scalar leaf of the encoded index (constant,
-    read or literal) to a domain value, and every array equality atom
-    of the index to its truth, 0 or 1.  Transitivity on the encoding's
-    chordal atom graph makes the true atoms a partition of the related
-    arrays.  Any other array equality has no entry.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict[Term, int]):
-        self.values = values
-
-    def eval(self, f: Term) -> bool:
-        """Truth of a formula: ``eval_term`` with no constant assigned,
-        over a copy of the table as its cache, so a term with an entry
-        is not entered.  Any other term is evaluated from all its
-        operands; an array constant or a leaf the table lacks raises
-        :class:`UnassignedConstant`."""
-        return bool(eval_term(Model(), f, dict(self.values)))
 
 
 class FormulaIndex:
@@ -176,8 +151,14 @@ class FormulaIndex:
 
 @dataclass
 class GroundResult:
+    """A sat result's ``values`` is the candidate: every scalar leaf of
+    the index (constant, read or literal) to its value, every array
+    equality atom of the index to its truth, 0 or 1.  The encoding's
+    transitivity makes the true atoms a partition of the related
+    arrays.  Other array equalities have no entry."""
+
     verdict: Optional[str]          # "sat", "unsat", or None on budget
-    interpretation: Optional["Interpretation"] = None
+    values: Optional[dict[Term, int]] = None
     conflicts: int = 0
 
 
@@ -409,7 +390,7 @@ def solve_ground(session: GroundSession) -> GroundResult:
               for t, bits in session.bits.items()}
     for e in session.index.array_eq_atoms:
         values[e] = int(_lit_true(sat, session.lits[e]))
-    return GroundResult("sat", Interpretation(values), conflicts)
+    return GroundResult("sat", values, conflicts)
 
 
 def _lit_true(sat: SatSolver, lit: int) -> bool:

@@ -18,32 +18,34 @@ from caext.errors import IllDefinedModel
 from caext.printer import print_sort
 from caext.terms import postorder
 
+from helpers import table_eval
+
 
 class DenseCellSolver:
     """Joint value assignment for the cells of all array terms, one
     cell per index value."""
 
     def __init__(self, cfg: Configuration):
-        interp = cfg.interp
+        values = cfg.values
         self._parent: dict[tuple[Term, int], tuple[Term, int]] = {}
         self._value: dict[tuple[Term, int], int] = {}
         for t in postorder(cfg.formulas):
             if t.kind is Kind.STORE:
-                at = interp.values[t.index]
+                at = values[t.index]
                 for x in range(domain_size(t.sort.index)):
                     if x != at:
                         self._union((t, x), (t.array, x))
             elif (t.kind is Kind.EQ and t.args[0].sort.is_array
-                    and interp.eval(t)):
+                    and table_eval(values, t)):
                 lhs, rhs = t.args
                 for x in range(domain_size(lhs.sort.index)):
                     self._union((lhs, x), (rhs, x))
         for (dest, t) in cfg.steps:
             if t.kind is Kind.SELECT:
-                self._pin((dest, interp.values[t.index]), interp.values[t])
+                self._pin((dest, values[t.index]), values[t])
             elif t.kind is Kind.CONST_ARRAY:
-                blocked = {interp.values[k] for k in _walk(cfg, dest, t)[1]}
-                val = interp.values[t.default]
+                blocked = {values[k] for k in _walk(cfg, dest, t)[1]}
+                val = values[t.default]
                 for x in range(domain_size(t.sort.index)):
                     if x not in blocked:
                         self._pin((dest, x), val)

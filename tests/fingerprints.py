@@ -41,7 +41,7 @@ def fingerprint(manager, assertions) -> str:
     stats = result.stats
     parts = [result.verdict, repr((stats.iterations, stats.pi_size,
                                    stats.ground_conflicts))]
-    parts += [f"{rule} {lemma!r}" for rule, lemma in stats.lemma_history]
+    parts += [f"{rule} {lemma!r}" for rule, lemma in stats.lemmas]
     if result.model is not None:
         constants = [c for c, _ in result.model.items()]
         parts += [f"{c!r} {v!r}" for c, v in result.model.items()]

@@ -13,7 +13,8 @@ from typing import Callable, Iterator
 
 import caext
 import caext.engine
-from caext import Configuration, Kind, Sort, TermManager, Term, domain_size
+from caext import (Configuration, Kind, Model, Sort, TermManager, Term,
+                   domain_size, eval_term)
 from caext.engine import _canonical_indices, _walk
 from caext.ground import FormulaIndex, GroundSession
 
@@ -40,6 +41,13 @@ def ground_session(m: TermManager, formulas, **settings) -> GroundSession:
     """A ground session over a fresh formula index of ``formulas``;
     ``settings`` are the session's ``seed`` and ``budget``."""
     return GroundSession(FormulaIndex(m, formulas), **settings)
+
+
+def table_eval(values: dict[Term, int], f: Term) -> bool:
+    """Truth of ``f`` over a candidate's table, as the engine checks a
+    lemma: ``eval_term`` with no constant assigned, over a copy of the
+    table as its cache, so a term with an entry is not entered."""
+    return bool(eval_term(Model(), f, dict(values)))
 
 
 @contextmanager
@@ -118,8 +126,9 @@ def read_crossings(cfg: Configuration) -> dict[tuple[Term, Term], Term]:
     that crosses a store, keyed by the step: the last literal of the
     walk from that step."""
     return {(dest, t): _walk(cfg, dest, t)[0][-1]
-            for (dest, t), (reason, src) in cfg.steps.items()
-            if t.kind is Kind.SELECT and reason is None and src is not dest}
+            for (dest, t), (reason, _) in cfg.steps.items()
+            if t.kind is Kind.SELECT and reason is not None
+            and reason.kind is Kind.STORE}
 
 
 def compute_updated_indices(cfg: Configuration, dest: Term,

@@ -9,10 +9,11 @@ at one array are found by sorting every same-destination pair.  It is
 kept only so that tests can check that the engine records the same
 steps, in the same order, and finds the same conflicts.
 
-Like the engine, it records a read's store crossing with no reason.  It
-keeps the literal ``not (= i k)`` that explains each such hop, made when
-the hop is made, so that tests can compare it with the literal the
-engine's path walker rebuilds for that hop when it writes a lemma.
+Like the engine, it records the crossed store as the reason of a store
+crossing.  It keeps the literal ``not (= i k)`` that explains each read's
+crossing, made when the hop is made, so that tests can compare it with
+the literal the engine's path walker builds from the recorded store
+when it writes a lemma.
 A witness lemma is the engine's `_witness_lemma`, so both scans name the
 witness index by one rule.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from caext import Interpretation, Kind, Sort, Term, domain_size
+from caext import Kind, Sort, Term, domain_size
 from caext.engine import (
     LEMMA_CONST_CONGRUENCE,
     LEMMA_EXTENSIONALITY,
@@ -37,15 +38,17 @@ from caext.engine import (
     init_steps,
 )
 
+from helpers import table_eval
+
 
 def reference_saturation(cfg: Configuration) -> tuple[
         Configuration, dict[tuple[Term, Term], Term]]:
-    """A fresh configuration over ``cfg``'s formulas and interpretation,
+    """A fresh configuration over ``cfg``'s formulas and candidate,
     saturated by the reference propagator, and the literal
     ``not (= i k)`` that explains each read's store crossing, keyed by
     the step it explains."""
     fresh = Configuration(cfg.manager, cfg.formulas)
-    fresh.interp = cfg.interp
+    fresh.values = cfg.values
     init_steps(fresh)
     crossings: dict[tuple[Term, Term], Term] = {}
     while _apply_one(fresh, crossings):
@@ -59,12 +62,12 @@ def reference_conflict(cfg: Configuration,
     return _find_conflict(cfg, set(witnessed))
 
 
-def exists_fresh_index(interp: Interpretation,
+def exists_fresh_index(values: dict[Term, int],
                        index_terms: Iterable[Term],
                        sort: Sort) -> bool:
     """True iff some value of ``sort`` differs from the value of every
-    given index term under ``interp``."""
-    used = {interp.values[k] for k in index_terms}
+    given index term in the candidate's table ``values``."""
+    used = {values[k] for k in index_terms}
     return len(used) < domain_size(sort)
 
 
@@ -79,7 +82,7 @@ def _eq_other_side(eq_atom: Term, node: Term) -> Optional[Term]:
 
 def _apply_one(cfg: Configuration,
                crossings: dict[tuple[Term, Term], Term]) -> bool:
-    interp = cfg.interp
+    values = cfg.values
     m = cfg.manager
     entries = list(cfg.steps)
 
@@ -89,14 +92,14 @@ def _apply_one(cfg: Configuration,
             continue
         i = t.index
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
-                and interp.values[i] != interp.values[dest.index]:
-            cfg.set_step(dest.array, t, None, dest)
+                and values[i] != values[dest.index]:
+            cfg.set_step(dest.array, t, dest, dest)
             crossings[(dest.array, t)] = m.mk_not(m.mk_eq(i, dest.index))
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
-                    and interp.values[i] != interp.values[s.index]:
-                cfg.set_step(s, t, None, dest)
+                    and values[i] != values[s.index]:
+                cfg.set_step(s, t, s, dest)
                 crossings[(s, t)] = m.mk_not(m.mk_eq(i, s.index))
                 return True
 
@@ -106,7 +109,7 @@ def _apply_one(cfg: Configuration,
             other = _eq_other_side(e, dest)
             if other is None or cfg.has_step(other, t):
                 continue
-            if not interp.eval(e):
+            if not table_eval(values, e):
                 continue
             cfg.set_step(other, t, e, dest)
             return True
@@ -119,13 +122,13 @@ def _apply_one(cfg: Configuration,
         sort = t.sort.index
         _, crossed = _walk(cfg, dest, t)
         if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
-                and exists_fresh_index(interp, crossed + [dest.index], sort):
-            cfg.set_step(dest.array, t, None, dest)
+                and exists_fresh_index(values, crossed + [dest.index], sort):
+            cfg.set_step(dest.array, t, dest, dest)
             return True
         for s in cfg.stores:
             if s.array is dest and not cfg.has_step(s, t) \
-                    and exists_fresh_index(interp, crossed + [s.index], sort):
-                cfg.set_step(s, t, None, dest)
+                    and exists_fresh_index(values, crossed + [s.index], sort):
+                cfg.set_step(s, t, s, dest)
                 return True
 
     return False
@@ -133,7 +136,7 @@ def _apply_one(cfg: Configuration,
 
 def _find_conflict(cfg: Configuration,
                    witnessed: set[Term]) -> Optional[ConflictInfo]:
-    interp = cfg.interp
+    values = cfg.values
     m = cfg.manager
 
     # 1. A read reached a constant array whose default disagrees: every
@@ -141,22 +144,21 @@ def _find_conflict(cfg: Configuration,
     hits = []
     for dest, t in cfg.steps:
         if dest.kind is Kind.CONST_ARRAY and t.kind is Kind.SELECT \
-                and interp.values[t] != interp.values[dest.default]:
+                and values[t] != values[dest.default]:
             lits, _ = _walk(cfg, dest, t)
             lemma = _implication(m, lits, m.mk_eq(t, dest.default))
-            hits.append(_checked(
-                cfg, ConflictInfo(LEMMA_READ_OVER_CONST, lemma)).lemma)
+            hits.append(_checked(cfg, LEMMA_READ_OVER_CONST, lemma))
     if hits:
-        return ConflictInfo(LEMMA_READ_OVER_CONST, hits[0], tuple(hits[1:]))
+        return ConflictInfo(LEMMA_READ_OVER_CONST, tuple(hits))
 
     pos = {key: k for k, key in enumerate(cfg.steps)}
 
     # 2. Two reads reached one array, their indices agree, their values
     #    do not.
     for dest, t1, t2 in _entry_pairs(cfg, pos, Kind.SELECT):
-        if interp.values[t1.index] != interp.values[t2.index]:
+        if values[t1.index] != values[t2.index]:
             continue
-        if interp.values[t1] == interp.values[t2]:
+        if values[t1] == values[t2]:
             continue
         lits1, _ = _walk(cfg, dest, t1)
         lits2, _ = _walk(cfg, dest, t2)
@@ -164,26 +166,27 @@ def _find_conflict(cfg: Configuration,
         if t1.index is not t2.index:
             ante.append(m.mk_eq(t1.index, t2.index))
         lemma = _implication(m, ante, m.mk_eq(t1, t2))
-        return _checked(cfg, ConflictInfo(LEMMA_READ_CONGRUENCE, lemma))
+        return ConflictInfo(LEMMA_READ_CONGRUENCE,
+                            (_checked(cfg, LEMMA_READ_CONGRUENCE, lemma),))
 
     # 3. A falsified array equality that has no witness read yet.
     for e in cfg.array_eq_atoms:
-        if e in witnessed or interp.eval(e):
+        if e in witnessed or table_eval(values, e):
             continue
         witnessed.add(e)
-        return ConflictInfo(LEMMA_EXTENSIONALITY, _witness_lemma(cfg, e))
+        return ConflictInfo(LEMMA_EXTENSIONALITY, (_witness_lemma(cfg, e),))
 
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
     for dest, c1, c2 in _entry_pairs(cfg, pos, Kind.CONST_ARRAY):
         if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
             c1, c2 = c2, c1
-        if interp.values[c1.default] == interp.values[c2.default]:
+        if values[c1.default] == values[c2.default]:
             continue
         sort = c1.sort.index
         lits1, idx1 = _walk(cfg, dest, c1)
         lits2, idx2 = _walk(cfg, dest, c2)
-        if not exists_fresh_index(interp, idx1 + idx2, sort):
+        if not exists_fresh_index(values, idx1 + idx2, sort):
             continue
         ante = lits1 + lits2
         multiset = (_canonical_indices(cfg, idx1)
@@ -192,7 +195,8 @@ def _find_conflict(cfg: Configuration,
             ante.append(m.mk_not(
                 m.mk_distinct_n(domain_size(sort), multiset)))
         lemma = _implication(m, ante, m.mk_eq(c1.default, c2.default))
-        return _checked(cfg, ConflictInfo(LEMMA_CONST_CONGRUENCE, lemma))
+        return ConflictInfo(LEMMA_CONST_CONGRUENCE,
+                            (_checked(cfg, LEMMA_CONST_CONGRUENCE, lemma),))
 
     return None
 

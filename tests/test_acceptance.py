@@ -43,7 +43,7 @@ def solve_and_collect(m, assertions):
     res = check_sat(m, assertions)
     if res.verdict == "sat":
         SAT_VALIDATIONS.append(bool(validate_model(res.model, assertions)))
-    for rule, lemma in res.stats.lemma_history:
+    for rule, lemma in res.stats.lemmas:
         LEMMA_STREAM.append((m, rule, lemma))
     return res
 

@@ -55,6 +55,11 @@ def const_eq_file(tmp_path, *, negate_defaults=True):
 
 
 class TestSolve:
+    def test_negative_seed_solves(self, tmp_path, capsys):
+        path = chain_file(tmp_path, extra="(assert (= v w))\n")
+        assert main(["solve", str(path), "--seed", "-2"]) == 0
+        assert capsys.readouterr().out == "sat\n"
+
     def test_sat_chain_with_equal_defaults(self, tmp_path, capsys):
         path = chain_file(tmp_path, extra="(assert (= v w))\n")
         assert main(["solve", str(path)]) == 0
@@ -488,6 +493,13 @@ class TestGen:
     ["gen", "--crafted", "0,1,1", "--element-sort", "bv\u0663"],
     ["fuzz", "--count", "\u0663"],
     ["fuzz", "--count", "1", "--bounds", "max_index_domain=\u0663"],
+    # --seed takes ASCII digits after at most one "-", not all int() reads
+    ["solve", "unused.smt2", "--seed", "\u0663"],
+    ["solve", "unused.smt2", "--seed", "-\u0663"],
+    ["fuzz", "--seed", "1_0"],
+    ["fuzz", "--seed", " 7"],
+    ["solve", "unused.smt2", "--seed", "+3"],
+    ["fuzz", "--seed", "-"],
 ])
 def test_bad_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -34,8 +34,7 @@ from caext.engine import (
 from caext.benchgen import CraftedParams, gen_crafted, gen_fuzz
 from caext.errors import InternalError, ResourceLimit, UndefinedStep
 from caext.flatten import flatten
-from caext.ground import (FormulaIndex, GroundSession, Interpretation,
-                          solve_ground)
+from caext.ground import FormulaIndex, GroundSession, solve_ground
 from caext.terms import MAX_BV_WIDTH, postorder
 from perfbench.tracing import ENGINE_NAMES
 
@@ -43,7 +42,7 @@ from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
                      compute_reason, compute_updated_indices, crafted_rung,
                      deep_chain_text, ground_session, random_instance,
                      read_crossings, store_chain, structured_instance,
-                     watch_saturations, witness_name_text)
+                     table_eval, watch_saturations, witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -72,9 +71,9 @@ class Chain:
         self.r4 = m.mk_select(self.s4, ex.j2)
         self.assertions = [self.eq12, self.eq34, ex.v_ne_w]
 
-    def interpretation(self, index_vals, elem_vals) -> Interpretation:
-        """A candidate assignment; reads take the stored element of
-        their own store, matching what the ground core enforces."""
+    def interpretation(self, index_vals, elem_vals) -> dict:
+        """A candidate's table; reads take the stored element of their
+        own store, matching what the ground core enforces."""
         ex = self.ex
         values = {}
         for c, val in zip((ex.i1, ex.j1, ex.i2, ex.j2), index_vals):
@@ -87,11 +86,11 @@ class Chain:
             values[read] = values[u]
         # both atoms hold
         values[self.eq12] = values[self.eq34] = 1
-        return Interpretation(values)
+        return values
 
-    def configuration(self, interp) -> Configuration:
+    def configuration(self, values) -> Configuration:
         cfg = Configuration(self.m, self.assertions)
-        cfg.interp = interp
+        cfg.values = values
         init_steps(cfg)
         propagate_fixpoint(cfg)
         return cfg
@@ -121,26 +120,26 @@ def model_interp(chain):
 
 def interpretation_queries(monkeypatch, instances):
     """Run `check_sat` on each instance.  Per run, return the lemmas
-    that are not witness lemmas and every formula the run asked an
-    interpretation to evaluate, in order, as ``("eval", f, lemma)`` for
-    ``Interpretation.eval(f)`` asked while `_checked` checks ``lemma``
-    (``None`` outside it)."""
-    evaluate = Interpretation.eval
+    that are not witness lemmas and every formula the engine asked
+    ``eval_term`` to evaluate, in order, as ``("eval", f, lemma)`` for
+    ``eval_term(model, f, table)`` asked while `_checked` checks
+    ``lemma`` (``None`` outside it)."""
+    evaluate = caext.engine.eval_term
     checked = caext.engine._checked
     asked, checking = [], []
 
-    def counted_eval(interp, f):
+    def counted_eval(model, f, cache=None):
         asked.append(("eval", f, checking[-1] if checking else None))
-        return evaluate(interp, f)
+        return evaluate(model, f, cache)
 
-    def noted_checked(cfg, info):
-        checking.append(info.lemma)
+    def noted_checked(cfg, rule, lemma):
+        checking.append(lemma)
         try:
-            return checked(cfg, info)
+            return checked(cfg, rule, lemma)
         finally:
             checking.pop()
 
-    monkeypatch.setattr(Interpretation, "eval", counted_eval)
+    monkeypatch.setattr(caext.engine, "eval_term", counted_eval)
     monkeypatch.setattr(caext.engine, "_checked", noted_checked)
     runs = []
     for m, assertions in instances:
@@ -174,19 +173,19 @@ class TestMergedIndexSaturation:
     def test_default_propagation_chain(self, chain):
         ex, cfg = chain.ex, chain.configuration(merged_interp(chain))
         expected = {
-            (chain.s1, ex.cv): (None, ex.cv),
+            (chain.s1, ex.cv): (chain.s1, ex.cv),
             (chain.s2, ex.cv): (chain.eq12, chain.s1),
-            (ex.a, ex.cv): (None, chain.s2),
-            (chain.s3, ex.cv): (None, ex.a),
+            (ex.a, ex.cv): (chain.s2, chain.s2),
+            (chain.s3, ex.cv): (chain.s3, ex.a),
             (chain.s4, ex.cv): (chain.eq34, chain.s3),
-            (ex.cw, ex.cv): (None, chain.s4),
+            (ex.cw, ex.cv): (chain.s4, chain.s4),
         }
         for key, step in expected.items():
             assert cfg.steps[key] == step
 
     def test_reverse_default_chain_also_saturates(self, chain):
         ex, cfg = chain.ex, chain.configuration(merged_interp(chain))
-        assert cfg.steps[(ex.cv, ex.cw)] == (None, chain.s1)
+        assert cfg.steps[(ex.cv, ex.cw)] == (chain.s1, chain.s1)
 
     def test_reads_copied_across_equalities(self, chain):
         cfg = chain.configuration(merged_interp(chain))
@@ -240,15 +239,15 @@ class TestMergedIndexSaturation:
                       m.mk_not(m.mk_distinct_n(
                           4, [ex.i1, ex.j1, ex.i2, ex.j2]))]),
             m.mk_eq(ex.v, ex.w))
-        assert info.lemma is expected
+        assert info.lemmas == (expected,)
 
     def test_apply_appends_lemma_and_resets(self, chain):
         cfg = chain.configuration(merged_interp(chain))
         before = len(cfg.formulas)
         info = check_conflicts(cfg)
-        assert cfg.formulas[-1] is info.lemma
+        assert info.lemmas == (cfg.formulas[-1],)
         assert len(cfg.formulas) == before + 1
-        assert cfg.interp is None and not cfg.steps
+        assert cfg.values is None and not cfg.steps
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +261,11 @@ class TestSpreadIndexSaturation:
         assert len(cfg.steps) == 30
 
     def test_read_travels_to_first_default(self, chain):
-        # The store crossing carries no reason; the path walker builds
-        # the literal that explains it when it writes a lemma.
+        # The store crossing's reason is the store; the path walker
+        # builds the literal that explains it when it writes a lemma.
         ex, m = chain.ex, chain.m
         cfg = chain.configuration(spread_interp(chain))
-        assert cfg.steps[(ex.cv, chain.r2)] == (None, chain.s1)
+        assert cfg.steps[(ex.cv, chain.r2)] == (chain.s1, chain.s1)
         assert _walk(cfg, ex.cv, chain.r2)[0][-1] is \
             m.mk_not(m.mk_eq(ex.j1, ex.i1))
 
@@ -275,7 +274,7 @@ class TestSpreadIndexSaturation:
         assert not cfg.has_step(ex.cw, ex.cv)
         assert not cfg.has_step(ex.cv, ex.cw)
         assert not exists_fresh_index(
-            cfg.interp, (ex.i1, ex.j1, ex.i2, ex.j2), ex.i1.sort)
+            cfg.values, (ex.i1, ex.j1, ex.i2, ex.j2), ex.i1.sort)
 
     def test_conflict_is_read_over_default_with_exact_lemma(self, chain):
         ex, m = chain.ex, chain.m
@@ -286,7 +285,7 @@ class TestSpreadIndexSaturation:
         expected = m.mk_implies(
             m.mk_and([chain.eq12, m.mk_not(m.mk_eq(ex.j1, ex.i1))]),
             m.mk_eq(chain.r2, ex.v))
-        assert info.lemma is expected
+        assert info.lemmas[0] is expected
 
     def test_lemma_that_holds_under_its_candidate_is_refused(self, chain):
         # The spread candidate's read-over-const lemma is false under it
@@ -294,10 +293,11 @@ class TestSpreadIndexSaturation:
         # refuses it: such a lemma would not rule its candidate out.
         cfg = chain.configuration(spread_interp(chain))
         info = _find_conflict(cfg, set())
-        assert _checked(cfg, info) is info
+        lemma = info.lemmas[0]
+        assert _checked(cfg, info.rule, lemma) is lemma
         cfg = chain.configuration(model_interp(chain))
         with pytest.raises(InternalError, match="does not exclude"):
-            _checked(cfg, info)
+            _checked(cfg, info.rule, lemma)
 
     def test_reason_modes_agree_here(self, chain):
         ex = chain.ex
@@ -332,7 +332,7 @@ class TestSaturatedModel:
         cfg = chain.configuration(model_interp(chain))
         for dest, t in cfg.steps:
             for lit in compute_reason(cfg, dest, t).literals:
-                assert cfg.interp.eval(lit)
+                assert table_eval(cfg.values, lit)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ class TestPropagationMap:
         r, e = m.mk_select(a, i), m.mk_eq(a, b)
         cfg = Configuration(m, [m.mk_or([e, x]), m.mk_eq(r, x)])
         values = {i: 0, x: 1, r: 1, e: 0}
-        cfg.interp = Interpretation(values)
+        cfg.values = values
         init_steps(cfg)
         bad = x if reason == "bool_leaf" else e
         with pytest.raises(InternalError, match="atom that holds"):
@@ -381,13 +381,33 @@ class TestPropagationMap:
         cfg = chain.configuration(merged_interp(chain))
         m, ex = chain.m, chain.ex
         cz = m.mk_const_array(ex.a.sort, m.mk_const("z", m.bool_sort))
-        cfg.steps[(cz, cz)] = (None, cz)
-        # No reason, and no store links a to cz: the hop is unjustified.
-        cfg.steps[(ex.a, cz)] = (None, cz)
-        with pytest.raises(InternalError, match="crosses no store"):
+        cfg.set_step(cz, cz, None, cz)
+        # s2 is a store over a, but no store links a to cz: the hop is
+        # unjustified, so it is never recorded and no path reaches it.
+        with pytest.raises(InternalError, match="does not join"):
+            cfg.set_step(ex.a, cz, chain.s2, cz)
+        with pytest.raises(UndefinedStep):
             compute_reason(cfg, ex.a, cz)
-        with pytest.raises(InternalError, match="crosses no store"):
+        with pytest.raises(UndefinedStep):
             compute_updated_indices(cfg, ex.a, cz)
+
+    @pytest.mark.parametrize("reason, match", [
+        # eq12 holds, but it relates s1 and s2, not s1 and s3
+        ("eq12", "does not relate"),
+        # s1 is the source, but it is a store over cv, not over s3
+        ("s1", "does not join"),
+        (None, "has no reason"),
+    ])
+    def test_hop_reason_must_join_its_ends(self, chain, reason, match):
+        cfg = chain.configuration(merged_interp(chain))
+        assert cfg.has_step(chain.s1, chain.r1)
+        assert not cfg.has_step(chain.s3, chain.r1)
+        entries = list(cfg.read_steps)
+        with pytest.raises(InternalError, match=match):
+            cfg.set_step(chain.s3, chain.r1,
+                         reason and getattr(chain, reason), chain.s1)
+        assert not cfg.has_step(chain.s3, chain.r1)
+        assert cfg.read_steps == entries
 
     def test_no_arrays_means_no_steps(self):
         m = TermManager()
@@ -395,7 +415,7 @@ class TestPropagationMap:
         formulas = [m.mk_eq(x, y)]
         ground = solve_ground(ground_session(m, formulas))
         cfg = Configuration(m, formulas)
-        cfg.interp = ground.interpretation
+        cfg.values = ground.values
         init_steps(cfg)
         propagate_fixpoint(cfg)
         assert cfg.steps == {}
@@ -409,7 +429,7 @@ class TestPropagationMap:
         formulas = [m.mk_eq(m.mk_select(a, i), u)]
         ground = solve_ground(ground_session(m, formulas))
         cfg = Configuration(m, formulas)
-        cfg.interp = ground.interpretation
+        cfg.values = ground.values
         init_steps(cfg)
         assert list(cfg.steps) == [(a, m.mk_select(a, i))]
         propagate_fixpoint(cfg)
@@ -421,14 +441,14 @@ class TestPropagationMap:
         cz = m.mk_const_array(ex.a.sort, m.mk_const("z", m.bool_sort))
         cfg.set_step(cz, cz, None, cz)
         # No reason, and no store links a to cz: the hop is unjustified.
-        with pytest.raises(InternalError, match="crosses no store"):
+        with pytest.raises(InternalError, match="has no reason"):
             cfg.set_step(ex.a, cz, None, cz)
         assert not cfg.has_step(ex.a, cz)
         assert (ex.a, cz) not in cfg.default_steps
 
     def test_read_crossing_a_store_at_its_own_index_rejected(self):
-        # A read's store crossing carries no reason, so `set_step`
-        # checks the hop itself: the store's index value must differ
+        # A read's store crossing names the store it crosses, and
+        # `set_step` checks the hop: the store's index value must differ
         # from the read's.
         m = TermManager()
         isort = m.bv_sort(2)
@@ -438,33 +458,33 @@ class TestPropagationMap:
         s, r = m.mk_store(a, i, x), m.mk_select(a, k)
         cfg = Configuration(m, [m.mk_eq(m.mk_select(s, i), x),
                                 m.mk_eq(r, x)])
-        cfg.interp = Interpretation({i: 1, k: 1, x: 0, r: 0})
+        cfg.values = {i: 1, k: 1, x: 0, r: 0}
         init_steps(cfg)
         entries = list(cfg.read_steps)
         with pytest.raises(InternalError, match="at its own index"):
-            cfg.set_step(s, r, None, a)
+            cfg.set_step(s, r, s, a)
         assert not cfg.has_step(s, r)
         assert cfg.read_steps == entries
 
     def test_index_values_are_read_once_per_candidate(self, monkeypatch):
         # Each candidate's values are read off the SAT assignment once,
-        # into the interpretation's table, which holds the value of every
+        # into the candidate's table, which holds the value of every
         # read's and store's index term.  Across the candidates (init_steps,
         # propagation, conflict scan and build_model) the engine reads
-        # that table directly, and calls `Interpretation.eval` only in
-        # `_checked`, once on each lemma.
+        # that table directly, and calls `eval_term` only in `_checked`,
+        # once on each lemma.
         script = next(benchmark_crafted(1001))
         seen = []
 
         def table_holds_the_index_values(cfg):
             index_terms = {t.index for t in cfg.reads + cfg.stores}
-            assert index_terms <= cfg.interp.values.keys()
-            seen.append(cfg.interp)
+            assert index_terms <= cfg.values.keys()
+            seen.append(cfg.values)
 
         with watch_saturations(table_holds_the_index_values):
             (lemmas, asked), = interpretation_queries(
                 monkeypatch, [(script.manager, script.assertions)])
-        assert len(set(seen)) == len(seen) > 1 and lemmas
+        assert len({id(table) for table in seen}) == len(seen) > 1 and lemmas
         assert asked == [("eval", lemma, lemma) for lemma in lemmas]
 
     @pytest.mark.parametrize("family", ["fuzz", "crafted"])
@@ -522,7 +542,7 @@ class TestReadCursor:
     @staticmethod
     def saturate(m, formulas, values):
         cfg = Configuration(m, formulas)
-        cfg.interp = Interpretation(values)
+        cfg.values = values
         init_steps(cfg)
         propagate_fixpoint(cfg)
         fresh, crossings = reference_saturation(cfg)
@@ -563,7 +583,7 @@ class TestReadCursor:
         # No read crosses a store until priority 2 copies r to b, after
         # the cursor has passed every entry recorded at the start.
         assert list(cfg.steps)[-2:] == [(b, r), (s, r)]
-        assert cfg.steps[(s, r)] == (None, b)
+        assert cfg.steps[(s, r)] == (s, b)
         assert _walk(cfg, s, r)[0] == [m.mk_eq(a, b),
                                        m.mk_not(m.mk_eq(k, i))]
 
@@ -609,7 +629,7 @@ class TestReadCursor:
         assertions = gen_crafted(m, CraftedParams(0, (400, 2), m.bv_sort(12),
                                                   m.bool_sort))
         cfg = Configuration(m, flatten(m, assertions).formulas)
-        cfg.interp = solve_ground(GroundSession(cfg)).interpretation
+        cfg.values = solve_ground(GroundSession(cfg)).values
         cfg.hops, cfg.eqs_at = Counting(cfg.hops), Counting(cfg.eqs_at)
         init_steps(cfg)
         propagate_fixpoint(cfg)
@@ -632,10 +652,10 @@ class TestReadCursor:
                              m.mk_select(s2, j): 1})
         info = _find_conflict(cfg, set())
         assert info.rule == "read_over_const"
-        assert repr(info.lemma) == (
+        assert [repr(lemma) for lemma in info.lemmas] == [
             "(=> (and (not (= k j)) (not (= k i))) (= (select (store "
             "(store ((as const (Array (_ BitVec 2) Bool)) v) i x) j y) k) "
-            "v))")
+            "v))"]
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +917,13 @@ class TestExtensionalityWitness:
         a, b = m.mk_const("a", asort), m.mk_const("b", asort)
         e = m.mk_eq(a, b)
         cfg = Configuration(m, [m.mk_not(e)])
-        cfg.interp = solve_ground(
-            ground_session(m, cfg.formulas)).interpretation
+        cfg.values = solve_ground(
+            ground_session(m, cfg.formulas)).values
         init_steps(cfg)
         propagate_fixpoint(cfg)
         info = check_conflicts(cfg)
         assert info.rule == "extensionality"
-        assert cfg.interp is None and not cfg.steps
+        assert cfg.values is None and not cfg.steps
         assert cfg.witnessed == {e}
         cfg.reset()
         assert cfg.witnessed == {e}
@@ -919,7 +939,7 @@ class TestExtensionalityWitness:
                 ground = solve_ground(session)
                 if ground.verdict == "unsat":
                     break
-                cfg.interp = ground.interpretation
+                cfg.values = ground.values
                 init_steps(cfg)
                 propagate_fixpoint(cfg)
                 info = check_conflicts(cfg)
@@ -927,7 +947,8 @@ class TestExtensionalityWitness:
                     break
                 if info.rule == "extensionality":
                     # The lemma is `not e => (select(lhs, k) != ...)`.
-                    per_atom[info.lemma.args[0].args[0]] += 1
+                    lemma, = info.lemmas
+                    per_atom[lemma.args[0].args[0]] += 1
             else:
                 raise AssertionError(f"seed {seed} did not terminate")
             assert all(n == 1 for n in per_atom.values()), seed
@@ -984,8 +1005,8 @@ class TestOracleAgreement:
 
     def test_every_emitted_lemma_is_valid(self, chain):
         res = check_sat(chain.m, chain.assertions)
-        assert res.stats.lemma_history
-        for rule, lemma in res.stats.lemma_history:
+        assert res.stats.lemmas
+        for rule, lemma in res.stats.lemmas:
             assert oracle_valid(lemma, LOOSE), rule
 
 
@@ -1043,7 +1064,7 @@ class TestLoopControls:
             m, assertions = random_instance(7)
             res = check_sat(m, assertions, seed=3)
             summary = (res.verdict, res.stats.refinements,
-                       [rule for rule, _ in res.stats.lemma_history])
+                       [rule for rule, _ in res.stats.lemmas])
             if res.model is not None:
                 summary += (sorted((c.name, val)
                                    for c, val in res.model.items()),)
@@ -1253,9 +1274,9 @@ class TestFormulaIndex:
     def test_array_equalities_are_evaluated_once_per_candidate(
             self, monkeypatch, family):
         # Each array equality atom's truth is read off the SAT assignment
-        # once per candidate, into the interpretation's table.  No atom
-        # is evaluated: during check_sat, `Interpretation.eval` is called
-        # only by `_checked`, once on each lemma that is not a witness
+        # once per candidate, into the candidate's table.  No atom is
+        # evaluated: during check_sat, the engine calls `eval_term`
+        # only in `_checked`, once on each lemma that is not a witness
         # lemma.
         runs = interpretation_queries(monkeypatch, self.instances(family))
         for lemmas, asked in runs:

@@ -8,11 +8,11 @@ import caext
 from caext import (InternalError, OracleBounds, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
-from caext.ground import Interpretation, _eliminate, solve_ground
+from caext.ground import _eliminate, solve_ground
 from caext.terms import Kind, postorder
 
 from helpers import (DEEP_CHAINS, deep_chain_text, ground_session,
-                     random_instance)
+                     random_instance, table_eval)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -27,8 +27,8 @@ class TestScalarCore:
         x, y, z = (m.mk_const(s, m.bv_sort(1)) for s in "xyz")
         res = solve_ground(ground_session(m, [m.mk_eq(x, y), m.mk_eq(y, z)]))
         assert res.verdict == "sat"
-        vals = res.interpretation
-        assert vals.values[x] == vals.values[y] == vals.values[z]
+        vals = res.values
+        assert vals[x] == vals[y] == vals[z]
 
     def test_contradiction_unsat(self, m):
         x, y = (m.mk_const(s, m.bv_sort(2)) for s in "xy")
@@ -46,7 +46,7 @@ class TestScalarCore:
         atom = m.mk_distinct_n(2, ts)
         res = solve_ground(ground_session(m, [m.mk_not(atom)]))
         assert res.verdict == "sat"
-        vals = {res.interpretation.values[t] for t in ts}
+        vals = {res.values[t] for t in ts}
         assert len(vals) == 1
 
     def test_distinct_n_counting(self, m):
@@ -54,14 +54,14 @@ class TestScalarCore:
         res = solve_ground(ground_session(m, [m.mk_distinct_n(3, ts),
                                               m.mk_eq(ts[0], ts[1])]))
         assert res.verdict == "sat"
-        vals = [res.interpretation.values[t] for t in ts]
+        vals = [res.values[t] for t in ts]
         assert len(set(vals)) >= 3 and vals[0] == vals[1]
 
     def test_values_fixed(self, m):
         x = m.mk_const("x", m.bv_sort(3))
         five = m.mk_value(m.bv_sort(3), 5)
         res = solve_ground(ground_session(m, [m.mk_eq(x, five)]))
-        assert res.interpretation.values[x] == 5
+        assert res.values[x] == 5
 
 
 class TestReadsAreFree:
@@ -150,9 +150,8 @@ class TestArrayPartition:
         res = solve_ground(ground_session(m, [m.mk_eq(a, b),
                                               m.mk_not(m.mk_eq(b, c))]))
         assert res.verdict == "sat"
-        interp = res.interpretation
-        assert interp.eval(m.mk_eq(a, b))
-        assert not interp.eval(m.mk_eq(b, c))
+        assert table_eval(res.values, m.mk_eq(a, b))
+        assert not table_eval(res.values, m.mk_eq(b, c))
 
     def test_store_nodes_participate(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
@@ -162,7 +161,7 @@ class TestArrayPartition:
         s = m.mk_store(a, i, u)
         res = solve_ground(ground_session(m, [m.mk_eq(s, b)]))
         assert res.verdict == "sat"
-        assert res.interpretation.eval(m.mk_eq(s, b))
+        assert table_eval(res.values, m.mk_eq(s, b))
 
 
 class TestSparseTransitivity:
@@ -181,11 +180,10 @@ class TestSparseTransitivity:
         res = solve_ground(session)
         assert res.verdict == "sat"
         assert set(session.pair) == {(a, b), (c, d)}
-        interp = res.interpretation
-        assert interp.eval(m.mk_eq(a, b))
-        assert not interp.eval(m.mk_eq(c, d))
+        assert table_eval(res.values, m.mk_eq(a, b))
+        assert not table_eval(res.values, m.mk_eq(c, d))
         with pytest.raises(UnassignedConstant):
-            interp.eval(m.mk_eq(a, c))
+            table_eval(res.values, m.mk_eq(a, c))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_true_atoms_are_closed_under_paths(self, seed):
@@ -213,7 +211,7 @@ class TestSparseTransitivity:
             res = solve_ground(session)
             if res.verdict == "unsat":
                 break
-            truth = {e: res.interpretation.eval(e) for e in atoms}
+            truth = {e: table_eval(res.values, e) for e in atoms}
             parent = {a: a for a in arrays}
 
             def find(x):
@@ -290,7 +288,7 @@ class TestSession:
             one_shot = solve_ground(ground_session(m, batch))
             assert res.verdict == one_shot.verdict, seed
             if res.verdict == "sat":
-                assert all(res.interpretation.eval(f) for f in batch), seed
+                assert all(table_eval(res.values, f) for f in batch), seed
 
     def test_new_array_atom_after_first_encode_raises(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)
@@ -370,7 +368,7 @@ class TestEvalAndInvariants:
             except KeyError:
                 want = None
             try:
-                got = Interpretation(values).eval(f)
+                got = table_eval(values, f)
             except UnassignedConstant:
                 got = None
             assert got is want, f
@@ -383,7 +381,7 @@ class TestEvalAndInvariants:
             flat = flatten(m, assertions).formulas
             res = solve_ground(ground_session(m, flat))
             if res.verdict == "sat":
-                assert all(res.interpretation.eval(f) for f in flat), seed
+                assert all(table_eval(res.values, f) for f in flat), seed
 
     @pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
     def test_eval_of_a_deep_chain(self, kind):
@@ -391,17 +389,16 @@ class TestEvalAndInvariants:
         f, = script.assertions
         p, q = script.declared
         for value, truth in ((1, True), (0, False)):
-            assert Interpretation({p: value, q: 1}).eval(f) is truth
+            assert table_eval({p: value, q: 1}, f) is truth
 
     def test_eval_reads_every_operand(self, m):
         # An operand that does not decide the formula is still read.
         p, x = (m.mk_const(name, m.bool_sort) for name in "px")
-        interp = Interpretation({p: 1})
         for f in (m.mk_or([p, x]), m.mk_and([m.mk_not(p), x]),
                   m.mk_implies(x, p), m.mk_ite(p, p, x),
                   m.mk_implies(p, x)):
             with pytest.raises(UnassignedConstant):
-                interp.eval(f)
+                table_eval({p: 1}, f)
 
     def test_eval_decides_an_array_equality_off_the_table(self, m):
         # An array equality without a table entry is decided from its
@@ -414,12 +411,12 @@ class TestEvalAndInvariants:
         falses = m.mk_const_array(asort, no)
         trues = m.mk_const_array(asort, yes)
         both = m.mk_store(m.mk_store(falses, zero, yes), one, yes)
-        interp = Interpretation({})
-        assert interp.eval(m.mk_eq(both, trues))
-        assert interp.eval(m.mk_eq(m.mk_store(falses, one, no), falses))
-        assert not interp.eval(m.mk_eq(m.mk_store(falses, one, yes), falses))
+        assert table_eval({}, m.mk_eq(both, trues))
+        assert table_eval({}, m.mk_eq(m.mk_store(falses, one, no), falses))
+        assert not table_eval({},
+                              m.mk_eq(m.mk_store(falses, one, yes), falses))
         with pytest.raises(UnassignedConstant):
-            interp.eval(m.mk_eq(m.mk_const("a", asort), trues))
+            table_eval({}, m.mk_eq(m.mk_const("a", asort), trues))
 
     def test_deterministic(self):
         m, assertions = random_instance(11)
@@ -427,7 +424,7 @@ class TestEvalAndInvariants:
         r2 = solve_ground(ground_session(m, assertions))
         assert r1.verdict == r2.verdict
         if r1.verdict == "sat":
-            assert r1.interpretation.values == r2.interpretation.values
+            assert r1.values == r2.values
 
     def test_oracle_sat_implies_ground_sat(self):
         for seed in range(30):

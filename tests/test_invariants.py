@@ -19,7 +19,6 @@ import itertools
 
 from caext import (
     Configuration,
-    ConflictInfo,
     Kind,
     Model,
     OracleBounds,
@@ -40,7 +39,7 @@ from caext import (
 )
 
 from helpers import (Example2, compute_reason, counted_scans, ground_session,
-                     random_instance)
+                     random_instance, table_eval)
 
 AUDIT_BOUNDS = OracleBounds(max_free_constants=20, max_array_constants=10,
                             max_interpretations=5_000_000)
@@ -95,7 +94,7 @@ class LoopAudit:
             assert ground.verdict is not None
             if ground.verdict == "unsat":
                 return "unsat", None
-            self.cfg.interp = ground.interpretation
+            self.cfg.values = ground.values
             init_steps(self.cfg)
             propagate_fixpoint(self.cfg)
             self.candidates += 1
@@ -105,8 +104,7 @@ class LoopAudit:
                 model = build_model(self.cfg)
                 assert validate_model(model, self.cfg.formulas)
                 return "sat", model
-            self.lemmas.extend(ConflictInfo(info.rule, lemma)
-                               for lemma in info.lemmas)
+            self.lemmas.extend((info.rule, lemma) for lemma in info.lemmas)
         raise AssertionError("refinement failed to terminate in 100 rounds")
 
     def audit_saturation(self):
@@ -114,7 +112,7 @@ class LoopAudit:
         for (dest, t) in cfg.steps:
             trace = compute_reason(cfg, dest, t)
             for lit in trace.literals:
-                assert cfg.interp.eval(lit), (
+                assert table_eval(cfg.values, lit), (
                     f"stale reason literal {lit!r} for ({dest!r}, {t!r})")
             self.audit_step(dest, t, trace)
 
@@ -177,11 +175,10 @@ def test_every_lemma_in_the_stream_is_valid():
     for m, assertions in audit_instances():
         audit = LoopAudit(m, assertions)
         audit.run()
-        for info in audit.lemmas:
-            form = lemma_audit_form(
-                m, info.rule, audit.expand(info.lemma))
+        for rule, lemma in audit.lemmas:
+            form = lemma_audit_form(m, rule, audit.expand(lemma))
             assert oracle_valid(form, AUDIT_BOUNDS), (
-                f"invalid {info.rule} lemma {info.lemma!r}")
+                f"invalid {rule} lemma {lemma!r}")
 
 
 def test_refinement_terminates_quickly_on_tiny_instances():
@@ -209,14 +206,14 @@ def test_extensionality_audit_form_is_checked():
     audit = LoopAudit(m, [m.mk_not(m.mk_eq(a, b))])
     verdict, _ = audit.run()
     assert verdict == "sat"
-    rules = [info.rule for info in audit.lemmas]
+    rules = [rule for rule, _ in audit.lemmas]
     assert "extensionality" in rules
-    for info in audit.lemmas:
-        if info.rule == "extensionality":
-            raw = audit.expand(info.lemma)
+    for rule, lemma in audit.lemmas:
+        if rule == "extensionality":
+            raw = audit.expand(lemma)
             assert not oracle_valid(raw, AUDIT_BOUNDS)
             assert oracle_valid(
-                lemma_audit_form(m, info.rule, raw), AUDIT_BOUNDS)
+                lemma_audit_form(m, rule, raw), AUDIT_BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ class TestDistinctCounting:
                 possible = (n <= 2) if force_equal else True
                 assert (res.verdict == "sat") == possible
                 if res.verdict == "sat":
-                    vals = [res.interpretation.values[c] for c in self.consts]
+                    vals = [res.values[c] for c in self.consts]
                     assert len(set(vals)) >= n
 
     def test_equals_arity_means_pairwise_distinct(self):

@@ -3,12 +3,13 @@ propagator and conflict scan in `reference_propagation`.
 
 At every saturation of a run the engine's propagation map must equal
 the one the reference records from scratch for the same formulas and
-interpretation (same keys, reasons of copies, sources and insertion
-order), the literal the engine's path walker rebuilds for every read's
-store crossing must be the ``not (= i k)`` the reference made for that
-hop, the blocked set every default step carries must equal the values
-of the store indices a fresh walk of its path crosses, and the conflict
-the engine finds must equal the reference's.
+candidate (same keys, reasons, sources and insertion order: a copy's
+reason is its atom and a crossing's the store it crossed), the literal
+the engine's path walker builds for every read's store crossing must be
+the ``not (= i k)`` the reference made for that hop, the blocked set
+every default step carries must equal the values of the store indices a
+fresh walk of its path crosses, and the conflict the engine finds must
+equal the reference's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from caext.benchgen import gen_fuzz
 from caext.engine import _find_conflict, _walk
 
 from helpers import (benchmark_crafted, lazy_witnesses, read_crossings,
-                     watch_saturations, witness_name_text)
+                     structured_instance, watch_saturations,
+                     witness_name_text)
 from reference_propagation import reference_conflict, reference_saturation
 
 
@@ -38,7 +40,7 @@ def _gated_check_sat(m, assertions, rules: Counter):
         assert info == expected
         for (dest, t), (blocked, _) in cfg.default_steps.items():
             crossed = _walk(cfg, dest, t)[1]
-            assert blocked == {cfg.interp.values[k] for k in crossed}
+            assert blocked == {cfg.values[k] for k in crossed}
         rules[info.rule if info else "none"] += 1
 
     with watch_saturations(gate):
@@ -63,6 +65,17 @@ def test_fuzz_matches_reference(first_seed):
     assert set(plain + lazy) == {"read_over_const", "read_congruence",
                                  "extensionality", "const_congruence",
                                  "none"}
+
+
+def test_structured_shapes_match_reference():
+    # ites, Boolean terms in term positions, reads as indices and
+    # depth-3 stores, which gen_fuzz never makes
+    rules: Counter = Counter()
+    for seed in range(200):
+        m, assertions = structured_instance(seed)
+        _gated_check_sat(m, assertions, rules)
+    assert set(rules) == {"read_over_const", "read_congruence",
+                          "extensionality", "const_congruence", "none"}
 
 
 @pytest.mark.parametrize("sort", ["(_ BitVec 1)", "Bool"])
