@@ -25,8 +25,12 @@ One path leads in: a :class:`GroundSession` is made over the run's
 :class:`FormulaIndex`, and each :func:`solve_ground` call encodes what
 the index gained since the previous call, from the Boolean terms the
 index filed (no formula is walked twice), and searches, so the SAT core
-keeps what it learned.  A candidate is one table: the value of every
-scalar leaf and the truth of every array equality atom of the index.
+keeps what it learned.  The encoder reads no solver state while it makes
+clauses, so it collects all of one encode and hands them to the solver
+as one batch (`SatSolver.add_clauses`): the solver gets the variables
+and clauses, in the order, that clause-at-a-time adds would give it.
+A candidate is one table: the value of every scalar leaf and the truth
+of every array equality atom of the index.
 """
 
 from __future__ import annotations
@@ -174,6 +178,8 @@ class GroundSession:
     later must relate a pair registered then.  Each `solve_ground` call
     encodes the index terms and formulas added since the previous one,
     reading the Boolean terms the index filed: the encoder walks nothing.
+    The gates append their clauses to one batch, which the session's
+    construction and each `encode_new` end by handing to the solver.
     """
 
     def __init__(self, index: FormulaIndex, seed: int = 0,
@@ -181,7 +187,8 @@ class GroundSession:
         self.index = index
         self.sat = SatSolver(seed=seed, conflict_budget=budget)
         self.true_lit = self.sat.new_var()
-        self.sat.add_clause([self.true_lit])
+        # the clauses made since the last batch went to the solver
+        self._batch: list[list[int]] = [[self.true_lit]]
         self.bits: dict[Term, list[int]] = {}
         self.pair: dict[tuple[Term, Term], int] = {}
         self.lits: dict[Term, int] = {}
@@ -190,6 +197,7 @@ class GroundSession:
         self._terms = 0
         self._formulas = 0
         self._register_pairs(index.eqs_at)
+        self._send_batch()
 
     def encode_new(self) -> None:
         """Encode the index terms and formulas past the cursors: bits
@@ -199,7 +207,9 @@ class GroundSession:
         axioms of new stores; for each new read made directly on a
         constant array, the array's default as its bits; and for each
         new read made directly on a store at another index term, the
-        stored value as its bits wherever the two indices are equal."""
+        stored value as its bits wherever the two indices are equal.
+        Making the clauses reads no solver state; they go to the solver
+        in one batch at the end."""
         index = self.index
         fresh = index.terms[self._terms:]
         first = self._formulas
@@ -212,7 +222,7 @@ class GroundSession:
             for t in index.bools[start:end]:
                 self.lits[t] = self.bool_lit(t)
             start = end
-            self.sat.add_clause([self.lits[f]])
+            self._batch.append([self.lits[f]])
         for t in fresh:
             if t.kind is Kind.STORE:
                 self.assert_bits_equal(index.read_axioms[t], t.stored_value)
@@ -223,16 +233,18 @@ class GroundSession:
                 elif a.kind is Kind.STORE and t.index is not a.index:
                     hit = self.scalar_eq_lit(t.index, a.index)
                     self.assert_bits_equal(t, a.stored_value, guard=-hit)
+        self._send_batch()
+
+    def _send_batch(self) -> None:
+        """Hand the clauses made so far to the solver, in order."""
+        self.sat.add_clauses(self._batch)
+        self._batch = []
 
     # -- gates ----------------------------------------------------------
 
     def _iff(self, a: int, b: int) -> int:
         q = self.sat.new_var()
-        add = self.sat.add_clause
-        add([-q, -a, b])
-        add([-q, a, -b])
-        add([q, a, b])
-        add([q, -a, -b])
+        self._batch += ([-q, -a, b], [-q, a, -b], [q, a, b], [q, -a, -b])
         return q
 
     def _and(self, lits: Sequence[int]) -> int:
@@ -241,9 +253,8 @@ class GroundSession:
         if len(lits) == 1:
             return lits[0]
         q = self.sat.new_var()
-        for lit in lits:
-            self.sat.add_clause([-q, lit])
-        self.sat.add_clause([q] + [-lit for lit in lits])
+        self._batch += [[-q, lit] for lit in lits]
+        self._batch.append([q] + [-lit for lit in lits])
         return q
 
     def _or(self, lits: Sequence[int]) -> int:
@@ -281,7 +292,7 @@ class GroundSession:
         for key in sorted({_pair_key(s, t) for s in adj for t in adj[s]},
                           key=lambda p: (p[0].id, p[1].id)):
             self.pair[key] = self.sat.new_var()
-        add = self.sat.add_clause
+        add = self._batch.append
         for v, nbrs in _eliminate(adj):
             for k, x in enumerate(nbrs):
                 for y in nbrs[k + 1:]:
@@ -364,8 +375,7 @@ class GroundSession:
         literal, only where the guard is false (it joins each clause)."""
         extra = [] if guard is None else [guard]
         for x, y in zip(self.node_bits(s), self.node_bits(t)):
-            self.sat.add_clause([-x, y] + extra)
-            self.sat.add_clause([x, -y] + extra)
+            self._batch += ([-x, y] + extra, [x, -y] + extra)
 
 
 def solve_ground(session: GroundSession) -> GroundResult:
@@ -385,14 +395,23 @@ def solve_ground(session: GroundSession) -> GroundResult:
         return GroundResult(None, conflicts=conflicts)
     if not outcome:
         return GroundResult("unsat", conflicts=conflicts)
-    values = {t: sum((1 << k) if _lit_true(sat, lit) else 0
-                     for k, lit in enumerate(bits))
+    assign = sat.assignment
+    values = {t: _number(assign, t, bits)
               for t, bits in session.bits.items()}
     for e in session.index.array_eq_atoms:
-        values[e] = int(_lit_true(sat, session.lits[e]))
+        values[e] = _number(assign, e, (session.lits[e],))
     return GroundResult("sat", values, conflicts)
 
 
-def _lit_true(sat: SatSolver, lit: int) -> bool:
-    v = sat.value(abs(lit))
-    return v if lit > 0 else not v
+def _number(assign: list[int], t: Term, bits: Sequence[int]) -> int:
+    """The unsigned number whose bit k is the truth of ``bits[k]`` under
+    the solver's ``assign``ment; every bit's variable must be assigned."""
+    value = 0
+    for k, lit in enumerate(bits):
+        val = assign[lit] if lit > 0 else -assign[-lit]
+        if val > 0:
+            value |= 1 << k
+        elif not val:
+            raise InternalError(f"SAT variable {abs(lit)} of {t!r} "
+                                "is unassigned")
+    return value

@@ -1,7 +1,10 @@
 """CDCL core: cross-checked against brute-force enumeration."""
 
+import copy
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -228,6 +231,182 @@ class TestDecisionOrder:
         self.solve_in_batches(rng, s, 60, 3, 85)
         assert s._act_inc < 1e99  # activities were rescaled
         assert s.decisions > 0
+
+
+def reference_add_clause(s, lits):
+    """Adds one clause the way the solver did before clauses came in
+    batches: the reference `add_clauses` must agree with.  Returns what
+    happened to the clause: "skipped", "watched", "unit", "propagated"
+    (a unit that set more than itself), "conflict" (a unit whose
+    propagation failed), "refuted" (every literal false at level 0) or
+    "empty"."""
+    if s._unsat:
+        return "skipped"
+    if s._trail_lim:
+        s._backtrack(0)
+    seen, clause = set(), []
+    for lit in lits:
+        assert lit != 0 and abs(lit) <= s.num_vars, f"bad literal {lit}"
+        val = s._assign[abs(lit)] if lit > 0 else -s._assign[abs(lit)]
+        if val > 0 or -lit in seen:
+            return "skipped"
+        if val == 0 and lit not in seen:
+            seen.add(lit)
+            clause.append(lit)
+    if not clause:
+        s._unsat = True
+        return "refuted" if lits else "empty"
+    if len(clause) > 1:
+        s._watch(clause)
+        return "watched"
+    before = len(s._trail)
+    s._enqueue(clause[0], None)
+    if s._propagate() is not None:
+        s._unsat = True
+        return "conflict"
+    return "propagated" if len(s._trail) > before + 1 else "unit"
+
+
+def batch_scenario(seed):
+    """A solver's clauses and settings, and a clause stream to add to
+    it: duplicate literals, tautologies, units, literals fixed at level
+    0 by earlier units, and now and then an empty clause."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(3, 9)
+    prefix = random_cnf(rng, num_vars, rng.randint(0, num_vars))
+    settings = {"seed": rng.choice((0, seed)), "num_vars": num_vars,
+                "prefix": prefix, "solve_first": rng.random() < 0.6,
+                "extra_vars": rng.randint(0, 2)}
+    size = num_vars + settings["extra_vars"]
+    stream = []
+    for _ in range(rng.randint(1, 4 * size)):
+        width = rng.choice((1, 2, 2, 2, 3, 4))
+        clause = [rng.choice((1, -1)) * rng.randint(1, size)
+                  for _ in range(width)]
+        if rng.random() < 0.3:
+            clause.insert(rng.randint(0, width), rng.choice(clause))
+        if rng.random() < 0.1:
+            clause.insert(rng.randint(0, width), -rng.choice(clause))
+        stream.append(clause)
+    if rng.random() < 0.3:
+        # u forces x and -x: a unit whose propagation fails
+        u, x = rng.sample(range(1, size + 1), 2)
+        at = 0
+        for c in ([-u, x], [-u, -x], [u]):
+            at = rng.randint(at, len(stream))
+            stream.insert(at, c)
+            at += 1
+    if rng.random() < 0.2:
+        stream.insert(rng.randint(0, len(stream)), [])
+    return settings, stream
+
+
+def prepared_solver(settings):
+    s = SatSolver(seed=settings["seed"])
+    for _ in range(settings["num_vars"]):
+        s.new_var()
+    for c in settings["prefix"]:
+        reference_add_clause(s, c)
+    if settings["solve_first"]:
+        s.solve()
+    for _ in range(settings["extra_vars"]):
+        s.new_var()
+    return s
+
+
+def check_batch_add(seed):
+    """`add_clauses(stream)`, `add_clause` clause by clause and the
+    reference clause by clause leave the same watch lists (clauses and
+    their order), trail, assignment and verdict, and the next `solve`
+    gives the same result and model, which brute force confirms.
+    Returns the reference's outcome for each clause, and
+    "above level 0" when the stream came after a `solve` that left the
+    solver there."""
+    settings, stream = batch_scenario(seed)
+    batch, single, ref = (prepared_solver(settings) for _ in range(3))
+    outcomes = Counter()
+    if ref._trail_lim:
+        outcomes["above level 0"] += 1
+    given = copy.deepcopy(stream)
+    batch.add_clauses(given)
+    assert given == stream, "add_clauses changed its input"
+    for c in stream:
+        single.add_clause(c)
+        outcomes[reference_add_clause(ref, c)] += 1
+
+    def state(s):
+        return s._watches, s._trail, s._assign, s._unsat, s._qhead
+
+    assert state(batch) == state(ref), f"seed {seed}: batch"
+    assert state(single) == state(ref), f"seed {seed}: clause by clause"
+    results = [s.solve() for s in (batch, single, ref)]
+    assert results[0] is results[1] is results[2], f"seed {seed}"
+    clauses = settings["prefix"] + stream
+    assert results[0] is brute_force(ref.num_vars, clauses), f"seed {seed}"
+    if results[0]:
+        assert batch._assign == single._assign == ref._assign, f"seed {seed}"
+        assert satisfies(batch, clauses)
+    return outcomes
+
+
+class TestBatchAdd:
+    """A batch of clauses leaves the solver as adding them one at a
+    time does."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_batch_matches_clause_at_a_time(self, seed):
+        check_batch_add(seed)
+
+    def test_streams_reach_every_case(self):
+        outcomes = Counter()
+        for seed in range(200):
+            outcomes += check_batch_add(seed)
+        for case in ("above level 0", "skipped", "watched", "unit",
+                     "propagated", "conflict", "refuted", "empty"):
+            assert outcomes[case] >= 10, (case, outcomes)
+
+    def test_a_unit_propagates_where_it_falls(self):
+        # the unit sets 1, so [-1, 2] comes in as the unit 2; the two
+        # clauses after it are true at level 0 only if 1 and 2 are set
+        # before they come in
+        s = SatSolver()
+        for _ in range(3):
+            s.new_var()
+        s.add_clauses([[1], [-1, 2], [2, 3], [-3, -2, 1]])
+        assert s._trail == [1, 2]
+        assert all(not w for w in s._watches)
+
+    def test_batch_stops_at_the_first_conflict(self):
+        s = SatSolver()
+        for _ in range(2):
+            s.new_var()
+        s.add_clauses([[1], [-1], [1, 2]])
+        assert s._unsat and s._trail == [1]
+        assert all(not w for w in s._watches)
+        assert s.solve() is False
+
+    @pytest.mark.parametrize("twist", ["duplicates", "tautology"])
+    def test_a_long_clause_is_simplified_in_linear_time(self, twist):
+        n = 15_000
+        s = SatSolver()
+        for _ in range(2 * n):
+            s.new_var()
+        lits = [v if v % 3 else -v for v in range(1, 2 * n + 1)]
+        clause = lits + lits[::-1]  # every literal twice
+        if twist == "tautology":
+            clause.append(-lits[n])
+        start = time.perf_counter()
+        s.add_clause(clause)
+        # about 0.01 s; a scan of the kept literals per literal takes
+        # over 10 s here
+        assert time.perf_counter() - start < 2.0
+        watched = [c for w in s._watches for c in w]
+        if twist == "tautology":
+            assert watched == []
+        else:
+            # stored once, first occurrences in order, under two watches
+            assert len(watched) == 2 and watched[0] is watched[1]
+            assert watched[0] == lits
 
 
 def test_luby_prefix():
