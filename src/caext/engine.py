@@ -143,13 +143,7 @@ class Configuration(FormulaIndex):
         self.default_steps: dict[tuple[Term, Term],
                                  tuple[frozenset[int], int]] = {}
 
-    def ordinal_key(self, t: Term) -> int:
-        return self.ordinal[t]
-
     # -- propagation map ---------------------------------------------------
-
-    def has_step(self, dest: Term, t: Term) -> bool:
-        return (dest, t) in self.steps
 
     def step(self, dest: Term, t: Term) -> tuple[Optional[Term], Term]:
         try:
@@ -216,14 +210,15 @@ def init_steps(cfg: Configuration) -> Configuration:
     every constant array at itself."""
     if cfg.values is None:
         raise InternalError("init_steps needs a candidate's table")
+    steps = cfg.steps
     for r in cfg.reads:
-        if not cfg.has_step(r.array, r):
+        if (r.array, r) not in steps:
             cfg.set_step(r.array, r, None, r.array)
     for s, read in cfg.read_axioms.items():
-        if not cfg.has_step(s, read):
+        if (s, read) not in steps:
             cfg.set_step(s, read, None, s)
     for c in cfg.const_arrays:
-        if not cfg.has_step(c, c):
+        if (c, c) not in steps:
             cfg.set_step(c, c, None, c)
     return cfg
 
@@ -257,7 +252,7 @@ def _walk(cfg: Configuration, dest: Term,
 def _canonical_indices(cfg: Configuration,
                        indices: Iterable[Term]) -> tuple[Term, ...]:
     unique = dict.fromkeys(indices)
-    return tuple(sorted(unique, key=cfg.ordinal_key))
+    return tuple(sorted(unique, key=cfg.ordinal.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,7 @@ def _find_conflict(cfg: Configuration,
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
     for dest, c1, c2 in _const_pairs(cfg):
-        if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
+        if cfg.ordinal[c2] < cfg.ordinal[c1]:
             c1, c2 = c2, c1
         if values[c1.default] == values[c2.default]:
             continue
@@ -741,12 +736,10 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         info = check_conflicts(cfg)
         if info is None:
             model = build_model(cfg)
-            for scope in (assertions, cfg.formulas):
-                outcome = validate_model(model, scope)
-                if not outcome:
-                    raise InternalError(
-                        "constructed model fails "
-                        f"{outcome.failing_assertion!r}")
+            outcome = validate_model(model, assertions + cfg.formulas)
+            if not outcome:
+                raise InternalError(
+                    f"constructed model fails {outcome.failing_assertion!r}")
             return SolveResult("sat", model, stats)
         stats.lemmas.extend((info.rule, lemma) for lemma in info.lemmas)
         if max_refinements is not None \

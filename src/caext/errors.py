@@ -10,13 +10,9 @@ class CaextError(Exception):
 class SortMismatch(CaextError):
     """A term constructor was applied to children of the wrong sorts.
 
-    ``positions`` lists the 0-based child indices that failed the check,
-    so callers (and the parser) can point at the offending argument.
+    The message names the sorts involved; the parser reports it at the
+    operator's source location.
     """
-
-    def __init__(self, message: str, positions: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.positions = positions
 
 
 class ParseError(CaextError):

@@ -3,9 +3,11 @@
 Clauses are lists of non-zero integers in the DIMACS convention
 (``v`` / ``-v``).  The solver does watched-literal unit propagation,
 first-UIP clause learning with activity-driven branching, phase saving,
-and Luby-sequence restarts.  Runs are deterministic for a fixed seed;
-seed 0 (the default) starts every variable with a negative phase, any
-other seed randomizes the initial phases.
+and restarts: the k-th restart of a `solve` call waits for 100 *
+luby(k) conflicts, where luby is 1, 1, 2, 1, 1, 2, 4, ..., made term
+by term by Knuth's reluctant doubling.  Runs are deterministic for a
+fixed seed; seed 0 (the default) starts every variable with a negative
+phase, any other seed randomizes the initial phases.
 
 Decisions take the unassigned variable of highest activity, the lowest
 index on ties.  As in MiniSat (Een & Sorensson, "An Extensible
@@ -39,22 +41,17 @@ from __future__ import annotations
 import random
 from heapq import heapify, heappop, heappush
 from operator import neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 _RESTART_UNIT = 100
 
 
-def _luby(i: int) -> int:
-    """The i-th element (1-based) of the Luby restart sequence."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    while i != (1 << k) - 1:
-        i -= (1 << k) - 1
-        k = 1
-        while (1 << (k + 1)) - 1 <= i:
-            k += 1
-    return 1 << (k - 1)
+def _luby() -> Iterator[int]:
+    """The Luby sequence 1, 1, 2, 1, 1, 2, 4, ... without end."""
+    u = v = 1
+    while True:
+        yield v
+        u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
 
 
 def _unfixed(lits: Sequence[int], assign: list[int]) -> Optional[list[int]]:
@@ -332,8 +329,8 @@ class SatSolver:
             return False
         self._backtrack(0)
         start = self.conflicts
-        restart_count = 0
-        limit = _luby(1) * _RESTART_UNIT
+        luby = _luby()
+        limit = next(luby) * _RESTART_UNIT
         since_restart = 0
         while True:
             conflict = self._propagate()
@@ -354,9 +351,8 @@ class SatSolver:
                 self._act_inc /= 0.95
                 continue
             if since_restart >= limit and self._trail_lim:
-                restart_count += 1
                 since_restart = 0
-                limit = _luby(restart_count + 1) * _RESTART_UNIT
+                limit = next(luby) * _RESTART_UNIT
                 self._backtrack(0)
                 continue
             var = self._decide()
@@ -371,8 +367,3 @@ class SatSolver:
         unassigned (index 0 is unused).  The solver's own list, to be
         read, not written; after a True `solve` no variable is 0."""
         return self._assign
-
-    def value(self, var: int) -> bool:
-        """Assignment of ``var`` after a True `solve` result."""
-        assert self._assign[var] != 0, f"variable {var} is unassigned"
-        return self._assign[var] > 0

@@ -5,7 +5,7 @@ building the same term twice yields the same Python object, so
 structural equality is identity and terms can be used freely as
 dictionary keys.  Every term carries its sort; constructors check
 sorts eagerly and raise :class:`~caext.errors.SortMismatch` naming the
-offending child positions.
+sorts that do not fit.
 
 Bool is a sort of its own and is *not* identified with a 1-bit
 bit-vector.
@@ -48,7 +48,8 @@ class SortKind(Enum):
 class Sort:
     """An interned sort: Bool, BitVec(w), or Array(index, element)."""
 
-    __slots__ = ("kind", "width", "index", "element")
+    __slots__ = ("kind", "width", "index", "element",
+                 "is_bool", "is_array", "is_scalar")
 
     def __init__(self, kind: SortKind, width: int = 0,
                  index: Optional["Sort"] = None,
@@ -57,22 +58,9 @@ class Sort:
         self.width = width
         self.index = index
         self.element = element
-
-    @property
-    def is_bool(self) -> bool:
-        return self.kind is SortKind.BOOL
-
-    @property
-    def is_bitvec(self) -> bool:
-        return self.kind is SortKind.BITVEC
-
-    @property
-    def is_array(self) -> bool:
-        return self.kind is SortKind.ARRAY
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.kind is not SortKind.ARRAY
+        self.is_bool = kind is SortKind.BOOL
+        self.is_array = kind is SortKind.ARRAY
+        self.is_scalar = not self.is_array
 
     def __repr__(self) -> str:
         if self.kind is SortKind.BOOL:
@@ -241,8 +229,7 @@ class TermManager:
 
     def array_sort(self, index: Sort, element: Sort) -> Sort:
         if index.is_array or element.is_array:
-            raise SortMismatch("array index and element sorts must be scalar",
-                               positions=(0,) if index.is_array else (1,))
+            raise SortMismatch("array index and element sorts must be scalar")
         return self._intern_sort((SortKind.ARRAY, index, element))
 
     # ------------------------------------------------------------------
@@ -278,10 +265,10 @@ class TermManager:
     def lookup_const(self, name: str) -> Optional[Term]:
         return self._consts.get(name)
 
-    def fresh_const(self, sort: Sort, prefix: str = "__flat") -> Term:
-        """Create a constant with an unused ``<prefix>_<k>`` name."""
+    def fresh_const(self, sort: Sort) -> Term:
+        """Create a constant with an unused ``__flat_<k>`` name."""
         while True:
-            name = f"{prefix}_{self._fresh_counter}"
+            name = f"__flat_{self._fresh_counter}"
             self._fresh_counter += 1
             if name not in self._consts:
                 return self.mk_const(name, sort)
@@ -301,26 +288,22 @@ class TermManager:
 
     def mk_select(self, array: Term, index: Term) -> Term:
         if not array.sort.is_array:
-            raise SortMismatch("select expects an array", positions=(0,))
+            raise SortMismatch("select expects an array")
         if index.sort is not array.sort.index:
             raise SortMismatch(
                 f"select index has sort {index.sort!r}, "
-                f"expected {array.sort.index!r}", positions=(1,))
+                f"expected {array.sort.index!r}")
         return self._intern(
             (Kind.SELECT, array, index),
             lambda i: Term(i, Kind.SELECT, array.sort.element, (array, index)))
 
     def mk_store(self, array: Term, index: Term, value: Term) -> Term:
         if not array.sort.is_array:
-            raise SortMismatch("store expects an array", positions=(0,))
-        bad = []
-        if index.sort is not array.sort.index:
-            bad.append(1)
-        if value.sort is not array.sort.element:
-            bad.append(2)
-        if bad:
-            raise SortMismatch("store index/value sorts do not match the array",
-                               positions=tuple(bad))
+            raise SortMismatch("store expects an array")
+        if index.sort is not array.sort.index \
+                or value.sort is not array.sort.element:
+            raise SortMismatch(
+                "store index/value sorts do not match the array")
         return self._intern(
             (Kind.STORE, array, index, value),
             lambda i: Term(i, Kind.STORE, array.sort, (array, index, value)))
@@ -331,7 +314,7 @@ class TermManager:
         if default.sort is not sort.element:
             raise SortMismatch(
                 f"const-array default has sort {default.sort!r}, "
-                f"expected {sort.element!r}", positions=(0,))
+                f"expected {sort.element!r}")
         return self._intern(
             (Kind.CONST_ARRAY, sort, default),
             lambda i: Term(i, Kind.CONST_ARRAY, sort, (default,)))
@@ -342,15 +325,14 @@ class TermManager:
     def mk_eq(self, left: Term, right: Term) -> Term:
         if left.sort is not right.sort:
             raise SortMismatch(
-                f"cannot equate {left.sort!r} with {right.sort!r}",
-                positions=(0, 1))
+                f"cannot equate {left.sort!r} with {right.sort!r}")
         return self._intern((Kind.EQ, left, right),
                             lambda i: Term(i, Kind.EQ, self.bool_sort,
                                            (left, right)))
 
     def mk_not(self, arg: Term) -> Term:
         if not arg.sort.is_bool:
-            raise SortMismatch("not expects Bool", positions=(0,))
+            raise SortMismatch("not expects Bool")
         return self._intern((Kind.NOT, arg),
                             lambda i: Term(i, Kind.NOT, self.bool_sort, (arg,)))
 
@@ -358,10 +340,8 @@ class TermManager:
         args = tuple(args)
         if len(args) < 2:
             raise CaextError(f"{kind.name} needs at least two arguments")
-        bad = tuple(k for k, a in enumerate(args) if not a.sort.is_bool)
-        if bad:
-            raise SortMismatch(f"{kind.name} expects Bool arguments",
-                               positions=bad)
+        if not all(a.sort.is_bool for a in args):
+            raise SortMismatch(f"{kind.name} expects Bool arguments")
         return self._intern((kind,) + args,
                             lambda i: Term(i, kind, self.bool_sort, args))
 
@@ -375,13 +355,8 @@ class TermManager:
         return self._mk_nary(Kind.IMPLIES, (left, right))
 
     def mk_ite(self, cond: Term, then: Term, els: Term) -> Term:
-        bad = []
-        if not cond.sort.is_bool:
-            bad.append(0)
-        if then.sort is not els.sort:
-            bad.extend((1, 2))
-        if bad:
-            raise SortMismatch("ite expects (Bool, T, T)", positions=tuple(bad))
+        if not cond.sort.is_bool or then.sort is not els.sort:
+            raise SortMismatch("ite expects (Bool, T, T)")
         return self._intern((Kind.ITE, cond, then, els),
                             lambda i: Term(i, Kind.ITE, then.sort,
                                            (cond, then, els)))
@@ -396,12 +371,10 @@ class TermManager:
             raise CaextError("distinct-at-least needs at least one argument")
         sort = args[0].sort
         if sort.is_array:
-            raise SortMismatch("distinct-at-least expects scalar arguments",
-                               positions=(0,))
-        bad = tuple(k for k, a in enumerate(args) if a.sort is not sort)
-        if bad:
-            raise SortMismatch("distinct-at-least arguments must share one sort",
-                               positions=bad)
+            raise SortMismatch("distinct-at-least expects scalar arguments")
+        if any(a.sort is not sort for a in args):
+            raise SortMismatch(
+                "distinct-at-least arguments must share one sort")
         return self._intern((Kind.DISTINCT_N, n) + args,
                             lambda i: Term(i, Kind.DISTINCT_N, self.bool_sort,
                                            args, n=n))
@@ -410,16 +383,11 @@ class TermManager:
     # Generic constructor
 
     def mk_term(self, kind: Kind, children: Sequence[Term], *,
-                name: Optional[str] = None, sort: Optional[Sort] = None,
-                value: Optional[int] = None, n: Optional[int] = None) -> Term:
-        """Single-entry constructor dispatching on ``kind``."""
+                sort: Optional[Sort] = None, n: Optional[int] = None) -> Term:
+        """Single-entry constructor for an application of ``kind``, as
+        `flatten` and `substitute` rebuild one; ``sort`` is a constant
+        array's and ``n`` a distinct-at-least's."""
         children = tuple(children)
-        if kind is Kind.CONSTANT:
-            assert name is not None and sort is not None
-            return self.mk_const(name, sort)
-        if kind is Kind.VALUE:
-            assert sort is not None and value is not None
-            return self.mk_value(sort, value)
         if kind is Kind.SELECT:
             return self.mk_select(*children)
         if kind is Kind.STORE:

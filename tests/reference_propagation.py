@@ -91,13 +91,13 @@ def _apply_one(cfg: Configuration,
         if t.kind is not Kind.SELECT:
             continue
         i = t.index
-        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
+        if dest.kind is Kind.STORE and (dest.array, t) not in cfg.steps \
                 and values[i] != values[dest.index]:
             cfg.set_step(dest.array, t, dest, dest)
             crossings[(dest.array, t)] = m.mk_not(m.mk_eq(i, dest.index))
             return True
         for s in cfg.stores:
-            if s.array is dest and not cfg.has_step(s, t) \
+            if s.array is dest and (s, t) not in cfg.steps \
                     and values[i] != values[s.index]:
                 cfg.set_step(s, t, s, dest)
                 crossings[(s, t)] = m.mk_not(m.mk_eq(i, s.index))
@@ -107,7 +107,7 @@ def _apply_one(cfg: Configuration,
     for dest, t in entries:
         for e in cfg.array_eq_atoms:
             other = _eq_other_side(e, dest)
-            if other is None or cfg.has_step(other, t):
+            if other is None or (other, t) in cfg.steps:
                 continue
             if not table_eval(values, e):
                 continue
@@ -121,12 +121,12 @@ def _apply_one(cfg: Configuration,
             continue
         sort = t.sort.index
         _, crossed = _walk(cfg, dest, t)
-        if dest.kind is Kind.STORE and not cfg.has_step(dest.array, t) \
+        if dest.kind is Kind.STORE and (dest.array, t) not in cfg.steps \
                 and exists_fresh_index(values, crossed + [dest.index], sort):
             cfg.set_step(dest.array, t, dest, dest)
             return True
         for s in cfg.stores:
-            if s.array is dest and not cfg.has_step(s, t) \
+            if s.array is dest and (s, t) not in cfg.steps \
                     and exists_fresh_index(values, crossed + [s.index], sort):
                 cfg.set_step(s, t, s, dest)
                 return True
@@ -179,7 +179,7 @@ def _find_conflict(cfg: Configuration,
     # 4. Two constant arrays with different defaults reached one array
     #    and some cell escapes both updated-index sets.
     for dest, c1, c2 in _entry_pairs(cfg, pos, Kind.CONST_ARRAY):
-        if cfg.ordinal_key(c2) < cfg.ordinal_key(c1):
+        if cfg.ordinal[c2] < cfg.ordinal[c1]:
             c1, c2 = c2, c1
         if values[c1.default] == values[c2.default]:
             continue

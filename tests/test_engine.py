@@ -271,8 +271,8 @@ class TestSpreadIndexSaturation:
 
     def test_defaults_blocked_once_chain_is_fully_updated(self, chain):
         ex, cfg = chain.ex, chain.configuration(spread_interp(chain))
-        assert not cfg.has_step(ex.cw, ex.cv)
-        assert not cfg.has_step(ex.cv, ex.cw)
+        assert (ex.cw, ex.cv) not in cfg.steps
+        assert (ex.cv, ex.cw) not in cfg.steps
         assert not exists_fresh_index(
             cfg.values, (ex.i1, ex.j1, ex.i2, ex.j2), ex.i1.sort)
 
@@ -372,7 +372,7 @@ class TestPropagationMap:
         bad = x if reason == "bool_leaf" else e
         with pytest.raises(InternalError, match="atom that holds"):
             cfg.set_step(b, r, bad, a)
-        assert not cfg.has_step(b, r)
+        assert (b, r) not in cfg.steps
         values[e] = 1
         cfg.set_step(b, r, e, a)
         assert cfg.step(b, r) == (e, a)
@@ -400,13 +400,13 @@ class TestPropagationMap:
     ])
     def test_hop_reason_must_join_its_ends(self, chain, reason, match):
         cfg = chain.configuration(merged_interp(chain))
-        assert cfg.has_step(chain.s1, chain.r1)
-        assert not cfg.has_step(chain.s3, chain.r1)
+        assert (chain.s1, chain.r1) in cfg.steps
+        assert (chain.s3, chain.r1) not in cfg.steps
         entries = list(cfg.read_steps)
         with pytest.raises(InternalError, match=match):
             cfg.set_step(chain.s3, chain.r1,
                          reason and getattr(chain, reason), chain.s1)
-        assert not cfg.has_step(chain.s3, chain.r1)
+        assert (chain.s3, chain.r1) not in cfg.steps
         assert cfg.read_steps == entries
 
     def test_no_arrays_means_no_steps(self):
@@ -443,7 +443,7 @@ class TestPropagationMap:
         # No reason, and no store links a to cz: the hop is unjustified.
         with pytest.raises(InternalError, match="has no reason"):
             cfg.set_step(ex.a, cz, None, cz)
-        assert not cfg.has_step(ex.a, cz)
+        assert (ex.a, cz) not in cfg.steps
         assert (ex.a, cz) not in cfg.default_steps
 
     def test_read_crossing_a_store_at_its_own_index_rejected(self):
@@ -463,7 +463,7 @@ class TestPropagationMap:
         entries = list(cfg.read_steps)
         with pytest.raises(InternalError, match="at its own index"):
             cfg.set_step(s, r, s, a)
-        assert not cfg.has_step(s, r)
+        assert (s, r) not in cfg.steps
         assert cfg.read_steps == entries
 
     def test_index_values_are_read_once_per_candidate(self, monkeypatch):
@@ -985,6 +985,37 @@ class TestModelsFromTheLoop:
             res = check_sat(m, assertions)
             if res.verdict == "sat":
                 assert validate_model(res.model, assertions), seed
+
+    @pytest.mark.parametrize("fault", ["assertion", "lemma"])
+    def test_a_model_that_fails_is_not_returned(self, monkeypatch, fault):
+        # `a != b` gets its extensionality witness `__ext_k_<id>` before
+        # the first candidate.  Making a equal b breaks the assertion;
+        # moving the witness to the cell i, where a and b agree, breaks
+        # only the lemma.
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(2), m.bool_sort)
+        a, b = m.mk_const("a", asort), m.mk_const("b", asort)
+        i = m.mk_const("i", m.bv_sort(2))
+        differ = m.mk_not(m.mk_eq(a, b))
+        assertions = [differ, m.mk_eq(m.mk_select(a, i), m.mk_select(b, i))]
+        witness = f"__ext_k_{differ.args[0].id}"
+
+        def corrupted(cfg):
+            model = build_model(cfg)
+            if fault == "assertion":
+                model.set(a, model[b])
+            else:
+                model.set(m.lookup_const(witness), model[i])
+            return model
+
+        monkeypatch.setattr(caext.engine, "build_model", corrupted)
+        with pytest.raises(InternalError) as e:
+            check_sat(m, assertions)
+        k = m.lookup_const(witness)
+        lemma = m.mk_implies(differ, m.mk_not(
+            m.mk_eq(m.mk_select(a, k), m.mk_select(b, k))))
+        first = differ if fault == "assertion" else lemma
+        assert str(e.value) == f"constructed model fails {first!r}"
 
 
 # ---------------------------------------------------------------------------

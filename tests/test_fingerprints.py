@@ -9,6 +9,9 @@ model on these 265 runs fails here.  A change that does so on purpose
 regenerates the file with that command and says so in ``CHANGES.md``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from fingerprints import fingerprint, runs
@@ -23,3 +26,16 @@ def test_fingerprints_match_the_golden_file():
            for name, manager, assertions in runs(range(200), [7],
                                                  range(50))]
     assert got == expected
+
+
+def test_script_command_line_matches_the_golden_file():
+    # Run as a script, without PYTHONPATH: its own sys.path set-up must
+    # find caext and the helpers, and its options pick the runs.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "fingerprints.py"),
+         "--fuzz", "0:3", "--crafted", "7", "--structured", "0:2"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 3 + 15 + 2
+    assert set(lines) <= set(GOLDEN.read_text().splitlines())

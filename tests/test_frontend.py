@@ -26,7 +26,7 @@ class TestParseBasics:
         """)
         x, y, a = s.declared
         assert x.sort.is_bool
-        assert y.sort.is_bitvec and y.sort.width == 3
+        assert y.sort is s.manager.bv_sort(3)
         assert a.sort.is_array and a.sort.index.width == 2
         # set-logic and declarations assert and define nothing
         assert s.assertions == [] and s.defined == {}

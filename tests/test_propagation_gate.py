@@ -134,7 +134,7 @@ def test_default_stops_where_two_stores_cover_the_domain():
     reached = []
 
     def note_reach(cfg):
-        reached.append((cfg.has_step(below, c), cfg.has_step(a, c)))
+        reached.append(((below, c) in cfg.steps, (a, c) in cfg.steps))
 
     rules: Counter = Counter()
     with watch_saturations(note_reach):

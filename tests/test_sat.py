@@ -37,7 +37,8 @@ def run(num_vars, clauses, seed=0, budget=None):
 
 
 def satisfies(s, clauses):
-    return all(any(s.value(abs(l)) == (l > 0) for l in c) for c in clauses)
+    return all(any((s.assignment[abs(l)] > 0) == (l > 0) for l in c)
+               for c in clauses)
 
 
 def pigeonhole(n, h):
@@ -69,7 +70,7 @@ class TestBasics:
         clauses = [[1, 2], [-1, 3], [-2, -3], [2, 3]]
         s = run(3, clauses)
         assert s.solve() is True
-        model = {v: s.value(v) for v in (1, 2, 3)}
+        model = {v: s.assignment[v] > 0 for v in (1, 2, 3)}
         assert all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
 
     def test_pigeonhole_3_into_2(self):
@@ -95,7 +96,8 @@ class TestDifferential:
             got = s.solve()
             assert got is expected
             if got:
-                model = {v: s.value(v) for v in range(1, num_vars + 1)}
+                model = {v: s.assignment[v] > 0
+                         for v in range(1, num_vars + 1)}
                 assert all(any(model[abs(l)] == (l > 0) for l in c)
                            for c in clauses)
 
@@ -106,7 +108,7 @@ class TestDifferential:
         def model_with(seed):
             s = run(12, clauses, seed=seed)
             assert s.solve() is True
-            return tuple(s.value(v) for v in range(1, 13))
+            return tuple(s.assignment[v] > 0 for v in range(1, 13))
 
         assert model_with(3) == model_with(3)
         assert model_with(0) == model_with(0)
@@ -128,10 +130,10 @@ class TestIncremental:
         clauses = [[1, 2], [-1, 3], [2, 3, 4]]
         s = run(4, clauses)
         assert s.solve() is True
-        first = [v if s.value(v) else -v for v in range(1, 5)]
+        first = [v if s.assignment[v] > 0 else -v for v in range(1, 5)]
         s.add_clause([-lit for lit in first])
         assert s.solve() is True
-        second = [v if s.value(v) else -v for v in range(1, 5)]
+        second = [v if s.assignment[v] > 0 else -v for v in range(1, 5)]
         assert second != first
         assert satisfies(s, clauses + [[-lit for lit in first]])
 
@@ -139,7 +141,7 @@ class TestIncremental:
         s = run(3, [[1, 2], [-2, 3]])
         assert s.solve() is True
         s.add_clause([2])
-        assert s.solve() is True and s.value(3)
+        assert s.solve() is True and s.assignment[3] > 0
         s.add_clause([-3])
         assert s.solve() is False
         assert s.solve() is False
@@ -409,6 +411,21 @@ class TestBatchAdd:
             assert watched[0] == lits
 
 
+def _luby_at(i):
+    """The i-th element (1-based) of the Luby sequence, in closed form."""
+    k = 1
+    while (1 << (k + 1)) - 1 <= i:
+        k += 1
+    while i != (1 << k) - 1:
+        i -= (1 << k) - 1
+        k = 1
+        while (1 << (k + 1)) - 1 <= i:
+            k += 1
+    return 1 << (k - 1)
+
+
 def test_luby_prefix():
-    assert [_luby(i) for i in range(1, 16)] == [
+    assert list(itertools.islice(_luby(), 15)) == [
         1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+    assert list(itertools.islice(_luby(), 5000)) == [
+        _luby_at(i) for i in range(1, 5001)]
