@@ -55,9 +55,6 @@ class FlatResult:
     formulas: list[Term]
     definitions: dict[Term, Term]
 
-    def is_flat(self) -> bool:
-        return all(is_flat_formula(f) for f in self.formulas)
-
 
 def flatten(m: TermManager, assertions: Iterable[Term]) -> FlatResult:
     """Flatten ``assertions`` into an equisatisfiable set of flat

@@ -7,10 +7,11 @@ A model assigns every uninterpreted constant a concrete value:
 * array constants map to an :class:`ArrayValue`: a default element,
   the indices whose element differs from it, and the size of the index
   domain.  Its cost follows the number of exceptions, not the domain
-  size, so a 32-bit index sort is no harder than a 2-bit one.  It
-  still reads like the dense table: ``v[i]``, ``len(v)``, iteration,
-  and ``==`` with a ``tuple`` of length ``len(v)`` all work, and a
-  model given tuples for array constants stores them as array values.
+  size, so a 32-bit index sort is no harder than a 2-bit one.
+  ``v[i]`` reads one index of ``range(v.size)``, ``tuple(v)`` gives
+  the dense table, and ``==`` and ``hash`` use the canonical sparse
+  form.  A model given dense tables for array constants stores them as
+  array values.
 
 :func:`eval_term` implements the standard semantics, including
 extensional array equality (two arrays are equal iff their tables
@@ -21,15 +22,11 @@ an and, or, implies or ite does not need.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnassignedConstant
 from .terms import Kind, Sort, Term, domain_size, free_constants, postorder
-
-# Up to this many cells an array value hashes like its dense tuple.
-_DENSE_HASH_LIMIT = 1 << 16
 
 
 class ArrayValue:
@@ -41,10 +38,6 @@ class ArrayValue:
     ``default`` is the most frequent element, the smallest on ties, so
     two values are equal iff their three fields are.  Treat the fields
     as read-only; :meth:`store` returns a new value.
-
-    The hash equals that of the dense tuple for domains of up to 2**16
-    indices; above that the sparse form is hashed, so such values should
-    not share a set or dict with dense tuples.
     """
 
     __slots__ = ("default", "exceptions", "size")
@@ -88,51 +81,33 @@ class ArrayValue:
 
     def store(self, index: int, element: int) -> "ArrayValue":
         """This table with ``index`` updated to ``element``."""
-        k = self._position(index)
-        if self.exceptions.get(k, self.default) == element:
+        if self[index] == element:
             return self
         exc = dict(self.exceptions)
         if element == self.default:
             # One exception fewer keeps the default the most frequent.
-            del exc[k]
+            del exc[index]
             return ArrayValue._canonical(self.default, exc, self.size)
-        exc[k] = element
+        exc[index] = element
         return ArrayValue(self.default, exc, self.size)
 
-    def _position(self, index: int) -> int:
-        k = operator.index(index)
-        if k < 0:
-            k += self.size
-        if not 0 <= k < self.size:
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.size:
             raise IndexError(f"array index {index} out of range "
                              f"0..{self.size - 1}")
-        return k
-
-    def __getitem__(self, index: int) -> int:
-        if not (type(index) is int and 0 <= index < self.size):
-            index = self._position(index)
         return self.exceptions.get(index, self.default)
-
-    def __len__(self) -> int:
-        return self.size
 
     def __iter__(self) -> Iterator[int]:
         exc, default = self.exceptions, self.default
         return (exc.get(k, default) for k in range(self.size))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ArrayValue):
-            return (self.size == other.size
-                    and self.default == other.default
-                    and self.exceptions == other.exceptions)
-        if isinstance(other, tuple):
-            return len(other) == self.size and all(
-                a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, ArrayValue):
+            return NotImplemented
+        return (self.size == other.size and self.default == other.default
+                and self.exceptions == other.exceptions)
 
     def __hash__(self) -> int:
-        if self.size <= _DENSE_HASH_LIMIT:
-            return hash(tuple(self))
         return hash((self.default, tuple(self.exceptions.items()), self.size))
 
     def __repr__(self) -> str:

@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 import caext
 import caext.engine
 from caext import (Configuration, Kind, Model, Sort, TermManager, Term,
-                   domain_size, eval_term)
+                   domain_size, eval_term, interpretation_count)
 from caext.engine import _canonical_indices, _walk
 from caext.ground import FormulaIndex, GroundSession
 
@@ -340,6 +340,68 @@ def structured_instance(seed: int, *, depth: int = 3,
         return m.mk_ite(formula(d - 1), formula(d - 1), formula(d - 1))
 
     return m, [formula(depth) for _ in range(n_assertions)]
+
+
+# The oracle enumerates at most this many interpretations of a
+# `linked_cells_instance`, which keeps thousands of them quick to check.
+_LINKED_CELLS_INTERPRETATIONS = 1 << 16
+
+
+def linked_cells_instance(seed: int):
+    """A small deterministic instance of array equalities over short
+    store chains, the shape whose models need the model builder to link
+    the cells a store shares with its base and the cells both sides of
+    a satisfied array equality share.  A bv1 or bv2 index sort and a
+    Bool, bv1 or bv2 element sort; 1-3 array, 1-3 index and 0-2
+    element constants; each array term is 0-3 stores over a constant
+    array (often with a non-zero default) or over an array constant;
+    2-7 atoms, most of them array equalities and most of those
+    asserted.  An instance whose constants have more than
+    ``_LINKED_CELLS_INTERPRETATIONS`` interpretations is drawn again.
+    """
+    rng = random.Random(seed)
+    while True:
+        m = TermManager()
+        isort = rng.choice([m.bv_sort(1), m.bv_sort(2)])
+        esort = rng.choice([m.bool_sort, m.bv_sort(1), m.bv_sort(2)])
+        asort = m.array_sort(isort, esort)
+        arrays, indices, elements = (
+            [m.mk_const(f"{name}{k}", sort) for k in range(rng.randint(*n))]
+            for name, sort, n in (("a", asort, (1, 3)), ("i", isort, (1, 3)),
+                                  ("e", esort, (0, 2))))
+
+        def leaf(sort: Sort, consts: list[Term]) -> Term:
+            if not consts or rng.random() < 0.4:
+                return m.mk_value(sort, rng.randrange(domain_size(sort)))
+            return rng.choice(consts)
+
+        def array() -> Term:
+            if rng.random() < 0.45:
+                default = rng.randrange(1 if rng.random() < 0.7 else 0,
+                                        domain_size(esort))
+                out = m.mk_const_array(asort, m.mk_value(esort, default))
+            else:
+                out = rng.choice(arrays)
+            for _ in range(rng.randint(0, 3)):
+                out = m.mk_store(out, leaf(isort, indices),
+                                 leaf(esort, elements))
+            return out
+
+        def literal() -> Term:
+            if rng.random() < 0.6:
+                atom, positive = m.mk_eq(array(), array()), 0.8
+            elif rng.random() < 0.5:
+                atom = m.mk_eq(m.mk_select(array(), leaf(isort, indices)),
+                               leaf(esort, elements))
+                positive = 0.5
+            else:
+                atom = m.mk_eq(leaf(isort, indices), leaf(isort, indices))
+                positive = 0.5
+            return atom if rng.random() < positive else m.mk_not(atom)
+
+        assertions = [literal() for _ in range(rng.randint(2, 7))]
+        if interpretation_count(assertions) <= _LINKED_CELLS_INTERPRETATIONS:
+            return m, assertions
 
 
 def benchmark_crafted(seed: int):

@@ -10,7 +10,7 @@ import caext
 from caext import Kind
 from caext.cli import main
 from caext.errors import IllDefinedModel, ResourceLimit, UndefinedStep
-from caext.flatten import flatten
+from caext.flatten import flatten, is_flat_formula
 from caext.terms import MAX_BV_WIDTH, postorder
 
 from helpers import DEEP, deep_chain_text, run_module, witness_name_text
@@ -455,7 +455,8 @@ class TestGen:
             # chain reads back whole, and flatten leaves it in place.
             script = caext.parse(text)
             flat = flatten(script.manager, script.assertions)
-            assert flat.is_flat() and not flat.definitions
+            assert all(is_flat_formula(f) for f in flat.formulas)
+            assert not flat.definitions
             assert flat.formulas == script.assertions
             assert sum(t.kind is Kind.STORE
                        for t in postorder(flat.formulas)) == 2002

@@ -40,9 +40,10 @@ from perfbench.tracing import ENGINE_NAMES
 
 from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
                      compute_reason, compute_updated_indices, crafted_rung,
-                     deep_chain_text, ground_session, random_instance,
-                     read_crossings, store_chain, structured_instance,
-                     table_eval, watch_saturations, witness_name_text)
+                     deep_chain_text, ground_session, linked_cells_instance,
+                     random_instance, read_crossings, store_chain,
+                     structured_instance, table_eval, watch_saturations,
+                     witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
@@ -321,7 +322,7 @@ class TestSaturatedModel:
         ex = chain.ex
         cfg = chain.configuration(model_interp(chain))
         model = build_model(cfg)
-        assert model[ex.a] == (0, 0, 1, 1)
+        assert tuple(model[ex.a]) == (0, 0, 1, 1)
 
     def test_model_satisfies_assertions(self, chain):
         cfg = chain.configuration(model_interp(chain))
@@ -727,7 +728,7 @@ class TestConstArrayEqualities:
                       m.mk_eq(v, m.mk_value(m.bool_sort, 1))]
         res = check_sat(m, assertions)
         assert res.verdict == "sat"
-        assert res.model[a] == (1, 1, 1, 1)
+        assert tuple(res.model[a]) == (1, 1, 1, 1)
 
     def test_read_of_a_const_array_is_its_default_in_every_candidate(self):
         # the ground encoding gives the read the default's bits, so no
@@ -1017,6 +1018,39 @@ class TestModelsFromTheLoop:
         first = differ if fault == "assertion" else lemma
         assert str(e.value) == f"constructed model fails {first!r}"
 
+    @pytest.mark.parametrize("text", [
+        # the cells of a0 reach the constant array only through the
+        # cells each store shares with its base
+        """(declare-const a0 (Array (_ BitVec 1) (_ BitVec 1)))
+        (declare-const i0 (_ BitVec 1))
+        (declare-const i1 (_ BitVec 1))
+        (declare-const e0 (_ BitVec 1))
+        (assert (= ((as const (Array (_ BitVec 1) (_ BitVec 1))) #b1)
+                   (store (store (store a0 i0 #b0) #b0 #b1) i0 #b1)))
+        (assert (= (store ((as const (Array (_ BitVec 1) (_ BitVec 1))) #b1)
+                          #b1 e0)
+                   (store a0 i1 #b1)))""",
+        # a0's cells take their values only through the cells the two
+        # sides of a satisfied array equality share
+        """(declare-const a0 (Array (_ BitVec 2) (_ BitVec 1)))
+        (declare-const i0 (_ BitVec 2))
+        (declare-const i2 (_ BitVec 2))
+        (declare-const e0 (_ BitVec 1))
+        (assert (= (store a0 i2 e0)
+                   (store (store ((as const (Array (_ BitVec 2) (_ BitVec 1)))
+                                  #b1) i2 e0) #b10 #b0)))
+        (assert (= (store (store (store ((as const (Array (_ BitVec 2)
+                                                          (_ BitVec 1))) #b1)
+                                        #b11 e0) i0 #b1) #b01 #b1)
+                   a0))""",
+    ], ids=["store-links", "equality-links"])
+    def test_linked_cells_give_a_validating_model(self, text):
+        script = caext.parse(text)
+        res = check_sat(script.manager, script.assertions)
+        assert res.verdict == "sat"
+        assert oracle_solve(script.assertions, LOOSE).verdict == "sat"
+        assert validate_model(res.model, script.assertions)
+
 
 # ---------------------------------------------------------------------------
 # Differential testing against the oracle
@@ -1081,6 +1115,25 @@ class TestStructuredShapes:
                       "ite/array", "DISTINCT_N", "read as index",
                       "const array over a read", "read over a store"):
             assert shapes[shape] >= 20, shape
+
+
+class TestLinkedCells:
+    """Models whose cells the model builder links across stores and
+    satisfied array equalities.  CI checks seeds 0-99999."""
+
+    SEEDS = range(2500)
+
+    def test_agrees_with_the_oracle(self):
+        verdicts = Counter()
+        for seed in self.SEEDS:
+            m, assertions = linked_cells_instance(seed)
+            res = check_sat(m, assertions)
+            want = oracle_solve(assertions).verdict
+            assert res.verdict == want, f"seed {seed}"
+            if want == "sat":
+                assert validate_model(res.model, assertions), seed
+            verdicts[want] += 1
+        assert min(verdicts["sat"], verdicts["unsat"]) >= 500, verdicts
 
 
 # ---------------------------------------------------------------------------

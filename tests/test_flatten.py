@@ -39,7 +39,7 @@ class TestShapes:
         top = m.mk_eq(m.mk_select(m.mk_store(a, i, u), j), w)
         res = flatten(m, [top])
         assert res.formulas == [top] and not res.definitions
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_constant_equality_unchanged(self, m, arr):
         eq = m.mk_eq(arr["i"], arr["j"])
@@ -56,7 +56,7 @@ class TestShapes:
         f = m.mk_not(m.mk_eq(m.mk_store(a, i, u), b))
         res = flatten(m, [f])
         assert res.formulas == [f] and not res.definitions
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_bool_read_atom_under_structure(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
@@ -78,7 +78,7 @@ class TestShapes:
         f = m.mk_eq(arr["b"], deep)
         res = flatten(m, [f])
         assert res.formulas == [f] and not res.definitions
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_two_chain_regression_shape(self):
         ex = Example2(TermManager())
@@ -98,7 +98,7 @@ class TestIte:
         assert named is ite and res.formulas[0] == m.mk_eq(z, fresh)
         assert all(t.kind is not Kind.ITE for f in res.formulas
                    for t in postorder([f]))
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
         guards = [f for f in res.formulas if f.kind is Kind.IMPLIES]
         assert len(guards) == 2
 
@@ -108,14 +108,14 @@ class TestIte:
         res = flatten(m, [m.mk_eq(arr["a"], ite)])
         assert all(t.kind is not Kind.ITE for f in res.formulas
                    for t in postorder([f]))
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_bool_equality_over_formulas(self, m, arr):
         p = m.mk_const("p", m.bool_sort)
         inner = m.mk_and([m.mk_eq(arr["i"], arr["j"]),
                           m.mk_eq(arr["u"], arr["w"])])
         res = flatten(m, [m.mk_eq(p, inner)])
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
         phi = [m.mk_eq(p, inner), m.mk_not(p), inner]
         assert oracle_solve(phi, WIDE).verdict == "unsat"
         assert oracle_solve(
@@ -189,7 +189,7 @@ class TestSharing:
         res = flatten(m, [root])
         monkeypatch.undo()
         assert calls <= 2 * distinct, (calls, distinct)
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
         if in_term_position:
             (fresh, named), = res.definitions.items()
             assert named is f
@@ -224,7 +224,8 @@ class TestIdempotence:
     def test_outputs_always_flat(self):
         for seed in range(25):
             m, assertions = random_instance(seed)
-            assert flatten(m, assertions).is_flat()
+            formulas = flatten(m, assertions).formulas
+            assert all(is_flat_formula(f) for f in formulas)
 
 
 class TestPredicates:
@@ -272,7 +273,7 @@ class TestDepth:
             f = m.mk_not(f)
         res = flatten(m, [f])
         assert res.formulas == [f] and not res.definitions
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_deep_store_chain_under_a_read(self, m, arr):
         a, i, u = arr["a"], arr["i"], arr["u"]
@@ -282,7 +283,7 @@ class TestDepth:
         f = m.mk_not(m.mk_eq(m.mk_select(chain, i), u))
         res = flatten(m, [f])
         assert res.formulas == [f] and not res.definitions
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_deep_ite_chain_in_a_term_position(self, m, arr):
         c = m.mk_const("c", m.bool_sort)
@@ -292,7 +293,7 @@ class TestDepth:
             ites.append(t)
         res = flatten(m, [m.mk_eq(arr["u"], t)])
         assert list(res.definitions.values()) == ites
-        assert res.is_flat()
+        assert all(is_flat_formula(f) for f in res.formulas)
 
     def test_deep_boolean_in_a_term_position(self, m):
         p, q = (m.mk_const(s, m.bool_sort) for s in "pq")

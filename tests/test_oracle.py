@@ -37,7 +37,7 @@ class TestExample2:
         assert res.verdict == "sat"
         # First satisfying interpretation in enumeration order, pinned.
         model = res.model
-        assert model[ex.a] == (0, 0, 1, 1)
+        assert tuple(model[ex.a]) == (0, 0, 1, 1)
         assert (model[ex.i1], model[ex.j1]) == (0, 1)
         assert (model[ex.i2], model[ex.j2]) == (2, 3)
         assert (model[ex.v], model[ex.w]) == (1, 0)
