@@ -117,10 +117,9 @@ class Configuration(FormulaIndex):
 
     :meth:`set_step` also records what later phases read off a step, in
     recording order: ``step_keys`` lists every key, ``read_steps``
-    holds ``(destination, read, index value)``, ``default_keys`` lists
-    the keys of the default steps, and ``default_steps`` maps
-    ``(destination, constant array)`` to ``(blocked index values, index
-    domain size)``.  The lists give propagation's cursors a position to
+    holds ``(destination, read, index value)``, and ``blocked`` maps a
+    default step's key ``(destination, constant array)`` to its blocked
+    index values.  The lists give propagation's cursors a position to
     resume at.  A default's blocked set is empty at its starting point,
     the source's set across an equality, and the source's set plus the
     crossed store's index value across a store, so it equals the values
@@ -139,9 +138,7 @@ class Configuration(FormulaIndex):
         # filled per candidate by `set_step`
         self.step_keys: list[tuple[Term, Term]] = []
         self.read_steps: list[tuple[Term, Term, int]] = []
-        self.default_keys: list[tuple[Term, Term]] = []
-        self.default_steps: dict[tuple[Term, Term],
-                                 tuple[frozenset[int], int]] = {}
+        self.blocked: dict[tuple[Term, Term], frozenset[int]] = {}
 
     # -- propagation map ---------------------------------------------------
 
@@ -182,13 +179,12 @@ class Configuration(FormulaIndex):
             self.read_steps.append((dest, t, v))
         elif t.kind is Kind.CONST_ARRAY:
             if source is dest:
-                blocked, size = frozenset(), domain_size(t.sort.index)
+                blocked = frozenset()
             else:
-                blocked, size = self.default_steps[(source, t)]
+                blocked = self.blocked[(source, t)]
                 if crossed is not None:
                     blocked = blocked | {crossed}
-            self.default_keys.append(key)
-            self.default_steps[key] = (blocked, size)
+            self.blocked[key] = blocked
         self.step_keys.append(key)
         self.steps[key] = (reason, source)
 
@@ -199,8 +195,7 @@ class Configuration(FormulaIndex):
         self.steps.clear()
         self.step_keys.clear()
         self.read_steps.clear()
-        self.default_keys.clear()
-        self.default_steps.clear()
+        self.blocked.clear()
 
 
 def init_steps(cfg: Configuration) -> Configuration:
@@ -266,12 +261,14 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     Rules are tried in a fixed priority: reads crossing stores first,
     then copies across equalities that hold under the interpretation,
     then defaults crossing stores.  Each priority walks its entries in
-    recording order (``cfg.read_steps``, ``cfg.step_keys``,
-    ``cfg.default_keys``) with one forward cursor, and each entry tries
-    its neighbours in formula order through the adjacency maps (`hops`,
-    `eqs_at`).  A read or a default tests a store hop with the index
-    value or blocked set its entry carries, and records the store as the
-    reason; a copy needs its atom's truth in ``cfg.values`` to be 1.
+    recording order with one forward cursor, priority 1 over
+    ``cfg.read_steps`` and priorities 2 and 3 over ``cfg.step_keys``
+    (priority 3 passes over the entries that are not defaults).  Each
+    entry tries its neighbours in formula order through the adjacency
+    maps (`hops`, `eqs_at`).  A read tests a store hop with its index
+    value, a default with its set in ``cfg.blocked`` against its index
+    domain, and either records the store as the reason; a copy needs
+    its atom's truth in ``cfg.values`` to be 1.
     Priority 1 records every hop of its entry in one pass; priorities 2
     and 3 record one step, then return to priority 1.  A cursor leaves
     its entry only after a pass over it records nothing.
@@ -284,8 +281,8 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
     the steps recorded.
     """
     steps, hops, eqs_at = cfg.steps, cfg.hops, cfg.eqs_at
-    values = cfg.values
-    reads, keys, defaults = cfg.read_steps, cfg.step_keys, cfg.default_keys
+    values, blocked_at = cfg.values, cfg.blocked
+    reads, keys = cfg.read_steps, cfg.step_keys
     # Indices, not iterators: an exhausted iterator misses later entries.
     r = k = d = 0
     while True:
@@ -305,11 +302,14 @@ def propagate_fixpoint(cfg: Configuration) -> Configuration:
                     break
             else:
                 k += 1
-        elif d < len(defaults):
+        elif d < len(keys):
             # Priority 3: defaults cross stores while a cell off the
             # updated indices still exists.
-            dest, t = defaults[d]
-            blocked, size = cfg.default_steps[(dest, t)]
+            dest, t = keys[d]
+            if t.kind is not Kind.CONST_ARRAY:
+                d += 1
+                continue
+            blocked, size = blocked_at[(dest, t)], domain_size(t.sort.index)
             for other, s in hops.get(dest, ()):
                 if (other, t) not in steps and \
                         len(blocked) + (values[s.index] not in blocked) < size:
@@ -413,9 +413,8 @@ def _find_conflict(cfg: Configuration,
             c1, c2 = c2, c1
         if values[c1.default] == values[c2.default]:
             continue
-        b1, size = cfg.default_steps[(dest, c1)]
-        b2 = cfg.default_steps[(dest, c2)][0]
-        if len(b1 | b2) >= size:
+        size = domain_size(dest.sort.index)
+        if len(cfg.blocked[(dest, c1)] | cfg.blocked[(dest, c2)]) >= size:
             continue
         lits1, idx1 = _walk(cfg, dest, c1)
         lits2, idx2 = _walk(cfg, dest, c2)
@@ -462,7 +461,7 @@ def _const_pairs(cfg: Configuration):
     by when the later entry of the pair was recorded, then the earlier
     one."""
     earlier: dict[Term, list[Term]] = {}
-    for dest, t in cfg.default_steps:
+    for dest, t in cfg.blocked:
         seen = earlier.setdefault(dest, [])
         for t1 in seen:
             yield dest, t1, t
@@ -567,7 +566,7 @@ class _CellSolver:
                     self._union((lhs, x), (rhs, x))
         for dest, t, v in cfg.read_steps:
             self._pin((dest, v), values[t])
-        for (dest, t), (blocked, _) in cfg.default_steps.items():
+        for (dest, t), blocked in cfg.blocked.items():
             val = values[t.default]
             for x in self._classes_of(t.sort):
                 if x not in blocked:
@@ -724,7 +723,7 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
     while True:
         stats.iterations += 1
         ground = solve_ground(session)
-        stats.ground_conflicts += ground.conflicts
+        stats.ground_conflicts = session.sat.conflicts
         if ground.verdict is None:
             return SolveResult("unknown", None, stats)
         if ground.verdict == "unsat":

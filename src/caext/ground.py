@@ -23,9 +23,9 @@ flags feeding a sequential counter.
 
 One path leads in: a :class:`GroundSession` is made over the run's
 :class:`FormulaIndex`, and each :func:`solve_ground` call encodes what
-the index gained since the previous call, from the Boolean terms the
-index filed (no formula is walked twice), and searches, so the SAT core
-keeps what it learned.  The encoder reads no solver state while it makes
+the index gained since the previous call, from the terms the index
+filed (no formula is walked twice), and searches, so the SAT core keeps
+what it learned.  The encoder reads no solver state while it makes
 clauses, so it collects all of one encode and hands them to the solver
 as one batch (`SatSolver.add_clauses`): the solver gets the variables
 and clauses, in the order, that clause-at-a-time adds would give it.
@@ -89,8 +89,9 @@ class FormulaIndex:
 
     :meth:`add_formula` gives every subterm not indexed yet the next
     ordinal, children before parents, as one walk over the whole list
-    would; ``terms`` lists them in that order, and ``bools`` the Boolean
-    ones, whose gates the ground encoder builds.  Each is also filed by
+    would; ``terms`` lists them in that order, and formula k's share of
+    ``terms`` ends at ``term_ends[k]``: the ground encoder builds the
+    gates of its Boolean terms in that order.  Each is also filed by
     kind, and a store ``s`` gets its virtual read ``select(s, s.index)``
     in ``read_axioms``, whose bits the encoder makes equal to those of
     ``s.stored_value``.  It starts with ``formulas``, in order.
@@ -108,9 +109,7 @@ class FormulaIndex:
         self.const_arrays: list[Term] = []
         self.array_eq_atoms: list[Term] = []
         self.constants: list[Term] = []
-        # Boolean terms in order; formula k's share ends at bool_ends[k]
-        self.bools: list[Term] = []
-        self.bool_ends: list[int] = []
+        self.term_ends: list[int] = []
         # array -> (neighbour, store crossed): first the hop down to the
         # base when the array is a store, then the stores over it in
         # `stores` order
@@ -127,13 +126,11 @@ class FormulaIndex:
         self.formulas.append(f)
         for t in postorder((f,), self.ordinal):
             self._file(t)
-        self.bool_ends.append(len(self.bools))
+        self.term_ends.append(len(self.terms))
 
     def _file(self, t: Term) -> None:
         self.ordinal[t] = len(self.terms)
         self.terms.append(t)
-        if t.sort.is_bool:
-            self.bools.append(t)
         if t.kind is Kind.SELECT:
             self.reads.append(t)
         elif t.kind is Kind.STORE:
@@ -159,11 +156,11 @@ class GroundResult:
     the index (constant, read or literal) to its value, every array
     equality atom of the index to its truth, 0 or 1.  The encoding's
     transitivity makes the true atoms a partition of the related
-    arrays.  Other array equalities have no entry."""
+    arrays.  Other array equalities have no entry.  The session's
+    solver counts the conflicts of all calls (``SatSolver.conflicts``)."""
 
     verdict: Optional[str]          # "sat", "unsat", or None on budget
     values: Optional[dict[Term, int]] = None
-    conflicts: int = 0
 
 
 class GroundSession:
@@ -177,7 +174,7 @@ class GroundSession:
     (:meth:`_register_pairs`); an array equality that the index gains
     later must relate a pair registered then.  Each `solve_ground` call
     encodes the index terms and formulas added since the previous one,
-    reading the Boolean terms the index filed: the encoder walks nothing.
+    reading them off the index's ``terms``: the encoder walks nothing.
     The gates append their clauses to one batch, which the session's
     construction and each `encode_new` end by handing to the solver.
     """
@@ -202,25 +199,25 @@ class GroundSession:
     def encode_new(self) -> None:
         """Encode the index terms and formulas past the cursors: bits
         for new scalar leaves (±``true_lit`` for a literal); formula by
-        formula, a literal for each Boolean term of its share of the
-        index's walk, children first, then its unit clause; the read
+        formula, a literal for each Boolean term of its share of
+        ``terms``, children first, then its unit clause; the read
         axioms of new stores; for each new read made directly on a
         constant array, the array's default as its bits; and for each
         new read made directly on a store at another index term, the
         stored value as its bits wherever the two indices are equal.
         Making the clauses reads no solver state; they go to the solver
         in one batch at the end."""
-        index = self.index
-        fresh = index.terms[self._terms:]
-        first = self._formulas
-        self._terms, self._formulas = len(index.terms), len(index.formulas)
+        index, terms = self.index, self.index.terms
+        start, first = self._terms, self._formulas
+        fresh = terms[start:]
+        self._terms, self._formulas = len(terms), len(index.formulas)
         for t in fresh:
             if t.kind in _SCALAR_LEAVES and t.sort.is_scalar:
                 self.node_bits(t)
-        start = index.bool_ends[first - 1] if first else 0
-        for f, end in zip(index.formulas[first:], index.bool_ends[first:]):
-            for t in index.bools[start:end]:
-                self.lits[t] = self.bool_lit(t)
+        for f, end in zip(index.formulas[first:], index.term_ends[first:]):
+            for t in terms[start:end]:
+                if t.sort.is_bool:
+                    self.lits[t] = self.bool_lit(t)
             start = end
             self._batch.append([self.lits[f]])
         for t in fresh:
@@ -383,24 +380,19 @@ def solve_ground(session: GroundSession) -> GroundResult:
     then find a total scalar interpretation satisfying the index's
     formulas plus the three read axioms, or report ground
     unsatisfiability (verdict ``None`` when the session's conflict
-    budget runs out).  The result's ``conflicts`` counts only this
-    call's.  Deterministic for fixed input and seed.
+    budget runs out).  Deterministic for fixed input and seed.
     """
     session.encode_new()
     sat = session.sat
-    before = sat.conflicts
     outcome = sat.solve()
-    conflicts = sat.conflicts - before
-    if outcome is None:
-        return GroundResult(None, conflicts=conflicts)
     if not outcome:
-        return GroundResult("unsat", conflicts=conflicts)
+        return GroundResult(None if outcome is None else "unsat")
     assign = sat.assignment
     values = {t: _number(assign, t, bits)
               for t, bits in session.bits.items()}
     for e in session.index.array_eq_atoms:
         values[e] = _number(assign, e, (session.lits[e],))
-    return GroundResult("sat", values, conflicts)
+    return GroundResult("sat", values)
 
 
 def _number(assign: list[int], t: Term, bits: Sequence[int]) -> int:

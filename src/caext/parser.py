@@ -21,11 +21,12 @@ be declared.  All diagnostics carry a line:column location.
 One regular expression takes the tokens; the delimiters are ``(``,
 ``)``, space, tab, carriage return and newline, and a comment runs
 from ``;`` to the end of the line.  Each top-level form is built in
-one loop over the tokens and read into the script at once; sorts and
-terms are built from the forms on explicit stacks, so nesting depth is
-bounded by memory, not by Python's recursion limit.  A node keeps the
-index of its first token; its line:column is computed from the text
-only when a diagnostic names it.
+one loop over the tokens and read into the script at once.  Terms are
+built from the forms on an explicit stack, so nesting depth is bounded
+by memory, not by Python's recursion limit; a sort is read directly,
+as array sorts do not nest.  A node keeps the index of its first
+token; its line:column is computed from the text only when a
+diagnostic names it.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class _Parser:
         self.tokens = source.tokens
         # the constants earlier commands of this script named
         self.scope: dict[str, Term] = {}
-        self._sorts: dict[tuple[str, ...], Sort] = {}
 
     # -- diagnostics ----------------------------------------------------
 
@@ -186,53 +186,36 @@ class _Parser:
     # -- sorts ----------------------------------------------------------
 
     def sort(self, node: Tree) -> Sort:
-        """The sort ``node`` names.  A script spells few sorts many
-        times, so each spelling (its tokens up to the last atom, which
-        fix the rest) is read once."""
-        last = node
-        while last.__class__ is list:
-            last = last[-1]
-        first = node if node.__class__ is int else node[0]
-        key = tuple(self.tokens[first:last + 1])
-        sort = self._sorts.get(key)
-        if sort is None:
-            sort = self._sorts[key] = self._read_sort(node)
-        return sort
+        """The sort ``node`` names: ``Bool``, ``(_ BitVec w)``, or
+        ``(Array S T)`` over two of those.  Array sorts do not nest, so
+        an ``Array`` operand is not read: once the other operand is
+        read, it is reported at the outer ``Array`` node."""
+        if self._head(node) != "Array":
+            return self._scalar_sort(node)
+        if len(node) != 4:
+            self._err(node, "Array sort takes two arguments", SortError)
+        index, element = (None if self._head(x) == "Array"
+                          else self._scalar_sort(x) for x in node[2:])
+        if index is None or element is None:
+            self._err(node, "array index and element sorts must be scalar",
+                      SortError)
+        return self.m.array_sort(index, element)
 
-    def _read_sort(self, node: Tree) -> Sort:
-        """One stack holds the nodes still to read and, under their
-        operands, the ``Array`` nodes waiting for their index and
-        element sorts; operands are read left to right."""
-        m, tokens = self.m, self.tokens
-        done: list[Sort] = []
-        todo: list = [node]
-        while todo:
-            x = todo.pop()
-            if x.__class__ is int:
-                if tokens[x] != "Bool":
-                    self._err(x, f"unknown sort {tokens[x]!r}", SortError)
-                done.append(m.bool_sort)
-            elif x.__class__ is list:
-                n = len(x)
-                head = tokens[x[1]] if n > 1 and x[1].__class__ is int \
-                    else None
-                if head == "_" and n == 4 and x[2].__class__ is int \
-                        and tokens[x[2]] == "BitVec":
-                    done.append(self._bv_width(x[3]))
-                elif head == "Array":
-                    if n != 4:
-                        self._err(x, "Array sort takes two arguments",
-                                  SortError)
-                    todo += ((x,), x[3], x[2])
-                else:
-                    self._err(x, "unknown sort", SortError)
-            else:
-                element, index = done.pop(), done.pop()
-                try:
-                    done.append(m.array_sort(index, element))
-                except CaextError as e:
-                    self._err(x[0], str(e), SortError)
-        return done[0]
+    def _head(self, node: Tree) -> Optional[str]:
+        """The atom that heads the list ``node``; None for anything else."""
+        if node.__class__ is list and len(node) > 1:
+            return self.source.atom(node[1])
+        return None
+
+    def _scalar_sort(self, node: Tree) -> Sort:
+        atom = self.source.atom(node)
+        if atom == "Bool":
+            return self.m.bool_sort
+        if self._head(node) == "_" and len(node) == 4 \
+                and self.source.atom(node[2]) == "BitVec":
+            return self._bv_width(node[3])
+        self._err(node, "unknown sort" if atom is None
+                  else f"unknown sort {atom!r}", SortError)
 
     def _bv_width(self, node: Tree) -> Sort:
         """The bit-vector sort of the width ``node`` spells."""
@@ -340,10 +323,9 @@ class _Parser:
         """Read one command into ``script``; False at ``exit``, which
         ends the script.  The command is read before the rules on what
         may follow ``check-sat`` are applied."""
-        if node.__class__ is int or len(node) == 1 \
-                or node[1].__class__ is not int:
+        head = self._head(node)
+        if head is None:
             self._err(node, "expected a command")
-        head = self.tokens[node[1]]
         args = node[2:]
         if head in ("declare-const", "declare-fun", "define-fun"):
             const, body = self._declaration(node, head, args)

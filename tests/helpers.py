@@ -404,6 +404,35 @@ def linked_cells_instance(seed: int):
             return m, assertions
 
 
+def dense_equalities_instance(seed: int, n: int = 16):
+    """Array equalities over ``n`` arrays ``a0 ... a{n-1}`` of sort
+    ``(Array (_ BitVec 2) Bool)``: an atom ``(= x y)`` for each pair
+    with probability 0.5, each atom ``e`` asserted, with ``o`` a random
+    atom, as one of ``e``, ``not e``, ``e or o``, ``not e or o`` and
+    ``not e or not o``, plus ``(select a0 i)`` and ``(not (select
+    a{n-1} i))``.  Its atom graph has many cycles, so the ground
+    encoding's transitivity clauses decide it: without them the
+    refinement loop needs many candidates.  ``(manager,
+    assertions)``."""
+    rng = random.Random(seed)
+    m = TermManager()
+    isort = m.bv_sort(2)
+    arrays = [m.mk_const(f"a{k}", m.array_sort(isort, m.bool_sort))
+              for k in range(n)]
+    atoms = [m.mk_eq(x, y) for k, x in enumerate(arrays)
+             for y in arrays[k + 1:] if rng.random() < 0.5]
+    assertions = []
+    for e in atoms:
+        o = rng.choice(atoms)
+        assertions.append(rng.choice([
+            e, m.mk_not(e), m.mk_or([e, o]), m.mk_or([m.mk_not(e), o]),
+            m.mk_or([m.mk_not(e), m.mk_not(o)])]))
+    i = m.mk_const("i", isort)
+    assertions += [m.mk_select(arrays[0], i),
+                   m.mk_not(m.mk_select(arrays[-1], i))]
+    return m, assertions
+
+
 def benchmark_crafted(seed: int):
     """The benchmark's crafted ladder under ``seed`` (constants renamed,
     assertions shuffled), parsed from the texts it solves: one script

@@ -445,7 +445,7 @@ class TestPropagationMap:
         with pytest.raises(InternalError, match="has no reason"):
             cfg.set_step(ex.a, cz, None, cz)
         assert (ex.a, cz) not in cfg.steps
-        assert (ex.a, cz) not in cfg.default_steps
+        assert (ex.a, cz) not in cfg.blocked
 
     def test_read_crossing_a_store_at_its_own_index_rejected(self):
         # A read's store crossing names the store it crosses, and
@@ -535,10 +535,10 @@ class TestPropagationMap:
 
 
 class TestReadCursor:
-    """Each priority resumes at its cursor (into ``read_steps``,
-    ``step_keys`` or ``default_keys``) instead of at the first entry;
-    the steps must still come out in the order of the restarting
-    reference scan."""
+    """Each priority resumes at its cursor (into ``read_steps`` for
+    priority 1, ``step_keys`` for priorities 2 and 3) instead of at the
+    first entry; the steps must still come out in the order of the
+    restarting reference scan."""
 
     @staticmethod
     def saturate(m, formulas, values):
@@ -613,7 +613,7 @@ class TestReadCursor:
         # The priority-3 cursor stays at (c, c) until the default has
         # crossed both stores; neither store leads to the other.
         assert [dest for dest, t in cfg.steps if t is c] == [c, s1, s2]
-        assert cfg.default_steps[(s2, c)] == (frozenset({1}), 4)
+        assert cfg.blocked[(s2, c)] == frozenset({1})
 
     def test_saturation_work_is_linear_in_the_steps(self):
         # A restarting scan looks up a neighbour list per entry per new

@@ -102,6 +102,29 @@ class TestParseErrors:
         with pytest.raises(SortError):
             parse("(declare-const a (Array Bool (Array Bool Bool)))")
 
+    @pytest.mark.parametrize("sort,column,message", [pytest.param(
+        *case, id=case[0][:40]) for case in [
+        ("(Array (_ BitVec 2))", 18, "Array sort takes two arguments"),
+        ("(Array (Array (_ BitVec 2) Bool) Bool)", 18, "must be scalar"),
+        ("(Array (_ BitVec 2) (Array Bool Bool))", 18, "must be scalar"),
+        ("(Array Foo Bool)", 25, "unknown sort 'Foo'"),
+        ("(Array Bool Foo)", 30, "unknown sort 'Foo'"),
+        ("(Array (Array Bool Bool) Foo)", 43, "unknown sort 'Foo'"),
+        ("(_ BitVec 2 3)", 18, "unknown sort"),
+        ("()", 18, "unknown sort"),
+        # An Array operand is reported at the outer Array node, whatever
+        # it holds.
+        ("(Array (Array (Array Bool Bool) Bool) Bool)", 18, "must be scalar"),
+        ("(Array (Array Foo Bool) Bool)", 18, "must be scalar"),
+        ("(Array (Array Bool) Bool)", 18, "must be scalar"),
+        ("(Array " * 10000 + "Bool Bool)" + " Bool)" * 9999, 18,
+         "must be scalar"),
+    ]])
+    def test_sort_diagnostics_are_located(self, sort, column, message):
+        with pytest.raises(SortError, match=message) as info:
+            parse(f"(declare-const a {sort})")
+        assert (info.value.line, info.value.column) == (1, column)
+
     def test_unclosed_paren(self):
         with pytest.raises(ParseError, match="unclosed"):
             parse("(assert (= x y)")

@@ -11,8 +11,8 @@ from caext.flatten import flatten
 from caext.ground import _eliminate, solve_ground
 from caext.terms import Kind, postorder
 
-from helpers import (DEEP_CHAINS, deep_chain_text, ground_session,
-                     random_instance, table_eval)
+from helpers import (DEEP_CHAINS, deep_chain_text, dense_equalities_instance,
+                     ground_session, random_instance, table_eval)
 
 LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
@@ -228,6 +228,17 @@ class TestSparseTransitivity:
             session.index.add_formula(m.mk_or(
                 [m.mk_not(e) if holds else e for e, holds in truth.items()]))
 
+    def test_dense_equalities_are_decided_by_the_first_candidate(self):
+        # Every instance's atom graph is full of cycles, and the
+        # transitivity clauses make its first ground call unsat; without
+        # the triangle clauses the loop takes 7-56 candidates on these
+        # seeds.  No benchmark instance has such a cycle.
+        for seed in range(30):
+            m, assertions = dense_equalities_instance(seed)
+            res = caext.check_sat(m, assertions)
+            assert res.verdict == "unsat", seed
+            assert res.stats.iterations == 1, seed
+
     @pytest.mark.parametrize("seed", range(60))
     def test_heap_eliminates_in_the_order_of_a_min_scan(self, seed):
         # The elimination order fixes the fill edges, the pair variables
@@ -304,13 +315,15 @@ class TestSession:
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]
         fs = [m.mk_distinct_n(8, xs)]
         session = ground_session(m, fs, budget=1)
-        calls = []
+        calls, conflicts = [], []
         while not calls or calls[-1].verdict is None:
+            before = session.sat.conflicts
             calls.append(solve_ground(session))
+            conflicts.append(session.sat.conflicts - before)
             assert len(calls) < 500
         assert len(calls) > 1 and calls[-1].verdict == "sat"
-        assert all(r.conflicts == 2 for r in calls[:-1])
-        assert sum(r.conflicts for r in calls) == session.sat.conflicts
+        assert all(n == 2 for n in conflicts[:-1])
+        assert sum(conflicts) == session.sat.conflicts
 
 
 def _reference_eval(values, f):

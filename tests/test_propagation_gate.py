@@ -38,7 +38,7 @@ def _gated_check_sat(m, assertions, rules: Counter):
         # check_sat's own scan follows and marks `cfg.witnessed`.
         info = _find_conflict(cfg, set(cfg.witnessed))
         assert info == expected
-        for (dest, t), (blocked, _) in cfg.default_steps.items():
+        for (dest, t), blocked in cfg.blocked.items():
             crossed = _walk(cfg, dest, t)[1]
             assert blocked == {cfg.values[k] for k in crossed}
         rules[info.rule if info else "none"] += 1
