@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import BoundsExceeded, CaextError
 from .oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
-from .printer import print_script, print_sort, print_term
+from .printer import print_script, print_term
 from .terms import (Kind, Sort, SortKind, Term, TermManager, domain_size,
                     free_constants, postorder, substitute)
 
@@ -184,10 +184,10 @@ def emit_quantified(manager: TermManager,
             if extra not in declared:
                 declared.append(extra)
         axioms.append(
-            f"(assert (forall (({bound} {print_sort(ca.sort.index)})) "
+            f"(assert (forall (({bound} {ca.sort.index!r})) "
             f"(= (select {c.name} {bound}) {print_term(default)})))")
     for c in declared:
-        lines.append(f"(declare-const {c.name} {print_sort(c.sort)})")
+        lines.append(f"(declare-const {c.name} {c.sort!r})")
     lines.extend(axioms)
     for a in rewritten:
         lines.append(f"(assert {print_term(a)})")

@@ -471,10 +471,6 @@ def _const_pairs(cfg: Configuration):
 def _implication(m: TermManager, antecedent: Sequence[Term],
                  consequent: Term) -> Term:
     lits = list(dict.fromkeys(antecedent))
-    if not lits:
-        return consequent
-    if len(lits) == 1:
-        return m.mk_implies(lits[0], consequent)
     return m.mk_implies(m.mk_and(lits), consequent)
 
 
@@ -541,6 +537,10 @@ class _CellSolver:
     atom the interpretation satisfies (both sides share all classes);
     reads and constant-array defaults recorded in the propagation map
     pin united groups to element values.
+
+    Every link is made before the first pin, and only `_pin` writes a
+    value, so a link never meets one: two values for one group can
+    only meet in `_pin`, which raises :class:`IllDefinedModel`.
     """
 
     def __init__(self, cfg: Configuration):
@@ -586,25 +586,17 @@ class _CellSolver:
 
     def _union(self, c1: tuple[Term, int], c2: tuple[Term, int]) -> None:
         r1, r2 = self._find(c1), self._find(c2)
-        if r1 == r2:
-            return
-        v1, v2 = self._value.get(r1), self._value.get(r2)
-        if v1 is not None and v2 is not None and v1 != v2:
-            raise IllDefinedModel(
-                f"linked cells at {_class_name(c1[1])} of {c1[0]!r} and "
-                f"{c2[0]!r} carry the distinct values {v1} and {v2}")
-        self._parent[r1] = r2
-        if v2 is None and v1 is not None:
-            self._value[r2] = v1
-        self._value.pop(r1, None)
+        if r1 != r2:
+            self._parent[r1] = r2
 
     def _pin(self, cell: tuple[Term, int], val: int) -> None:
         root = self._find(cell)
         old = self._value.setdefault(root, val)
         if old != val:
-            raise IllDefinedModel(
-                f"cell at {_class_name(cell[1])} of {cell[0]!r} is pinned "
-                f"to both {old} and {val}")
+            array, x = cell
+            where = "every other index" if x == _REST else f"index {x}"
+            raise IllDefinedModel(f"cell at {where} of {array!r} is pinned "
+                                  f"to both {old} and {val}")
 
     def table(self, array: Term) -> ArrayValue:
         zero = zero_value(array.sort.element)
@@ -612,10 +604,6 @@ class _CellSolver:
                  for x in self._classes_of(array.sort)}
         default = cells.pop(_REST, zero)
         return ArrayValue(default, cells, domain_size(array.sort.index))
-
-
-def _class_name(x: int) -> str:
-    return "every other index" if x == _REST else f"index {x}"
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +712,8 @@ def check_sat(manager: TermManager, assertions: Iterable[Term], *,
         stats.iterations += 1
         ground = solve_ground(session)
         stats.ground_conflicts = session.sat.conflicts
-        if ground.verdict is None:
-            return SolveResult("unknown", None, stats)
-        if ground.verdict == "unsat":
-            return SolveResult("unsat", None, stats)
+        if ground.verdict != "sat":
+            return SolveResult(ground.verdict, None, stats)
         cfg.values = ground.values
         init_steps(cfg)
         propagate_fixpoint(cfg)

@@ -159,7 +159,7 @@ class GroundResult:
     arrays.  Other array equalities have no entry.  The session's
     solver counts the conflicts of all calls (``SatSolver.conflicts``)."""
 
-    verdict: Optional[str]          # "sat", "unsat", or None on budget
+    verdict: str                    # "sat", "unsat", or "unknown" on budget
     values: Optional[dict[Term, int]] = None
 
 
@@ -187,9 +187,11 @@ class GroundSession:
         # the clauses made since the last batch went to the solver
         self._batch: list[list[int]] = [[self.true_lit]]
         self.bits: dict[Term, list[int]] = {}
-        self.pair: dict[tuple[Term, Term], int] = {}
         self.lits: dict[Term, int] = {}
-        self.eq_cache: dict[tuple[Term, Term], int] = {}
+        # the equality literal of a pair of distinct terms, keyed by
+        # `_pair_key`: every array pair's is made by `_register_pairs`,
+        # a scalar pair's when `scalar_eq_lit` first meets it
+        self.eq_lits: dict[tuple[Term, Term], int] = {}
         # how many of the index's terms and formulas are encoded
         self._terms = 0
         self._formulas = 0
@@ -288,15 +290,15 @@ class GroundSession:
         adj = {a: {other for _, other in es} for a, es in eqs_at.items()}
         for key in sorted({_pair_key(s, t) for s in adj for t in adj[s]},
                           key=lambda p: (p[0].id, p[1].id)):
-            self.pair[key] = self.sat.new_var()
+            self.eq_lits[key] = self.sat.new_var()
         add = self._batch.append
         for v, nbrs in _eliminate(adj):
             for k, x in enumerate(nbrs):
                 for y in nbrs[k + 1:]:
-                    if (x, y) not in self.pair:
-                        self.pair[(x, y)] = self.sat.new_var()
+                    if (x, y) not in self.eq_lits:
+                        self.eq_lits[(x, y)] = self.sat.new_var()
                     vx, vy = self.pair_lit(v, x), self.pair_lit(v, y)
-                    xy = self.pair[(x, y)]
+                    xy = self.eq_lits[(x, y)]
                     add([-vx, -vy, xy])
                     add([-vx, -xy, vy])
                     add([-vy, -xy, vx])
@@ -304,7 +306,7 @@ class GroundSession:
     def pair_lit(self, s: Term, t: Term) -> int:
         if s is t:
             return self.true_lit
-        lit = self.pair.get(_pair_key(s, t))
+        lit = self.eq_lits.get(_pair_key(s, t))
         if lit is None:
             raise InternalError(f"unregistered array pair {s!r} / {t!r}")
         return lit
@@ -314,12 +316,12 @@ class GroundSession:
     def scalar_eq_lit(self, lhs: Term, rhs: Term) -> int:
         if lhs is rhs:
             return self.true_lit
-        key = (lhs, rhs) if lhs.id < rhs.id else (rhs, lhs)
-        lit = self.eq_cache.get(key)
+        key = _pair_key(lhs, rhs)
+        lit = self.eq_lits.get(key)
         if lit is None:
             xs, ys = self.node_bits(lhs), self.node_bits(rhs)
             lit = self._and([self._iff(x, y) for x, y in zip(xs, ys)])
-            self.eq_cache[key] = lit
+            self.eq_lits[key] = lit
         return lit
 
     def distinct_lit(self, t: Term) -> int:
@@ -379,14 +381,15 @@ def solve_ground(session: GroundSession) -> GroundResult:
     """Encode what the session's index gained since the previous call,
     then find a total scalar interpretation satisfying the index's
     formulas plus the three read axioms, or report ground
-    unsatisfiability (verdict ``None`` when the session's conflict
-    budget runs out).  Deterministic for fixed input and seed.
+    unsatisfiability: verdict ``"sat"`` or ``"unsat"``, or ``"unknown"``
+    when the session's conflict budget runs out.  Deterministic for
+    fixed input and seed.
     """
     session.encode_new()
     sat = session.sat
     outcome = sat.solve()
     if not outcome:
-        return GroundResult(None if outcome is None else "unsat")
+        return GroundResult("unknown" if outcome is None else "unsat")
     assign = sat.assignment
     values = {t: _number(assign, t, bits)
               for t, bits in session.bits.items()}

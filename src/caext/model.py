@@ -10,8 +10,8 @@ A model assigns every uninterpreted constant a concrete value:
   size, so a 32-bit index sort is no harder than a 2-bit one.
   ``v[i]`` reads one index of ``range(v.size)``, ``tuple(v)`` gives
   the dense table, and ``==`` and ``hash`` use the canonical sparse
-  form.  A model given dense tables for array constants stores them as
-  array values.
+  form.  A dense table becomes an array value by
+  :meth:`ArrayValue.from_table`, before it is given to a model.
 
 :func:`eval_term` implements the standard semantics, including
 extensional array equality (two arrays are equal iff their tables
@@ -125,22 +125,12 @@ def zero_value(sort: Sort) -> Value:
     return 0
 
 
-def _as_value(const: Term, value) -> Value:
-    if const.sort.is_array and not isinstance(value, ArrayValue):
-        return ArrayValue.from_table(value)
-    return value
-
-
 @dataclass
 class Model:
-    """A finite assignment of constants to values.  A dense table given
-    for an array constant is stored as its :class:`ArrayValue`."""
+    """A finite assignment of constants to values: an ``int`` for a
+    scalar constant, an :class:`ArrayValue` for an array constant."""
 
     values: dict[Term, Value] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for c, v in self.values.items():
-            self.values[c] = _as_value(c, v)
 
     def __getitem__(self, const: Term) -> Value:
         try:
@@ -152,8 +142,8 @@ class Model:
     def __contains__(self, const: Term) -> bool:
         return const in self.values
 
-    def set(self, const: Term, value: Union[Value, Sequence[int]]) -> None:
-        self.values[const] = _as_value(const, value)
+    def set(self, const: Term, value: Value) -> None:
+        self.values[const] = value
 
     def items(self):
         return self.values.items()

@@ -11,8 +11,8 @@ grid axis per scalar constant or array cell.  The reported model is
 the *first* satisfying interpretation in enumeration order: constants
 sorted by name, later constants varying fastest, array cells
 enumerated from index 0 (most significant) up.  The grid holds dense
-tables; a reported model converts them to
-:class:`caext.model.ArrayValue` as it is built.
+tables; ``_Grid.model_at`` makes each one an
+:class:`caext.model.ArrayValue` as it builds the reported model.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BoundsExceeded
-from .model import Model
+from .model import ArrayValue, Model
 from .terms import Kind, Sort, Term, domain_size, postorder
 
 # The integer type of every axis and literal value; it holds every value
@@ -187,7 +187,7 @@ class _Grid:
         for c, axis in self.scalar_axis.items():
             model.set(c, coords[axis])
         for c, axes in self.array_axes.items():
-            model.set(c, tuple(coords[a] for a in axes))
+            model.set(c, ArrayValue.from_table([coords[a] for a in axes]))
         return model
 
 

@@ -130,15 +130,13 @@ class Script:
 
 
 def _chain(m: TermManager, terms: list[Term]) -> Term:
-    eqs = [m.mk_eq(x, y) for x, y in zip(terms, terms[1:])]
-    return eqs[0] if len(eqs) == 1 else m.mk_and(eqs)
+    return m.mk_and([m.mk_eq(x, y) for x, y in zip(terms, terms[1:])])
 
 
 def _distinct(m: TermManager, terms: list[Term]) -> Term:
-    pairs = [m.mk_not(m.mk_eq(terms[i], terms[j]))
-             for i in range(len(terms))
-             for j in range(i + 1, len(terms))]
-    return pairs[0] if len(pairs) == 1 else m.mk_and(pairs)
+    return m.mk_and([m.mk_not(m.mk_eq(terms[i], terms[j]))
+                     for i in range(len(terms))
+                     for j in range(i + 1, len(terms))])
 
 
 def _implies(m: TermManager, terms: list[Term]) -> Term:
@@ -158,8 +156,8 @@ _OPERATORS = {
     "=": (2, None, _chain),
     "distinct": (2, None, _distinct),
     "not": (1, 1, lambda m, ts: m.mk_not(*ts)),
-    "and": (1, None, lambda m, ts: ts[0] if len(ts) == 1 else m.mk_and(ts)),
-    "or": (1, None, lambda m, ts: ts[0] if len(ts) == 1 else m.mk_or(ts)),
+    "and": (1, None, TermManager.mk_and),
+    "or": (1, None, TermManager.mk_or),
     "=>": (2, None, _implies),
     "ite": (3, 3, lambda m, ts: m.mk_ite(*ts)),
 }

@@ -9,10 +9,6 @@ from .model import ArrayValue, Model, Value
 from .terms import Kind, Sort, Term, TermManager, free_constants, postorder
 
 
-def print_sort(sort: Sort) -> str:
-    return repr(sort)
-
-
 def print_term(term: Term) -> str:
     """SMT-LIB rendering of a term.
 
@@ -58,7 +54,7 @@ def print_model(manager: TermManager, model: Model,
     lines = []
     for c in constants:
         assert c.kind is Kind.CONSTANT
-        lines.append(f"(define-fun {c.name} () {print_sort(c.sort)} "
+        lines.append(f"(define-fun {c.name} () {c.sort!r} "
                      f"{format_value(manager, c.sort, model[c])})")
     return "\n".join(lines)
 
@@ -68,7 +64,7 @@ def print_script(assertions: Sequence[Term], *,
     """A complete QF_ABV script: declarations, assertions, check-sat."""
     lines = ["(set-logic QF_ABV)"]
     for c in free_constants(assertions):
-        lines.append(f"(declare-const {c.name} {print_sort(c.sort)})")
+        lines.append(f"(declare-const {c.name} {c.sort!r})")
     for a in assertions:
         lines.append(f"(assert {print_term(a)})")
     lines.append("(check-sat)")

@@ -338,17 +338,21 @@ class TermManager:
 
     def _mk_nary(self, kind: Kind, args: Sequence[Term]) -> Term:
         args = tuple(args)
-        if len(args) < 2:
-            raise CaextError(f"{kind.name} needs at least two arguments")
+        if not args:
+            raise CaextError(f"{kind.name} needs at least one argument")
         if not all(a.sort.is_bool for a in args):
             raise SortMismatch(f"{kind.name} expects Bool arguments")
+        if len(args) == 1:
+            return args[0]
         return self._intern((kind,) + args,
                             lambda i: Term(i, kind, self.bool_sort, args))
 
     def mk_and(self, args: Sequence[Term]) -> Term:
+        """The conjunction of the Bool ``args``; of one, that one."""
         return self._mk_nary(Kind.AND, args)
 
     def mk_or(self, args: Sequence[Term]) -> Term:
+        """The disjunction of the Bool ``args``; of one, that one."""
         return self._mk_nary(Kind.OR, args)
 
     def mk_implies(self, left: Term, right: Term) -> Term:

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from caext import Kind, Model, Sort, Term, TermManager, domain_size
 from caext.engine import Configuration, _walk
 from caext.errors import IllDefinedModel
-from caext.printer import print_sort
 from caext.terms import postorder
 
 from helpers import table_eval
@@ -112,5 +111,5 @@ def dense_print_model(manager: TermManager, model: Model,
             body = repr(dense_array_term(manager, c.sort, tables[c]))
         else:
             body = repr(manager.mk_value(c.sort, model[c]))
-        lines.append(f"(define-fun {c.name} () {print_sort(c.sort)} {body})")
+        lines.append(f"(define-fun {c.name} () {c.sort!r} {body})")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from caext import (Kind, Model, OracleResult, Term, ValidityResult,
+from caext import (ArrayValue, Kind, Model, OracleResult, Term, ValidityResult,
                    domain_size, eval_term)
 from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_constants, _Grid
 
@@ -27,8 +27,9 @@ from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_constants, _Grid
 def _interpretations(grid: _Grid):
     """Every interpretation of the grid's constants, in grid order."""
     order = sorted(grid.scalars + grid.arrays, key=lambda c: c.name or "")
-    domains = [itertools.product(range(domain_size(c.sort.element)),
-                                 repeat=domain_size(c.sort.index))
+    domains = [map(ArrayValue.from_table,
+                   itertools.product(range(domain_size(c.sort.element)),
+                                     repeat=domain_size(c.sort.index)))
                if c.sort.is_array else range(domain_size(c.sort))
                for c in order]
     for combo in itertools.product(*domains):

@@ -8,6 +8,7 @@ import pytest
 
 import caext
 from caext import Kind
+from caext.benchgen import gen_fuzz
 from caext.cli import main
 from caext.errors import IllDefinedModel, ResourceLimit, UndefinedStep
 from caext.flatten import flatten, is_flat_formula
@@ -234,6 +235,18 @@ class TestSolve:
         assert out.out == ""
         assert out.err == f"error: {path}:{diagnostic}\n"
 
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_one_operand_connective_over_a_bit_vector_is_located(
+            self, tmp_path, capsys, op):
+        path = tmp_path / "f.smt2"
+        path.write_text("(declare-const x (_ BitVec 2))"
+                        f"(assert (= ({op} x) #b01))\n(check-sat)\n")
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {path}:1:42: {op.upper()} expects Bool "
+                           "arguments\n")
+
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "f.smt2"
         path.write_bytes(b"\xff(check-sat)\n")
@@ -364,6 +377,37 @@ class TestFuzz:
         assert main(["fuzz", "--count", "5", "--seed", "2",
                      "--bounds", "max_free_constants=5"]) == 0
         assert "5 instances: 5 agree" in capsys.readouterr().out
+
+    def test_disagreement_is_reported_with_the_script(self, monkeypatch,
+                                                      capsys):
+        real = caext.cli.oracle_solve
+
+        def flipped(assertions, bounds):
+            verdict = real(assertions, bounds).verdict
+            return caext.OracleResult("sat" if verdict == "unsat" else "unsat")
+
+        monkeypatch.setattr(caext.cli, "oracle_solve", flipped)
+        assert main(["fuzz", "--count", "1", "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        m, assertions = gen_fuzz(0)
+        solver = caext.check_sat(m, assertions).verdict
+        reference = "sat" if solver == "unsat" else "unsat"
+        assert out.err == (f"disagreement at seed 0: solver says {solver}, "
+                           f"reference says {reference}\n"
+                           f"{caext.print_script(assertions)}\n")
+        assert out.out.startswith("1 instances: 0 agree, 1 disagree")
+
+    def test_model_failing_assert_back_is_a_disagreement(self, monkeypatch,
+                                                         capsys):
+        m, assertions = gen_fuzz(1)
+        assert caext.check_sat(m, assertions).verdict == "sat"
+        monkeypatch.setattr(caext.cli, "validate_model",
+                            lambda model, assertions: False)
+        assert main(["fuzz", "--count", "1", "--seed", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(
+            "disagreement at seed 1: model fails assert-back\n")
+        assert out.out.startswith("1 instances: 0 agree, 1 disagree")
 
     @pytest.mark.parametrize("bounds", [
         "max_index_domain=0", "max_element_domain=1",

@@ -15,6 +15,8 @@ from caext.terms import MAX_BV_WIDTH
 
 from helpers import benchmark_crafted, random_instance
 
+_BV2 = "(declare-const x (_ BitVec 2))"
+
 
 class TestParseBasics:
     def test_declarations_and_sorts(self):
@@ -124,6 +126,45 @@ class TestParseErrors:
         with pytest.raises(SortError, match=message) as info:
             parse(f"(declare-const a {sort})")
         assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text,cls,where,message", [pytest.param(
+        *case, id=case[0].removeprefix(_BV2)[:40]) for case in [
+        ("(assert ())", ParseError, "1:9", "empty application"),
+        ("(assert (and))", ParseError, "1:9", "'and' needs arguments"),
+        ("(assert (= true))", ParseError, "1:9",
+         "'=' takes at least two arguments"),
+        ("(assert ((as const Bool) true))", SortError, "1:20",
+         "const needs an array sort"),
+        ("(assert (= ((as const (Array Bool Bool)) true false) "
+         "((as const (Array Bool Bool)) true)))", ParseError, "1:12",
+         "const array takes one default value"),
+        ("(assert ((foo) true))", ParseError, "1:9",
+         "expected ((as const (Array s t)) v)"),
+        ("check-sat", ParseError, "1:1", "expected a command"),
+        ("(assert)", ParseError, "1:1", "assert takes one term"),
+        ("(set-logic)", ParseError, "1:1", "set-logic takes one symbol"),
+        ("(check-sat 1)", ParseError, "1:1", "check-sat takes no arguments"),
+        ("(declare-const x)", ParseError, "1:1",
+         "declare-const takes 2 arguments"),
+        ("(assert #b)", ParseError, "1:9", "bad binary literal '#b'"),
+        ("(declare-const (x) Bool)", ParseError, "1:16", "expected a symbol"),
+        ("(declare-const x (_ BitVec (3)))", ParseError, "1:28",
+         "expected bit-vector width"),
+        # A one-operand and/or is its operand, which must be Bool.
+        (_BV2 + "(assert (= (and x) #b01))", SortError, "1:42",
+         "AND expects Bool arguments"),
+        (_BV2 + "(assert (= (or x) #b01))", SortError, "1:42",
+         "OR expects Bool arguments"),
+    ]])
+    def test_every_diagnostic_is_located(self, text, cls, where, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert type(info.value) is cls
+        assert str(info.value) == f"{where}: {message}"
+
+    def test_one_operand_and_is_its_operand(self):
+        s = parse("(declare-const p Bool)(assert (and p))")
+        assert s.assertions == s.declared
 
     def test_unclosed_paren(self):
         with pytest.raises(ParseError, match="unclosed"):
@@ -421,7 +462,7 @@ class TestModelPrinting:
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
         a = m.mk_const("a", asort)
         v = m.mk_const("v", m.bv_sort(3))
-        model = Model({a: (0, 1, 0, 0), v: 6})
+        model = Model({a: ArrayValue.from_table((0, 1, 0, 0)), v: 6})
         text = print_model(m, model, [a, v])
         script = parse(text, m)
         for const, body in script.defined.items():

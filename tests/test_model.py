@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from caext import (
-    Model, TermManager, UnassignedConstant, complete_model, eval_term,
+    ArrayValue, Model, TermManager, UnassignedConstant, complete_model, eval_term,
     validate_model, zero_value,
 )
 
@@ -39,14 +39,15 @@ class TestArrayLaws:
     def test_select_over_store_same_index(self, setup):
         m, _, a, i, u = setup
         t = m.mk_select(m.mk_store(a, i, u), i)
-        mod = Model({a: (3, 2, 1, 0), i: 2, u: 3})
+        mod = Model({a: ArrayValue.from_table((3, 2, 1, 0)), i: 2, u: 3})
         assert eval_term(mod, t) == 3
 
     def test_select_over_store_other_index(self, setup):
         m, _, a, i, u = setup
         j = m.mk_const("j", m.bv_sort(2))
         t = m.mk_select(m.mk_store(a, i, u), j)
-        mod = Model({a: (3, 2, 1, 0), i: 2, u: 3, j: 0})
+        mod = Model({a: ArrayValue.from_table((3, 2, 1, 0)), i: 2, u: 3,
+                     j: 0})
         assert eval_term(mod, t) == 3  # a[0], untouched
 
     def test_const_array_select(self, setup):
@@ -57,15 +58,19 @@ class TestArrayLaws:
 
     def test_store_produces_table(self, setup):
         m, _, a, i, u = setup
-        mod = Model({a: (0, 0, 0, 0), i: 1, u: 3})
+        mod = Model({a: ArrayValue.from_table((0, 0, 0, 0)), i: 1, u: 3})
         assert tuple(eval_term(mod, m.mk_store(a, i, u))) == (0, 3, 0, 0)
 
     def test_array_equality_is_extensional(self, setup):
         m, asort, a, i, u = setup
         b = m.mk_const("b", asort)
         eq = m.mk_eq(a, b)
-        assert eval_term(Model({a: (1, 2, 0, 0), b: (1, 2, 0, 0)}), eq) == 1
-        assert eval_term(Model({a: (1, 2, 0, 0), b: (1, 2, 0, 1)}), eq) == 0
+        assert eval_term(Model({a: ArrayValue.from_table((1, 2, 0, 0)),
+                                b: ArrayValue.from_table((1, 2, 0, 0))}),
+                         eq) == 1
+        assert eval_term(Model({a: ArrayValue.from_table((1, 2, 0, 0)),
+                                b: ArrayValue.from_table((1, 2, 0, 1))}),
+                         eq) == 0
 
     def test_const_array_equals_full_store_chain(self, setup):
         m, asort, a, i, u = setup
@@ -77,7 +82,8 @@ class TestArrayLaws:
             ik = m.mk_const(f"i{k}", m.bv_sort(2))
             chain = m.mk_store(chain, ik, v)
             idx_vals[ik] = k
-        mod = Model({a: (3, 3, 3, 3), v: 1, **idx_vals})
+        mod = Model({a: ArrayValue.from_table((3, 3, 3, 3)), v: 1,
+                     **idx_vals})
         assert eval_term(mod, m.mk_eq(cv, chain)) == 1
 
 

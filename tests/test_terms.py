@@ -129,6 +129,37 @@ class TestSortChecks:
         with pytest.raises(CaextError):
             m.mk_value(m.bool_sort, -1)
 
+    @pytest.mark.parametrize("build,cls,message", [
+        (lambda m, a, x, p: m.mk_value(a.sort, 0), SortMismatch,
+         "literal values exist only for scalar sorts"),
+        (lambda m, a, x, p: m.mk_store(x, x, x), SortMismatch,
+         "store expects an array"),
+        (lambda m, a, x, p: m.mk_const_array(x.sort, p), SortMismatch,
+         "const-array needs an array sort"),
+        (lambda m, a, x, p: m.mk_not(x), SortMismatch, "not expects Bool"),
+        (lambda m, a, x, p: m.mk_or([x, p]), SortMismatch,
+         "OR expects Bool arguments"),
+        (lambda m, a, x, p: m.mk_and([x]), SortMismatch,
+         "AND expects Bool arguments"),
+        (lambda m, a, x, p: m.mk_and([]), CaextError,
+         "AND needs at least one argument"),
+        (lambda m, a, x, p: m.mk_distinct_n(1, []), CaextError,
+         "distinct-at-least needs at least one argument"),
+        (lambda m, a, x, p: m.mk_term(Kind.CONSTANT, []), CaextError,
+         "unknown term kind Kind.CONSTANT"),
+    ])
+    def test_constructor_diagnostics(self, m, build, cls, message):
+        a = m.mk_const("a", m.array_sort(m.bv_sort(2), m.bool_sort))
+        x = m.mk_const("x", m.bv_sort(2))
+        p = m.mk_const("p", m.bool_sort)
+        with pytest.raises(CaextError) as info:
+            build(m, a, x, p)
+        assert type(info.value) is cls and str(info.value) == message
+
+    def test_one_operand_and_or_is_that_operand(self, m):
+        p = m.mk_const("p", m.bool_sort)
+        assert m.mk_and([p]) is p and m.mk_or([p]) is p
+
 
 class TestGenericConstructor:
     def test_dispatch_matches_specialized(self, m):
