@@ -15,9 +15,7 @@ every verdict against the exhaustive enumeration oracle.
 Run:  python3 demos/02_store_cover_law.py
 """
 
-from caext import OracleBounds, TermManager, check_sat, oracle_solve
-
-BOUNDS = OracleBounds(max_free_constants=8)
+from caext import TermManager, check_sat, oracle_solve
 
 
 def cover_instance(m: TermManager, stores: int):
@@ -38,7 +36,7 @@ def main():
         m = TermManager()
         assertions = cover_instance(m, stores)
         mine = check_sat(m, assertions).verdict
-        reference = oracle_solve(assertions, BOUNDS).verdict
+        reference = oracle_solve(assertions).verdict
         marker = "agrees" if mine == reference else "DISAGREES"
         print(f"  {stores} store(s): solver says {mine:5s} "
               f"oracle says {reference:5s} ({marker})")

@@ -47,7 +47,6 @@ from .model import (
     zero_value,
 )
 from .oracle import (
-    OracleBounds,
     OracleResult,
     ValidityResult,
     interpretation_count,
@@ -80,7 +79,7 @@ __all__ = [
     "print_model", "print_script", "print_term",
     "ArrayValue", "Model", "ValidationResult", "complete_model", "eval_term",
     "validate_model", "zero_value",
-    "OracleBounds", "OracleResult", "ValidityResult",
+    "OracleResult", "ValidityResult",
     "interpretation_count", "oracle_solve", "oracle_valid",
     "Kind", "Sort", "SortKind", "Term", "TermManager", "domain_size",
     "free_constants", "substitute",

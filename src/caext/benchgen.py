@@ -11,8 +11,8 @@ Two families:
   domain, which exercises default-value propagation end to end.
 
 * **Fuzz** — small random well-sorted assertion sets, deterministic per
-  seed and sized to stay within the brute-force checker's enumeration
-  bounds by construction, for differential testing.
+  seed and small enough for the brute-force checker to enumerate, for
+  differential testing.
 
 The crafted family can be emitted in two encodings: the native one
 using ``(as const ...)`` terms, and a quantified one for solvers
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BoundsExceeded, CaextError
-from .oracle import DEFAULT_BOUNDS, OracleBounds, check_bounds
+from .errors import CaextError
 from .printer import print_script, print_term
 from .terms import (Kind, Sort, SortKind, Term, TermManager, domain_size,
                     free_constants, postorder, substitute)
@@ -200,50 +199,29 @@ def emit_quantified(manager: TermManager,
 # ---------------------------------------------------------------------------
 
 
-def gen_fuzz(seed: int, bounds: OracleBounds = DEFAULT_BOUNDS,
-             ) -> tuple[TermManager, list[Term]]:
+def gen_fuzz(seed: int) -> tuple[TermManager, list[Term]]:
     """A small random assertion set, deterministic per seed.
 
-    Instances are constructed to stay within ``bounds`` (and within the
-    default enumeration ceiling): scalar sorts are capped at four
-    values, index and element domains never exceed four values jointly,
-    and at most two array constants and four scalar constants are used.
-    Half of all instances are steered toward an equality touching at
-    least one constant array, which random uniform choice would rarely
-    produce.
-
-    Bounds that admit no instance (an index or element domain under two
-    values, no array constant, fewer than two scalar constants) raise
-    :class:`CaextError`; an instance that needs more interpretations
-    than ``bounds.max_interpretations`` raises :class:`BoundsExceeded`.
+    Every instance has the same shape: Bool, 1- or 2-bit index and
+    element sorts, two-valued elements under a 4-cell index, one or two
+    array constants and four scalar constants, so no instance has more
+    than 32,768 interpretations.  Half of all instances are steered
+    toward an equality touching at least one constant array, which
+    random uniform choice would rarely produce.
     """
-    if min(bounds.max_index_domain, bounds.max_element_domain) < 2 \
-            or bounds.max_array_constants < 1 \
-            or bounds.max_free_constants < 2:
-        raise CaextError("bounds leave no room for a usable instance")
     rng = random.Random(seed)
     m = TermManager()
     scalar_sorts = [m.bool_sort, m.bv_sort(1), m.bv_sort(2)]
-
-    def fits(sort: Sort, limit: int) -> bool:
-        return domain_size(sort) <= limit
-
-    index_sort = rng.choice(
-        [s for s in scalar_sorts if fits(s, bounds.max_index_domain)])
-    elem_limit = bounds.max_element_domain
-    if domain_size(index_sort) >= 4:
-        elem_limit = min(elem_limit, 2)
+    index_sort = rng.choice(scalar_sorts)
     element_sort = rng.choice(
-        [s for s in scalar_sorts if fits(s, elem_limit)])
+        scalar_sorts[:2] if domain_size(index_sort) == 4 else scalar_sorts)
     asort = m.array_sort(index_sort, element_sort)
 
-    n_arrays = rng.randint(1, min(2, bounds.max_array_constants))
-    arrays = [m.mk_const(f"a{k}", asort) for k in range(n_arrays)]
-    n_scalars = min(4, bounds.max_free_constants)
-    n_idx = rng.randint(1, max(1, n_scalars // 2))
+    arrays = [m.mk_const(f"a{k}", asort) for k in range(rng.randint(1, 2))]
+    n_idx = rng.randint(1, 2)
     idx_consts = [m.mk_const(f"i{k}", index_sort) for k in range(n_idx)]
     elem_consts = [m.mk_const(f"e{k}", element_sort)
-                   for k in range(n_scalars - n_idx)]
+                   for k in range(4 - n_idx)]
 
     def idx_term() -> Term:
         if not elem_consts or rng.random() < 0.7:
@@ -289,10 +267,4 @@ def gen_fuzz(seed: int, bounds: OracleBounds = DEFAULT_BOUNDS,
     for k in range(rng.randint(2, 4)):
         assertions.append(
             maybe_negate(atom(force_const=want_const_bias and k == 0)))
-    try:
-        check_bounds(assertions, bounds)
-    except BoundsExceeded as exc:
-        raise BoundsExceeded(
-            f"the fuzz instance of seed {seed} exceeds its bounds: {exc}"
-        ) from None
     return m, assertions

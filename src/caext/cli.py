@@ -16,7 +16,6 @@ resource limit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +24,7 @@ from .benchgen import CraftedParams, gen_fuzz, write_crafted
 from .engine import check_sat
 from .errors import CaextError, InternalError, ParseError, ResourceLimit
 from .model import Model, complete_model, eval_term, validate_model
-from .oracle import DEFAULT_BOUNDS, OracleBounds, oracle_solve
+from .oracle import oracle_solve
 from .parser import Script, parse
 from .printer import print_model, print_script, print_term
 from .terms import Sort, TermManager, parse_width
@@ -71,11 +70,10 @@ def _integer(text: str) -> int:
 def _parse_scalar_sort(manager: TermManager, slug: str) -> Sort:
     if slug == "bool":
         return manager.bool_sort
-    digits = slug[2:]
-    if slug.startswith("bv") and digits.isascii() and digits.isdecimal() \
-            and parse_width(digits) > 0:
+    width = parse_width(slug[2:]) if slug.startswith("bv") else 0
+    if width > 0:
         try:
-            return manager.bv_sort(parse_width(digits))
+            return manager.bv_sort(width)
         except CaextError as e:
             raise _UsageError(f"sort {slug!r}: {e}") from None
     raise _UsageError(f"unknown sort {slug!r}; use bool or bv<width>")
@@ -91,22 +89,6 @@ def _parse_file(path: str, manager: Optional[TermManager] = None) -> Script:
                          f"{exc.start})") from None
     except ParseError as exc:
         raise CaextError(f"{path}:{exc}") from None
-
-
-def _parse_bounds(text: Optional[str]) -> OracleBounds:
-    if not text:
-        return DEFAULT_BOUNDS
-    fields = {f.name for f in dataclasses.fields(OracleBounds)}
-    updates = {}
-    for part in text.split(","):
-        key, sep, val = part.partition("=")
-        n = _digits(val)
-        if not sep or key not in fields or n is None:
-            raise _UsageError(
-                f"bad bounds entry {part!r}; use field=n with n >= 0 and "
-                "fields " + ", ".join(sorted(fields)))
-        updates[key] = n
-    return dataclasses.replace(DEFAULT_BOUNDS, **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +138,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    bounds = _parse_bounds(args.bounds)
     verdicts = {"sat": 0, "unsat": 0, "unknown": 0}
     disagreements = 0
     for k in range(args.count):
         seed = args.seed + k
-        manager, assertions = gen_fuzz(seed, bounds)
+        manager, assertions = gen_fuzz(seed)
         result = check_sat(manager, assertions)
-        expected = oracle_solve(assertions, bounds).verdict
+        expected = oracle_solve(assertions).verdict
         verdicts[result.verdict] += 1
         bad = result.verdict != expected
         if result.verdict == "sat" and not bad:
@@ -234,8 +215,6 @@ def _build_parser() -> _ArgumentParser:
         "fuzz", help="differential suite against the brute-force checker")
     fuzz.add_argument("--count", type=_natural, default=100)
     fuzz.add_argument("--seed", type=_integer, default=0)
-    fuzz.add_argument("--bounds", default=None,
-                      help="comma-separated field=value overrides")
     fuzz.set_defaults(run=_cmd_fuzz)
 
     gen = sub.add_parser("gen", help="write crafted benchmark files")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,18 +33,8 @@ from .terms import Kind, Sort, Term, domain_size, postorder
 _DTYPE = np.int64
 
 
-@dataclass(frozen=True)
-class OracleBounds:
-    """Size limits for exhaustive enumeration."""
-
-    max_index_domain: int = 4
-    max_element_domain: int = 4
-    max_free_constants: int = 6
-    max_array_constants: int = 3
-    max_interpretations: int = 10_000_000
-
-
-DEFAULT_BOUNDS = OracleBounds()
+# The most interpretations the oracle enumerates.
+MAX_INTERPRETATIONS = 10_000_000
 
 
 @dataclass
@@ -63,81 +53,76 @@ class ValidityResult:
         return self.ok
 
 
-def _collect(assertions: Sequence[Term],
-             ) -> tuple[list[Term], list[Term], list[Sort], int]:
-    """One walk of ``assertions``: their scalar and their array constants,
-    each sorted by name, the array sorts of their subterms in first-seen
-    order, and the widest bit-vector sort of a scalar constant, a
-    literal, an index or an element (0 if there is none), which bounds
-    every value a subterm can take."""
+def _collect(assertions: Sequence[Term]) -> tuple[list[Term], int, int]:
+    """One walk of ``assertions``: their constants, sorted by name; the
+    most cells of the sort of an array subterm that no array constant
+    has (1 if there is none); and the widest bit-vector sort of a scalar
+    constant, a literal, an index or an element (0 if there is none),
+    which bounds every value a subterm can take."""
     consts: list[Term] = []
-    array_sorts: dict[Sort, None] = {}
+    array_sorts: set[Sort] = set()
     width = 0
     for t in postorder(assertions):
         if t.kind is Kind.CONSTANT:
             consts.append(t)
-        elif t.kind is Kind.VALUE:
-            width = max(width, t.sort.width)
         if t.sort.is_array:
-            array_sorts[t.sort] = None
+            array_sorts.add(t.sort)
+        elif t.kind is Kind.CONSTANT or t.kind is Kind.VALUE:
+            width = max(width, t.sort.width)
     consts.sort(key=lambda c: c.name)
-    scalars = [c for c in consts if not c.sort.is_array]
-    arrays = [c for c in consts if c.sort.is_array]
-    for c in scalars:
-        width = max(width, c.sort.width)
     for sort in array_sorts:
         width = max(width, sort.index.width, sort.element.width)
-    return scalars, arrays, list(array_sorts), width
+    owned = {c.sort for c in consts}
+    cells = max((domain_size(sort.index) for sort in array_sorts
+                 if sort not in owned), default=1)
+    return consts, cells, width
+
+
+def _axis_sizes(sort: Sort) -> Iterable[int]:
+    """The size of each grid axis of a constant of ``sort``: one axis
+    for a scalar sort, one per cell for an array sort."""
+    if sort.is_array:
+        elem = domain_size(sort.element)
+        return (elem for _ in range(domain_size(sort.index)))
+    return (domain_size(sort),)
 
 
 def _count(constants: list[Term]) -> int:
-    return math.prod(domain_size(c.sort) for c in constants)
+    """The number of interpretations of ``constants``, or
+    ``MAX_INTERPRETATIONS + 1`` once a partial product of axis sizes
+    passes the ceiling: it never builds the ``|element| ** |index|`` of
+    a wide array sort."""
+    total = 1
+    for c in constants:
+        for size in _axis_sizes(c.sort):
+            total *= size
+            if total > MAX_INTERPRETATIONS:
+                return MAX_INTERPRETATIONS + 1
+    return total
 
 
 def interpretation_count(assertions: Sequence[Term]) -> int:
-    """Total number of interpretations the oracle would enumerate."""
-    scalars, arrays, _, _ = _collect(assertions)
-    return _count(scalars + arrays)
+    """The number of interpretations the oracle would enumerate, or
+    ``MAX_INTERPRETATIONS + 1`` if it is larger."""
+    return _count(_collect(assertions)[0])
 
 
-def _bounded_constants(assertions: Sequence[Term], bounds: OracleBounds
-                       ) -> tuple[list[Term], list[Term]]:
-    """The scalar and the array constants of ``assertions``, each sorted
-    by name; raises :class:`BoundsExceeded` as `check_bounds` does."""
-    scalars, arrays, array_sorts, width = _collect(assertions)
-    if len(scalars) > bounds.max_free_constants:
+def _bounded_constants(assertions: Sequence[Term]) -> list[Term]:
+    """The constants of ``assertions``, sorted by name; raises
+    :class:`BoundsExceeded` past the ceiling or past 64-bit values."""
+    constants, cells, width = _collect(assertions)
+    # An array term holds one grid-sized value per cell.  The grid's axes
+    # count the cells of an array constant's sort, not those of a sort
+    # that no array constant has.
+    if _count(constants) * cells > MAX_INTERPRETATIONS:
         raise BoundsExceeded(
-            f"{len(scalars)} scalar constants exceed the limit of "
-            f"{bounds.max_free_constants}")
-    if len(arrays) > bounds.max_array_constants:
-        raise BoundsExceeded(
-            f"{len(arrays)} array constants exceed the limit of "
-            f"{bounds.max_array_constants}")
-    for sort in array_sorts:
-        if domain_size(sort.index) > bounds.max_index_domain:
-            raise BoundsExceeded(
-                f"index sort {sort.index!r} exceeds the domain limit of "
-                f"{bounds.max_index_domain}")
-        if domain_size(sort.element) > bounds.max_element_domain:
-            raise BoundsExceeded(
-                f"element sort {sort.element!r} exceeds the domain limit "
-                f"of {bounds.max_element_domain}")
-    total = _count(scalars + arrays)
-    if total > bounds.max_interpretations:
-        raise BoundsExceeded(
-            f"{total} interpretations exceed the ceiling of "
-            f"{bounds.max_interpretations}")
+            "the interpretations, times the cells of an array sort that "
+            "no array constant has, exceed the ceiling of "
+            f"{MAX_INTERPRETATIONS}")
     if width > 63:
         raise BoundsExceeded(
             f"{width}-bit values exceed the oracle's 64-bit integers")
-    return scalars, arrays
-
-
-def check_bounds(assertions: Sequence[Term],
-                 bounds: OracleBounds = DEFAULT_BOUNDS) -> None:
-    """Raise :class:`BoundsExceeded` if the problem is too large to
-    enumerate under ``bounds``."""
-    _bounded_constants(assertions, bounds)
+    return constants
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +133,22 @@ class _Grid:
     """Maps constants to enumeration axes.
 
     Scalar constants own one axis; an array constant owns one axis per
-    table cell.  Axis order follows the name-sorted constant order, so a
-    flat C-order index enumerates interpretations in the documented
-    order.
+    table cell.  Axis order follows the order of ``constants``, sorted
+    by name, so a flat C-order index enumerates interpretations in the
+    documented order.
     """
 
-    def __init__(self, scalars: list[Term], arrays: list[Term]):
-        self.scalars, self.arrays = scalars, arrays
+    def __init__(self, constants: list[Term]):
         self.axes: list[int] = []          # domain size per axis
         self.scalar_axis: dict[Term, int] = {}
         self.array_axes: dict[Term, list[int]] = {}
-        order = sorted(self.scalars + self.arrays, key=lambda c: c.name)
-        for c in order:
+        for c in constants:
+            first = len(self.axes)
+            self.axes.extend(_axis_sizes(c.sort))
             if c.sort.is_array:
-                cells = domain_size(c.sort.index)
-                elem = domain_size(c.sort.element)
-                self.array_axes[c] = [self._add_axis(elem) for _ in range(cells)]
+                self.array_axes[c] = list(range(first, len(self.axes)))
             else:
-                self.scalar_axis[c] = self._add_axis(domain_size(c.sort))
-
-    def _add_axis(self, size: int) -> int:
-        self.axes.append(size)
-        return len(self.axes) - 1
+                self.scalar_axis[c] = first
 
     @property
     def total(self) -> int:
@@ -283,27 +262,27 @@ def _vector_truth(assertions: Sequence[Term], grid: _Grid) -> np.ndarray:
 # Public entry points
 
 
-def oracle_solve(assertions: Sequence[Term],
-                 bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
+def oracle_solve(assertions: Sequence[Term]) -> OracleResult:
     """Decide ``assertions`` by exhaustive enumeration.
 
     Returns the first satisfying interpretation in enumeration order,
-    or an unsat verdict after exhausting the space.
+    or an unsat verdict after exhausting the space; raises
+    :class:`BoundsExceeded` past ``MAX_INTERPRETATIONS`` interpretations
+    or past 64-bit values.
     """
-    grid = _Grid(*_bounded_constants(assertions, bounds))
+    grid = _Grid(_bounded_constants(assertions))
     hits = np.flatnonzero(_vector_truth(assertions, grid))
     if hits.size == 0:
         return OracleResult("unsat", interpretations=grid.total)
     return OracleResult("sat", grid.model_at(int(hits[0])), grid.total)
 
 
-def oracle_valid(formulas: Sequence[Term] | Term,
-                 bounds: OracleBounds = DEFAULT_BOUNDS) -> ValidityResult:
+def oracle_valid(formulas: Sequence[Term] | Term) -> ValidityResult:
     """Check that a formula (or conjunction) holds in *every*
     interpretation; otherwise return the first counterexample."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    grid = _Grid(*_bounded_constants(formulas, bounds))
+    grid = _Grid(_bounded_constants(formulas))
     misses = np.flatnonzero(_vector_truth(formulas, grid) == 0)
     if misses.size == 0:
         return ValidityResult(True)

@@ -218,7 +218,7 @@ class _Parser:
     def _bv_width(self, node: Tree) -> Sort:
         """The bit-vector sort of the width ``node`` spells."""
         text = self._expect_atom(node, "bit-vector width")
-        width = parse_width(text) if text.isascii() and text.isdigit() else 0
+        width = parse_width(text)
         if width < 1:
             self._err(node, f"bad bit-vector width {text!r}", SortError)
         return self._bv_sort(node, width)

@@ -25,11 +25,13 @@ from .errors import CaextError, SortMismatch
 MAX_BV_WIDTH = 4096
 
 
-def parse_width(digits: str) -> int:
-    """The width that the decimal ``digits`` spell, except that every
-    width past ``MAX_BV_WIDTH`` reads as ``MAX_BV_WIDTH + 1``: int()
-    refuses strings of thousands of digits."""
-    digits = digits.lstrip("0")
+def parse_width(text: str) -> int:
+    """The width that ``text`` spells in ASCII digits, 0 if it is not
+    ASCII digits, and ``MAX_BV_WIDTH + 1`` for every width past
+    ``MAX_BV_WIDTH``: int() refuses strings of thousands of digits."""
+    if not (text.isascii() and text.isdigit()):
+        return 0
+    digits = text.lstrip("0")
     if len(digits) > len(str(MAX_BV_WIDTH)):
         return MAX_BV_WIDTH + 1
     return int(digits or "0")

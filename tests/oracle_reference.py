@@ -17,23 +17,23 @@ from typing import Sequence
 
 from caext import (ArrayValue, Kind, Model, OracleResult, Term, ValidityResult,
                    domain_size, eval_term)
-from caext.oracle import DEFAULT_BOUNDS, OracleBounds, _bounded_constants, _Grid
+from caext.oracle import _bounded_constants, _Grid
 
 
 # ---------------------------------------------------------------------------
 # Scalar engine
 
 
-def _interpretations(grid: _Grid):
-    """Every interpretation of the grid's constants, in grid order."""
-    order = sorted(grid.scalars + grid.arrays, key=lambda c: c.name or "")
+def _interpretations(constants: list[Term]):
+    """Every interpretation of ``constants``, sorted by name, in grid
+    order."""
     domains = [map(ArrayValue.from_table,
                    itertools.product(range(domain_size(c.sort.element)),
                                      repeat=domain_size(c.sort.index)))
                if c.sort.is_array else range(domain_size(c.sort))
-               for c in order]
+               for c in constants]
     for combo in itertools.product(*domains):
-        yield Model(dict(zip(order, combo)))
+        yield Model(dict(zip(constants, combo)))
 
 
 def _holds(model: Model, assertions: Sequence[Term]) -> bool:
@@ -41,24 +41,21 @@ def _holds(model: Model, assertions: Sequence[Term]) -> bool:
     return all(eval_term(model, a, cache) for a in assertions)
 
 
-def oracle_solve_scalar(assertions: Sequence[Term],
-                        bounds: OracleBounds = DEFAULT_BOUNDS) -> OracleResult:
+def oracle_solve_scalar(assertions: Sequence[Term]) -> OracleResult:
     """:func:`caext.oracle_solve` by the scalar engine."""
-    grid = _Grid(*_bounded_constants(assertions, bounds))
-    for model in _interpretations(grid):
+    constants = _bounded_constants(assertions)
+    grid = _Grid(constants)
+    for model in _interpretations(constants):
         if _holds(model, assertions):
             return OracleResult("sat", model, grid.total)
     return OracleResult("unsat", interpretations=grid.total)
 
 
-def oracle_valid_scalar(formulas: Sequence[Term] | Term,
-                        bounds: OracleBounds = DEFAULT_BOUNDS,
-                        ) -> ValidityResult:
+def oracle_valid_scalar(formulas: Sequence[Term] | Term) -> ValidityResult:
     """:func:`caext.oracle_valid` by the scalar engine."""
     if isinstance(formulas, Term):
         formulas = [formulas]
-    grid = _Grid(*_bounded_constants(formulas, bounds))
-    for model in _interpretations(grid):
+    for model in _interpretations(_bounded_constants(formulas)):
         if not _holds(model, formulas):
             return ValidityResult(False, model)
     return ValidityResult(True)
@@ -127,12 +124,11 @@ def eval_pointwise(model: Model, term: Term) -> int:
     return ev(term)
 
 
-def oracle_solve_pointwise(assertions: Sequence[Term],
-                           bounds: OracleBounds = DEFAULT_BOUNDS,
-                           ) -> OracleResult:
+def oracle_solve_pointwise(assertions: Sequence[Term]) -> OracleResult:
     """:func:`caext.oracle_solve` by the pointwise evaluator."""
-    grid = _Grid(*_bounded_constants(assertions, bounds))
-    for model in _interpretations(grid):
+    constants = _bounded_constants(assertions)
+    grid = _Grid(constants)
+    for model in _interpretations(constants):
         if all(eval_pointwise(model, a) for a in assertions):
             return OracleResult("sat", model, grid.total)
     return OracleResult("unsat", interpretations=grid.total)

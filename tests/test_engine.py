@@ -12,7 +12,6 @@ import caext.engine
 import caext.ground
 from caext import (
     Kind,
-    OracleBounds,
     TermManager,
     domain_size,
     free_constants,
@@ -45,8 +44,6 @@ from helpers import (DEEP, DEEP_CHAINS, Example2, benchmark_crafted,
                      structured_instance, table_eval, watch_saturations,
                      witness_name_text)
 from reference_propagation import exists_fresh_index, reference_saturation
-
-LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +689,7 @@ class TestChainVerdicts:
             assertions = chain.assertions + extra
             res = check_sat(chain.m, assertions)
             assert res.verdict == \
-                oracle_solve(assertions, LOOSE).verdict
+                oracle_solve(assertions).verdict
 
 
 class TestConstArrayEqualities:
@@ -772,7 +769,7 @@ class TestStoreCoverLaw:
         res = check_sat(m, assertions)
         expected = "sat" if updates == domain_size(idx) else "unsat"
         assert res.verdict == expected
-        assert res.verdict == oracle_solve(assertions, LOOSE).verdict
+        assert res.verdict == oracle_solve(assertions).verdict
 
 
 class TestScaleRungs:
@@ -876,8 +873,7 @@ class TestExtensionalityWitness:
             for lazy in (False, True):
                 script = caext.parse(witness_name_text(n, lazy=lazy))
                 res = check_sat(script.manager, script.assertions)
-                assert res.verdict == oracle_solve(script.assertions,
-                                                   LOOSE).verdict, (n, lazy)
+                assert res.verdict == oracle_solve(script.assertions).verdict, (n, lazy)
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_witness_name_skips_an_input_constant(self, lazy):
@@ -1048,7 +1044,7 @@ class TestModelsFromTheLoop:
         script = caext.parse(text)
         res = check_sat(script.manager, script.assertions)
         assert res.verdict == "sat"
-        assert oracle_solve(script.assertions, LOOSE).verdict == "sat"
+        assert oracle_solve(script.assertions).verdict == "sat"
         assert validate_model(res.model, script.assertions)
 
 
@@ -1063,7 +1059,7 @@ class TestOracleAgreement:
         for seed in range(first_seed, first_seed + 60):
             m, assertions = random_instance(seed)
             res = check_sat(m, assertions)
-            want = oracle_solve(assertions, LOOSE).verdict
+            want = oracle_solve(assertions).verdict
             assert res.verdict == want, f"seed {seed}"
             if res.verdict == "sat":
                 assert validate_model(res.model, assertions), seed
@@ -1072,7 +1068,7 @@ class TestOracleAgreement:
         res = check_sat(chain.m, chain.assertions)
         assert res.stats.lemmas
         for rule, lemma in res.stats.lemmas:
-            assert oracle_valid(lemma, LOOSE), rule
+            assert oracle_valid(lemma), rule
 
 
 def _shape(t):
@@ -1100,7 +1096,7 @@ class TestStructuredShapes:
         for seed in self.SEEDS:
             m, assertions = structured_instance(seed)
             res = check_sat(m, assertions)
-            want = oracle_solve(assertions, LOOSE).verdict
+            want = oracle_solve(assertions).verdict
             assert res.verdict == want, f"seed {seed}"
             if want == "sat":
                 assert validate_model(res.model, assertions), seed

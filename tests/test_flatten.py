@@ -2,16 +2,14 @@
 
 import pytest
 
-from caext import (Kind, OracleBounds, TermManager, free_constants,
-                   interpretation_count, oracle_solve)
+from caext import (Kind, TermManager, free_constants, interpretation_count,
+                   oracle_solve)
 from caext.benchgen import gen_fuzz
 from caext.flatten import flatten, is_flat_formula
+from caext.oracle import MAX_INTERPRETATIONS
 from caext.terms import postorder
 
 from helpers import Example2, random_instance, structured_instance
-
-WIDE = OracleBounds(max_free_constants=24, max_array_constants=10,
-                    max_index_domain=8, max_element_domain=8)
 
 
 @pytest.fixture
@@ -117,9 +115,9 @@ class TestIte:
         res = flatten(m, [m.mk_eq(p, inner)])
         assert all(is_flat_formula(f) for f in res.formulas)
         phi = [m.mk_eq(p, inner), m.mk_not(p), inner]
-        assert oracle_solve(phi, WIDE).verdict == "unsat"
+        assert oracle_solve(phi).verdict == "unsat"
         assert oracle_solve(
-            flatten(m, phi).formulas, WIDE).verdict == "unsat"
+            flatten(m, phi).formulas).verdict == "unsat"
 
     def test_bool_ite_stays_structural(self, m, arr):
         c = m.mk_const("c", m.bool_sort)
@@ -139,11 +137,10 @@ class TestSemantics:
             for seed in range(count):
                 m, assertions = make(seed)
                 res = flatten(m, assertions)
-                if interpretation_count(res.formulas) \
-                        > WIDE.max_interpretations:
+                if interpretation_count(res.formulas) > MAX_INTERPRETATIONS:
                     continue
-                before = oracle_solve(assertions, WIDE).verdict
-                after = oracle_solve(res.formulas, WIDE).verdict
+                before = oracle_solve(assertions).verdict
+                after = oracle_solve(res.formulas).verdict
                 assert before == after, f"{make.__name__} seed {seed}"
                 checked += 1
             assert checked >= least, make.__name__
@@ -155,8 +152,8 @@ class TestSemantics:
                m.mk_not(m.mk_eq(z, arr["i"])),
                m.mk_not(m.mk_eq(z, arr["j"]))]
         res = flatten(m, phi)
-        assert oracle_solve(phi, WIDE).verdict == "unsat"
-        assert oracle_solve(res.formulas, WIDE).verdict == "unsat"
+        assert oracle_solve(phi).verdict == "unsat"
+        assert oracle_solve(res.formulas).verdict == "unsat"
 
 
 class TestSharing:

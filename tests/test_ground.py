@@ -5,7 +5,7 @@ import pytest
 import random
 
 import caext
-from caext import (InternalError, OracleBounds, TermManager,
+from caext import (InternalError, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
 from caext.ground import _eliminate, solve_ground
@@ -13,8 +13,6 @@ from caext.terms import Kind, postorder
 
 from helpers import (DEEP_CHAINS, deep_chain_text, dense_equalities_instance,
                      ground_session, random_instance, table_eval)
-
-LOOSE = OracleBounds(max_free_constants=16, max_array_constants=6)
 
 
 @pytest.fixture
@@ -443,7 +441,7 @@ class TestEvalAndInvariants:
     def test_oracle_sat_implies_ground_sat(self):
         for seed in range(30):
             m, assertions = random_instance(seed)
-            if oracle_solve(assertions, LOOSE).verdict == "sat":
+            if oracle_solve(assertions).verdict == "sat":
                 res = solve_ground(ground_session(m, assertions))
                 assert res.verdict == "sat", seed
 
@@ -462,7 +460,7 @@ class TestEvalAndInvariants:
                 fs.append(f)
             fs.append(m.mk_distinct_n(rng.randint(1, 3), xs))
             assert (solve_ground(ground_session(m, fs)).verdict
-                    == oracle_solve(fs, LOOSE).verdict), seed
+                    == oracle_solve(fs).verdict), seed
 
     def test_budget_returns_none(self, m):
         xs = [m.mk_const(f"x{k}", m.bv_sort(3)) for k in range(8)]

@@ -21,7 +21,6 @@ from caext import (
     Configuration,
     Kind,
     Model,
-    OracleBounds,
     TermManager,
     build_model,
     check_conflicts,
@@ -40,9 +39,6 @@ from caext import (
 
 from helpers import (Example2, compute_reason, counted_scans, ground_session,
                      random_instance, table_eval)
-
-AUDIT_BOUNDS = OracleBounds(max_free_constants=20, max_array_constants=10,
-                            max_interpretations=5_000_000)
 
 
 def chain_assertions(m):
@@ -123,7 +119,7 @@ class LoopAudit:
             idx = self.expand(t.index)
             goal = m.mk_eq(m.mk_select(self.expand(dest), idx),
                            m.mk_select(self.expand(t.array), idx))
-            verdict = oracle_valid(implication(m, reason, goal), AUDIT_BOUNDS)
+            verdict = oracle_valid(implication(m, reason, goal))
             assert verdict, f"unsound read step ({dest!r}, {t!r})"
         else:
             assert t.kind is Kind.CONST_ARRAY
@@ -135,8 +131,7 @@ class LoopAudit:
                 agree = m.mk_eq(m.mk_select(exp_dest, idx), default)
                 hits = [m.mk_eq(idx, k) for k in covered]
                 goal = m.mk_or(hits + [agree]) if hits else agree
-                verdict = oracle_valid(implication(m, reason, goal),
-                                       AUDIT_BOUNDS)
+                verdict = oracle_valid(implication(m, reason, goal))
                 assert verdict, (
                     f"unsound default step ({dest!r}, {t!r}) at index {val}")
 
@@ -166,9 +161,7 @@ def test_step_soundness_and_reason_currency():
         verdict, _ = audit.run()
         if verdict == "sat":
             assert audit.candidates > 0
-        assert verdict == oracle_solve(
-            assertions, OracleBounds(max_free_constants=16,
-                                     max_array_constants=6)).verdict
+        assert verdict == oracle_solve(assertions).verdict
 
 
 def test_every_lemma_in_the_stream_is_valid():
@@ -177,7 +170,7 @@ def test_every_lemma_in_the_stream_is_valid():
         audit.run()
         for rule, lemma in audit.lemmas:
             form = lemma_audit_form(m, rule, audit.expand(lemma))
-            assert oracle_valid(form, AUDIT_BOUNDS), (
+            assert oracle_valid(form), (
                 f"invalid {rule} lemma {lemma!r}")
 
 
@@ -211,9 +204,9 @@ def test_extensionality_audit_form_is_checked():
     for rule, lemma in audit.lemmas:
         if rule == "extensionality":
             raw = audit.expand(lemma)
-            assert not oracle_valid(raw, AUDIT_BOUNDS)
+            assert not oracle_valid(raw)
             assert oracle_valid(
-                lemma_audit_form(m, rule, raw), AUDIT_BOUNDS)
+                lemma_audit_form(m, rule, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +251,11 @@ class TestDistinctCounting:
         pairwise = m.mk_and([
             m.mk_not(m.mk_eq(a, b))
             for a, b in itertools.combinations(self.consts, 2)])
-        assert oracle_valid(m.mk_eq(self.atom(3), pairwise), AUDIT_BOUNDS)
+        assert oracle_valid(m.mk_eq(self.atom(3), pairwise))
 
     def test_above_arity_is_false(self):
         m = self.m
-        assert oracle_valid(m.mk_not(m.mk_distinct_n(4, self.consts)),
-                            AUDIT_BOUNDS)
+        assert oracle_valid(m.mk_not(m.mk_distinct_n(4, self.consts)))
         res = solve_ground(
             ground_session(m, [m.mk_distinct_n(4, self.consts)]))
         assert res.verdict == "unsat"

@@ -1,19 +1,19 @@
 """Brute-force oracle: frozen verdicts, engine agreement, bounds."""
 
+import time
+
 import pytest
 
 from caext import (
-    BoundsExceeded, Model, OracleBounds, TermManager, interpretation_count,
-    oracle_solve, oracle_valid,
+    BoundsExceeded, Model, TermManager, interpretation_count, oracle_solve,
+    oracle_valid,
 )
+from caext.oracle import MAX_INTERPRETATIONS
 
 from helpers import Example2, random_instance, store_chain
 from oracle_reference import (
     oracle_solve_pointwise, oracle_solve_scalar, oracle_valid_scalar,
 )
-
-LOOSE = OracleBounds(max_free_constants=16, max_array_constants=4,
-                     max_index_domain=8, max_element_domain=8)
 
 
 class TestExample2:
@@ -29,11 +29,11 @@ class TestExample2:
 
     def test_phi_with_equal_defaults_sat(self, ex):
         m = ex.m
-        res = oracle_solve(ex.phi + [m.mk_eq(ex.v, ex.w)], LOOSE)
+        res = oracle_solve(ex.phi + [m.mk_eq(ex.v, ex.w)])
         assert res.verdict == "sat"
 
     def test_phi_with_distinct_defaults_sat(self, ex):
-        res = oracle_solve(ex.phi + [ex.v_ne_w], LOOSE)
+        res = oracle_solve(ex.phi + [ex.v_ne_w])
         assert res.verdict == "sat"
         # First satisfying interpretation in enumeration order, pinned.
         model = res.model
@@ -44,8 +44,7 @@ class TestExample2:
 
     def test_aliased_store_indices_unsat(self, ex):
         m = ex.m
-        res = oracle_solve(ex.phi + [ex.v_ne_w, m.mk_eq(ex.i1, ex.j1)],
-                           LOOSE)
+        res = oracle_solve(ex.phi + [ex.v_ne_w, m.mk_eq(ex.i1, ex.j1)])
         assert res.verdict == "unsat"
 
     def test_aliased_elements_unsat(self, ex):
@@ -53,7 +52,7 @@ class TestExample2:
         extra = [ex.v_ne_w,
                  m.mk_not(m.mk_eq(ex.i1, ex.j1)),
                  m.mk_eq(ex.u1, ex.u2)]
-        res = oracle_solve(ex.phi + extra, LOOSE)
+        res = oracle_solve(ex.phi + extra)
         assert res.verdict == "unsat"
 
 
@@ -71,7 +70,7 @@ class TestStoreCountLaw:
         chain = store_chain(m, m.mk_const_array(asort, v), pairs)
         phi = [m.mk_eq(chain, m.mk_const_array(asort, w)),
                m.mk_not(m.mk_eq(v, w))]
-        return oracle_solve(phi, LOOSE).verdict
+        return oracle_solve(phi).verdict
 
     def test_bool_index_two_stores_sat(self):
         assert self._chain_case(0, 2) == "sat"
@@ -98,7 +97,7 @@ def test_const_array_equality_law(iw, ew):
     v, w = m.mk_const("v", elem), m.mk_const("w", elem)
     phi = [m.mk_eq(m.mk_const_array(asort, v), m.mk_const_array(asort, w)),
            m.mk_not(m.mk_eq(v, w))]
-    assert oracle_solve(phi, LOOSE).verdict == "unsat"
+    assert oracle_solve(phi).verdict == "unsat"
 
 
 class TestEngineAgreement:
@@ -121,9 +120,9 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("seed", range(30))
     def test_engines_agree_on_random_instances(self, seed):
         _, assertions = random_instance(seed)
-        rv = oracle_solve(assertions, LOOSE)
-        rs = oracle_solve_scalar(assertions, LOOSE)
-        rp = oracle_solve_pointwise(assertions, LOOSE)
+        rv = oracle_solve(assertions)
+        rs = oracle_solve_scalar(assertions)
+        rp = oracle_solve_pointwise(assertions)
         assert rv.verdict == rs.verdict == rp.verdict
         if rv.verdict == "sat":
             assert dict(rv.model.items()) == dict(rs.model.items())
@@ -155,35 +154,73 @@ class TestValidity:
 
 
 class TestBounds:
-    def _inst(self, n_scalars=1, n_arrays=1, iw=2, ew=1):
-        m = TermManager()
-        asort = m.array_sort(m.bv_sort(iw), m.bv_sort(ew))
-        parts = [m.mk_eq(a := m.mk_const(f"a{k}", asort), a)
-                 for k in range(n_arrays)]
-        parts += [m.mk_eq(x := m.mk_const(f"x{k}", m.bv_sort(ew)), x)
-                  for k in range(n_scalars)]
-        return [p for p in parts]
-
-    def test_scalar_count_limit(self):
-        with pytest.raises(BoundsExceeded, match="scalar constants"):
-            oracle_solve(self._inst(n_scalars=7))
-
-    def test_array_count_limit(self):
-        with pytest.raises(BoundsExceeded, match="array constants"):
-            oracle_solve(self._inst(n_arrays=4))
-
-    def test_index_domain_limit(self):
-        with pytest.raises(BoundsExceeded, match="index sort"):
-            oracle_solve(self._inst(iw=3))
-
-    def test_element_domain_limit(self):
-        with pytest.raises(BoundsExceeded, match="element sort"):
-            oracle_solve(self._inst(ew=3))
-
     def test_interpretation_ceiling(self):
-        tight = OracleBounds(max_interpretations=10)
+        # three (Array bv2 bv2) constants have 4**12 = 16.7M interpretations
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
+        inst = [m.mk_eq(a := m.mk_const(f"a{k}", asort), a) for k in range(3)]
+        assert interpretation_count(inst) == MAX_INTERPRETATIONS + 1
         with pytest.raises(BoundsExceeded, match="ceiling"):
-            oracle_solve(self._inst(), tight)
+            oracle_solve(inst)
+
+    @pytest.mark.parametrize("width", [24, 64])
+    def test_wide_index_sort_is_refused_at_once(self, width):
+        # 2**(2**width) tables: counting them must stop at the ceiling
+        m = TermManager()
+        idx = m.bv_sort(width)
+        a = m.mk_const("a", m.array_sort(idx, m.bool_sort))
+        phi = [m.mk_eq(m.mk_select(a, m.mk_const("i", idx)),
+                       m.mk_value(m.bool_sort, 1))]
+        start = time.perf_counter()
+        assert interpretation_count(phi) == MAX_INTERPRETATIONS + 1
+        with pytest.raises(BoundsExceeded):
+            oracle_solve(phi)
+        assert time.perf_counter() - start < 1.0
+
+    def test_constant_array_over_a_wide_index_is_refused(self):
+        # no constant at all, but each array term would hold 2**24 cells
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(24), m.bool_sort)
+        phi = [m.mk_eq(m.mk_const_array(asort, m.mk_value(m.bool_sort, k)),
+                       m.mk_const_array(asort, m.mk_value(m.bool_sort, 0)))
+               for k in (0, 1)]
+        assert interpretation_count(phi) == 1
+        with pytest.raises(BoundsExceeded, match="no array constant"):
+            oracle_solve(phi)
+
+    @pytest.mark.parametrize("stores", [3, 4])
+    def test_seven_scalar_constants_are_enumerated(self, stores):
+        # the store-cover instance of demos/02_store_cover_law.py
+        m = TermManager()
+        idx = m.bv_sort(2)
+        asort = m.array_sort(idx, m.bool_sort)
+        v, w, e = (m.mk_const(n, m.bool_sort) for n in "vwe")
+        t = m.mk_const_array(asort, v)
+        for k in range(stores):
+            t = m.mk_store(t, m.mk_const(f"k{k}", idx), e)
+        phi = [m.mk_eq(t, m.mk_const_array(asort, w)),
+               m.mk_not(m.mk_eq(v, w))]
+        res, ref = oracle_solve(phi), oracle_solve_scalar(phi)
+        assert res.verdict == ref.verdict == ("sat" if stores == 4
+                                              else "unsat")
+        assert res.interpretations == 2**3 * 4**stores
+        if res.verdict == "sat":
+            assert dict(res.model.items()) == dict(ref.model.items())
+
+    def test_eight_cell_array_is_enumerated(self):
+        m = TermManager()
+        idx = m.bv_sort(3)
+        asort = m.array_sort(idx, m.bool_sort)
+        a, i = m.mk_const("a", asort), m.mk_const("i", idx)
+        true = m.mk_value(m.bool_sort, 1)
+        phi = [m.mk_eq(m.mk_store(a, i, true), m.mk_const_array(asort, true)),
+               m.mk_not(m.mk_eq(i, m.mk_value(idx, 0))),
+               m.mk_not(m.mk_select(a, m.mk_value(idx, 5)))]
+        res, ref = oracle_solve(phi), oracle_solve_scalar(phi)
+        assert res.verdict == ref.verdict == "sat"
+        assert res.interpretations == 2**8 * 8
+        assert dict(res.model.items()) == dict(ref.model.items())
+        assert res.model[i] == 5
 
     def test_interpretation_count_formula(self):
         m = TermManager()

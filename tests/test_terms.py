@@ -6,7 +6,7 @@ from caext import (
     CaextError, Kind, SortMismatch, TermManager, domain_size,
     free_constants, substitute,
 )
-from caext.terms import MAX_BV_WIDTH, postorder
+from caext.terms import MAX_BV_WIDTH, parse_width, postorder
 
 
 @pytest.fixture
@@ -49,6 +49,15 @@ class TestSorts:
         assert m.bv_sort(MAX_BV_WIDTH).width == MAX_BV_WIDTH
         with pytest.raises(CaextError, match="exceeds the limit"):
             m.bv_sort(MAX_BV_WIDTH + 1)
+
+    @pytest.mark.parametrize("text, width", [
+        ("3", 3), ("007", 7), ("0", 0), ("", 0),
+        ("9" * 5000, MAX_BV_WIDTH + 1), ("0" * 5000 + "12", 12),
+        # int() reads all of these; a width is ASCII digits only
+        ("+3", 0), ("-3", 0), (" 3", 0), ("3_0", 0), ("\u00b2", 0),
+        ("\u0663", 0)])
+    def test_parse_width(self, text, width):
+        assert parse_width(text) == width
 
 
 class TestHashConsing:
