@@ -13,14 +13,22 @@ Decisions take the unassigned variable of highest activity, the lowest
 index on ties.  As in MiniSat (Een & Sorensson, "An Extensible
 SAT-solver", SAT 2003), a binary heap keeps that order, so a decision
 costs O(log n) rather than a scan of every variable.  Here the heap
-holds (-activity, variable) pairs and deletes lazily: a variable is
-pushed when it is made and again whenever a backtrack unassigns it,
-and entries of assigned variables are dropped when they reach the top.
+holds (-activity, variable) pairs and deletes lazily: entries of
+assigned variables are dropped when they reach the top.  A variable is
+pushed when it is made, and a backtrack that unassigns it pushes it
+again only if it has no entry at its current activity: each variable
+keeps the activity of its newest entry still in the heap, or None once
+that entry is popped, so a backtrack pushes each variable once, as
+MiniSat's order heap inserts a variable only when it is not in it.
 Activities grow only while their variable is assigned, so an
 unassigned variable's newest entry always sorts before its older ones.
 When activities are rescaled, or the heap holds more than twice as
 many entries as there are variables, it is rebuilt from the unassigned
 variables.
+
+Unit propagation visits the watch list of each falsified literal and
+compacts it in place: the clauses that stay are moved down over those
+that found a new watch, and the tail is cut once.
 
 Variables and clauses may be added between `solve` calls, in the style
 of the same paper: learned clauses, activities and saved phases carry
@@ -89,6 +97,8 @@ class SatSolver:
         self._seen: list[bool] = [False]   # conflict-analysis marks
         self._act_inc = 1.0
         self._heap: list[tuple[float, int]] = []   # (-activity, var)
+        # var -> activity of its newest entry in the heap, None if popped
+        self._heaped: list[Optional[float]] = [None]
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
@@ -110,6 +120,7 @@ class SatSolver:
         self._watches.append([])
         self._watches.append([])
         heappush(self._heap, (-0.0, self.num_vars))
+        self._heaped.append(0.0)
         return self.num_vars
 
     def add_clause(self, lits: Iterable[int]) -> None:
@@ -197,7 +208,9 @@ class SatSolver:
             self._qhead += 1
             code = 2 * lit if lit > 0 else -2 * lit + 1
             watch_list = watches[code]
-            kept: list[list[int]] = []
+            # the clauses that stay are moved down to `kept`; a clause
+            # that finds a new watch joins another literal's list
+            kept = 0
             for ci, clause in enumerate(watch_list):
                 # Ensure the falsified literal sits at position 1.
                 if clause[0] == -lit:
@@ -205,7 +218,8 @@ class SatSolver:
                 first = clause[0]
                 first_val = assign[first] if first > 0 else -assign[-first]
                 if first_val > 0:
-                    kept.append(clause)
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
                 for k in range(2, len(clause)):
                     q = clause[k]
@@ -214,10 +228,10 @@ class SatSolver:
                         watches[2 * q + 1 if q > 0 else -2 * q].append(clause)
                         break
                 else:
-                    kept.append(clause)
+                    watch_list[kept] = clause
+                    kept += 1
                     if first_val < 0:
-                        kept.extend(watch_list[ci + 1:])
-                        watches[code] = kept
+                        del watch_list[kept:ci + 1]
                         return clause
                     # _enqueue(first, clause), inline in this hot loop
                     var = first if first > 0 else -first
@@ -225,7 +239,7 @@ class SatSolver:
                     levels[var] = level
                     reasons[var] = clause
                     trail.append(first)
-            watches[code] = kept
+            del watch_list[kept:]
         return None
 
     # ------------------------------------------------------------------
@@ -241,9 +255,11 @@ class SatSolver:
 
     def _rebuild_heap(self) -> None:
         """One entry per unassigned variable, at its current activity."""
-        activity = self._activity
+        activity, assign = self._activity, self._assign
+        self._heaped = [None] + [None if assign[v] else activity[v]
+                                 for v in range(1, self.num_vars + 1)]
         self._heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
-                      if self._assign[v] == 0]
+                      if assign[v] == 0]
         heapify(self._heap)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
@@ -299,13 +315,16 @@ class SatSolver:
             mark = trail_lim[level]
             del trail_lim[level:]
             phase, assign, reason = self._phase, self._assign, self._reason
-            heap, activity = self._heap, self._activity
+            heap, activity, heaped = self._heap, self._activity, self._heaped
             for lit in reversed(trail[mark:]):
                 var = abs(lit)
                 phase[var] = lit > 0
                 assign[var] = 0
                 reason[var] = None
-                heappush(heap, (-activity[var], var))
+                act = activity[var]
+                if heaped[var] != act:
+                    heappush(heap, (-act, var))
+                    heaped[var] = act
             del trail[mark:]
             if len(heap) > 2 * self.num_vars:
                 self._rebuild_heap()
@@ -317,9 +336,11 @@ class SatSolver:
     def _decide(self) -> int:
         """The unassigned variable of highest activity, the lowest index
         on ties; 0 when every variable is assigned."""
-        heap, assign = self._heap, self._assign
+        heap, assign, heaped = self._heap, self._assign, self._heaped
         while heap:
-            var = heappop(heap)[1]
+            neg_act, var = heappop(heap)
+            if heaped[var] == -neg_act:
+                heaped[var] = None   # its newest entry is gone
             if assign[var] == 0:
                 return var
         return 0

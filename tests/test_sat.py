@@ -411,6 +411,46 @@ class TestBatchAdd:
             assert watched[0] == lits
 
 
+def check_solver_invariants(s):
+    """Every stored clause of two or more literals sits in exactly the
+    watch lists of its first two literals, and every unassigned variable
+    has a live heap entry at its current activity."""
+    def code(lit):  # the list of a clause watching `lit`
+        return 2 * lit + 1 if lit > 0 else -2 * lit
+    where = {}
+    for c, watch_list in enumerate(s._watches):
+        for clause in watch_list:
+            where.setdefault(id(clause), (clause, []))[1].append(c)
+    for clause, codes in where.values():
+        assert len(clause) >= 2, clause
+        assert sorted(codes) == sorted((code(clause[0]), code(clause[1]))), \
+            (clause, codes)
+    entries = set(s._heap)
+    for v in range(1, s.num_vars + 1):
+        if s._assign[v] == 0:
+            assert s._heaped[v] == s._activity[v], v
+            assert (-s._activity[v], v) in entries, v
+
+
+class TestInvariants:
+    """The watch lists and the decision heap stay consistent across
+    batches of clauses and `solve` calls."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_watches_and_heap_after_every_call(self, seed):
+        settings, stream = batch_scenario(seed)
+        s = prepared_solver(settings)
+        check_solver_invariants(s)
+        rng = random.Random(seed)
+        while stream:
+            cut = rng.randint(1, len(stream))
+            s.add_clauses(stream[:cut])
+            check_solver_invariants(s)
+            del stream[:cut]
+            s.solve()
+            check_solver_invariants(s)
+
+
 def _luby_at(i):
     """The i-th element (1-based) of the Luby sequence, in closed form."""
     k = 1
