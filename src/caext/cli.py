@@ -27,7 +27,7 @@ from .model import Model, complete_model, eval_term, validate_model
 from .oracle import oracle_solve
 from .parser import Script, parse
 from .printer import print_model, print_script, print_term
-from .terms import Sort, TermManager, parse_width
+from .terms import Sort, TermManager, is_ascii_digits, parse_width
 
 
 class _UsageError(CaextError):
@@ -42,7 +42,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _digits(text: str) -> Optional[int]:
     """The non-negative integer that ``text`` spells in ASCII digits, or
     None if it spells none or has more digits than int() reads."""
-    if text.isascii() and text.isdigit():
+    if is_ascii_digits(text):
         try:
             return int(text)
         except ValueError:

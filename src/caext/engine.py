@@ -24,9 +24,10 @@ Axiom instances that every candidate would need go in before the
 first one, as array procedures instantiate them (de Moura & Bjørner,
 "Generalized, efficient array decision procedures", FMCAD 2009): here
 the extensionality witness of each asserted ``not (= a b)`` over
-arrays, and in the ground encoding the default of each read made
-directly on a constant array and the stored value of each read made
-directly on a store whose index it equals.
+arrays, and in the ground encoding the value of each read down its
+store chain: the value stored by the highest store whose index it
+equals, or the default of a constant array at the bottom when it
+misses them all.
 
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the

@@ -2,16 +2,21 @@
 
 Bit-blasts the scalar skeleton of a formula set to CNF and searches it
 with the CDCL core.  Reads (``select`` nodes) are bit-vectors
-constrained by three array axioms that hold in every candidate: the
-virtual-read equality ``select(store(a,i,u), i) = u`` of each store term
-present, ``select(const(d), i) = d`` for each read made directly on
-a constant array, and the read-over-write hit
-``j = i => select(store(a,i,u), j) = u`` for each read made directly on
-a store at another index term (de Moura & Bjørner, "Generalized,
-efficient array decision procedures", FMCAD 2009), which costs one
-index comparator and makes no term.  Array axioms beyond those, such as
-the miss ``j != i => select(store(a,i,u), j) = select(a, j)``, are
-deliberately *not* encoded; the array engine repairs violations with
+constrained by array axioms that hold in every candidate.  Each store
+term present gets its virtual-read equality ``select(store(a,i,u), i) =
+u``.  Each read ``t = select(a, j)`` of the formulas takes its value
+down the store chain of ``a``, the read-over-write unfolding (de Moura &
+Bjørner, "Generalized, efficient array decision procedures", FMCAD
+2009): ``t`` is the value stored by the highest store whose index
+equals ``j``, and the default of a constant array at the bottom when
+``j`` misses every store.  That costs one index comparator and at most
+one AND gate per store, and makes no term.  A virtual read keeps its
+one equality: walking its chain too would cost quadratic time on a
+deep chain.  Array axioms beyond those are deliberately *not* encoded:
+neither select congruence, nor what array equalities imply about
+reads, nor the miss ``j != i => select(store(a,i,u), j) =
+select(a, j)`` where the chain ends in an array constant ``a``, which
+would need a new read.  The array engine repairs violations with
 lemmas.  Array-sorted
 terms carry only an equivalence partition: every pair related by an
 array-equality atom gets an equality variable, and transitivity is
@@ -203,12 +208,10 @@ class GroundSession:
         for new scalar leaves (±``true_lit`` for a literal); formula by
         formula, a literal for each Boolean term of its share of
         ``terms``, children first, then its unit clause; the read
-        axioms of new stores; for each new read made directly on a
-        constant array, the array's default as its bits; and for each
-        new read made directly on a store at another index term, the
-        stored value as its bits wherever the two indices are equal.
-        Making the clauses reads no solver state; they go to the solver
-        in one batch at the end."""
+        axioms of new stores; and for each new read, its value down its
+        store chain (:meth:`_read_down_chain`).  Making the clauses
+        reads no solver state; they go to the solver in one batch at
+        the end."""
         index, terms = self.index, self.index.terms
         start, first = self._terms, self._formulas
         fresh = terms[start:]
@@ -226,13 +229,33 @@ class GroundSession:
             if t.kind is Kind.STORE:
                 self.assert_bits_equal(index.read_axioms[t], t.stored_value)
             elif t.kind is Kind.SELECT:
-                a = t.array
-                if a.kind is Kind.CONST_ARRAY:
-                    self.assert_bits_equal(t, a.default)
-                elif a.kind is Kind.STORE and t.index is not a.index:
-                    hit = self.scalar_eq_lit(t.index, a.index)
-                    self.assert_bits_equal(t, a.stored_value, guard=-hit)
+                self._read_down_chain(t)
         self._send_batch()
+
+    def _read_down_chain(self, t: Term) -> None:
+        """The read-over-write unfolding of ``t = select(a, j)``.  Walking
+        down the stores of ``a`` with ``missed`` for "``j`` differs from
+        every store index above", each store ``store(b, i, u)`` gives
+        ``missed and j = i => t = u``, and a constant array ``const(d)``
+        at the bottom gives ``missed => t = d``.  The walk stops at a
+        store whose index is ``j`` itself; at the top store that is the
+        store's virtual read, whose axiom comes with the store.  It
+        costs one comparator and at most one AND gate per store, and
+        makes no term."""
+        a, j = t.array, t.index
+        guard: list[int] = []   # [-missed], or [] while missed is true
+        while a.kind is Kind.STORE:
+            if a.index is j:
+                if guard:
+                    self.assert_bits_equal(t, a.stored_value, guard)
+                return
+            hit = self.scalar_eq_lit(j, a.index)
+            self.assert_bits_equal(t, a.stored_value, guard + [-hit])
+            a = a.array
+            if a.kind is Kind.STORE or a.kind is Kind.CONST_ARRAY:
+                guard = [-self._and([-guard[0], -hit]) if guard else hit]
+        if a.kind is Kind.CONST_ARRAY:
+            self.assert_bits_equal(t, a.default, guard)
 
     def _send_batch(self) -> None:
         """Hand the clauses made so far to the solver, in order."""
@@ -332,6 +355,8 @@ class GroundSession:
         first = [self._and([-self.scalar_eq_lit(ts[i], ts[j])
                             for j in range(i)])
                  for i in range(len(ts))]
+        if n == len(ts):
+            return self._and(first)
         # Sequential counter: count[j] = at least j+1 of `first` so far.
         count: list[int] = []
         for f in first:
@@ -369,10 +394,10 @@ class GroundSession:
         raise InternalError(f"unsupported atom {t!r}")
 
     def assert_bits_equal(self, s: Term, t: Term,
-                          guard: Optional[int] = None) -> None:
-        """Make the bits of ``s`` equal those of ``t``; with a ``guard``
-        literal, only where the guard is false (it joins each clause)."""
-        extra = [] if guard is None else [guard]
+                          guard: Sequence[int] = ()) -> None:
+        """Make the bits of ``s`` equal those of ``t`` wherever every
+        ``guard`` literal is false (they join each clause)."""
+        extra = list(guard)
         for x, y in zip(self.node_bits(s), self.node_bits(t)):
             self._batch += ([-x, y] + extra, [x, -y] + extra)
 
@@ -380,7 +405,7 @@ class GroundSession:
 def solve_ground(session: GroundSession) -> GroundResult:
     """Encode what the session's index gained since the previous call,
     then find a total scalar interpretation satisfying the index's
-    formulas plus the three read axioms, or report ground
+    formulas plus the read axioms, or report ground
     unsatisfiability: verdict ``"sat"`` or ``"unsat"``, or ``"unknown"``
     when the session's conflict budget runs out.  Deterministic for
     fixed input and seed.

@@ -25,11 +25,18 @@ from .errors import CaextError, SortMismatch
 MAX_BV_WIDTH = 4096
 
 
+def is_ascii_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits, the one spelling of
+    a number that sort widths and command-line integers accept:
+    str.isdigit() alone also takes ``²`` and ``٣``."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_width(text: str) -> int:
     """The width that ``text`` spells in ASCII digits, 0 if it is not
     ASCII digits, and ``MAX_BV_WIDTH + 1`` for every width past
     ``MAX_BV_WIDTH``: int() refuses strings of thousands of digits."""
-    if not (text.isascii() and text.isdigit()):
+    if not is_ascii_digits(text):
         return 0
     digits = text.lstrip("0")
     if len(digits) > len(str(MAX_BV_WIDTH)):

@@ -1,14 +1,16 @@
 """Ground model finder: T_E completeness, read freeness, determinism."""
 
-import pytest
-
+import itertools
 import random
+
+import pytest
 
 import caext
 from caext import (InternalError, TermManager,
                    UnassignedConstant, oracle_solve)
 from caext.flatten import flatten
 from caext.ground import _eliminate, solve_ground
+from caext.model import Model, eval_term
 from caext.terms import Kind, postorder
 
 from helpers import (DEEP_CHAINS, deep_chain_text, dense_equalities_instance,
@@ -62,9 +64,67 @@ class TestScalarCore:
         assert res.values[x] == 5
 
 
+def _assignments(size, k):
+    """Every assignment of ``k`` arguments over ``size`` values when
+    there are at most 32,768 of them, else a fixed sample of 4,096 that
+    repeats values, so every distinct count comes up."""
+    if size ** k <= 32_768:
+        return list(itertools.product(range(size), repeat=k))
+    rng = random.Random(1000 * size + k)
+    points = []
+    for _ in range(4096):
+        pool = rng.sample(range(size), rng.randint(1, size))
+        points.append(tuple(rng.choice(pool) for _ in range(k)))
+    return points
+
+
+class TestDistinctAtLeast:
+    """The encoded at-least-n-distinct literal agrees with `eval_term`
+    for bv1-bv3 arguments, 1 to size+2 of them, and every threshold n,
+    over the assignments of `_assignments`.  The encoding's clauses are
+    read as a circuit: each clause defines its highest variable, made
+    after its inputs, and is evaluated on all assignments at once, one
+    bit of an int per assignment."""
+
+    @pytest.mark.parametrize("width,k", [(w, k) for w in (1, 2, 3)
+                                         for k in range(1, 2 ** w + 3)])
+    def test_literal_agrees_with_eval_term(self, width, k):
+        m = TermManager()
+        args = [m.mk_const(f"x{p}", m.bv_sort(width)) for p in range(k)]
+        atoms = [m.mk_distinct_n(n, args) for n in range(1, k + 2)]
+        session = ground_session(m, [])
+        arg_bits = [session.node_bits(a) for a in args]
+        lits = [session.distinct_lit(t) for t in atoms]
+        points = _assignments(2 ** width, k)
+        full = (1 << len(points)) - 1
+        truth = {session.true_lit: full}   # var -> assignments it holds in
+        for p, bits in enumerate(arg_bits):
+            for b, var in enumerate(bits):
+                truth[var] = sum(1 << q for q, point in enumerate(points)
+                                 if point[p] >> b & 1)
+        forced: dict[int, list[int]] = {}   # var -> [true in, false in]
+        for clause in session._batch:
+            out = max(clause, key=abs)
+            fire = full
+            for lit in clause:
+                if lit != out:
+                    fire &= full ^ truth[lit] if lit > 0 else truth[-lit]
+            forced.setdefault(abs(out), [0, 0])[out < 0] |= fire
+            truth[abs(out)] = forced[abs(out)][0]
+        for var, (true_in, false_in) in forced.items():
+            assert true_in & false_in == 0 and true_in | false_in == full
+        for atom, lit in zip(atoms, lits):
+            got = truth[lit] if lit > 0 else full ^ truth[-lit]
+            want = 0
+            for q, point in enumerate(points):
+                if eval_term(Model(dict(zip(args, point))), atom):
+                    want |= 1 << q
+            assert got == want, atom
+
+
 class TestReadsAreFree:
     """The ground level enforces neither select congruence nor array
-    axioms beyond the three read axioms; those violations are the array
+    axioms beyond the read axioms; those violations are the array
     engine's job to repair."""
 
     def test_congruence_not_enforced(self, m):
@@ -101,6 +161,27 @@ class TestReadsAreFree:
         assert res.stats.iterations == 1
         assert res.stats.lemmas == []
 
+    @pytest.mark.parametrize("hit", [None, 0, 1])
+    def test_read_two_stores_above_a_const_costs_no_lemma(self, m, hit):
+        # j misses both stores (the read is d) or hits store `hit`
+        asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
+        d, j = m.mk_const("d", asort.element), m.mk_const("j", asort.index)
+        i = [m.mk_const(f"i{k}", asort.index) for k in range(2)]
+        u = [m.mk_const(f"u{k}", asort.element) for k in range(2)]
+        a = m.mk_store(m.mk_store(m.mk_const_array(asort, d), i[0], u[0]),
+                       i[1], u[1])
+        want = d if hit is None else u[hit]
+        atoms = [m.mk_not(m.mk_eq(m.mk_select(a, j), want))]
+        for k in range(2):
+            if k != hit:
+                atoms.append(m.mk_not(m.mk_eq(j, i[k])))
+        if hit is not None:
+            atoms.append(m.mk_eq(j, i[hit]))
+        res = caext.check_sat(m, atoms)
+        assert res.verdict == "unsat"
+        assert res.stats.iterations == 1
+        assert res.stats.lemmas == []
+
     def test_read_on_a_const_array_is_its_default(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bv_sort(2))
         d, i = m.mk_const("d", asort.element), m.mk_const("i", asort.index)
@@ -108,11 +189,67 @@ class TestReadsAreFree:
         direct = m.mk_select(c, i)
         res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(direct, d))]))
         assert res.verdict == "unsat"
-        # across a store the read stays free
+        # across a store the read is the default wherever it misses
         j = m.mk_const("j", asort.index)
-        across = m.mk_select(m.mk_store(c, j, d), i)
-        res = solve_ground(ground_session(m, [m.mk_not(m.mk_eq(across, d))]))
-        assert res.verdict == "sat"
+        u = m.mk_const("u", asort.element)
+        across = m.mk_select(m.mk_store(c, j, u), i)
+        for atoms, verdict in (
+                ([m.mk_not(m.mk_eq(i, j)), m.mk_not(m.mk_eq(across, d))],
+                 "unsat"),
+                ([m.mk_eq(i, j), m.mk_not(m.mk_eq(across, u))], "unsat"),
+                ([m.mk_not(m.mk_eq(across, d))], "sat")):
+            assert solve_ground(ground_session(m, atoms)).verdict == verdict
+
+    @pytest.mark.parametrize("bottom", ["const", "array constant"])
+    @pytest.mark.parametrize("iw,ew", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_a_chain_decides_its_read(self, bottom, iw, ew):
+        """Every chain of 0-3 stores, each at the read's index term ``j``
+        or at its own index constant, storing 1, 2, 3 (mod the element
+        domain) over ``const(0)`` or an array constant: the candidates,
+        projected on the indices and the read, are exactly the
+        assignments where the read is what array semantics give, where
+        the chain decides it."""
+        for depth in range(4):
+            for at_j in itertools.product((True, False), repeat=depth):
+                self._check_chain(bottom, iw, ew, at_j)
+
+    @staticmethod
+    def _check_chain(bottom, iw, ew, at_j):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(iw), m.bv_sort(ew))
+        j = m.mk_const("j", asort.index)
+        a = (m.mk_const_array(asort, m.mk_value(asort.element, 0))
+             if bottom == "const" else m.mk_const("b", asort))
+        indices, stores = [j], []
+        for k, same in enumerate(at_j):
+            i = j if same else m.mk_const(f"x{k}", asort.index)
+            indices += [] if same else [i]
+            stores.append((i, (k + 1) % 2 ** ew))
+            a = m.mk_store(a, i, m.mk_value(asort.element, stores[-1][1]))
+        read = m.mk_select(a, j)
+        session = ground_session(
+            m, [m.mk_eq(read, m.mk_const("e", asort.element))])
+        leaves = indices + [read]
+        got = set()
+        while (res := solve_ground(session)).verdict == "sat":
+            point = tuple(res.values[t] for t in leaves)
+            got.add(point)
+            session.sat.add_clause(
+                [-lit if res.values[t] >> b & 1 else lit
+                 for t in leaves for b, lit in enumerate(session.bits[t])])
+
+        def semantic(values):
+            for i, u in reversed(stores):
+                if values[i] == values[j]:
+                    return u
+            return 0 if bottom == "const" else None
+
+        want = set()
+        for point in itertools.product(range(2 ** iw), repeat=len(indices)):
+            value = semantic(dict(zip(indices, point)))
+            for r in range(2 ** ew) if value is None else (value,):
+                want.add(point + (r,))
+        assert got == want, (bottom, at_j)
 
     def test_array_equality_does_not_bind_reads(self, m):
         asort = m.array_sort(m.bv_sort(2), m.bool_sort)
