@@ -27,7 +27,14 @@ the extensionality witness of each asserted ``not (= a b)`` over
 arrays, and in the ground encoding the value of each read down its
 store chain: the value stored by the highest store whose index it
 equals, or the default of a constant array at the bottom when it
-misses them all.
+misses them all.  The walk also crosses one array equality atom and
+goes down the other side's chain, so a read that meets a store at its
+own index or a constant array over one atom and stores crossed
+downwards has that value in every candidate; a store's virtual read
+crosses only into a chain no longer than its own.  Two store chains
+over constant arrays, equal under an atom and with fewer stores than
+the index domain has values, have equal defaults in every candidate
+too.  Longer paths keep their lemmas.
 
 One formula index serves a run: the configuration is the index
 (:class:`caext.ground.FormulaIndex`), each lemma extends it, and the

@@ -33,20 +33,6 @@ _TERM_PARENTS = (Kind.EQ, Kind.DISTINCT_N, Kind.SELECT, Kind.STORE,
                  Kind.CONST_ARRAY)
 
 
-def is_flat_formula(f: Term) -> bool:
-    """The ground encoder's contract: every operand of an equality, a
-    distinct_N, a read, a store or a constant array is a constant, a
-    literal, a read, a store or a constant array, and every ite is
-    Boolean, so it sits in Boolean structure."""
-    for t in postorder((f,)):
-        if t.kind is Kind.ITE and not t.sort.is_bool:
-            return False
-        if t.kind in _TERM_PARENTS \
-                and any(a.kind not in _TERM_KINDS for a in t.args):
-            return False
-    return True
-
-
 @dataclass
 class FlatResult:
     """Flattened formulas, and each fresh constant flattening made

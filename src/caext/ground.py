@@ -10,19 +10,33 @@ Bjørner, "Generalized, efficient array decision procedures", FMCAD
 2009): ``t`` is the value stored by the highest store whose index
 equals ``j``, and the default of a constant array at the bottom when
 ``j`` misses every store.  That costs one index comparator and at most
-one AND gate per store, and makes no term.  A virtual read keeps its
-one equality: walking its chain too would cost quadratic time on a
-deep chain.  Array axioms beyond those are deliberately *not* encoded:
-neither select congruence, nor what array equalities imply about
-reads, nor the miss ``j != i => select(store(a,i,u), j) =
-select(a, j)`` where the chain ends in an array constant ``a``, which
-would need a new read.  The array engine repairs violations with
-lemmas.  Array-sorted
-terms carry only an equivalence partition: every pair related by an
-array-equality atom gets an equality variable, and transitivity is
-enforced over a chordal completion of that atom graph (Bryant & Velev,
-"Boolean satisfiability with transitivity constraints", ACM TOCL 2002),
-never over all pairs.
+one AND gate per store, and makes no term.
+
+A read also crosses one array equality atom, along the weak-equivalence
+paths of Christ & Hoenicke ("Weakly equivalent arrays", FroCoS 2015)
+with one equality hop: at each array its walk visits, under "``j``
+missed every store above, and the atom holds" (one AND gate), it walks
+down the store chain on the atom's other side as it walks its own.
+The walk never crosses a second atom and never goes up a store.  A
+virtual read walks no chain of its own but crosses the atoms at its
+store, and only into a side whose chain has no more stores than its
+own: the short side of an equality would otherwise walk the long side
+once per store.  An atom between two store chains over constant
+arrays ``const(d1)`` and ``const(d2)`` with fewer stores together than
+the index domain has values gets ``not e or d1 = d2``: some cell is
+updated by neither.  With more stores that needs an at-least-n-distinct
+atom, which is not built.  Array axioms beyond those are deliberately
+*not* encoded: neither select congruence, nor paths with two equality
+hops or a hop up a store, nor the miss ``j != i =>
+select(store(a,i,u), j) = select(a, j)`` where the chain ends in an
+array constant ``a``, which would need a new read.  The array engine
+repairs violations with lemmas.
+
+Array-sorted terms carry only an equivalence partition: every pair
+related by an array-equality atom gets an equality variable, and
+transitivity is enforced over a chordal completion of that atom graph
+(Bryant & Velev, "Boolean satisfiability with transitivity
+constraints", ACM TOCL 2002), never over all pairs.
 At-least-n-distinct atoms are encoded eagerly with first-occurrence
 flags feeding a sequential counter.
 
@@ -46,7 +60,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalError
 from .sat import SatSolver
-from .terms import Kind, Sort, Term, TermManager, postorder
+from .terms import Kind, Sort, Term, TermManager, domain_size, postorder
 
 _SCALAR_LEAVES = (Kind.CONSTANT, Kind.VALUE, Kind.SELECT)
 
@@ -99,7 +113,8 @@ class FormulaIndex:
     gates of its Boolean terms in that order.  Each is also filed by
     kind, and a store ``s`` gets its virtual read ``select(s, s.index)``
     in ``read_axioms``, whose bits the encoder makes equal to those of
-    ``s.stored_value``.  It starts with ``formulas``, in order.
+    ``s.stored_value``, and the number of stores in its chain in
+    ``_chain_depth``.  It starts with ``formulas``, in order.
     """
 
     def __init__(self, manager: TermManager,
@@ -119,6 +134,8 @@ class FormulaIndex:
         # base when the array is a store, then the stores over it in
         # `stores` order
         self.hops: dict[Term, list[tuple[Term, Term]]] = {}
+        # store -> the number of stores in its chain, itself included
+        self._chain_depth: dict[Term, int] = {}
         # array -> (atom, other side), in `array_eq_atoms` order; an
         # atom `a = a` has no entry
         self.eqs_at: dict[Term, list[tuple[Term, Term]]] = {}
@@ -141,6 +158,7 @@ class FormulaIndex:
         elif t.kind is Kind.STORE:
             self.stores.append(t)
             self.read_axioms[t] = self.manager.mk_select(t, t.index)
+            self._chain_depth[t] = self._chain_depth.get(t.array, 0) + 1
             self.hops[t] = [(t.array, t)]
             self.hops.setdefault(t.array, []).append((t, t))
         elif t.kind is Kind.CONST_ARRAY:
@@ -208,10 +226,12 @@ class GroundSession:
         for new scalar leaves (±``true_lit`` for a literal); formula by
         formula, a literal for each Boolean term of its share of
         ``terms``, children first, then its unit clause; the read
-        axioms of new stores; and for each new read, its value down its
-        store chain (:meth:`_read_down_chain`).  Making the clauses
-        reads no solver state; they go to the solver in one batch at
-        the end."""
+        axioms of new stores, each virtual read crossing the atoms at
+        its store; for each other new read, its value down its store
+        chain and across one atom (:meth:`_read_down_chain`); and for
+        each new array equality atom, what it makes of two constant
+        defaults (:meth:`_defaults_meet`).  Making the clauses reads no
+        solver state; they go to the solver in one batch at the end."""
         index, terms = self.index, self.index.terms
         start, first = self._terms, self._formulas
         fresh = terms[start:]
@@ -225,26 +245,53 @@ class GroundSession:
                     self.lits[t] = self.bool_lit(t)
             start = end
             self._batch.append([self.lits[f]])
+        axioms, depth = index.read_axioms, index._chain_depth
         for t in fresh:
             if t.kind is Kind.STORE:
-                self.assert_bits_equal(index.read_axioms[t], t.stored_value)
-            elif t.kind is Kind.SELECT:
-                self._read_down_chain(t)
+                self.assert_bits_equal(axioms[t], t.stored_value)
+                self._read_down_chain(axioms[t], depth[t])
+            elif t.kind is Kind.SELECT and t is not axioms.get(t.array):
+                self._read_down_chain(t, len(index.stores))
+            elif t.kind is Kind.EQ and t.args[0].sort.is_array:
+                self._defaults_meet(t)
         self._send_batch()
 
-    def _read_down_chain(self, t: Term) -> None:
-        """The read-over-write unfolding of ``t = select(a, j)``.  Walking
-        down the stores of ``a`` with ``missed`` for "``j`` differs from
-        every store index above", each store ``store(b, i, u)`` gives
-        ``missed and j = i => t = u``, and a constant array ``const(d)``
-        at the bottom gives ``missed => t = d``.  The walk stops at a
-        store whose index is ``j`` itself; at the top store that is the
-        store's virtual read, whose axiom comes with the store.  It
-        costs one comparator and at most one AND gate per store, and
-        makes no term."""
-        a, j = t.array, t.index
-        guard: list[int] = []   # [-missed], or [] while missed is true
-        while a.kind is Kind.STORE:
+    def _read_down_chain(self, t: Term, reach: int,
+                         a: Optional[Term] = None,
+                         guard: Sequence[int] = ()) -> None:
+        """The read-over-write unfolding of ``t = select(a, j)`` (``a``
+        is ``t``'s array unless given).  Walking down the stores of
+        ``a`` with ``missed`` for "``j`` differs from every store index
+        above" (and every literal of ``guard`` false), each store
+        ``store(b, i, u)`` gives ``missed and j = i => t = u``, and a
+        constant array ``const(d)`` at the bottom gives ``missed => t =
+        d``.  The walk stops at a store whose index is ``j`` itself; at
+        the top store that is the store's virtual read, whose axiom
+        comes with the store.
+
+        At ``a``, at the base of each store and at the bottom, each
+        array equality atom ``e`` whose other side's chain has at most
+        ``reach`` stores is crossed: the walk goes down that side's
+        chain from ``missed and e``, and crosses no further atom
+        (``reach`` -1).  A formula read may cross into any chain; a
+        virtual read crosses only into one no longer than its own, or
+        the short side of an equality would walk the long side once
+        per store.  It costs one comparator and at most one AND gate
+        per store walked, one AND gate per atom crossed, and makes no
+        term."""
+        eqs_at = self.index.eqs_at if reach >= 0 else {}
+        depth = self.index._chain_depth
+        a, j = t.array if a is None else a, t.index
+        guard = list(guard)     # [-missed], or [] while missed is true
+        while True:
+            for e, other in eqs_at.get(a, ()):
+                if depth.get(other, 0) <= reach:
+                    g = self.lits[e]
+                    if guard:
+                        g = self._and([-guard[0], g])
+                    self._read_down_chain(t, -1, other, [-g])
+            if a.kind is not Kind.STORE:
+                break
             if a.index is j:
                 if guard:
                     self.assert_bits_equal(t, a.stored_value, guard)
@@ -252,10 +299,32 @@ class GroundSession:
             hit = self.scalar_eq_lit(j, a.index)
             self.assert_bits_equal(t, a.stored_value, guard + [-hit])
             a = a.array
-            if a.kind is Kind.STORE or a.kind is Kind.CONST_ARRAY:
+            if a.kind is Kind.STORE or a.kind is Kind.CONST_ARRAY \
+                    or a in eqs_at:
                 guard = [-self._and([-guard[0], -hit]) if guard else hit]
         if a.kind is Kind.CONST_ARRAY:
             self.assert_bits_equal(t, a.default, guard)
+
+    def _defaults_meet(self, e: Term) -> None:
+        """``not e or d1 = d2`` for an atom ``e`` between store chains
+        over ``const(d1)`` and ``const(d2)`` with fewer stores together
+        than the index domain has values: some cell is updated by
+        neither, so it holds both defaults.  With more stores the
+        counting argument needs an at-least-n-distinct atom, left to
+        the lemmas."""
+        lhs, rhs = e.args
+        depth = self.index._chain_depth
+        if depth.get(lhs, 0) + depth.get(rhs, 0) >= domain_size(
+                lhs.sort.index):
+            return
+        while lhs.kind is Kind.STORE:
+            lhs = lhs.array
+        while rhs.kind is Kind.STORE:
+            rhs = rhs.array
+        if lhs.kind is Kind.CONST_ARRAY and rhs.kind is Kind.CONST_ARRAY \
+                and lhs.default is not rhs.default:
+            self._batch.append(
+                [-self.lits[e], self.scalar_eq_lit(lhs.default, rhs.default)])
 
     def _send_batch(self) -> None:
         """Hand the clauses made so far to the solver, in order."""

@@ -16,7 +16,9 @@ import caext.engine
 from caext import (Configuration, Kind, Model, Sort, TermManager, Term,
                    domain_size, eval_term, interpretation_count)
 from caext.engine import _canonical_indices, _walk
+from caext.flatten import _TERM_KINDS, _TERM_PARENTS
 from caext.ground import FormulaIndex, GroundSession
+from caext.terms import postorder
 
 
 def src_env() -> dict[str, str]:
@@ -41,6 +43,21 @@ def ground_session(m: TermManager, formulas, **settings) -> GroundSession:
     """A ground session over a fresh formula index of ``formulas``;
     ``settings`` are the session's ``seed`` and ``budget``."""
     return GroundSession(FormulaIndex(m, formulas), **settings)
+
+
+def is_flat_formula(f: Term) -> bool:
+    """The ground encoder's contract, which `caext.flatten` makes hold:
+    every operand of an equality, a distinct_N, a read, a store or a
+    constant array is a constant, a literal, a read, a store or a
+    constant array, and every ite is Boolean, so it sits in Boolean
+    structure."""
+    for t in postorder((f,)):
+        if t.kind is Kind.ITE and not t.sort.is_bool:
+            return False
+        if t.kind in _TERM_PARENTS \
+                and any(a.kind not in _TERM_KINDS for a in t.args):
+            return False
+    return True
 
 
 def table_eval(values: dict[Term, int], f: Term) -> bool:

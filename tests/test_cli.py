@@ -11,10 +11,11 @@ from caext import Kind
 from caext.benchgen import gen_fuzz
 from caext.cli import main
 from caext.errors import IllDefinedModel, ResourceLimit, UndefinedStep
-from caext.flatten import flatten, is_flat_formula
+from caext.flatten import flatten
 from caext.terms import MAX_BV_WIDTH, postorder
 
-from helpers import DEEP, deep_chain_text, run_module, witness_name_text
+from helpers import (DEEP, deep_chain_text, is_flat_formula, run_module,
+                     witness_name_text)
 
 CHAIN = """\
 (set-logic QF_ABV)

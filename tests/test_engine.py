@@ -774,10 +774,14 @@ class TestStoreCoverLaw:
 
 class TestScaleRungs:
     """The z=0 crafted rungs with ``v != w``: at the store-cover bound
-    the chains meet, one store short they cannot.  After the
+    the chains meet, one store short they cannot.  One store short, the
+    ground encoding already holds ``(= v w)`` under the equality, so
+    the rung is unsat in one candidate.  At the bound, after the
     `const_congruence` lemma, one saturation holds a read-over-const
-    hit for every store on the ``v`` side, and the scan turns them all
-    into lemmas, so a sat rung takes three candidates at any width."""
+    hit for every store on the ``v`` side but the top one, whose virtual
+    read crosses the equality in the ground encoding, and the scan
+    turns them all into lemmas, so a sat rung takes three candidates at
+    any width."""
 
     @pytest.mark.parametrize("seed", [1001, 7, 0])
     @pytest.mark.parametrize("counts,width", [((8, 8), 4), ((16, 16), 5)])
@@ -788,20 +792,22 @@ class TestScaleRungs:
         assert validate_model(res.model, assertions)
         assert res.stats.iterations == 3
         assert res.stats.lemma_counts == {"const_congruence": 1,
-                                          "read_over_const": counts[0]}
+                                          "read_over_const": counts[0] - 1}
 
     @pytest.mark.parametrize("seed", [1001, 7, 0])
     @pytest.mark.parametrize("counts,width", [((8, 7), 4), ((16, 15), 5)])
     def test_one_store_short_is_unsat(self, counts, width, seed):
         m, assertions = crafted_rung(counts, width, seed)
-        assert check_sat(m, assertions).verdict == "unsat"
+        res = check_sat(m, assertions)
+        assert res.verdict == "unsat"
+        assert res.stats.iterations == 1 and res.stats.lemmas == []
 
     def test_max_refinements_counts_candidates(self):
-        # The second candidate ends in a batch of 8 lemmas; the cap
+        # The second candidate ends in a batch of 7 lemmas; the cap
         # counts it once.
         m, assertions = crafted_rung((8, 8), 4, 1001)
         res = check_sat(m, assertions, max_refinements=2)
-        assert res.verdict == "sat" and len(res.stats.lemmas) == 9
+        assert res.verdict == "sat" and len(res.stats.lemmas) == 8
         m, assertions = crafted_rung((8, 8), 4, 1001)
         with pytest.raises(ResourceLimit):
             check_sat(m, assertions, max_refinements=1)

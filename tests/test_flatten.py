@@ -5,11 +5,12 @@ import pytest
 from caext import (Kind, TermManager, free_constants, interpretation_count,
                    oracle_solve)
 from caext.benchgen import gen_fuzz
-from caext.flatten import flatten, is_flat_formula
+from caext.flatten import flatten
 from caext.oracle import MAX_INTERPRETATIONS
 from caext.terms import postorder
 
-from helpers import Example2, random_instance, structured_instance
+from helpers import (Example2, is_flat_formula, random_instance,
+                     structured_instance)
 
 
 @pytest.fixture

@@ -271,6 +271,101 @@ class TestReadsAreFree:
         assert res.verdict == "unsat"
 
 
+_BOTTOMS = ("const 0", "const 1", "array")
+
+
+def _chain(m, asort, bottom, depth, tag):
+    """``depth`` stores over ``bottom`` at fresh indices ``<tag>0 ..``,
+    the k-th from the bottom storing ``(k + 1) % 2``, and its stores
+    from the top down."""
+    a = (m.mk_const(tag, asort) if bottom == "array" else
+         m.mk_const_array(asort, m.mk_value(asort.element,
+                                            int(bottom[-1]))))
+    stores = []
+    for k in range(depth):
+        a = m.mk_store(a, m.mk_const(f"{tag}{k}", asort.index),
+                       m.mk_value(asort.element, (k + 1) % 2))
+        stores.insert(0, a)
+    return a, stores
+
+
+class TestOneHop:
+    """A read crosses one array equality atom in the ground encoding:
+    a formula read at every array of its walk, a store's virtual read at
+    its store when the other side's chain is no longer than its own;
+    and an atom between two chains over constant arrays with fewer
+    stores than the index domain has values makes their defaults
+    equal."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_pairs_of_chains(self, width):
+        """Every pair of 0-2 store chains over ``const(0)``,
+        ``const(1)`` or an array constant joined by one equality,
+        asserted or denied, with a read at a fresh index on each side
+        asserted to be 0 or 1."""
+        for lhs, rhs in itertools.product(
+                itertools.product(_BOTTOMS, range(3)), repeat=2):
+            for equal, *want in itertools.product((True, False),
+                                                  repeat=3):
+                self._check_pair(width, lhs, rhs, equal, want)
+
+    @staticmethod
+    def _check_pair(width, lhs, rhs, equal, want):
+        m = TermManager()
+        asort = m.array_sort(m.bv_sort(width), m.bv_sort(1))
+        (left, lstores), (right, rstores) = (
+            _chain(m, asort, *lhs, "a"), _chain(m, asort, *rhs, "b"))
+        atom = m.mk_eq(left, right)
+        assertions = [atom if equal else m.mk_not(atom)]
+        for side, tag, value in ((left, "j", want[0]),
+                                 (right, "k", want[1])):
+            read = m.mk_select(side, m.mk_const(tag, asort.index))
+            assertions.append(m.mk_eq(read, m.mk_value(asort.element,
+                                                       int(value))))
+        case = (width, lhs, rhs, equal, want)
+        res = caext.check_sat(m, assertions)
+        assert res.verdict == oracle_solve(assertions).verdict, case
+        if res.verdict == "sat":
+            assert caext.validate_model(res.model, assertions), case
+        # a read-over-const lemma only for the virtual read of a lower
+        # store, or of the top store of the shorter chain, whose path
+        # goes up a store or crosses into a longer chain
+        lazy = lstores[1:] + rstores[1:]
+        if len(lstores) < len(rstores):
+            lazy += lstores[:1]
+        if len(rstores) < len(lstores):
+            lazy += rstores[:1]
+        lazy_reads = {m.mk_select(s, s.index) for s in lazy}
+        for rule, lemma in res.stats.lemmas:
+            if rule == "read_over_const":
+                read, = (t for t in lemma.args[-1].args
+                         if t.kind is Kind.SELECT)
+                assert read in lazy_reads, case
+        if lhs[0] != "array" and rhs[0] != "array" \
+                and lhs[1] + rhs[1] < 2 ** width:
+            assert "const_congruence" not in res.stats.lemma_counts, case
+
+    def test_two_against_two_hundred_stores_grow_linearly(self):
+        """A 2-store chain equal to an n-store one, a read on each side:
+        each read compares its index once with each store of the long
+        chain, and the long chain's top virtual read with each store of
+        the short one; the short chain's does not walk the long one."""
+        def keys(n):
+            m = TermManager()
+            asort = m.array_sort(m.bv_sort(8), m.bv_sort(1))
+            short, _ = _chain(m, asort, "const 0", 2, "a")
+            long, _ = _chain(m, asort, "const 1", n, "b")
+            atoms = [m.mk_eq(short, long)]
+            for side, tag in ((short, "j"), (long, "k")):
+                read = m.mk_select(side, m.mk_const(tag, asort.index))
+                atoms.append(m.mk_eq(read, m.mk_value(asort.element, 1)))
+            session = ground_session(m, atoms)
+            session.encode_new()
+            return len(session.eq_lits)
+
+        assert keys(200) - keys(100) == 2 * 100
+
+
 class TestArrayPartition:
     def test_transitivity_enforced(self, m):
         asort = m.array_sort(m.bool_sort, m.bool_sort)

@@ -20,7 +20,7 @@ import pytest
 
 import caext
 from caext import TermManager, check_sat
-from caext.benchgen import gen_fuzz
+from caext.benchgen import CraftedParams, gen_crafted, gen_fuzz
 from caext.engine import _find_conflict, _walk
 
 from helpers import (benchmark_crafted, lazy_witnesses, read_crossings,
@@ -69,10 +69,19 @@ def test_fuzz_matches_reference(first_seed):
 
 def test_structured_shapes_match_reference():
     # ites, Boolean terms in term positions, reads as indices and
-    # depth-3 stores, which gen_fuzz never makes
+    # depth-3 stores, which gen_fuzz never makes; and z=1 crafted rungs
+    # with v != w, whose defaults meet across two equalities, so their
+    # const_congruence lemma is never in the ground encoding
     rules: Counter = Counter()
     for seed in range(200):
         m, assertions = structured_instance(seed)
+        _gated_check_sat(m, assertions, rules)
+    for width in (2, 3):
+        m = TermManager()
+        assertions = gen_crafted(m, CraftedParams(
+            1, (1, 1, 1), m.bv_sort(width), m.bool_sort))
+        assertions.append(m.mk_not(m.mk_eq(m.lookup_const("v"),
+                                           m.lookup_const("w"))))
         _gated_check_sat(m, assertions, rules)
     assert set(rules) == {"read_over_const", "read_congruence",
                           "extensionality", "const_congruence", "none"}
